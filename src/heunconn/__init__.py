@@ -26,11 +26,9 @@ from .combinatorics import (
 from .connection import (
     METHODS,
     ConnectionMatrix,
-    a_infinity_recurrence,
     connection_matrix,
     connection_scalar,
     det_residual,
-    eta_tail,
     extract_sigma,
     fusion_cl,
     log_a_infinity_cf,
@@ -143,8 +141,6 @@ __all__ = [
     "connection_scalar",
     "fusion_cl",
     "log_a_infinity_cf",
-    "a_infinity_recurrence",
-    "eta_tail",
     "wronskian_connection",
     "schafke_schmidt_connection",
     "extract_sigma",

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .equations import EquationSpec, alpha_beta, validate
 from .errors import DomainError, FamilyFieldError, SizeError
-from .richardson import extrapolate, geometric_ladder
+from .richardson import extrapolate, ladder_values
 
 __all__ = [
     "compositions",
@@ -153,27 +153,21 @@ def trace_power(
     if n > _MAX_N:
         raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
     terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-    nodes = geometric_ladder(k_max, levels)
     betas = [alpha_beta(spec, k)[1] for k in range(1, k_max + n)]
-    sums = []
-    acc = 0.0 + 0.0j
-    it = iter(nodes)
-    nxt = next(it)
-    for k in range(1, k_max + 1):
-        local = 0.0 + 0.0j
+
+    def local(k: int) -> complex:  # weighted beta products of all walk types at k
+        total = 0.0 + 0.0j
         for mu, cnt in terms:
             prod = float(cnt) + 0.0j
             for off, power in enumerate(mu):
                 b = betas[k - 1 + off]
                 for _ in range(power):
                     prod *= b
-            local += prod
-        acc += local
-        if k == nxt:
-            sums.append(acc)
-            nxt = next(it, None)
-    inv_nodes = [1.0 / m for m in nodes]
-    limit, _err = extrapolate(inv_nodes, sums)
+            total += prod
+        return total
+
+    sums = itertools.accumulate(map(local, range(1, k_max + 1)))
+    limit, _err = extrapolate(*ladder_values(sums, k_max, levels))
     return complex(limit)
 
 

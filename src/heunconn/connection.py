@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, count
 from typing import Any, Optional
 
 import mpmath as mp
@@ -42,7 +43,6 @@ from .errors import (
     DetCheckFailed,
     DomainError,
     MonodromyInconsistent,
-    NonConvergence,
     TailError,
 )
 from .frobenius import frobenius_series, wronskian
@@ -56,16 +56,14 @@ from .precision import (
     spec_to_precision,
     to_complex,
 )
-from .richardson import extrapolate, geometric_ladder
+from .richardson import double_until_stable, extrapolate, geometric_ladder, ladder_values
 from .special import gamma, log_gamma
 
 __all__ = [
     "ConnectionMatrix",
     "METHODS",
     "fusion_cl",
-    "eta_tail",
     "log_a_infinity_cf",
-    "a_infinity_recurrence",
     "connection_scalar",
     "connection_matrix",
     "wronskian_connection",
@@ -187,42 +185,6 @@ def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     return out
 
 
-def eta_tail(spec: EquationSpec, k_start: int, depth: int) -> Any:
-    """Continued-fraction factor ``eta_{k_start}`` evaluated with ``depth``
-    levels below the start (unit seed at ``k_start + depth``)."""
-    validate(spec)
-    if k_start < 1 or depth < 0:
-        raise DomainError("need k_start >= 1 and depth >= 0")
-    lam = spec.lam
-    one = 1.0 + 0 * spec.theta0
-    eta = one
-    for k in range(k_start + depth, k_start - 1, -1):
-        if abs(eta) < 1e-14:
-            raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        al_prev, _ = alpha_beta(spec, k - 1)
-        _, be = alpha_beta(spec, k)
-        eta = 1 - lam * al_prev - lam * be / eta
-    return eta
-
-
-def _ladder_limit_of_partial_sums(
-    terms: list, k_max: int
-) -> tuple[Any, float]:
-    """Extrapolate partial sums of ``terms[k-1] = f(k)`` over the geometric
-    ladder ending at ``k_max``."""
-    nodes = geometric_ladder(k_max, _LEVELS)
-    sums = []
-    acc = 0.0
-    it = iter(nodes)
-    nxt = next(it)
-    for k in range(1, k_max + 1):
-        acc = acc + terms[k - 1]
-        if k == nxt:
-            sums.append(acc)
-            nxt = next(it, None)
-    return extrapolate([1.0 / n for n in nodes], sums)
-
-
 def log_a_infinity_cf(
     spec: EquationSpec,
     tol: float = 1e-10,
@@ -245,56 +207,26 @@ def log_a_infinity_cf(
     lam_abs = abs(lam)
     buffer = _seed_buffer(lam_abs)
     seed_err = lam_abs**buffer if lam_abs < 1 else 1.0
-    k_max = 2048
-    prev = None
-    while True:
-        etas = _eta_sweep(spec, k_max, buffer)
-        logs = [p_log(e) for e in etas]
-        val, err = _ladder_limit_of_partial_sums(logs, k_max)
-        total_err = float(err) + seed_err
-        if prev is not None and abs(val - prev) < tol and total_err < 10 * tol:
-            break
-        if 2 * k_max > max_depth:
-            raise NonConvergence(
-                f"continued-fraction sum did not stabilise to {tol:.1e} "
-                f"within depth {max_depth}"
-            )
-        prev = val
-        k_max *= 2
+
+    def limit_at(k_max: int) -> tuple[Any, float]:
+        logs = map(p_log, _eta_sweep(spec, k_max, buffer))
+        val, err = extrapolate(*ladder_values(accumulate(logs), k_max, _LEVELS))
+        return val, float(err) + seed_err
+
+    val, k, err = double_until_stable(limit_at, 2048, tol, max_depth, "continued-fraction sum")
     if spec.family == "HE":
         val = val - p_log(1 - lam)
-    return val, k_max, total_err
+    return val, k, err
 
 
-def a_infinity_recurrence(
-    spec: EquationSpec,
-    K: int,
-    tol: Optional[float] = None,
-    allow_large_coupling: bool = False,
-) -> tuple[Any, float]:
-    """Raw forward iterate ``a_K`` of the rescaled recurrence with the
-    half-way error estimate ``|a_K - a_{K/2}|``.
-
-    With ``tol`` given, an estimate above it raises :class:`NonConvergence`.
-    """
-    validate(spec)
-    _check_lambda_gate(spec, allow_large_coupling)
-    if K < 2:
-        raise DomainError("K must be at least 2")
+def _forward_iterates(spec: EquationSpec):
+    """Iterates ``a_1, a_2, ...`` of ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})``."""
     a_km1 = 0.0
     a_k = 1.0 + 0 * spec.theta0
-    half = None
-    for k in range(K):
+    for k in count():
         al, be = alpha_beta(spec, k)
         a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
-        if k + 1 == K // 2:
-            half = a_k
-    err = abs(a_k - half)
-    if tol is not None and err > tol:
-        raise NonConvergence(
-            f"|a_K - a_K/2| = {err:.3e} exceeds requested tolerance {tol:.1e}"
-        )
-    return a_k, err
+        yield a_k
 
 
 def _recurrence_limit(
@@ -303,36 +235,17 @@ def _recurrence_limit(
     max_K: int = _MAX_DEPTH,
     allow_large_coupling: bool = False,
 ) -> tuple[Any, int, float]:
-    """Ladder-extrapolated limit of the rescaled iterates ``a_k``."""
+    """Ladder-extrapolated limit of the rescaled iterates ``a_k``.  They do not
+    depend on the truncation, so the doubling rounds continue one forward sweep."""
     validate(spec)
     _check_lambda_gate(spec, allow_large_coupling)
     if spec.lam == 0:
         return 1.0, 0, 0.0
-    k_max = 4096
-    prev = None
-    while True:
-        nodes = geometric_ladder(k_max, _LEVELS)
-        node_vals = []
-        a_km1 = 0.0
-        a_k = 1.0 + 0 * spec.theta0
-        it = iter(nodes)
-        nxt = next(it)
-        for k in range(k_max):
-            al, be = alpha_beta(spec, k)
-            a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
-            if k + 1 == nxt:
-                node_vals.append(a_k)
-                nxt = next(it, None)
-        val, err = extrapolate([1.0 / n for n in nodes], node_vals)
-        if prev is not None and abs(val - prev) < tol and err < 10 * tol:
-            break
-        if 2 * k_max > max_K:
-            raise NonConvergence(
-                f"recurrence limit did not stabilise to {tol:.1e} within K = {max_K}"
-            )
-        prev = val
-        k_max *= 2
-    return val, k_max, err
+    iterates, seen = _forward_iterates(spec), {}
+    return double_until_stable(
+        lambda k_max: extrapolate(*ladder_values(iterates, k_max, _LEVELS, seen=seen)),
+        4096, tol, max_K, "recurrence limit",
+    )
 
 
 def _assembly_prefactor(spec: EquationSpec) -> Any:
@@ -419,28 +332,23 @@ def schafke_schmidt_connection(
         raise DomainError(
             f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
         )
-    if K < 2 ** (levels - 1) or K % 2 ** (levels - 1) != 0:
-        raise DomainError("K must be divisible by 2**(levels-1)")
     dps = max(30, 20 + int(4 * abs(th1.real) * math.log10(max(K, 10))) + 10)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
-        nodes = geometric_ladder(K, levels)
         expo = 1 - 2 * msp.theta1
         gam = gamma(2 * msp.theta1, HIGH)
         pref = _assembly_prefactor(spec)
-        u_km1 = mp.mpf(0)
-        u_k = mp.mpf(1)
-        vals = []
-        it = iter(nodes)
-        nxt = next(it)
-        for k in range(K):
-            u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
-            if k + 1 == nxt:
-                vals.append(mp.power(k + 1, expo) * u_k)
-                nxt = next(it, None)
-        limit, err = extrapolate(
-            [mp.mpf(1) / n for n in nodes], vals, require_contraction=True
+
+        def coefficients():
+            u_km1, u_k = mp.mpf(0), mp.mpf(1)
+            for k in count():
+                u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
+                yield u_k
+
+        steps, vals = ladder_values(
+            coefficients(), K, levels, lambda k, u_k: mp.power(k, expo) * u_k, mp.mpf(1)
         )
+        limit, _ = extrapolate(steps, vals, require_contraction=True)
         out = to_complex(gam * limit) * pref
     return out
 
@@ -554,26 +462,38 @@ def connection_matrix(
     return matrix
 
 
+def _product_relations(
+    matrix: ConnectionMatrix, sigma: complex
+) -> tuple[list[tuple[complex, complex]], float]:
+    """Both sides ``(prod, rhs)`` of the product relations ``C_++ C_-- =
+    -(theta0/theta1) cos pi(theta1-theta0+sigma) cos pi(theta1-theta0-sigma) /
+    (sin 2pi theta0 sin 2pi theta1)`` and the same with ``theta1+theta0`` for
+    ``C_+- C_-+``, and the scale ``max(|C_++ C_--|, |C_+- C_-+|)``."""
+    sp = matrix.spec
+    t0, t1 = complex(sp.theta0), complex(sp.theta1)
+    a, b, c, d = (matrix[k] for k in ("++", "+-", "-+", "--"))
+    two_pi = 2.0 * math.pi
+    denom = cmath.sin(two_pi * t0) * cmath.sin(two_pi * t1)
+    cos, pi = cmath.cos, math.pi
+    relations = [
+        (prod, -(t0 / t1) * cos(pi * (base + sigma)) * cos(pi * (base - sigma)) / denom)
+        for prod, base in ((a * d, t1 - t0), (b * c, t1 + t0))
+    ]
+    return relations, max(abs(a * d), abs(b * c), 1e-300)
+
+
 def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     """Composite-monodromy exponent sigma from the connection entries.
 
     Uses ``cos 2 pi sigma = [bc cos 2pi(theta0-theta1) - ad cos 2pi(theta0+theta1)]
     / (ad - bc)`` with ``(a,b,c,d) = (C_++, C_+-, C_-+, C_--)``, fixes the
     branch to ``Re sigma in [0, 1)`` with ``Im sigma >= 0`` as tie-break, and
-    cross-checks both product relations
-
-    ``C_++ C_-- = -(theta0/theta1) cos pi(theta1-theta0+sigma)
-    cos pi(theta1-theta0-sigma) / (sin 2pi theta0 sin 2pi theta1)``
-
-    (and the same with ``theta1+theta0`` for ``C_+- C_-+``); a relative
-    violation beyond ``tol`` raises :class:`MonodromyInconsistent`.
+    cross-checks both product relations (see :func:`_product_relations`); a
+    relative violation beyond ``tol`` raises :class:`MonodromyInconsistent`.
     """
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
-    a = matrix["++"]
-    b = matrix["+-"]
-    c = matrix["-+"]
-    d = matrix["--"]
+    a, b, c, d = (matrix[k] for k in ("++", "+-", "-+", "--"))
     det = a * d - b * c
     two_pi = 2.0 * math.pi
     cos_diff = cmath.cos(two_pi * (t0 - t1))
@@ -583,15 +503,8 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     if sigma.imag < 0.0:
         sigma = 1.0 - sigma
     sigma = complex(sigma.real % 1.0, sigma.imag)
-    denom = cmath.sin(two_pi * t0) * cmath.sin(two_pi * t1)
-    scale = max(abs(a * d), abs(b * c), 1e-300)
-    for prod, base in ((a * d, t1 - t0), (b * c, t1 + t0)):
-        rhs = (
-            -(t0 / t1)
-            * cmath.cos(math.pi * (base + sigma))
-            * cmath.cos(math.pi * (base - sigma))
-            / denom
-        )
+    relations, scale = _product_relations(matrix, sigma)
+    for prod, rhs in relations:
         if abs(prod - rhs) > tol * scale:
             raise MonodromyInconsistent(
                 f"product relation violated: |{prod:.8g} - {rhs:.8g}| "
@@ -621,8 +534,6 @@ def tail_determinant_limit(
         return 1.0 + 0j, 0.0
     lam_abs = min(abs(lam), 0.95)
     rows = max(96, int(52.0 / -math.log10(lam_abs)) + 64) if lam_abs > 0 else 96
-    if N < 2 ** (levels - 1) or N % 2 ** (levels - 1) != 0:
-        raise DomainError("N must be divisible by 2**(levels-1)")
     nodes = geometric_ladder(N, levels)
     vals = []
     for n_j in nodes:

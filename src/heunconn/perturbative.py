@@ -22,6 +22,7 @@ digamma/trigamma expressions and serve as independent references.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Sequence
 
 from .equations import EquationSpec, alpha_beta, validate
@@ -31,9 +32,10 @@ from .errors import (
     JetDivByZero,
     ParameterResonance,
     SizeError,
+    SlowConvergence,
 )
 from .precision import to_complex
-from .richardson import extrapolate, geometric_ladder
+from .richardson import extrapolate, ladder_values
 from .special import polygamma
 
 __all__ = [
@@ -191,8 +193,6 @@ def c_coefficients(
     one = jet_from_scalar(1.0, N)
     lam = jet_variable(N)
     eta = one
-    nodes = geometric_ladder(k_max, levels)
-    sums: list[list[complex]] = []
     # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}.
     log_jets: list[tuple] = [()] * k_max
     for k in range(k_max + buffer, 0, -1):
@@ -203,23 +203,12 @@ def c_coefficients(
         eta = jet_sub(jet_sub(one, lam_al), jet_div(lam_be, eta))
         if k <= k_max:
             log_jets[k - 1] = jet_log(eta).coeffs
-    acc = [0j] * (N + 1)
-    it = iter(nodes)
-    nxt = next(it)
-    for k in range(1, k_max + 1):
-        lj = log_jets[k - 1]
-        for j in range(1, N + 1):
-            acc[j] = acc[j] + lj[j]
-        if k == nxt:
-            sums.append(list(acc))
-            nxt = next(it, None)
-    inv_nodes = [1.0 / n for n in nodes]
+    sums = accumulate(log_jets, lambda acc, lj: [a + b for a, b in zip(acc, lj)])
+    inv_nodes, sums = ladder_values(sums, k_max, levels)
     out = []
     for n in range(1, N + 1):
         cn, err = extrapolate(inv_nodes, [s[n] for s in sums], require_contraction=True)
         if err > tol * max(1.0, abs(cn)):
-            from .errors import SlowConvergence
-
             raise SlowConvergence(
                 f"c_{n} ladder correction {err:.3e} above {tol:.1e}"
             )

@@ -7,18 +7,21 @@ recurrence iterates, large-order coefficient ladders, truncated determinants
 and truncated trace sums.  For all of them the limit is recovered by Neville
 polynomial extrapolation to step zero over a geometric ladder of nodes.
 
-The main entry point :func:`extrapolate` takes the nodes and values and
-returns the extrapolated limit together with an error estimate (the magnitude
-of the last Neville correction).
+:func:`extrapolate` takes the nodes and values and returns the extrapolated
+limit together with an error estimate (the magnitude of the last Neville
+correction).  Two functions are the one place that iterates a sequence to
+its ladder nodes: :func:`ladder_values` reads the nodes' values for it, and
+:func:`double_until_stable` doubles the top node until two limits agree.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import DomainError, SlowConvergence
+from .errors import DomainError, NonConvergence, SlowConvergence
 
-__all__ = ["extrapolate", "geometric_ladder"]
+__all__ = ["extrapolate", "geometric_ladder", "ladder_values", "double_until_stable"]
 
 
 def geometric_ladder(k_max: int, levels: int, ratio: int = 2) -> list[int]:
@@ -85,3 +88,55 @@ def extrapolate(
                 f"vs raw spread {raw_spread:.3e}"
             )
     return limit, err
+
+
+def ladder_values(
+    items: Iterable,
+    k_max: int,
+    levels: int,
+    at_node: Optional[Callable[[int, Any], Any]] = None,
+    unit: Any = 1.0,
+    seen: Optional[dict] = None,
+) -> tuple[list, list]:
+    """Steps ``unit/k`` and values ``f(k)`` at ``geometric_ladder(k_max, levels)``
+    for :func:`extrapolate`, read from ``items`` whose k-th item (k = 1, 2, ...)
+    is ``f(k)``; ``at_node(k, f(k))`` replaces a value as it is read.  A ``seen``
+    dict keeps node values, so a longer ladder can resume the same iterator."""
+    nodes = geometric_ladder(k_max, levels)
+    seen = {} if seen is None else seen
+    it, pos = iter(items), max(seen, default=0)
+    for k in nodes:
+        if k not in seen:
+            value = next(islice(it, k - pos - 1, None))
+            seen[k], pos = value if at_node is None else at_node(k, value), k
+    return [unit / k for k in nodes], [seen[k] for k in nodes]
+
+
+def double_until_stable(
+    limit_at: Callable, k_start: int, tol: float, max_depth: int, what: str
+) -> tuple[Any, int, Any]:
+    """Double ``k`` from ``k_start`` until two successive ``limit_at(k) = (value,
+    err)`` agree within ``tol`` with ``err < 10 tol``; returns ``(value, k, err)``.
+    Raises :class:`NonConvergence` (naming ``what``) past ``max_depth``, or when
+    the change between rounds has not beaten its best earlier value for two
+    rounds in a row: the ladder is then at its rounding floor."""
+    k, prev, changes, stale = k_start, None, [], 0
+    while True:
+        val, err = limit_at(k)
+        if prev is not None:
+            change = abs(val - prev)
+            if change < tol and err < 10 * tol:
+                return val, k, err
+            stale = 0 if not changes or change < min(changes) else stale + 1
+            changes.append(float(change))
+            if stale == 2:
+                raise NonConvergence(
+                    f"{what} stalled before reaching {tol:.1e} at depth {k}; change per "
+                    "round: " + ", ".join(f"{c:.1e}" for c in changes)
+                )
+        if 2 * k > max_depth:
+            raise NonConvergence(
+                f"{what} did not stabilise to {tol:.1e} within depth {max_depth}"
+            )
+        prev = val
+        k *= 2

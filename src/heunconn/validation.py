@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import cmath
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from .connection import (
     ConnectionMatrix,
+    _product_relations,
     connection_matrix,
     det_residual,
     extract_sigma,
@@ -145,6 +146,24 @@ def _timed(name: str, tol: float, fn) -> CheckResult:
     )
 
 
+def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMatrix]:
+    """Getter of the ``cf``-route matrix of ``spec``, computed on the first call;
+    a library error it raised is raised again on every later call."""
+    outcome = []
+
+    def get() -> ConnectionMatrix:
+        if not outcome:
+            try:
+                outcome.append(connection_matrix(spec, method="cf", tol=matrix_tol))
+            except HeunConnError as exc:
+                outcome.append(exc)
+        if isinstance(outcome[0], HeunConnError):
+            raise outcome[0]
+        return outcome[0]
+
+    return get
+
+
 def verify_connection_identity(
     spec: EquationSpec,
     z_list: Sequence[float] = (0.3, 0.5, 0.7),
@@ -160,13 +179,15 @@ def verify_connection_identity(
     continued-fraction route.
     """
     validate(spec)
+    cf = _cf_once(spec, matrix_tol) if matrix is None else lambda: matrix
+    return _check_identity(spec, z_list, K, tol, cf)
 
+
+def _check_identity(
+    spec: EquationSpec, z_list: Sequence[float], K: int, tol: float, cf: Callable
+) -> CheckResult:
     def run():
-        mat = (
-            matrix
-            if matrix is not None
-            else connection_matrix(spec, method="cf", tol=matrix_tol)
-        )
+        mat = cf()
         sols0 = {s: frobenius_series(spec, 0, 1 if s == "+" else -1, K) for s in ("+", "-")}
         sols1 = {s: frobenius_series(spec, 1, 1 if s == "+" else -1, K) for s in ("+", "-")}
         r0 = convergence_radius(spec, 0)
@@ -225,9 +246,16 @@ def verify_che_as_he_limit(
     continued-fraction ladder would need depths beyond ``Lambda`` to reach
     its asymptotic regime.
     """
+    return _check_che_as_he_limit(
+        spec, Lambda, tol, method, matrix_tol, _cf_once(spec, matrix_tol)
+    )
 
+
+def _check_che_as_he_limit(
+    spec: EquationSpec, Lambda: float, tol: float, method: str, matrix_tol: float, cf: Callable
+) -> CheckResult:
     def run():
-        che_mat = connection_matrix(spec, method="cf", tol=matrix_tol)
+        che_mat = cf()
         he_sp = che_to_he_spec(spec, Lambda)
         he_mat = connection_matrix(he_sp, method=method, tol=matrix_tol)
         worst = 0.0
@@ -276,7 +304,18 @@ def verify_reflection(
     the original.  With ``strict`` a failure raises
     :class:`ReflectionMismatch` instead of returning a failed result.
     """
+    result = _check_reflection(spec, tol, matrix_tol, _cf_once(spec, matrix_tol))
+    if strict and not result.passed:
+        raise ReflectionMismatch(
+            f"reflection check failed: residual {result.residual:.3e} "
+            f"above {tol:.1e} ({result.detail})"
+        )
+    return result
 
+
+def _check_reflection(
+    spec: EquationSpec, tol: float, matrix_tol: float, cf: Callable
+) -> CheckResult:
     def run():
         refl = reflected_spec(spec)
         pot_res = 0.0
@@ -289,10 +328,9 @@ def verify_reflection(
             sol = frobenius_series(refl, point, sign, 220)
             z0 = 0.35 if point == 0 else 0.65
             ode_res = max(ode_res, abs(ode_residual(refl, sol, z0)))
-        mat = connection_matrix(spec, method="cf", tol=matrix_tol)
+        mat = cf()
         mat_r = connection_matrix(refl, method="cf", tol=matrix_tol)
-        a, b = mat["++"], mat["+-"]
-        c, d = mat["-+"], mat["--"]
+        a, b, c, d = (mat[k] for k in ("++", "+-", "-+", "--"))
         det = a * d - b * c
         inv = {"++": d / det, "+-": -b / det, "-+": -c / det, "--": a / det}
         mat_res = max(abs(mat_r[k] - inv[k]) / abs(inv[k]) for k in inv)
@@ -301,28 +339,21 @@ def verify_reflection(
             f"potential {pot_res:.1e}, ode {ode_res:.1e}, matrix-vs-inverse {mat_res:.1e}"
         )
 
-    result = _timed("reflection", tol, run)
-    if strict and not result.passed:
-        raise ReflectionMismatch(
-            f"reflection check failed: residual {result.residual:.3e} "
-            f"above {tol:.1e} ({result.detail})"
-        )
-    return result
+    return _timed("reflection", tol, run)
 
 
-def _check_determinant(spec: EquationSpec, tol: float, matrix_tol: float) -> CheckResult:
+def _check_determinant(spec: EquationSpec, tol: float, cf: Callable) -> CheckResult:
     def run():
-        mat = connection_matrix(spec, method="cf", tol=matrix_tol)
-        return det_residual(mat), "cf route"
+        return det_residual(cf()), "cf route"
 
     return _timed("determinant", tol, run)
 
 
 def _check_method_agreement(
-    spec: EquationSpec, other: str, tol: float, matrix_tol: float
+    spec: EquationSpec, other: str, tol: float, matrix_tol: float, cf: Callable
 ) -> CheckResult:
     def run():
-        base = connection_matrix(spec, method="cf", tol=matrix_tol)
+        base = cf()
         alt = connection_matrix(spec, method=other, tol=matrix_tol)
         worst = max(abs(base[k] - alt[k]) / abs(base[k]) for k in ("++", "+-", "-+", "--"))
         return worst, "entrywise vs cf"
@@ -330,25 +361,13 @@ def _check_method_agreement(
     return _timed(f"method_agreement_{other}", tol, run)
 
 
-def _check_monodromy(spec: EquationSpec, tol: float, matrix_tol: float) -> CheckResult:
+def _check_monodromy(spec: EquationSpec, tol: float, cf: Callable) -> CheckResult:
     def run():
-        mat = connection_matrix(spec, method="cf", tol=matrix_tol)
+        mat = cf()
         sigma = extract_sigma(mat, tol=tol)
-        # extract_sigma already enforces both product relations at tol;
-        # re-measure the worse of the two for the report.
-        t0, t1 = mat.spec.theta0, mat.spec.theta1
-        a, b = mat["++"], mat["+-"]
-        c, d = mat["-+"], mat["--"]
-        s0, s1 = cmath.pi * 2 * t0, cmath.pi * 2 * t1
-        denom = cmath.sin(s0) * cmath.sin(s1)
-        scale = max(abs(a * d), abs(b * c))
-        p1 = a * d + (t0 / t1) * cmath.cos(cmath.pi * (t1 - t0 + sigma)) * cmath.cos(
-            cmath.pi * (t1 - t0 - sigma)
-        ) / denom
-        p2 = b * c + (t0 / t1) * cmath.cos(cmath.pi * (t1 + t0 + sigma)) * cmath.cos(
-            cmath.pi * (t1 + t0 - sigma)
-        ) / denom
-        res = max(abs(p1), abs(p2)) / scale
+        # extract_sigma enforces both product relations at tol; report the worse.
+        relations, scale = _product_relations(mat, sigma)
+        res = max(abs(prod - rhs) for prod, rhs in relations) / scale
         return res, f"sigma={sigma:.12g}"
 
     return _timed("monodromy_products", tol, run)
@@ -407,33 +426,26 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     if config is None:
         config = CheckConfig()
     mtol = config.matrix_tol
+    # One cf matrix, shared by every check of this spec that needs it.
+    cf = _cf_once(spec, mtol)
     checks: list[CheckResult] = []
-    checks.append(
-        verify_connection_identity(
-            spec, z_list=config.z_list, K=config.K, tol=config.tol_identity,
-            matrix_tol=mtol,
-        )
-    )
-    checks.append(_check_determinant(spec, config.tol_det, mtol))
+    checks.append(_check_identity(spec, config.z_list, config.K, config.tol_identity, cf))
+    checks.append(_check_determinant(spec, config.tol_det, cf))
     for other in ("recurrence", "wronskian"):
-        checks.append(_check_method_agreement(spec, other, config.tol_method, mtol))
+        checks.append(_check_method_agreement(spec, other, config.tol_method, mtol, cf))
     if abs(2.0 * complex(spec.theta1).real) < 4.0:
-        checks.append(_check_method_agreement(spec, "ss", config.tol_ss, mtol))
-    checks.append(_check_monodromy(spec, config.tol_monodromy, mtol))
+        checks.append(_check_method_agreement(spec, "ss", config.tol_ss, mtol, cf))
+    checks.append(_check_monodromy(spec, config.tol_monodromy, cf))
     if spec.family == "HE" and config.include_slow:
         checks.append(_check_sigma_slope(spec, config.tol_limit, mtol))
     if spec.family in ("RCHE", "HE"):
         checks.append(_check_series_closed(spec, config.tol_closed))
     if spec.family == "CHE" and config.include_slow:
         checks.append(
-            verify_che_as_he_limit(
-                spec, Lambda=config.Lambda, tol=config.tol_limit, matrix_tol=mtol
-            )
+            _check_che_as_he_limit(spec, config.Lambda, config.tol_limit, "wronskian", mtol, cf)
         )
     if spec.family in ("RCHE", "CHE"):
-        checks.append(
-            verify_reflection(spec, tol=config.tol_reflection, matrix_tol=mtol)
-        )
+        checks.append(_check_reflection(spec, config.tol_reflection, mtol, cf))
     if spec.family != "HYP" and config.include_slow:
         checks.append(_check_tail_determinant(spec, config.tol_tail))
     return ValidationReport(spec=spec, checks=tuple(checks))

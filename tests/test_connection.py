@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import oracles
@@ -11,11 +13,9 @@ from heunconn import (
     BranchAmbiguity,
     DomainError,
     NonConvergence,
-    a_infinity_recurrence,
     connection_matrix,
     connection_scalar,
     det_residual,
-    eta_tail,
     extract_sigma,
     extrapolate,
     fusion_cl,
@@ -23,9 +23,11 @@ from heunconn import (
     he_spec,
     log_a_infinity_cf,
     rche_spec,
+    rescaled_a,
     schafke_schmidt_connection,
     tail_determinant_limit,
 )
+from heunconn.connection import _eta_sweep
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -85,7 +87,8 @@ class TestMatrixRoutes:
         # The raw truncated value carries an O(1/K) tail: doubling K should
         # roughly halve the distance to the extrapolated limit.
         ks = geometric_ladder(8192, 4)
-        vals = [a_infinity_recurrence(che_example, k)[0] for k in ks]
+        a = rescaled_a(che_example, ks[-1])
+        vals = [a[k] for k in ks]
         limit, _ = extrapolate([1.0 / k for k in ks], vals)
         d_small, d_big = abs(vals[0] - limit), abs(vals[-1] - limit)
         assert 6.0 <= d_small / d_big <= 10.0  # 2^3 = 8 up to higher orders
@@ -102,14 +105,17 @@ class TestContinuedFraction:
 
         log_a, depth, err = log_a_infinity_cf(rche_example)
         ks = geometric_ladder(16384, 4)
-        vals = [a_infinity_recurrence(rche_example, k)[0] for k in ks]
+        a = rescaled_a(rche_example, ks[-1])
+        vals = [a[k] for k in ks]
         a_inf, _ = extrapolate([1.0 / k for k in ks], vals)
         assert rel_diff(cmath.exp(log_a), a_inf) <= 1e-10
         assert depth >= 16
         assert err < 1e-10
 
     def test_eta_tail_approaches_one(self, rche_example):
-        assert abs(eta_tail(rche_example, 10**6, 8) - 1.0) <= 1e-6
+        # eta_k from a unit seed 8 levels deeper, far out in the tail.
+        etas = _eta_sweep(rche_example, 2**16, 8)
+        assert abs(etas[-1] - 1.0) <= 1e-6
 
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)
@@ -154,6 +160,15 @@ class TestGuardsAndLimits:
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):
             connection_scalar(rche_example, max_depth=64)
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_unreachable_tolerance_stalls_fast(self, rche_example, method):
+        # 1e-16 is below the rounding floor of the ladder: the doubling rounds
+        # stop improving and the route must give up long before max_depth.
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="stalled"):
+            connection_matrix(rche_example, method=method, tol=1e-16)
+        assert time.perf_counter() - start < 5.0
 
     def test_ss_theta1_gate(self):
         with pytest.raises(DomainError):

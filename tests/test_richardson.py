@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
 
-from heunconn import SlowConvergence, extrapolate, geometric_ladder
+from heunconn import NonConvergence, SlowConvergence, extrapolate, geometric_ladder
+from heunconn.richardson import double_until_stable, ladder_values
 
 
 class TestGeometricLadder:
@@ -81,3 +83,79 @@ class TestExtrapolate:
     def test_length_mismatch(self):
         with pytest.raises(Exception):
             extrapolate([1.0, 0.5], [1.0])
+
+
+def _inverse_squares():
+    """Partial sums of sum 1/j^2: the k-th item is f(k) = sum_{j<=k} 1/j^2."""
+    return itertools.accumulate(1.0 / (j * j) for j in itertools.count(1))
+
+
+class TestLadderCapture:
+    def test_capture_equals_hand_loop(self):
+        ks = geometric_ladder(4096, 4)
+        hand, s = [], 0.0
+        for j in range(1, ks[-1] + 1):
+            s += 1.0 / (j * j)
+            if j in ks:
+                hand.append(s)
+        steps, vals = ladder_values(_inverse_squares(), 4096, 4)
+        assert vals == hand
+        assert steps == [1.0 / k for k in ks]
+
+    def test_node_transform_sees_position(self):
+        # f(k) = 1 + 1/k scaled by k at the nodes gives k + 1 exactly.
+        items = (1.0 + 1.0 / k for k in itertools.count(1))
+        _, vals = ladder_values(items, 64, 3, at_node=lambda k, v: k * v)
+        assert vals == [17.0, 33.0, 65.0]
+
+    def test_seen_resumes_one_iterator(self):
+        it, seen = _inverse_squares(), {}
+        first = ladder_values(it, 1024, 4, seen=seen)
+        second = ladder_values(it, 2048, 4, seen=seen)
+        assert first == ladder_values(_inverse_squares(), 1024, 4)
+        assert second == ladder_values(_inverse_squares(), 2048, 4)
+        assert sorted(seen) == [128, 256, 512, 1024, 2048]
+
+
+class TestDoubleUntilStable:
+    def test_returns_on_agreement(self):
+        calls = []
+
+        def limit_at(k):
+            calls.append(k)
+            return 1.0 / k, 0.0
+
+        # Successive values differ by 1/k; the first k with 1/k < 0.01 is 128.
+        assert double_until_stable(limit_at, 1, 1e-2, 2**20, "test") == (1.0 / 128, 128, 0.0)
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 128]
+
+    def test_ladder_limit_round(self):
+        val, k, err = double_until_stable(
+            lambda k: extrapolate(*ladder_values(_inverse_squares(), k, 4)), 256, 1e-10, 2**16, "test"
+        )
+        assert abs(val - math.pi**2 / 6.0) <= 1e-10
+        assert err < 1e-9 and k <= 2**16
+
+    def test_raises_past_max_depth(self):
+        with pytest.raises(NonConvergence, match="within depth 64"):
+            double_until_stable(lambda k: (1.0 / k, 0.0), 1, 1e-12, 64, "test")
+
+    def test_error_estimate_must_also_be_small(self):
+        # Values agree exactly but the estimate stays large: no improvement
+        # is possible, so the rounds stall.
+        with pytest.raises(NonConvergence, match="stalled"):
+            double_until_stable(lambda k: (1.0, 1.0), 1, 1e-3, 2**20, "test")
+
+    def test_raises_on_stall(self):
+        calls = []
+
+        def limit_at(k):
+            calls.append(k)
+            # Noise of fixed size: the change between rounds never shrinks.
+            return (-1.0) ** len(calls) * 1e-3, 0.0
+
+        with pytest.raises(NonConvergence) as info:
+            double_until_stable(limit_at, 1, 1e-9, 2**20, "noisy sum")
+        assert calls == [1, 2, 4, 8]
+        assert "noisy sum stalled" in str(info.value)
+        assert "2.0e-03, 2.0e-03, 2.0e-03" in str(info.value)

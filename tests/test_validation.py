@@ -135,3 +135,36 @@ class TestFullReport:
         bad = [c for c in rep.checks if not c.passed]
         assert bad
         assert any("ParameterResonance" in c.detail for c in bad)
+
+    def test_one_cf_matrix_per_report_and_its_error_in_each_check(
+        self, rche_example, monkeypatch
+    ):
+        import heunconn.validation as validation
+
+        calls = []
+        real = validation.connection_matrix
+
+        def counting(spec, method="cf", **kwargs):
+            calls.append((spec, method))
+            return real(spec, method=method, **kwargs)
+
+        monkeypatch.setattr(validation, "connection_matrix", counting)
+        # 1e-16 is below the cf ladder's rounding floor, so the shared matrix
+        # raises; every check that needs it fails with that error, and the
+        # report itself does not raise.
+        rep = full_report(rche_example, dataclasses.replace(FAST, matrix_tol=1e-16))
+        assert calls.count((rche_example, "cf")) == 1
+        failed = {c.name: c.detail for c in rep.checks if not c.passed}
+        assert sorted(failed) == sorted(
+            [
+                "connection_identity",
+                "determinant",
+                "method_agreement_recurrence",
+                "method_agreement_wronskian",
+                "method_agreement_ss",
+                "monodromy_products",
+                "reflection",
+            ]
+        )
+        assert len(set(failed.values())) == 1
+        assert next(iter(failed.values())).startswith("NonConvergence: ")
