@@ -11,8 +11,9 @@ routes are implemented:
 * ``recurrence``  — forward iteration of the rescaled three-term recurrence
   ``a_k`` with the same ladder extrapolation of the limit;
 * ``ss``          — large-order asymptotics of the series coefficients,
-  ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, evaluated in
-  high-precision arithmetic;
+  ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, with the
+  coefficients iterated in fixed-point Gaussian integers at the working
+  precision plus guard bits;
 * ``wronskian``   — overlap of the truncated local series at a midpoint probe,
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
@@ -34,7 +35,7 @@ import mpmath as mp
 from .equations import (
     EquationSpec,
     alpha_beta,
-    canonical_recurrence_step,
+    recurrence_quadratics,
     validate,
 )
 from .errors import (
@@ -78,6 +79,7 @@ METHODS = ("cf", "recurrence", "ss", "wronskian")
 _LAMBDA_GATE = 0.9
 _MAX_DEPTH = 2**20
 _LEVELS = 5
+_SS_K = 16384
 
 
 @dataclass(frozen=True)
@@ -312,45 +314,91 @@ def _flip_spec(spec: EquationSpec, s0: int, s1: int) -> EquationSpec:
     return replace(spec, theta0=s0 * spec.theta0, theta1=s1 * spec.theta1)
 
 
-def schafke_schmidt_connection(
-    spec: EquationSpec,
-    K: int = 16384,
-    levels: int = 4,
-) -> complex:
-    """Connection scalar from the large-order behaviour of the series
-    coefficients: ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``.
+def _fixed_iterates(quadratics: tuple, bits: int):
+    """Iterates ``u_1, u_2, ...`` of ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
+    from ``u_0 = 1, u_{-1} = 0`` as Gaussian integers ``(re, im)`` scaled by
+    ``2^bits``.  The quadratic coefficients of :func:`recurrence_quadratics`
+    are scaled once; ``lead_k, A_k, B_k`` then advance by exact integer finite
+    differences, and the division goes through ``conj(lead)/|lead|^2``."""
+    state = []  # per quadratic: re, im of p(k), of p(k+1) - p(k), of 2 c2
+    with mp.workprec(bits):
+        for c0, c1, c2 in quadratics:
+            for v in (c0, c1 + c2, 2 * c2):
+                v = mp.mpc(v)
+                state += [int(mp.nint(mp.ldexp(part, bits))) for part in (v.real, v.imag)]
+    lr, li, dlr, dli, ddlr, ddli = state[:6]
+    ar, ai, dar, dai, ddar, ddai = state[6:12]
+    br, bi, dbr, dbi, ddbr, ddbi = state[12:]
+    ur, ui, vr, vi = 1 << bits, 0, 0, 0
+    while True:
+        nr = (ar * ur - ai * ui - br * vr + bi * vi) >> bits
+        ni = (ar * ui + ai * ur - br * vi - bi * vr) >> bits
+        d = lr * lr + li * li
+        vr, vi = ur, ui
+        ur = ((nr * lr + ni * li) << bits) // d
+        ui = ((ni * lr - nr * li) << bits) // d
+        yield ur, ui
+        lr, dlr, li, dli = lr + dlr, dlr + ddlr, li + dli, dli + ddli
+        ar, dar, ai, dai = ar + dar, dar + ddar, ai + dai, dai + ddai
+        br, dbr, bi, dbi = br + dbr, dbr + ddbr, bi + dbi, dbi + ddbi
 
-    The forward recurrence for ``u_k`` runs in high-precision arithmetic (the
-    subdominant component grows like ``k^(4 |Re theta1|)`` relative to the
-    limit, so binary64 iterates would contaminate the ladder); the limit is
-    extrapolated over the geometric ladder ``K/2^j``.  Requires
-    ``|Re 2 theta1| < 4``.
-    """
+
+def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
+    """Working ``dps`` of the ``ss`` route and the fixed-point ``bits`` of its
+    iterates: ``|u_k|`` falls to about ``k^(-1-2|Re theta1|)``, so guard bits
+    keep the iterates at the working precision down to ``k = K``."""
+    dps = max(30, 20 + int(4 * abs(theta1.real) * math.log10(max(K, 10))) + 10)
+    guard = int((1 + 2 * abs(theta1.real)) * math.log2(max(K, 2))) + 16
+    return dps, mp.libmp.dps_to_prec(dps) + guard
+
+
+def _ss_scalar(spec: EquationSpec, K: int = _SS_K, levels: int = 4) -> tuple[complex, float, int]:
+    """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`; the
+    estimate is the ladder's last Neville correction scaled by
+    ``|Gamma(2 theta1) pref|`` plus a ``1e-15 |value|`` rounding floor."""
     validate(spec)
     th1 = complex(spec.theta1)
     if abs(2 * th1.real) >= 4.0:
         raise DomainError(
             f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
         )
-    dps = max(30, 20 + int(4 * abs(th1.real) * math.log10(max(K, 10))) + 10)
+    dps, bits = _ss_precision(th1, K)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
+        with mp.workprec(bits):
+            quadratics = recurrence_quadratics(msp, K)
         expo = 1 - 2 * msp.theta1
         gam = gamma(2 * msp.theta1, HIGH)
         pref = _assembly_prefactor(spec)
 
-        def coefficients():
-            u_km1, u_k = mp.mpf(0), mp.mpf(1)
-            for k in count():
-                u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
-                yield u_k
+        def at_node(k, u):
+            u_k = mp.mpc(mp.ldexp(u[0], -bits), mp.ldexp(u[1], -bits))
+            return mp.power(k, expo) * u_k
 
         steps, vals = ladder_values(
-            coefficients(), K, levels, lambda k, u_k: mp.power(k, expo) * u_k, mp.mpf(1)
+            _fixed_iterates(quadratics, bits), K, levels, at_node, mp.mpf(1)
         )
-        limit, _ = extrapolate(steps, vals, require_contraction=True)
-        out = to_complex(gam * limit) * pref
-    return out
+        limit, corr = extrapolate(steps, vals, require_contraction=True)
+        val = to_complex(gam * limit) * pref
+        err = float(abs(gam * pref) * corr)
+    return val, err + 1e-15 * abs(val), K
+
+
+def schafke_schmidt_connection(
+    spec: EquationSpec,
+    K: int = _SS_K,
+    levels: int = 4,
+) -> complex:
+    """Connection scalar from the large-order behaviour of the series
+    coefficients: ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``.
+
+    The forward recurrence for ``u_k`` runs in fixed-point Gaussian integers
+    at the working precision plus guard bits (the subdominant component grows
+    like ``k^(4 |Re theta1|)`` relative to the limit, so binary64 iterates
+    would contaminate the ladder); the limit is extrapolated in mpmath over
+    the geometric ladder ``K/2^j``.  Requires ``|Re 2 theta1| < 4``.
+    """
+    return _ss_scalar(spec, K, levels)[0]
 
 
 def wronskian_connection(
@@ -432,15 +480,13 @@ def connection_matrix(
             for s1, col in ((1, "+"), (-1, "-")):
                 fspec = validate(_flip_spec(spec, s0, s1))
                 if method == "ss":
-                    val = schafke_schmidt_connection(fspec)
-                    err = 1e-8 * max(1.0, abs(val))
+                    val, err, d = _ss_scalar(fspec)
                     precision = HIGH
-                    depth = max(depth, 16384)
                 else:
                     val, err, d = _scalar_with_depth(
                         fspec, method, tol, allow_large_coupling, max_depth
                     )
-                    depth = max(depth, d)
+                depth = max(depth, d)
                 entries[row + col] = val
                 worst = max(worst, err)
         matrix = ConnectionMatrix(

@@ -253,6 +253,42 @@ def canonical_recurrence_step(spec: EquationSpec, k: int, u_k: Any, u_km1: Any) 
     return rhs / lead
 
 
+def recurrence_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, tuple, tuple]:
+    """Coefficients ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2`` for ``lead_k``,
+    ``A_k`` and ``B_k`` in the recurrence ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
+    of :func:`canonical_recurrence_step`, in that order.
+
+    First raises the error :func:`canonical_recurrence_step` would raise at the
+    first gated step ``k < k_max``: a gate fires only within 1e-6 of a root of
+    ``k+1-2 theta0`` or ``Q_k``, so the steps at the rounded roots are checked.
+    """
+    t0, t1, lam = spec.theta0, spec.theta1, spec.lam
+    x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+    a = 0.5 - t0 + t1
+    roots = [2 * t0 - 1] + ([] if spec.family == "HYP" else [x - a, -x - a])
+    for k in sorted({int(round(complex(r).real)) for r in roots}):
+        if 0 <= k < k_max:
+            canonical_recurrence_step(spec, k, 0, 0)
+    lead = (1 - 2 * t0, 2 - 2 * t0, 1)
+    q = (a * a - x * x, 2 * a, 1)
+    if spec.family == "HYP":
+        return lead, q, (0, 0, 0)
+    if spec.family == "RCHE":
+        return lead, q, (lam, 0, 0)
+    if spec.family == "CHE":
+        ts = spec.theta_star
+        a_che = (q[0] - lam * (0.5 - t0 - ts), q[1] - lam, 1)
+        return lead, a_che, (-lam * (t1 - t0 - ts), -lam, 0)
+    tt, ti, om = spec.theta_t, spec.theta_inf, spec.omega
+    b, c = 0.5 - t0 - tt, t1 - t0 - tt
+    r = (b * b - t0 * t0 - ti * ti + om * om, 2 * b, 1)
+    return (
+        lead,
+        tuple(qi + lam * ri for qi, ri in zip(q, r)),
+        (lam * (c * c - ti * ti), 2 * lam * c, lam),
+    )
+
+
 def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:
     """Coefficients of the zero-coupling solution,
     ``u0_k = (a+x)_k (a-x)_k / (k! (1-2 theta0)_k)`` with

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import time
+from itertools import islice
 
+import mpmath as mp
 import pytest
 
 import oracles
 from conftest import matrix_rel_diff, oracle_matrix, rel_diff
 from heunconn import (
     METHODS,
+    AccessoryResonance,
     BranchAmbiguity,
     DomainError,
     NonConvergence,
+    canonical_recurrence_step,
+    che_spec,
     connection_matrix,
     connection_scalar,
     det_residual,
@@ -27,7 +32,9 @@ from heunconn import (
     schafke_schmidt_connection,
     tail_determinant_limit,
 )
-from heunconn.connection import _eta_sweep
+from heunconn.connection import _eta_sweep, _fixed_iterates, _flip_spec, _ss_precision
+from heunconn.equations import recurrence_quadratics
+from heunconn.precision import HIGH, spec_to_precision
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -97,6 +104,60 @@ class TestMatrixRoutes:
         ss = schafke_schmidt_connection(rche_example)
         val, _ = connection_scalar(rche_example, method="cf")
         assert rel_diff(ss, val) <= 1e-10
+
+
+def _assert_fixed_point_iterates_match(spec, K=2048):
+    """The first K fixed-point iterates of the ss route equal mpmath
+    canonical_recurrence_step iterates at the route's working dps."""
+    dps, bits = _ss_precision(complex(spec.theta1), 16384)
+    with mp.workdps(dps):
+        msp = spec_to_precision(spec, HIGH)
+        with mp.workprec(bits):
+            quadratics = recurrence_quadratics(msp, K)
+        u_km1, u_k = mp.mpf(0), mp.mpf(1)
+        for k, (re, im) in enumerate(islice(_fixed_iterates(quadratics, bits), K)):
+            u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
+            fixed = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
+            assert abs(fixed - u_k) <= 1e-25 * abs(u_k), k
+
+
+class TestLargeOrder:
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
+    def test_fixed_point_iterates_match_canonical_step(self, request, family, signs):
+        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
+        _assert_fixed_point_iterates_match(_flip_spec(spec, *signs))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            che_spec(0.12 - 0.04j, -0.23 + 0.02j, 0.31 + 0.01j, 0.2 + 0.1j, -0.25 + 0.05j),
+            he_spec(
+                0.11 + 0.05j, 0.27 - 0.03j, 0.33 + 0.01j, 0.41 - 0.02j, 0.37 + 0.02j, 0.3 + 0.1j
+            ),
+        ],
+        ids=["CHE", "HE"],
+    )
+    def test_fixed_point_iterates_complex_parameters(self, spec):
+        _assert_fixed_point_iterates_match(spec, K=512)
+
+    def test_accessory_resonance_gate(self):
+        # omega = 1/2 - theta0 + theta1 + 3 makes Q_3 vanish.
+        t0, t1 = 0.1, 0.2
+        with pytest.raises(AccessoryResonance):
+            schafke_schmidt_connection(rche_spec(t0, t1, 3.5 - t0 + t1, 0.1))
+
+    def test_matrix_is_fast(self, he_example):
+        start = time.perf_counter()
+        connection_matrix(he_example, method="ss")
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
+    def test_err_estimate_bounds_oracle_error(self, request, family):
+        mat = connection_matrix(request.getfixturevalue(EXAMPLE_FIXTURES[family]), "ss")
+        ref = oracle_matrix(RUNS[family])
+        assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
+        assert mat.depth_or_K == 16384
 
 
 class TestContinuedFraction:
