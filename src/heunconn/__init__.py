@@ -103,8 +103,6 @@ from .precision import (
     HIGH,
     default_precision,
     spec_to_precision,
-    to_complex,
-    to_working,
 )
 from .richardson import extrapolate, geometric_ladder
 from .special import digamma, gamma, log_gamma, pochhammer, polygamma
@@ -190,8 +188,6 @@ __all__ = [
     "DOUBLE",
     "HIGH",
     "default_precision",
-    "to_working",
-    "to_complex",
     "spec_to_precision",
     # validation harness
     "CheckResult",

@@ -31,7 +31,7 @@ from .perturbative import (
     c2_closed_rche,
     c_coefficients,
 )
-from .precision import check_precision, default_precision, spec_to_precision
+from .precision import default_precision, spec_to_precision
 from .validation import CheckConfig, full_report
 
 SCHEMA = "heun-connect/1"
@@ -295,25 +295,7 @@ def cmd_connect(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = build_spec(args)
-    if args.tol is not None:
-        t = args.tol
-        check_cfg = CheckConfig(
-            K=cfg.K,
-            tol_identity=t,
-            tol_det=t,
-            tol_method=t,
-            tol_ss=t,
-            tol_monodromy=t,
-            tol_closed=t,
-            tol_limit=t,
-            tol_reflection=t,
-            tol_tail=t,
-            matrix_tol=min(1e-10, t),
-            include_slow=not args.fast,
-        )
-    else:
-        check_cfg = CheckConfig(K=cfg.K, include_slow=not args.fast)
-    report = full_report(spec, check_cfg)
+    report = full_report(spec, CheckConfig(K=cfg.K, tol=args.tol, include_slow=not args.fast))
     payload = {
         "schema": SCHEMA,
         "command": "verify",
@@ -547,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     precision = args.precision if args.precision else default_precision()
-    check_precision(precision)
     return RunConfig(
         method=getattr(args, "method", "cf"),
         tol=args.tol if getattr(args, "tol", None) is not None else 1e-10,

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _MAX_N = 16
+_K_MAX = 20000  # deepest index of the k-sum
+_LEVELS = 4  # ladder nodes of its extrapolation
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -131,12 +133,7 @@ def enumerate_walk_types(n: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def trace_power(
-    spec: EquationSpec,
-    n: int,
-    k_max: int = 20000,
-    levels: int = 4,
-) -> complex:
+def trace_power(spec: EquationSpec, n: int) -> complex:
     """``Tr A^{2n}`` for the two-term transition matrix built from the
     family's ``beta_k``, via the walk-type expansion with ladder
     extrapolation of the ``k``-sum.  Only families with ``alpha == 0``
@@ -153,7 +150,7 @@ def trace_power(
     if n > _MAX_N:
         raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
     terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-    betas = [alpha_beta(spec, k)[1] for k in range(1, k_max + n)]
+    betas = [alpha_beta(spec, k)[1] for k in range(1, _K_MAX + n)]
 
     def local(k: int) -> complex:  # weighted beta products of all walk types at k
         total = 0.0 + 0.0j
@@ -166,22 +163,14 @@ def trace_power(
             total += prod
         return total
 
-    sums = itertools.accumulate(map(local, range(1, k_max + 1)))
-    limit, _err = extrapolate(*ladder_values(sums, k_max, levels))
+    sums = itertools.accumulate(map(local, range(1, _K_MAX + 1)))
+    limit, _err = extrapolate(*ladder_values(sums, _K_MAX, _LEVELS))
     return complex(limit)
 
 
-def log_a_series_from_traces(
-    spec: EquationSpec,
-    N: int,
-    k_max: int = 20000,
-    levels: int = 4,
-) -> list[complex]:
+def log_a_series_from_traces(spec: EquationSpec, N: int) -> list[complex]:
     """Series coefficients ``c_1 .. c_N`` of ``ln a_inf`` from traces:
     ``c_n = -Tr A^{2n} / (2n)``.  Two-term families only."""
     if not isinstance(N, int) or N < 1 or N > _MAX_N:
         raise SizeError(f"series order must be in [1, {_MAX_N}], got {N!r}")
-    return [
-        -trace_power(spec, n, k_max=k_max, levels=levels) / (2 * n)
-        for n in range(1, N + 1)
-    ]
+    return [-trace_power(spec, n) / (2 * n) for n in range(1, N + 1)]

@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, count
-from typing import Any, Optional
+from typing import Any
 
 import mpmath as mp
 
@@ -55,7 +55,6 @@ from .precision import (
     p_log,
     p_power,
     spec_to_precision,
-    to_complex,
 )
 from .richardson import double_until_stable, extrapolate, geometric_ladder, ladder_values
 from .special import gamma, log_gamma
@@ -78,8 +77,12 @@ METHODS = ("cf", "recurrence", "ss", "wronskian")
 
 _LAMBDA_GATE = 0.9
 _MAX_DEPTH = 2**20
-_LEVELS = 5
-_SS_K = 16384
+_LEVELS = 5  # ladder nodes of the cf and recurrence limits
+_SS_K = 16384  # truncation of the ss route
+_SS_LEVELS = 4  # ladder nodes of the ss limit and of the tail determinants
+_DET_FACTOR = 100.0  # determinant gate, in units of the matrix's accuracy
+_PROBE = 0.5  # matching point of the wronskian route
+_SERIES_TOL = 1e-15  # last retained series term at the probe
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,7 @@ def det_residual(matrix: ConnectionMatrix) -> float:
     return abs(matrix.det() + complex(sp.theta0) / complex(sp.theta1))
 
 
-def fusion_cl(
-    theta0: Any, theta1: Any, theta_inf: Any, precision: Optional[str] = None
-) -> Any:
+def fusion_cl(theta0: Any, theta1: Any, theta_inf: Any) -> Any:
     """Gamma-ratio connection factor
 
     ``Gamma(1-2 theta0) Gamma(2 theta1) / [Gamma(1/2+theta1-theta0+theta_inf)
@@ -128,15 +129,12 @@ def fusion_cl(
     pole (e.g. ``theta1 -> 0``).
     """
     a = 0.5 + theta1 - theta0
-    s = (
-        log_gamma(1 - 2 * theta0, precision)
-        + log_gamma(2 * theta1, precision)
-        - log_gamma(a + theta_inf, precision)
-        - log_gamma(a - theta_inf, precision)
+    return p_exp(
+        log_gamma(1 - 2 * theta0)
+        + log_gamma(2 * theta1)
+        - log_gamma(a + theta_inf)
+        - log_gamma(a - theta_inf)
     )
-    if isinstance(s, (mp.mpf, mp.mpc)):
-        return mp.exp(s)
-    return cmath.exp(s)
 
 
 def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
@@ -165,18 +163,20 @@ def _seed_buffer(lam_abs: float) -> int:
 def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
     from a unit seed at ``k_top + buffer``; returns ``[eta_1, ..., eta_k_top]``.
+    Each ``alpha_beta(spec, k - 1)`` also gives the ``beta`` of the next level.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
     out = [one] * k_top
+    _, be = alpha_beta(spec, k_top + buffer)
     for k in range(k_top + buffer, 0, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        al_prev, _ = alpha_beta(spec, k - 1)
-        _, be = alpha_beta(spec, k)
+        al_prev, be_prev = alpha_beta(spec, k - 1)
         eta = 1 - lam * al_prev - lam * be / eta
+        be = be_prev
         if watch_branch and complex(eta).real <= 0.0:
             raise BranchAmbiguity(
                 f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
@@ -272,23 +272,22 @@ def _scalar_with_depth(
 ) -> tuple[complex, float, int]:
     validate(spec)
     method = method.lower()
-    work_precision = HIGH if is_mp(spec.theta0) else DOUBLE
-    pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec), work_precision)
+    pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
     if spec.family == "HYP" or spec.lam == 0:
-        return to_complex(pref), 5e-15 * abs(pref), 0
+        return complex(pref), 5e-15 * abs(pref), 0
     pref = pref * _assembly_prefactor(spec)
     if method == "cf":
         log_a, depth, err_l = log_a_infinity_cf(
             spec, tol=tol, max_depth=max_depth, allow_large_coupling=allow_large_coupling
         )
         val = pref * p_exp(log_a)
-        return to_complex(val), float(abs(val)) * (err_l + 1e-14), depth
+        return complex(val), float(abs(val)) * (err_l + 1e-14), depth
     if method == "recurrence":
         a_inf, depth, err_a = _recurrence_limit(
             spec, tol=tol, max_K=max_depth, allow_large_coupling=allow_large_coupling
         )
         val = pref * a_inf
-        return to_complex(val), float(abs(pref)) * (float(err_a) + 1e-14), depth
+        return complex(val), float(abs(pref)) * (float(err_a) + 1e-14), depth
     raise DomainError(
         f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
     )
@@ -352,7 +351,7 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     return dps, mp.libmp.dps_to_prec(dps) + guard
 
 
-def _ss_scalar(spec: EquationSpec, K: int = _SS_K, levels: int = 4) -> tuple[complex, float, int]:
+def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
     """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`; the
     estimate is the ladder's last Neville correction scaled by
     ``|Gamma(2 theta1) pref|`` plus a ``1e-15 |value|`` rounding floor."""
@@ -362,13 +361,13 @@ def _ss_scalar(spec: EquationSpec, K: int = _SS_K, levels: int = 4) -> tuple[com
         raise DomainError(
             f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
         )
-    dps, bits = _ss_precision(th1, K)
+    dps, bits = _ss_precision(th1, _SS_K)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
         with mp.workprec(bits):
-            quadratics = recurrence_quadratics(msp, K)
+            quadratics = recurrence_quadratics(msp, _SS_K)
         expo = 1 - 2 * msp.theta1
-        gam = gamma(2 * msp.theta1, HIGH)
+        gam = gamma(2 * msp.theta1)
         pref = _assembly_prefactor(spec)
 
         def at_node(k, u):
@@ -376,19 +375,15 @@ def _ss_scalar(spec: EquationSpec, K: int = _SS_K, levels: int = 4) -> tuple[com
             return mp.power(k, expo) * u_k
 
         steps, vals = ladder_values(
-            _fixed_iterates(quadratics, bits), K, levels, at_node, mp.mpf(1)
+            _fixed_iterates(quadratics, bits), _SS_K, _SS_LEVELS, at_node, mp.mpf(1)
         )
         limit, corr = extrapolate(steps, vals, require_contraction=True)
-        val = to_complex(gam * limit) * pref
+        val = complex(gam * limit) * pref
         err = float(abs(gam * pref) * corr)
-    return val, err + 1e-15 * abs(val), K
+    return val, err + 1e-15 * abs(val), _SS_K
 
 
-def schafke_schmidt_connection(
-    spec: EquationSpec,
-    K: int = _SS_K,
-    levels: int = 4,
-) -> complex:
+def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     """Connection scalar from the large-order behaviour of the series
     coefficients: ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``.
 
@@ -396,54 +391,47 @@ def schafke_schmidt_connection(
     at the working precision plus guard bits (the subdominant component grows
     like ``k^(4 |Re theta1|)`` relative to the limit, so binary64 iterates
     would contaminate the ladder); the limit is extrapolated in mpmath over
-    the geometric ladder ``K/2^j``.  Requires ``|Re 2 theta1| < 4``.
+    the geometric ladder ``K/2^j``, ``K = 16384``.  Requires
+    ``|Re 2 theta1| < 4``.
     """
-    return _ss_scalar(spec, K, levels)[0]
+    return _ss_scalar(spec)[0]
 
 
-def wronskian_connection(
-    spec: EquationSpec,
-    z_probe: complex = 0.5,
-    K: Optional[int] = None,
-    series_tol: float = 1e-15,
-) -> ConnectionMatrix:
+def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
     """All four connection entries from Wronskians of the truncated local
     solutions at a probe point:
 
     ``C_{e+} = -W(psi0_e, psi1_-)/(2 theta1)``,
-    ``C_{e-} = +W(psi0_e, psi1_+)/(2 theta1)``.
+    ``C_{e-} = +W(psi0_e, psi1_+)/(2 theta1)``
 
-    With ``K=None`` the truncation grows geometrically (capped at 10^4) until
-    the last retained terms at the probe are below ``series_tol``.
+    at ``z = 1/2``.  The truncation grows geometrically (capped at 10^4) until
+    the last retained terms at the probe are below 1e-15.
     """
     validate(spec)
-    r = max(abs(complex(z_probe)), abs(1.0 - complex(z_probe)))
-    if K is None:
-        K = 64
-        while True:
-            sols = [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
-            worst = max(abs(s.coeffs[K]) * r**K for s in sols)
-            if worst < series_tol:
-                break
-            if K >= 10000:
-                raise TailError(
-                    f"series tail {worst:.3e} at probe still above {series_tol:.1e} "
-                    f"at the K = 10^4 cap"
-                )
-            K *= 2
-    else:
+    r = max(abs(_PROBE), abs(1.0 - _PROBE))
+    K = 64
+    while True:
         sols = [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
+        worst = max(abs(s.coeffs[K]) * r**K for s in sols)
+        if worst < _SERIES_TOL:
+            break
+        if K >= 10000:
+            raise TailError(
+                f"series tail {worst:.3e} at probe still above {_SERIES_TOL:.1e} "
+                f"at the K = 10^4 cap"
+            )
+        K *= 2
     s0p, s0m, s1p, s1m = sols
     t1 = spec.theta1
     entries = {}
     for row_sign, s0 in (("+", s0p), ("-", s0m)):
-        w_minus = wronskian(s0, s1m, z_probe)
-        w_plus = wronskian(s0, s1p, z_probe)
-        entries[row_sign + "+"] = to_complex(-w_minus / (2 * t1))
-        entries[row_sign + "-"] = to_complex(w_plus / (2 * t1))
+        w_minus = wronskian(s0, s1m, _PROBE)
+        w_plus = wronskian(s0, s1p, _PROBE)
+        entries[row_sign + "+"] = complex(-w_minus / (2 * t1))
+        entries[row_sign + "-"] = complex(w_plus / (2 * t1))
     # Self-Wronskian defects measure the truncation quality.
-    w00 = wronskian(s0p, s0m, z_probe)
-    w11 = wronskian(s1p, s1m, z_probe)
+    w00 = wronskian(s0p, s0m, _PROBE)
+    w11 = wronskian(s1p, s1m, _PROBE)
     err = abs(w00 - 2 * spec.theta0) + abs(w11 + 2 * spec.theta1) + 1e-14
     return ConnectionMatrix(
         entries=entries,
@@ -459,11 +447,10 @@ def connection_matrix(
     method: str = "cf",
     tol: float = 1e-10,
     allow_large_coupling: bool = False,
-    det_tol_factor: float = 100.0,
     max_depth: int = _MAX_DEPTH,
 ) -> ConnectionMatrix:
     """2x2 connection matrix by any route, with the determinant identity
-    ``det C = -theta0/theta1`` enforced at ``det_tol_factor * tol``
+    ``det C = -theta0/theta1`` enforced at ``100 max(tol, err_estimate)``
     (:class:`DetCheckFailed` beyond)."""
     validate(spec)
     method = method.lower()
@@ -500,7 +487,7 @@ def connection_matrix(
     resid = det_residual(matrix)
     # The determinant can only be certified to the accuracy of the method
     # that produced the entries.
-    det_gate = det_tol_factor * max(tol, matrix.err_estimate)
+    det_gate = _DET_FACTOR * max(tol, matrix.err_estimate)
     if resid > det_gate:
         raise DetCheckFailed(
             f"|det C + theta0/theta1| = {resid:.3e} exceeds {det_gate:.1e}"
@@ -559,11 +546,7 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     return sigma
 
 
-def tail_determinant_limit(
-    spec: EquationSpec,
-    N: int = 10000,
-    levels: int = 4,
-) -> tuple[complex, float]:
+def tail_determinant_limit(spec: EquationSpec, N: int = 10000) -> tuple[complex, float]:
     """Limit of the tail determinants ``D_{N+1}`` of the semi-infinite
     tridiagonal system as ``N -> infinity``.
 
@@ -580,7 +563,7 @@ def tail_determinant_limit(
         return 1.0 + 0j, 0.0
     lam_abs = min(abs(lam), 0.95)
     rows = max(96, int(52.0 / -math.log10(lam_abs)) + 64) if lam_abs > 0 else 96
-    nodes = geometric_ladder(N, levels)
+    nodes = geometric_ladder(N, _SS_LEVELS)
     vals = []
     for n_j in nodes:
         p_mm2 = 1.0 + 0 * spec.theta0
@@ -591,4 +574,4 @@ def tail_determinant_limit(
             p_mm1, p_mm2 = (1 - lam * al) * p_mm1 - lam * be * p_mm2, p_mm1
         vals.append(p_mm1)
     limit, err = extrapolate([1.0 / n for n in nodes], vals)
-    return to_complex(limit), float(err)
+    return complex(limit), float(err)

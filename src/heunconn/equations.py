@@ -53,6 +53,7 @@ FAMILIES = ("HYP", "RCHE", "CHE", "HE")
 
 _HALF_INT_TOL = 1e-10
 _RESONANCE_TOL = 1e-12
+_SELF_CHECK_TOL = 1e-10  # relative residual of the rescaled recurrence
 
 # Fields that must be present (not None) / absent (None) per family, besides
 # theta0 and theta1 which are always required.
@@ -308,13 +309,13 @@ def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:
     return out
 
 
-def rescaled_a(spec: EquationSpec, K: int, check_tol: float = 1e-10) -> list:
+def rescaled_a(spec: EquationSpec, K: int) -> list:
     """Sequence ``a_k = u_k / u0_k`` for ``k = 0..K``.
 
     Computed from the canonical recurrence and the zero-coupling sequence, and
     self-checked against the rescaled recurrence
     ``a_{k+1} - a_k = -lam (alpha_k a_k + beta_k a_{k-1})``; a relative
-    residual above ``check_tol`` raises :class:`NonConvergence` (numerical
+    residual above 1e-10 raises :class:`NonConvergence` (numerical
     breakdown of the ratio representation).
     """
     validate(spec)
@@ -333,8 +334,8 @@ def rescaled_a(spec: EquationSpec, K: int, check_tol: float = 1e-10) -> list:
         resid = a[k + 1] - a[k] + lam * (al * a[k] + be * a_km1)
         scale = max(1.0, abs(a[k + 1]))
         worst = max(worst, abs(resid) / scale)
-    if worst > check_tol:
+    if worst > _SELF_CHECK_TOL:
         raise NonConvergence(
-            f"rescaled recurrence self-check failed: residual {worst:.3e} > {check_tol:.1e}"
+            f"rescaled recurrence self-check failed: residual {worst:.3e} > {_SELF_CHECK_TOL:.1e}"
         )
     return a

@@ -34,7 +34,6 @@ from .errors import (
     SizeError,
     SlowConvergence,
 )
-from .precision import to_complex
 from .richardson import extrapolate, ladder_values
 from .special import polygamma
 
@@ -59,6 +58,9 @@ __all__ = [
 
 _MAX_ORDER = 8
 _RESONANCE_TOL = 1e-10
+_K_MAX = 20000  # deepest index of the k-sum
+_LEVELS = 4  # ladder nodes of its extrapolation
+_TOL = 1e-9  # largest ladder correction accepted, relative to max(1, |c_n|)
 
 
 @dataclass(frozen=True)
@@ -169,20 +171,14 @@ def jet_exp(a: Jet) -> Jet:
     return Jet(n, tuple(out))
 
 
-def c_coefficients(
-    spec: EquationSpec,
-    N: int,
-    tol: float = 1e-9,
-    k_max: int = 20000,
-    levels: int = 4,
-) -> list[complex]:
+def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     """Coefficients ``c_1 .. c_N`` of ``ln a_inf`` in powers of the coupling.
 
     The spec's own ``lam`` value is ignored — only the family structure and
     the non-coupling parameters enter.  ``N`` above 8 raises
     :class:`SizeError`; a ladder that fails to contract below
-    ``tol`` for some coefficient raises :class:`SlowConvergence` (via the
-    extrapolation helper).  For HYP all coefficients vanish.
+    ``1e-9 max(1, |c_n|)`` for some coefficient raises
+    :class:`SlowConvergence`.  For HYP all coefficients vanish.
     """
     validate(spec)
     if not isinstance(N, int) or N < 1 or N > _MAX_ORDER:
@@ -193,26 +189,28 @@ def c_coefficients(
     one = jet_from_scalar(1.0, N)
     lam = jet_variable(N)
     eta = one
-    # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}.
-    log_jets: list[tuple] = [()] * k_max
-    for k in range(k_max + buffer, 0, -1):
-        al_prev, _ = alpha_beta(spec, k - 1)
-        _, be = alpha_beta(spec, k)
+    # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1},
+    # each alpha_beta(spec, k - 1) also giving the beta of the next level.
+    log_jets: list[tuple] = [()] * _K_MAX
+    _, be = alpha_beta(spec, _K_MAX + buffer)
+    for k in range(_K_MAX + buffer, 0, -1):
+        al_prev, be_prev = alpha_beta(spec, k - 1)
         lam_be = Jet(N, tuple(0.0 if j != 1 else be for j in range(N + 1)))
         lam_al = Jet(N, tuple(0.0 if j != 1 else al_prev for j in range(N + 1)))
         eta = jet_sub(jet_sub(one, lam_al), jet_div(lam_be, eta))
-        if k <= k_max:
+        be = be_prev
+        if k <= _K_MAX:
             log_jets[k - 1] = jet_log(eta).coeffs
     sums = accumulate(log_jets, lambda acc, lj: [a + b for a, b in zip(acc, lj)])
-    inv_nodes, sums = ladder_values(sums, k_max, levels)
+    inv_nodes, sums = ladder_values(sums, _K_MAX, _LEVELS)
     out = []
     for n in range(1, N + 1):
         cn, err = extrapolate(inv_nodes, [s[n] for s in sums], require_contraction=True)
-        if err > tol * max(1.0, abs(cn)):
+        if err > _TOL * max(1.0, abs(cn)):
             raise SlowConvergence(
-                f"c_{n} ladder correction {err:.3e} above {tol:.1e}"
+                f"c_{n} ladder correction {err:.3e} above {_TOL:.1e}"
             )
-        out.append(to_complex(cn))
+        out.append(complex(cn))
     if spec.family == "HE":
         # exact shift from the -ln(1-lam) factor: + lam^n / n
         out = [c + 1.0 / n for n, c in zip(range(1, N + 1), out)]
@@ -247,7 +245,7 @@ def c1_closed_rche(spec: EquationSpec) -> complex:
     m = 0.25 - t0 * t0 + t1 * t1 - om * om
     q = 0.25 - om * om
     val = -(m / (4 * om * q)) * _psi_diff(a, om) + (t0 + t1) / (2 * q)
-    return to_complex(val)
+    return complex(val)
 
 
 def c2_closed_rche(spec: EquationSpec) -> complex:
@@ -279,7 +277,7 @@ def c2_closed_rche(spec: EquationSpec) -> complex:
         - 3 * (t0 - t1) / (32 * q * r)
         - (25 - 52 * om2) * (t0 - t1) * (t0 + t1) ** 2 / (128 * q**3 * r)
     )
-    return to_complex(val)
+    return complex(val)
 
 
 def sigma1_closed(spec: EquationSpec) -> complex:
@@ -293,7 +291,7 @@ def sigma1_closed(spec: EquationSpec) -> complex:
     tt, ti = spec.theta_t, spec.theta_inf
     q = 0.25 - om * om
     val = (q + t0 * t0 - t1 * t1) * (q + ti * ti - tt * tt) / (4 * om * q)
-    return to_complex(val)
+    return complex(val)
 
 
 def f1_closed_he(spec: EquationSpec) -> complex:
@@ -308,7 +306,7 @@ def f1_closed_he(spec: EquationSpec) -> complex:
     s1 = sigma1_closed(spec)
     a = 0.5 + t1 - t0
     val = -s1 * _psi_diff(a, om) - (t0 + t1) * (q + ti * ti - tt * tt) / (2 * q)
-    return to_complex(val)
+    return complex(val)
 
 
 def c1_closed_he(spec: EquationSpec) -> complex:
@@ -316,4 +314,4 @@ def c1_closed_he(spec: EquationSpec) -> complex:
     ``c_1 = 1/2 - theta_t + f_1``."""
     _require_family(spec, "HE", "c1 closed form")
     val = 0.5 - spec.theta_t + f1_closed_he(spec)
-    return to_complex(val)
+    return complex(val)

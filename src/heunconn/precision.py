@@ -1,4 +1,4 @@
-"""Working-precision control: binary64 by default, arbitrary precision on request.
+"""Working precision: the number type of a spec is the only switch.
 
 Two backends are supported:
 
@@ -7,11 +7,12 @@ Two backends are supported:
   routines whose raw iterates lose digits before extrapolation (e.g. the
   large-order coefficient route).
 
-The default backend is read from the ``HEUN_PRECISION`` environment variable
-(``double`` or ``high``); results that depend on the backend record which one
-was active.  The elementary-function helpers here dispatch on the *type* of
-their argument, so numeric kernels can be written once and run under either
-backend.
+:func:`spec_to_precision` coerces a spec's scalars to one backend; every
+kernel then runs in the type it is given.  The elementary-function helpers
+here (and the special functions) dispatch on the *type* of their argument,
+so numeric kernels are written once and run under either backend.  The
+``HEUN_PRECISION`` environment variable (``double`` or ``high``) is only the
+command line's default for ``--precision``; the library never reads it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,9 @@ __all__ = [
     "HIGH",
     "default_precision",
     "is_mp",
-    "to_working",
-    "to_complex",
     "spec_to_precision",
     "p_log",
     "p_exp",
-    "p_sqrt",
     "p_power",
 ]
 
@@ -61,55 +59,29 @@ def default_precision() -> str:
     return val
 
 
-def check_precision(precision: str | None) -> str:
-    """Resolve ``None`` to the environment default and validate the name."""
-    if precision is None:
-        return default_precision()
-    if precision not in _VALID:
-        raise DomainError(f"precision must be one of {_VALID}, got {precision!r}")
-    return precision
-
-
 def is_mp(x: Any) -> bool:
     """True when ``x`` is an mpmath scalar (mpf or mpc)."""
     return isinstance(x, (mp.mpf, mp.mpc))
-
-
-def to_working(x: Any, precision: str) -> Any:
-    """Convert a scalar to the working type of the given backend.
-
-    Conversion from binary64 to mpmath is exact (the double value is taken as
-    the exact rational it represents).
-    """
-    if precision == HIGH:
-        if is_mp(x):
-            return x
-        xc = complex(x)
-        if xc.imag == 0.0:
-            return mp.mpf(xc.real)
-        return mp.mpc(xc.real, xc.imag)
-    if is_mp(x):
-        return complex(x)
-    return complex(x)
-
-
-def to_complex(x: Any) -> complex:
-    """Round a scalar of either backend to a binary64 complex number."""
-    return complex(x)
 
 
 def spec_to_precision(spec: Any, precision: str) -> Any:
     """Return a copy of a frozen parameter dataclass with scalars coerced.
 
     String fields are preserved; ``None`` fields stay ``None``; every numeric
-    field is converted with :func:`to_working`.
+    field becomes a binary64 ``complex``, or for ``"high"`` an mpmath scalar
+    (``mpf`` when real).  Conversion from binary64 to mpmath is exact (the
+    double value is taken as the exact rational it represents).
     """
     updates = {}
     for f in dataclasses.fields(spec):
         v = getattr(spec, f.name)
         if v is None or isinstance(v, str):
             continue
-        updates[f.name] = to_working(v, precision)
+        if precision != HIGH:
+            updates[f.name] = complex(v)
+        elif not is_mp(v):
+            v = complex(v)
+            updates[f.name] = mp.mpc(v.real, v.imag) if v.imag else mp.mpf(v.real)
     return dataclasses.replace(spec, **updates)
 
 
@@ -125,13 +97,6 @@ def p_exp(x: Any) -> Any:
     if is_mp(x):
         return mp.exp(x)
     return cmath.exp(x)
-
-
-def p_sqrt(x: Any) -> Any:
-    """Principal square root under either backend."""
-    if is_mp(x):
-        return mp.sqrt(x)
-    return cmath.sqrt(x)
 
 
 def p_power(base: Any, expo: Any) -> Any:

@@ -18,9 +18,10 @@ The binary64 backend implements:
   strategy.
 * ``pochhammer`` — rising factorial as a direct product.
 
-The high-precision backend delegates to mpmath, so both backends expose one
-calling convention: ``f(z, precision=None)`` with ``precision`` in
-``{"double", "high", None}`` (``None`` = environment default).
+Each function follows the type of its argument, like the helpers of
+:mod:`heunconn.precision`: an mpmath scalar (``mpf``/``mpc``) is evaluated by
+mpmath at the current working precision, anything else by the binary64
+kernels above.  Both raise the same :class:`PoleError` near a pole.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any
 import mpmath as mp
 
 from .errors import DomainError, OrderError, PoleError
-from .precision import HIGH, check_precision, is_mp, to_working
+from .precision import is_mp
 
 __all__ = ["gamma", "log_gamma", "polygamma", "pochhammer", "digamma"]
 
@@ -143,15 +144,12 @@ def _gamma_core(z: complex) -> complex:
     return _SQRT_2PI * cmath.exp((x + 0.5) * cmath.log(t) - t) * kernel
 
 
-def gamma(z: Any, precision: str | None = None) -> Any:
+def gamma(z: Any) -> Any:
     """Gamma function; raises :class:`PoleError` within 1e-12 of a pole."""
-    precision = check_precision(precision)
-    if precision == HIGH:
-        zm = to_working(z, HIGH)
-        _check_pole(complex(z), "gamma")
-        return mp.gamma(zm)
+    _check_pole(complex(z), "gamma")
+    if is_mp(z):
+        return mp.gamma(z)
     z = complex(z)
-    _check_pole(z, "gamma")
     if z.real >= 0.5:
         return _gamma_core(z)
     return math.pi / (_sin_pi(z) * _gamma_core(1.0 - z))
@@ -192,19 +190,16 @@ def _log_sin_pi_upper(z: complex) -> complex:
     return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(1.0 - w)
 
 
-def log_gamma(z: Any, precision: str | None = None) -> Any:
+def log_gamma(z: Any) -> Any:
     """Principal-branch log-gamma (cut along the nonpositive real axis).
 
     Real negative arguments are evaluated as limits from the upper half-plane,
     so the imaginary part decreases by pi across each pole interval.
     """
-    precision = check_precision(precision)
-    if precision == HIGH:
-        zm = to_working(z, HIGH)
-        _check_pole(complex(z), "log_gamma")
-        return mp.loggamma(zm)
+    _check_pole(complex(z), "log_gamma")
+    if is_mp(z):
+        return mp.loggamma(z)
     z = complex(z)
-    _check_pole(z, "log_gamma")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
@@ -233,7 +228,7 @@ def _polygamma_asymptotic(n: int, w: complex) -> complex:
     return sign * s
 
 
-def polygamma(n: int, z: Any, precision: str | None = None) -> Any:
+def polygamma(n: int, z: Any) -> Any:
     """n-th derivative of log-gamma, orders 0..16.
 
     Raises :class:`OrderError` outside the supported order range and
@@ -243,13 +238,10 @@ def polygamma(n: int, z: Any, precision: str | None = None) -> Any:
         raise OrderError(
             f"polygamma order must be an integer in [0, {_MAX_POLYGAMMA_ORDER}], got {n!r}"
         )
-    precision = check_precision(precision)
-    if precision == HIGH:
-        zm = to_working(z, HIGH)
-        _check_pole(complex(z), "polygamma")
-        return mp.polygamma(n, zm)
+    _check_pole(complex(z), "polygamma")
+    if is_mp(z):
+        return mp.polygamma(n, z)
     z = complex(z)
-    _check_pole(z, "polygamma")
     if z.imag < 0.0:
         return polygamma(n, z.conjugate()).conjugate()
     threshold = 18.0 + n
@@ -263,17 +255,16 @@ def polygamma(n: int, z: Any, precision: str | None = None) -> Any:
     return _polygamma_asymptotic(n, w) - acc
 
 
-def digamma(z: Any, precision: str | None = None) -> Any:
+def digamma(z: Any) -> Any:
     """Logarithmic derivative of gamma (polygamma of order zero)."""
-    return polygamma(0, z, precision)
+    return polygamma(0, z)
 
 
-def pochhammer(x: Any, k: int, precision: str | None = None) -> Any:
+def pochhammer(x: Any, k: int) -> Any:
     """Rising factorial ``x (x+1) ... (x+k-1)``; ``k = 0`` gives 1."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"pochhammer index must be a nonnegative integer, got {k!r}")
-    precision = check_precision(precision)
-    xv = to_working(x, precision) if not is_mp(x) else x
+    xv = x if is_mp(x) else complex(x)
     one = xv * 0 + 1
     out = one
     for j in range(k):

@@ -107,24 +107,39 @@ class ValidationReport:
         }
 
 
+# Tolerance of each check of ``full_report``: the measured precision floor
+# of its route at double precision.
+_TOLS = {
+    "connection_identity": 1e-9,
+    "determinant": 1e-10,
+    "method_agreement_recurrence": 1e-8,
+    "method_agreement_wronskian": 1e-8,
+    "method_agreement_ss": 1e-6,
+    "monodromy_products": 1e-8,
+    "sigma_slope_vs_closed": 1e-3,
+    "series_vs_closed_forms": 1e-8,
+    "che_as_he_limit": 1e-3,
+    "reflection": 1e-8,
+    "tail_determinant": 1e-8,
+}
+_MATRIX_TOL = 1e-10  # tol of the connection matrices the checks compare
+_Z_LIST = (0.3, 0.5, 0.7)  # probe points of the identity check
+_LAMBDA = 1e4  # HE parameter scale of the CHE limit check
+
+
 @dataclass(frozen=True)
 class CheckConfig:
-    """Tolerances and knobs for ``full_report``; defaults are the measured
-    precision floors of each route at double precision."""
+    """Settings of ``full_report``: the series truncation ``K`` of the
+    identity check, one tolerance and whether the slow checks run.
 
-    z_list: tuple = (0.3, 0.5, 0.7)
+    ``tol=None`` keeps each check's own tolerance (the measured precision
+    floor of its route at double precision) and computes the connection
+    matrices at ``tol=1e-10``; any other value sets every check's tolerance
+    to ``tol`` and the matrices' to ``min(1e-10, tol)``.
+    """
+
     K: int = 400
-    tol_identity: float = 1e-9
-    tol_det: float = 1e-10
-    tol_method: float = 1e-8
-    tol_ss: float = 1e-6
-    tol_monodromy: float = 1e-8
-    tol_closed: float = 1e-8
-    tol_limit: float = 1e-3
-    Lambda: float = 1e4
-    tol_reflection: float = 1e-8
-    tol_tail: float = 1e-8
-    matrix_tol: float = 1e-10
+    tol: Optional[float] = None
     include_slow: bool = True
 
 
@@ -166,11 +181,10 @@ def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMa
 
 def verify_connection_identity(
     spec: EquationSpec,
-    z_list: Sequence[float] = (0.3, 0.5, 0.7),
+    z_list: Sequence[float] = _Z_LIST,
     K: int = 400,
     tol: float = 1e-9,
     matrix: Optional[ConnectionMatrix] = None,
-    matrix_tol: float = 1e-10,
 ) -> CheckResult:
     """Evaluate both Frobenius bases at interior points and compare
     ``psi0_eps`` against ``sum_eps' C[eps eps'] psi1_eps'`` entrywise.
@@ -179,7 +193,7 @@ def verify_connection_identity(
     continued-fraction route.
     """
     validate(spec)
-    cf = _cf_once(spec, matrix_tol) if matrix is None else lambda: matrix
+    cf = _cf_once(spec, _MATRIX_TOL) if matrix is None else lambda: matrix
     return _check_identity(spec, z_list, K, tol, cf)
 
 
@@ -232,36 +246,30 @@ def che_to_he_spec(spec: EquationSpec, Lambda: float) -> EquationSpec:
 
 
 def verify_che_as_he_limit(
-    spec: EquationSpec,
-    Lambda: float = 1e4,
-    tol: float = 1e-3,
-    method: str = "wronskian",
-    matrix_tol: float = 1e-10,
+    spec: EquationSpec, Lambda: float = _LAMBDA, tol: float = 1e-3
 ) -> CheckResult:
     """Compare the CHE connection matrix against the HE matrix at large
     ``Lambda``; the entrywise relative difference should be O(1/Lambda).
 
-    The HE matrix is computed by the Wronskian route by default: its series
-    evaluation is insensitive to the large parameters, whereas the
-    continued-fraction ladder would need depths beyond ``Lambda`` to reach
-    its asymptotic regime.
+    The HE matrix is computed by the Wronskian route: its series evaluation
+    is insensitive to the large parameters, whereas the continued-fraction
+    ladder would need depths beyond ``Lambda`` to reach its asymptotic
+    regime.
     """
-    return _check_che_as_he_limit(
-        spec, Lambda, tol, method, matrix_tol, _cf_once(spec, matrix_tol)
-    )
+    return _check_che_as_he_limit(spec, Lambda, tol, _MATRIX_TOL, _cf_once(spec, _MATRIX_TOL))
 
 
 def _check_che_as_he_limit(
-    spec: EquationSpec, Lambda: float, tol: float, method: str, matrix_tol: float, cf: Callable
+    spec: EquationSpec, Lambda: float, tol: float, matrix_tol: float, cf: Callable
 ) -> CheckResult:
     def run():
         che_mat = cf()
         he_sp = che_to_he_spec(spec, Lambda)
-        he_mat = connection_matrix(he_sp, method=method, tol=matrix_tol)
+        he_mat = connection_matrix(he_sp, method="wronskian", tol=matrix_tol)
         worst = 0.0
         for key in ("++", "+-", "-+", "--"):
             worst = max(worst, abs(che_mat[key] - he_mat[key]) / abs(che_mat[key]))
-        return worst, f"Lambda={Lambda:g}, HE route={method}"
+        return worst, f"Lambda={Lambda:g}, HE route=wronskian"
 
     return _timed("che_as_he_limit", tol, run)
 
@@ -290,10 +298,7 @@ def reflected_spec(spec: EquationSpec) -> EquationSpec:
 
 
 def verify_reflection(
-    spec: EquationSpec,
-    tol: float = 1e-8,
-    strict: bool = False,
-    matrix_tol: float = 1e-10,
+    spec: EquationSpec, tol: float = 1e-8, strict: bool = False
 ) -> CheckResult:
     """Certify the z -> 1-z transform end to end.
 
@@ -304,7 +309,7 @@ def verify_reflection(
     the original.  With ``strict`` a failure raises
     :class:`ReflectionMismatch` instead of returning a failed result.
     """
-    result = _check_reflection(spec, tol, matrix_tol, _cf_once(spec, matrix_tol))
+    result = _check_reflection(spec, tol, _MATRIX_TOL, _cf_once(spec, _MATRIX_TOL))
     if strict and not result.passed:
         raise ReflectionMismatch(
             f"reflection check failed: residual {result.residual:.3e} "
@@ -425,27 +430,31 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     validate(spec)
     if config is None:
         config = CheckConfig()
-    mtol = config.matrix_tol
+    if config.tol is None:
+        tols, mtol = _TOLS, _MATRIX_TOL
+    else:
+        tols, mtol = dict.fromkeys(_TOLS, config.tol), min(_MATRIX_TOL, config.tol)
     # One cf matrix, shared by every check of this spec that needs it.
     cf = _cf_once(spec, mtol)
     checks: list[CheckResult] = []
-    checks.append(_check_identity(spec, config.z_list, config.K, config.tol_identity, cf))
-    checks.append(_check_determinant(spec, config.tol_det, cf))
-    for other in ("recurrence", "wronskian"):
-        checks.append(_check_method_agreement(spec, other, config.tol_method, mtol, cf))
+    checks.append(_check_identity(spec, _Z_LIST, config.K, tols["connection_identity"], cf))
+    checks.append(_check_determinant(spec, tols["determinant"], cf))
+    others = ["recurrence", "wronskian"]
     if abs(2.0 * complex(spec.theta1).real) < 4.0:
-        checks.append(_check_method_agreement(spec, "ss", config.tol_ss, mtol, cf))
-    checks.append(_check_monodromy(spec, config.tol_monodromy, cf))
+        others.append("ss")
+    for other in others:
+        tol = tols["method_agreement_" + other]
+        checks.append(_check_method_agreement(spec, other, tol, mtol, cf))
+    checks.append(_check_monodromy(spec, tols["monodromy_products"], cf))
     if spec.family == "HE" and config.include_slow:
-        checks.append(_check_sigma_slope(spec, config.tol_limit, mtol))
+        checks.append(_check_sigma_slope(spec, tols["sigma_slope_vs_closed"], mtol))
     if spec.family in ("RCHE", "HE"):
-        checks.append(_check_series_closed(spec, config.tol_closed))
+        checks.append(_check_series_closed(spec, tols["series_vs_closed_forms"]))
     if spec.family == "CHE" and config.include_slow:
-        checks.append(
-            _check_che_as_he_limit(spec, config.Lambda, config.tol_limit, "wronskian", mtol, cf)
-        )
+        tol = tols["che_as_he_limit"]
+        checks.append(_check_che_as_he_limit(spec, _LAMBDA, tol, mtol, cf))
     if spec.family in ("RCHE", "CHE"):
-        checks.append(_check_reflection(spec, config.tol_reflection, mtol, cf))
+        checks.append(_check_reflection(spec, tols["reflection"], mtol, cf))
     if spec.family != "HYP" and config.include_slow:
-        checks.append(_check_tail_determinant(spec, config.tol_tail))
+        checks.append(_check_tail_determinant(spec, tols["tail_determinant"]))
     return ValidationReport(spec=spec, checks=tuple(checks))

@@ -137,6 +137,13 @@ class TestExpand:
         assert rows[0]["diff"] <= 1e-8 and rows[1]["diff"] <= 1e-8
         assert rows[2]["closed"] is None
 
+    def test_precision_env_matches_flag(self, capsys, monkeypatch):
+        argv = ["expand", *RCHE_ARGS, "--order", "2", "--output", "json"]
+        _, flag, _ = run_cli(capsys, [*argv, "--precision", "high"])
+        monkeypatch.setenv("HEUN_PRECISION", "high")
+        _, env, _ = run_cli(capsys, argv)
+        assert env == flag
+
 
 class TestWalks:
     def test_census_table(self, capsys):

@@ -178,6 +178,24 @@ class TestContinuedFraction:
         etas = _eta_sweep(rche_example, 2**16, 8)
         assert abs(etas[-1] - 1.0) <= 1e-6
 
+    def test_eta_sweep_reads_each_index_once(self, he_example, monkeypatch):
+        import heunconn.connection as connection
+
+        calls = []
+        real = connection.alpha_beta
+
+        def counting(spec, k):
+            calls.append(k)
+            return real(spec, k)
+
+        monkeypatch.setattr(connection, "alpha_beta", counting)
+        k_top, buffer = 300, 24
+        etas = _eta_sweep(he_example, k_top, buffer)
+        assert len(calls) == k_top + buffer + 1
+        assert sorted(calls) == list(range(k_top + buffer + 1))
+        monkeypatch.undo()
+        assert etas == _eta_sweep(he_example, k_top, buffer)
+
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)
         assert abs(log_a) <= 1e-14

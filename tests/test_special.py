@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 import oracles
@@ -86,6 +87,27 @@ class TestIdentities:
 
     def test_pochhammer_zero_length(self):
         assert pochhammer(0.37 + 0.21j, 0) == 1.0
+
+
+class TestNumberType:
+    """An mpmath argument is evaluated by mpmath, whatever the environment."""
+
+    Z = mp.mpc("0.37", "-1.21")
+
+    def test_gamma_family_follows_mpmath_argument(self, monkeypatch):
+        monkeypatch.delenv("HEUN_PRECISION", raising=False)
+        with mp.workdps(30):
+            assert gamma(self.Z) == mp.gamma(self.Z)
+            assert log_gamma(self.Z) == mp.loggamma(self.Z)
+            for n in (0, 1, 3):
+                assert polygamma(n, self.Z) == mp.polygamma(n, self.Z)
+
+    def test_binary64_argument_ignores_environment(self, monkeypatch):
+        z = complex(self.Z)
+        want = (gamma(z), log_gamma(z), polygamma(1, z))
+        monkeypatch.setenv("HEUN_PRECISION", "high")
+        assert (gamma(z), log_gamma(z), polygamma(1, z)) == want
+        assert isinstance(want[0], complex)
 
 
 class TestPoles:

@@ -149,10 +149,11 @@ class TestFullReport:
             return real(spec, method=method, **kwargs)
 
         monkeypatch.setattr(validation, "connection_matrix", counting)
+        monkeypatch.setattr(validation, "_MATRIX_TOL", 1e-16)
         # 1e-16 is below the cf ladder's rounding floor, so the shared matrix
         # raises; every check that needs it fails with that error, and the
         # report itself does not raise.
-        rep = full_report(rche_example, dataclasses.replace(FAST, matrix_tol=1e-16))
+        rep = full_report(rche_example, FAST)
         assert calls.count((rche_example, "cf")) == 1
         failed = {c.name: c.detail for c in rep.checks if not c.passed}
         assert sorted(failed) == sorted(
