@@ -1,7 +1,7 @@
 """Command-line front end: ``connect``, ``verify``, ``expand``, ``walks``.
 
 Outputs are machine-readable (json/csv) or human-readable (text); every
-output echoes the effective run configuration.  JSON uses the versioned
+JSON output echoes the flags the subcommand takes.  JSON uses the versioned
 schema ``heun-connect/1`` with complex numbers as ``[re, im]`` pairs and all
 floats printed to 17 significant digits, so parsing and re-emitting is
 idempotent at binary64.
@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import __version__
@@ -38,18 +37,8 @@ SCHEMA = "heun-connect/1"
 
 _ENTRY_KEYS = ("++", "+-", "-+", "--")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective run configuration, echoed in every output."""
-
-    method: str = "cf"
-    tol: float = 1e-10
-    max_depth: int = 2**20
-    K: int = 400
-    precision: str = "double"
-    output: str = "text"
-    seed: int = 0
+# Flags echoed under "config", where the subcommand takes them.
+_ECHO = ("method", "tol", "max_depth", "precision", "output")
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +182,6 @@ def _csv(rows: list) -> str:
     return "\n".join(",".join(_csv_cell(c) for c in row) for row in rows) + "\n"
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "method": cfg.method,
-        "tol": cfg.tol,
-        "max_depth": cfg.max_depth,
-        "K": cfg.K,
-        "precision": cfg.precision,
-        "output": cfg.output,
-        "seed": cfg.seed,
-    }
-
-
 def _fmt_c(v: complex) -> str:
     return f"{format_float(v.real)} {'+' if v.imag >= 0 else '-'} {format_float(abs(v.imag))}i"
 
@@ -220,16 +197,24 @@ def _strip_runtimes(obj: Any) -> Any:
     return obj
 
 
-def _write_output(text: str, golden_payload: Optional[dict], golden_path: Optional[str]) -> None:
-    sys.stdout.write(text)
-    if golden_path:
-        golden = dump_json(_strip_runtimes(golden_payload)) + "\n"
-        directory = os.path.dirname(os.path.abspath(golden_path))
+def _emit(args: argparse.Namespace, payload: dict, rows: list, lines: list) -> None:
+    """Echo the flags into ``payload``, print it as ``--output`` asks, and
+    write the ``--golden-out`` artifact atomically."""
+    payload["config"] = {k: getattr(args, k) for k in _ECHO if hasattr(args, k)}
+    if args.output == "json":
+        sys.stdout.write(dump_json(payload) + "\n")
+    elif args.output == "csv":
+        sys.stdout.write(_csv(rows))
+    else:
+        sys.stdout.write("\n".join(lines) + "\n")
+    if args.golden_out:
+        golden = dump_json(_strip_runtimes(payload)) + "\n"
+        directory = os.path.dirname(os.path.abspath(args.golden_out))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(golden)
-            os.replace(tmp, golden_path)
+            os.replace(tmp, args.golden_out)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -240,62 +225,55 @@ def _write_output(text: str, golden_payload: Optional[dict], golden_path: Option
 # subcommands
 
 
-def cmd_connect(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_connect(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    work_spec = spec_to_precision(spec, cfg.precision)
     mat = connection_matrix(
-        work_spec,
-        method=cfg.method,
-        tol=cfg.tol,
+        spec_to_precision(spec, args.precision),
+        method=args.method,
+        tol=args.tol,
         allow_large_coupling=args.allow_large_coupling,
-        max_depth=cfg.max_depth,
+        max_depth=args.max_depth,
     )
+    entries = {k: complex(mat[k]) for k in _ENTRY_KEYS}
+    det, resid = complex(mat.det()), float(det_residual(mat))
     payload = {
         "schema": SCHEMA,
         "command": "connect",
         "family": spec.family,
         "params": _spec_params(spec),
         "method": mat.method,
-        "precision": cfg.precision,
+        "precision": args.precision,
         "depth": mat.depth_or_K,
-        "est_error": float(mat.err_estimate),
-        "C": {k: complex(mat[k]) for k in _ENTRY_KEYS},
-        "det": complex(mat.det()),
-        "det_residual": float(det_residual(mat)),
-        "config": _config_echo(cfg),
+        "est_error": mat.err_estimate,
+        "C": entries,
+        "det": det,
+        "det_residual": resid,
     }
-    if cfg.output == "json":
-        text = dump_json(payload) + "\n"
-    elif cfg.output == "csv":
-        rows = [["entry", "re", "im"]]
-        rows += [[k, complex(mat[k]).real, complex(mat[k]).imag] for k in _ENTRY_KEYS]
-        rows += [
-            ["det", complex(mat.det()).real, complex(mat.det()).imag],
-            ["det_residual", det_residual(mat), 0.0],
-            ["est_error", mat.err_estimate, 0.0],
-        ]
-        text = _csv(rows)
-    else:
-        lines = [
-            f"connection matrix  family={spec.family}  method={mat.method}  "
-            f"precision={cfg.precision}",
-            f"params: " + ", ".join(f"{k}={v}" for k, v in _spec_params(spec).items()),
-        ]
-        for k in _ENTRY_KEYS:
-            lines.append(f"  C[{k}] = {_fmt_c(complex(mat[k]))}")
-        lines += [
-            f"  det    = {_fmt_c(complex(mat.det()))}",
-            f"  det residual {det_residual(mat):.3e}   est error {mat.err_estimate:.3e}   "
-            f"depth {mat.depth_or_K}",
-        ]
-        text = "\n".join(lines) + "\n"
-    _write_output(text, payload, args.golden_out)
+    rows = [["entry", "re", "im"]]
+    rows += [[k, v.real, v.imag] for k, v in entries.items()]
+    rows += [
+        ["det", det.real, det.imag],
+        ["det_residual", resid, 0.0],
+        ["est_error", mat.err_estimate, 0.0],
+    ]
+    lines = [
+        f"connection matrix  family={spec.family}  method={mat.method}  "
+        f"precision={args.precision}",
+        f"params: " + ", ".join(f"{k}={v}" for k, v in _spec_params(spec).items()),
+    ]
+    lines += [f"  C[{k}] = {_fmt_c(v)}" for k, v in entries.items()]
+    lines += [
+        f"  det    = {_fmt_c(det)}",
+        f"  det residual {resid:.3e}   est error {mat.err_estimate:.3e}   "
+        f"depth {mat.depth_or_K}",
+    ]
+    _emit(args, payload, rows, lines)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    report = full_report(spec, CheckConfig(K=cfg.K, tol=args.tol, include_slow=not args.fast))
+    report = full_report(spec, CheckConfig(tol=args.tol, include_slow=not args.fast))
     payload = {
         "schema": SCHEMA,
         "command": "verify",
@@ -303,20 +281,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         "params": _spec_params(spec),
         "passed": report.passed,
         "checks": report.as_dict()["checks"],
-        "config": _config_echo(cfg),
     }
-    if cfg.output == "json":
-        text = dump_json(payload) + "\n"
-    elif cfg.output == "csv":
-        rows = [["name", "passed", "residual", "tol", "runtime", "detail"]]
-        rows += [
-            [c.name, c.passed, c.residual, c.tol, c.runtime, c.detail]
-            for c in report.checks
-        ]
-        text = _csv(rows)
-    else:
-        text = report.summary() + "\n"
-    _write_output(text, payload, args.golden_out)
+    rows = [["name", "passed", "residual", "tol", "runtime", "detail"]]
+    rows += [[c.name, c.passed, c.residual, c.tol, c.runtime, c.detail] for c in report.checks]
+    _emit(args, payload, rows, [report.summary()])
     return 0 if report.passed else 1
 
 
@@ -330,20 +298,21 @@ def _closed_form_reference(spec: EquationSpec, n: int):
     return None
 
 
-def cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_expand(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    coeffs = c_coefficients(spec, args.order)
     table = []
-    for n, c in enumerate(coeffs, start=1):
+    rows = [["n", "re", "im", "closed_re", "closed_im", "abs_diff"]]
+    lines = [f"series coefficients of ln a_inf  family={spec.family}  N={args.order}"]
+    for n, c in enumerate(c_coefficients(spec, args.order), start=1):
         ref = _closed_form_reference(spec, n)
-        table.append(
-            {
-                "n": n,
-                "c": c,
-                "closed": ref,
-                "diff": abs(c - ref) if ref is not None else None,
-            }
-        )
+        diff = None if ref is None else abs(c - ref)
+        table.append({"n": n, "c": c, "closed": ref, "diff": diff})
+        rows.append([n, c.real, c.imag, None if ref is None else ref.real,
+                     None if ref is None else ref.imag, diff])
+        line = f"  c_{n} = {_fmt_c(c)}"
+        if ref is not None:
+            line += f"   closed {_fmt_c(ref)}   |diff| {diff:.3e}"
+        lines.append(line)
     payload = {
         "schema": SCHEMA,
         "command": "expand",
@@ -351,52 +320,34 @@ def cmd_expand(args: argparse.Namespace, cfg: RunConfig) -> int:
         "params": _spec_params(spec),
         "N": args.order,
         "coefficients": table,
-        "config": _config_echo(cfg),
     }
-    if cfg.output == "json":
-        text = dump_json(payload) + "\n"
-    elif cfg.output == "csv":
-        rows = [["n", "re", "im", "closed_re", "closed_im", "abs_diff"]]
-        for row in table:
-            ref = row["closed"]
-            rows.append(
-                [
-                    row["n"],
-                    row["c"].real,
-                    row["c"].imag,
-                    None if ref is None else ref.real,
-                    None if ref is None else ref.imag,
-                    row["diff"],
-                ]
-            )
-        text = _csv(rows)
-    else:
-        lines = [f"series coefficients of ln a_inf  family={spec.family}  N={args.order}"]
-        for row in table:
-            line = f"  c_{row['n']} = {_fmt_c(row['c'])}"
-            if row["closed"] is not None:
-                line += f"   closed {_fmt_c(row['closed'])}   |diff| {row['diff']:.3e}"
-            lines.append(line)
-        text = "\n".join(lines) + "\n"
-    _write_output(text, payload, args.golden_out)
+    _emit(args, payload, rows, lines)
     return 0
 
 
-def cmd_walks(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_walks(args: argparse.Namespace) -> int:
     n = args.n
     formula = {mu: n_mu(mu) for mu in compositions(n)}
     census = enumerate_walk_types(n) if n <= 8 else None
     total = sum(formula.values())
     binom = math.comb(2 * n, n)
     table = []
+    rows = [["mu", "n_mu", "enumerated", "equal"]]
+    lines = [f"walk types for n={n} ({len(formula)} compositions)"]
     for mu, count in formula.items():
-        entry = {
-            "mu": list(mu),
-            "n_mu": count,
-            "enumerated": None if census is None else census.get(mu, 0),
-        }
-        entry["equal"] = None if census is None else entry["enumerated"] == count
-        table.append(entry)
+        found = None if census is None else census.get(mu, 0)
+        equal = None if census is None else found == count
+        table.append({"mu": list(mu), "n_mu": count, "enumerated": found, "equal": equal})
+        rows.append(["(" + " ".join(map(str, mu)) + ")", count, found, equal])
+        mu_s = "(" + ",".join(map(str, mu)) + ")"
+        line = f"  {mu_s:>16}  N_mu {count:>8}"
+        if census is not None:
+            line += f"   enumerated {found:>8}   equal {equal}"
+        lines.append(line)
+    rows.append(["sum", total, binom, total == binom])
+    lines.append(
+        f"  sum {total} vs binom(2n,n) {binom}: " + ("match" if total == binom else "MISMATCH")
+    )
     payload = {
         "schema": SCHEMA,
         "command": "walks",
@@ -405,37 +356,8 @@ def cmd_walks(args: argparse.Namespace, cfg: RunConfig) -> int:
         "sum": total,
         "binomial": binom,
         "sum_matches_binomial": total == binom,
-        "config": _config_echo(cfg),
     }
-    if cfg.output == "json":
-        text = dump_json(payload) + "\n"
-    elif cfg.output == "csv":
-        rows = [["mu", "n_mu", "enumerated", "equal"]]
-        for entry in table:
-            rows.append(
-                [
-                    "(" + " ".join(str(p) for p in entry["mu"]) + ")",
-                    entry["n_mu"],
-                    entry["enumerated"],
-                    entry["equal"],
-                ]
-            )
-        rows.append(["sum", total, binom, total == binom])
-        text = _csv(rows)
-    else:
-        lines = [f"walk types for n={n} ({len(table)} compositions)"]
-        for entry in table:
-            mu_s = "(" + ",".join(str(p) for p in entry["mu"]) + ")"
-            line = f"  {mu_s:>16}  N_mu {entry['n_mu']:>8}"
-            if census is not None:
-                line += f"   enumerated {entry['enumerated']:>8}   equal {entry['equal']}"
-            lines.append(line)
-        lines.append(
-            f"  sum {total} vs binom(2n,n) {binom}: "
-            + ("match" if total == binom else "MISMATCH")
-        )
-        text = "\n".join(lines) + "\n"
-    _write_output(text, payload, args.golden_out)
+    _emit(args, payload, rows, lines)
     return 0
 
 
@@ -469,10 +391,6 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("json", "csv", "text"), default="text",
                      help="output format (default text)")
-    sub.add_argument("--precision", choices=("double", "high"), default=None,
-                     help="working precision; default from HEUN_PRECISION or double")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="random seed echoed in outputs (default 0)")
     sub.add_argument("--golden-out", default=None, metavar="PATH",
                      help="also write a reproducible JSON artifact (runtimes zeroed)")
 
@@ -491,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--method", choices=METHODS, default="cf",
                    help="route (default cf)")
+    p.add_argument("--precision", choices=("double", "high"), default=None,
+                   help="working precision; default from HEUN_PRECISION or double")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="target tolerance for iterative routes (default 1e-10)")
     p.add_argument("--max-depth", type=int, default=2**20,
                    help="depth/truncation cap for iterative routes (default 2^20)")
-    p.add_argument("--K", type=int, default=400,
-                   help="series truncation echoed to series-based routes (default 400)")
     p.add_argument("--allow-large-coupling", action="store_true",
                    help="bypass the |lambda| < 0.9 safety gate")
     p.set_defaults(func=cmd_connect)
@@ -506,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--tol", type=float, default=None,
                    help="override every check tolerance with one value")
-    p.add_argument("--K", type=int, default=400,
-                   help="series truncation for the identity check (default 400)")
     p.add_argument("--fast", action="store_true",
                    help="skip the slow checks (family limits, slopes, tails)")
     p.set_defaults(func=cmd_verify)
@@ -527,19 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    precision = args.precision if args.precision else default_precision()
-    return RunConfig(
-        method=getattr(args, "method", "cf"),
-        tol=args.tol if getattr(args, "tol", None) is not None else 1e-10,
-        max_depth=getattr(args, "max_depth", 2**20),
-        K=getattr(args, "K", 400),
-        precision=precision,
-        output=args.output,
-        seed=args.seed,
-    )
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
@@ -547,8 +450,9 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _run_config(args)
-        return args.func(args, cfg)
+        if hasattr(args, "precision"):
+            args.precision = args.precision or default_precision()
+        return args.func(args)
     except (SizeError, FamilyFieldError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -124,13 +124,14 @@ _TOLS = {
 }
 _MATRIX_TOL = 1e-10  # tol of the connection matrices the checks compare
 _Z_LIST = (0.3, 0.5, 0.7)  # probe points of the identity check
+_K = 400  # series truncation of the identity check
 _LAMBDA = 1e4  # HE parameter scale of the CHE limit check
 
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Settings of ``full_report``: the series truncation ``K`` of the
-    identity check, one tolerance and whether the slow checks run.
+    """Settings of ``full_report``: one tolerance and whether the slow
+    checks run.
 
     ``tol=None`` keeps each check's own tolerance (the measured precision
     floor of its route at double precision) and computes the connection
@@ -138,7 +139,6 @@ class CheckConfig:
     to ``tol`` and the matrices' to ``min(1e-10, tol)``.
     """
 
-    K: int = 400
     tol: Optional[float] = None
     include_slow: bool = True
 
@@ -437,7 +437,7 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     # One cf matrix, shared by every check of this spec that needs it.
     cf = _cf_once(spec, mtol)
     checks: list[CheckResult] = []
-    checks.append(_check_identity(spec, _Z_LIST, config.K, tols["connection_identity"], cf))
+    checks.append(_check_identity(spec, _Z_LIST, _K, tols["connection_identity"], cf))
     checks.append(_check_determinant(spec, tols["determinant"], cf))
     others = ["recurrence", "wronskian"]
     if abs(2.0 * complex(spec.theta1).real) < 4.0:

@@ -20,6 +20,17 @@ RCHE_ARGS = [
 ]
 
 
+HE_ARGS = [
+    "--family", "he",
+    "--theta0", "0.11",
+    "--theta1", "0.27",
+    "--thetat", "0.33",
+    "--thetainf", "0.41",
+    "--omega", "0.37",
+    "--lambda", "0.1",
+]
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -80,11 +91,25 @@ class TestConnect:
         assert code == 0
         assert json.loads(out)["precision"] == "high"
 
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    def test_high_precision_flag_prints(self, capsys, output):
+        code, out, _ = run_cli(
+            capsys, ["connect", *RCHE_ARGS, "--precision", "high", "--output", output]
+        )
+        assert code == 0
+        assert "est" in out
+
     def test_precision_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("HEUN_PRECISION", "high")
         code, out, _ = run_cli(capsys, ["connect", *RCHE_ARGS, "--output", "json"])
         assert code == 0
         assert json.loads(out)["precision"] == "high"
+
+    def test_precision_env_text_output(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEUN_PRECISION", "high")
+        code, out, _ = run_cli(capsys, ["connect", *HE_ARGS])
+        assert code == 0
+        assert "precision=high" in out
 
     def test_bad_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HEUN_PRECISION", "quadruple")
@@ -137,12 +162,12 @@ class TestExpand:
         assert rows[0]["diff"] <= 1e-8 and rows[1]["diff"] <= 1e-8
         assert rows[2]["closed"] is None
 
-    def test_precision_env_matches_flag(self, capsys, monkeypatch):
+    def test_precision_env_is_ignored(self, capsys, monkeypatch):
         argv = ["expand", *RCHE_ARGS, "--order", "2", "--output", "json"]
-        _, flag, _ = run_cli(capsys, [*argv, "--precision", "high"])
+        _, plain, _ = run_cli(capsys, argv)
         monkeypatch.setenv("HEUN_PRECISION", "high")
         _, env, _ = run_cli(capsys, argv)
-        assert env == flag
+        assert env == plain
 
 
 class TestWalks:
@@ -157,6 +182,54 @@ class TestWalks:
         doc = json.loads(out)
         total = sum(row["n_mu"] for row in doc["types"])
         assert total == math.comb(24, 12)
+
+    def test_bad_precision_env_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEUN_PRECISION", "quadruple")
+        code, _, _ = run_cli(capsys, ["walks", "--n", "2"])
+        assert code == 0
+
+
+BASE_ARGV = {
+    "connect": ["connect", *RCHE_ARGS],
+    "verify": ["verify", *RCHE_ARGS, "--fast"],
+    "expand": ["expand", *RCHE_ARGS, "--order", "1"],
+    "walks": ["walks", "--n", "2"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("connect", "--seed", "1"),
+            ("verify", "--seed", "1"),
+            ("expand", "--seed", "1"),
+            ("walks", "--seed", "1"),
+            ("connect", "--K", "400"),
+            ("verify", "--K", "400"),
+            ("verify", "--precision", "high"),
+            ("expand", "--precision", "high"),
+            ("walks", "--precision", "high"),
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, capsys, command, flag, value):
+        code, _, err = run_cli(capsys, [*BASE_ARGV[command], flag, value])
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "command, echoed",
+        [
+            ("connect", {"method", "tol", "max_depth", "precision", "output"}),
+            ("verify", {"tol", "output"}),
+            ("expand", {"output"}),
+            ("walks", {"output"}),
+        ],
+        ids=["connect", "verify", "expand", "walks"],
+    )
+    def test_config_echoes_the_flags_taken(self, capsys, command, echoed):
+        _, out, _ = run_cli(capsys, [*BASE_ARGV[command], "--output", "json"])
+        assert set(json.loads(out)["config"]) == echoed
 
 
 class TestExitCodes:

@@ -105,6 +105,11 @@ class TestMatrixRoutes:
         val, _ = connection_scalar(rche_example, method="cf")
         assert rel_diff(ss, val) <= 1e-10
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_err_estimate_is_float_for_mpmath_spec(self, rche_example, method):
+        mat = connection_matrix(spec_to_precision(rche_example, HIGH), method)
+        assert type(mat.err_estimate) is float
+
 
 def _assert_fixed_point_iterates_match(spec, K=2048):
     """The first K fixed-point iterates of the ss route equal mpmath
@@ -152,12 +157,21 @@ class TestLargeOrder:
         connection_matrix(he_example, method="ss")
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
-    def test_err_estimate_bounds_oracle_error(self, request, family):
-        mat = connection_matrix(request.getfixturevalue(EXAMPLE_FIXTURES[family]), "ss")
+    # The ss cases are named by family alone, the others family-method.
+    @pytest.mark.parametrize(
+        "method, family",
+        [
+            pytest.param(method, family, id=family if method == "ss" else f"{family}-{method}")
+            for method in ("ss", "cf", "recurrence")
+            for family in ("HYP", "RCHE", "CHE", "HE")
+        ],
+    )
+    def test_err_estimate_bounds_oracle_error(self, request, method, family):
+        mat = connection_matrix(request.getfixturevalue(EXAMPLE_FIXTURES[family]), method)
         ref = oracle_matrix(RUNS[family])
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
-        assert mat.depth_or_K == 16384
+        if method == "ss":
+            assert mat.depth_or_K == 16384
 
 
 class TestContinuedFraction:
