@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .equations import EquationSpec, alpha_beta, validate
 from .errors import DomainError, FamilyFieldError, SizeError
-from .richardson import extrapolate, ladder_values
+from .richardson import FIXED_DEPTH, NODES, extrapolate, ladder_values
 
 __all__ = [
     "compositions",
@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 _MAX_N = 16
-_K_MAX = 20000  # deepest index of the k-sum
-_LEVELS = 4  # ladder nodes of its extrapolation
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -150,7 +148,7 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     if n > _MAX_N:
         raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
     terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-    betas = [alpha_beta(spec, k)[1] for k in range(1, _K_MAX + n)]
+    betas = [alpha_beta(spec, k)[1] for k in range(1, FIXED_DEPTH + n)]
 
     def local(k: int) -> complex:  # weighted beta products of all walk types at k
         total = 0.0 + 0.0j
@@ -163,8 +161,8 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
             total += prod
         return total
 
-    sums = itertools.accumulate(map(local, range(1, _K_MAX + 1)))
-    limit, _err = extrapolate(*ladder_values(sums, _K_MAX, _LEVELS))
+    sums = itertools.accumulate(map(local, range(1, FIXED_DEPTH + 1)))
+    limit, _err = extrapolate(*ladder_values(sums, FIXED_DEPTH, NODES))
     return complex(limit)
 
 

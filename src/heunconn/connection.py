@@ -13,7 +13,7 @@ routes are implemented:
 * ``ss``          — large-order asymptotics of the series coefficients,
   ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, with the
   coefficients iterated in fixed-point Gaussian integers at the working
-  precision plus guard bits;
+  precision plus guard bits, in an mpmath context of the calling thread;
 * ``wronskian``   — overlap of the truncated local series at a midpoint probe,
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from itertools import accumulate, count
+import threading
+from dataclasses import dataclass, fields, replace
+from itertools import count
 from typing import Any
 
 import mpmath as mp
@@ -54,10 +55,18 @@ from .precision import (
     p_exp,
     p_log,
     p_power,
-    spec_to_precision,
 )
-from .richardson import double_until_stable, extrapolate, geometric_ladder, ladder_values
-from .special import gamma, log_gamma
+from .richardson import (
+    DOUBLING_START,
+    FIXED_DEPTH,
+    NODES,
+    double_until_stable,
+    extrapolate,
+    geometric_ladder,
+    ladder_values,
+    noise_gain,
+)
+from .special import log_gamma
 
 __all__ = [
     "ConnectionMatrix",
@@ -77,15 +86,15 @@ METHODS = ("cf", "recurrence", "ss", "wronskian")
 
 _LAMBDA_GATE = 0.9
 _MAX_DEPTH = 2**20
-_LEVELS = 5  # ladder nodes of the cf and recurrence limits
-_SS_K = 16384  # truncation of the ss route
-_SS_LEVELS = 4  # ladder nodes of the ss limit and of the tail determinants
+_TAIL_LEVELS = 4  # ladder nodes of the tail determinants
 _DET_FACTOR = 100.0  # determinant gate, in units of the matrix's accuracy
 _PROBE = 0.5  # matching point of the wronskian route
 _SERIES_TOL = 1e-15  # last retained series term at the probe
 # Relative error of the binary64 fusion_cl factor away from gamma poles
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
+# Most that the cf/recurrence ladder amplifies the rounding of its values.
+_ROUNDING_GAIN = noise_gain(NODES)
 
 
 @dataclass(frozen=True)
@@ -163,18 +172,19 @@ def _seed_buffer(lam_abs: float) -> int:
     return min(4000, max(24, b))
 
 
-def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
+def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int, k_low: int = 0) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
-    from a unit seed at ``k_top + buffer``; returns ``[eta_1, ..., eta_k_top]``.
-    Each ``alpha_beta(spec, k - 1)`` also gives the ``beta`` of the next level.
+    from a unit seed at ``k_top + buffer`` down to ``k_low + 1``; returns
+    ``[eta_{k_low+1}, ..., eta_k_top]``.  Each ``alpha_beta(spec, k - 1)`` also
+    gives the ``beta`` of the next level.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
-    out = [one] * k_top
+    out = [one] * (k_top - k_low)
     _, be = alpha_beta(spec, k_top + buffer)
-    for k in range(k_top + buffer, 0, -1):
+    for k in range(k_top + buffer, k_low, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
         al_prev, be_prev = alpha_beta(spec, k - 1)
@@ -186,7 +196,7 @@ def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
                 "logarithm branch tracking is ambiguous"
             )
         if k <= k_top:
-            out[k - 1] = eta
+            out[k - k_low - 1] = eta
     return out
 
 
@@ -201,6 +211,9 @@ def log_a_infinity_cf(
     Sums ``ln eta_k`` with ladder extrapolation of the truncated sums, doubling
     the truncation until two successive extrapolations agree within ``tol``
     (plus the unit-seed bound); for HE the exact shift ``-ln(1-lam)`` is added.
+    Each doubling round sweeps only the new indices, from a seed ``buffer``
+    levels above the new truncation, and keeps the factors of the earlier
+    rounds: they differ from a fresh sweep's by the unit-seed bound.
     Returns ``(value, depth, err_estimate)``; raises :class:`NonConvergence`
     past ``max_depth`` and :class:`DomainError` at the coupling gate.
     """
@@ -212,13 +225,19 @@ def log_a_infinity_cf(
     lam_abs = abs(lam)
     buffer = _seed_buffer(lam_abs)
     seed_err = lam_abs**buffer if lam_abs < 1 else 1.0
+    sums: list = []  # ln eta_1 + ... + ln eta_k for k = 1 .. the last round's depth
 
     def limit_at(k_max: int) -> tuple[Any, float]:
-        logs = map(p_log, _eta_sweep(spec, k_max, buffer))
-        val, err = extrapolate(*ladder_values(accumulate(logs), k_max, _LEVELS))
+        total = sums[-1] if sums else 0
+        for eta in _eta_sweep(spec, k_max, buffer, len(sums)):
+            total += p_log(eta)
+            sums.append(total)
+        val, err = extrapolate(*ladder_values(sums, k_max, NODES))
         return val, float(err) + seed_err
 
-    val, k, err = double_until_stable(limit_at, 2048, tol, max_depth, "continued-fraction sum")
+    val, k, err = double_until_stable(
+        limit_at, DOUBLING_START, tol, max_depth, "continued-fraction sum"
+    )
     if spec.family == "HE":
         val = val - p_log(1 - lam)
     return val, k, err
@@ -248,8 +267,8 @@ def _recurrence_limit(
         return 1.0, 0, 0.0
     iterates, seen = _forward_iterates(spec), {}
     return double_until_stable(
-        lambda k_max: extrapolate(*ladder_values(iterates, k_max, _LEVELS, seen=seen)),
-        4096, tol, max_K, "recurrence limit",
+        lambda k_max: extrapolate(*ladder_values(iterates, k_max, NODES, seen=seen)),
+        DOUBLING_START, tol, max_K, "recurrence limit",
     )
 
 
@@ -284,19 +303,25 @@ def _scalar_with_depth(
             spec, tol=tol, max_depth=max_depth, allow_large_coupling=allow_large_coupling
         )
         val = pref * p_exp(log_a)
-        scale = abs(val)
     elif method == "recurrence":
         a_inf, depth, err = _recurrence_limit(
             spec, tol=tol, max_K=max_depth, allow_large_coupling=allow_large_coupling
         )
         val = pref * a_inf
-        scale = abs(pref)
     else:
         raise DomainError(
             f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
         )
-    # Binary64 rounding accumulates over the ``depth`` steps of either sweep.
-    return complex(val), float(scale) * (float(err) + _PREF_ERR + depth * 2.0**-53), depth
+    # Binary64 rounding accumulates over the ``depth`` steps of either sweep and
+    # the ladder amplifies it by up to _ROUNDING_GAIN.  For HE the recurrence's
+    # second characteristic root lam carries a rounding error d into the limit
+    # as d/(1-lam), and a_inf itself grows like 1/(1-lam), so the error is
+    # scaled by the larger of |value| and |pref|.
+    rounding = depth * 2.0**-53 * _ROUNDING_GAIN
+    if spec.family == "HE":
+        rounding /= abs(1 - complex(spec.lam))
+    scale = max(abs(val), abs(pref))
+    return complex(val), float(scale) * (float(err) + _PREF_ERR + rounding), depth
 
 
 def connection_scalar(
@@ -319,18 +344,19 @@ def _flip_spec(spec: EquationSpec, s0: int, s1: int) -> EquationSpec:
     return replace(spec, theta0=s0 * spec.theta0, theta1=s1 * spec.theta1)
 
 
-def _fixed_iterates(quadratics: tuple, bits: int):
+def _fixed_iterates(quadratics: tuple, bits: int, ctx: Any):
     """Iterates ``u_1, u_2, ...`` of ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
     from ``u_0 = 1, u_{-1} = 0`` as Gaussian integers ``(re, im)`` scaled by
     ``2^bits``.  The quadratic coefficients of :func:`recurrence_quadratics`
-    are scaled once; ``lead_k, A_k, B_k`` then advance by exact integer finite
-    differences, and the division goes through ``conj(lead)/|lead|^2``."""
+    (numbers of the mpmath context ``ctx``) are scaled once; ``lead_k, A_k,
+    B_k`` then advance by exact integer finite differences, and the division
+    goes through ``conj(lead)/|lead|^2``."""
     state = []  # per quadratic: re, im of p(k), of p(k+1) - p(k), of 2 c2
-    with mp.workprec(bits):
+    with ctx.workprec(bits):
         for c0, c1, c2 in quadratics:
             for v in (c0, c1 + c2, 2 * c2):
-                v = mp.mpc(v)
-                state += [int(mp.nint(mp.ldexp(part, bits))) for part in (v.real, v.imag)]
+                v = ctx.mpc(v)
+                state += [int(ctx.nint(ctx.ldexp(part, bits))) for part in (v.real, v.imag)]
     lr, li, dlr, dli, ddlr, ddli = state[:6]
     ar, ai, dar, dai, ddar, ddai = state[6:12]
     br, bi, dbr, dbi, ddbr, ddbi = state[12:]
@@ -357,6 +383,28 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     return dps, mp.libmp.dps_to_prec(dps) + guard
 
 
+_THREAD = threading.local()
+
+
+def _thread_context() -> Any:
+    """The calling thread's own mpmath context: the ``ss`` route sets its
+    precision without touching the process-wide ``mpmath.mp`` that every
+    thread shares."""
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        ctx = _THREAD.ctx = mp.MPContext()
+    return ctx
+
+
+def _spec_in(ctx: Any, spec: EquationSpec) -> EquationSpec:
+    """The spec with every numeric field a number of the mpmath context ``ctx``."""
+    return replace(spec, **{
+        f.name: ctx.convert(getattr(spec, f.name))
+        for f in fields(spec)
+        if not isinstance(getattr(spec, f.name), (str, type(None)))
+    })
+
+
 def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
     """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`; the
     estimate is the ladder's last Neville correction scaled by
@@ -367,26 +415,27 @@ def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
         raise DomainError(
             f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
         )
-    dps, bits = _ss_precision(th1, _SS_K)
-    with mp.workdps(dps):
-        msp = spec_to_precision(spec, HIGH)
-        with mp.workprec(bits):
-            quadratics = recurrence_quadratics(msp, _SS_K)
+    dps, bits = _ss_precision(th1, FIXED_DEPTH)
+    ctx = _thread_context()
+    with ctx.workdps(dps):
+        msp = _spec_in(ctx, spec)
+        with ctx.workprec(bits):
+            quadratics = recurrence_quadratics(msp, FIXED_DEPTH)
         expo = 1 - 2 * msp.theta1
-        gam = gamma(2 * msp.theta1)
+        gam = ctx.gamma(2 * msp.theta1)
         pref = _assembly_prefactor(spec)
 
         def at_node(k, u):
-            u_k = mp.mpc(mp.ldexp(u[0], -bits), mp.ldexp(u[1], -bits))
-            return mp.power(k, expo) * u_k
+            u_k = ctx.mpc(ctx.ldexp(u[0], -bits), ctx.ldexp(u[1], -bits))
+            return ctx.power(k, expo) * u_k
 
         steps, vals = ladder_values(
-            _fixed_iterates(quadratics, bits), _SS_K, _SS_LEVELS, at_node, mp.mpf(1)
+            _fixed_iterates(quadratics, bits, ctx), FIXED_DEPTH, NODES, at_node, ctx.mpf(1)
         )
         limit, corr = extrapolate(steps, vals, require_contraction=True)
         val = complex(gam * limit) * pref
         err = float(abs(gam * pref) * corr)
-    return val, err + 1e-15 * abs(val), _SS_K
+    return val, err + 1e-15 * abs(val), FIXED_DEPTH
 
 
 def schafke_schmidt_connection(spec: EquationSpec) -> complex:
@@ -397,8 +446,9 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     at the working precision plus guard bits (the subdominant component grows
     like ``k^(4 |Re theta1|)`` relative to the limit, so binary64 iterates
     would contaminate the ladder); the limit is extrapolated in mpmath over
-    the geometric ladder ``K/2^j``, ``K = 16384``.  Requires
-    ``|Re 2 theta1| < 4``.
+    the 7-node geometric ladder ``K/2^j``, ``j = 0..6``, ``K = 2048``.  The
+    mpmath work runs in a context of the calling thread, not in the shared
+    ``mpmath.mp``.  Requires ``|Re 2 theta1| < 4``.
     """
     return _ss_scalar(spec)[0]
 
@@ -569,7 +619,7 @@ def tail_determinant_limit(spec: EquationSpec, N: int = 10000) -> tuple[complex,
         return 1.0 + 0j, 0.0
     lam_abs = min(abs(lam), 0.95)
     rows = max(96, int(52.0 / -math.log10(lam_abs)) + 64) if lam_abs > 0 else 96
-    nodes = geometric_ladder(N, _SS_LEVELS)
+    nodes = geometric_ladder(N, _TAIL_LEVELS)
     vals = []
     for n_j in nodes:
         p_mm2 = 1.0 + 0 * spec.theta0

@@ -11,8 +11,9 @@ and summing their logarithms gives the series
 to any order in one sweep.  Because each backward level multiplies the seed
 error by one more power of ``lam``, a seed buffer of ``N+2`` levels above the
 deepest retained index makes the jets exact there; the remaining truncation
-error of the k-sum is algebraic in 1/K and is removed by ladder extrapolation
-per coefficient.
+error of the k-sum is algebraic in 1/K and is removed per coefficient by
+extrapolation over the library's one ladder shape (``richardson.NODES`` nodes
+up to ``K = richardson.FIXED_DEPTH``).
 
 Closed forms for the leading coefficients (``c_1, c_2`` for RCHE, ``c_1`` for
 HE through the composite-exponent slope ``sigma_1``) are implemented from
@@ -34,7 +35,7 @@ from .errors import (
     SizeError,
     SlowConvergence,
 )
-from .richardson import extrapolate, ladder_values
+from .richardson import FIXED_DEPTH, NODES, extrapolate, ladder_values
 from .special import polygamma
 
 __all__ = [
@@ -58,8 +59,6 @@ __all__ = [
 
 _MAX_ORDER = 8
 _RESONANCE_TOL = 1e-10
-_K_MAX = 20000  # deepest index of the k-sum
-_LEVELS = 4  # ladder nodes of its extrapolation
 _TOL = 1e-9  # largest ladder correction accepted, relative to max(1, |c_n|)
 
 
@@ -191,18 +190,18 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     eta = one
     # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1},
     # each alpha_beta(spec, k - 1) also giving the beta of the next level.
-    log_jets: list[tuple] = [()] * _K_MAX
-    _, be = alpha_beta(spec, _K_MAX + buffer)
-    for k in range(_K_MAX + buffer, 0, -1):
+    log_jets: list[tuple] = [()] * FIXED_DEPTH
+    _, be = alpha_beta(spec, FIXED_DEPTH + buffer)
+    for k in range(FIXED_DEPTH + buffer, 0, -1):
         al_prev, be_prev = alpha_beta(spec, k - 1)
         lam_be = Jet(N, tuple(0.0 if j != 1 else be for j in range(N + 1)))
         lam_al = Jet(N, tuple(0.0 if j != 1 else al_prev for j in range(N + 1)))
         eta = jet_sub(jet_sub(one, lam_al), jet_div(lam_be, eta))
         be = be_prev
-        if k <= _K_MAX:
+        if k <= FIXED_DEPTH:
             log_jets[k - 1] = jet_log(eta).coeffs
     sums = accumulate(log_jets, lambda acc, lj: [a + b for a, b in zip(acc, lj)])
-    inv_nodes, sums = ladder_values(sums, _K_MAX, _LEVELS)
+    inv_nodes, sums = ladder_values(sums, FIXED_DEPTH, NODES)
     out = []
     for n in range(1, N + 1):
         cn, err = extrapolate(inv_nodes, [s[n] for s in sums], require_contraction=True)

@@ -12,6 +12,10 @@ limit together with an error estimate (the magnitude of the last Neville
 correction).  Two functions are the one place that iterates a sequence to
 its ladder nodes: :func:`ladder_values` reads the nodes' values for it, and
 :func:`double_until_stable` doubles the top node until two limits agree.
+
+Every ladder of the library has the same shape: ``NODES`` nodes, the top one
+doubled from ``DOUBLING_START`` where a route iterates to a tolerance, or
+fixed at ``FIXED_DEPTH`` where it sums to a set depth.
 """
 
 from __future__ import annotations
@@ -21,7 +25,17 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, NonConvergence, SlowConvergence
 
-__all__ = ["extrapolate", "geometric_ladder", "ladder_values", "double_until_stable"]
+__all__ = [
+    "extrapolate",
+    "geometric_ladder",
+    "ladder_values",
+    "double_until_stable",
+    "noise_gain",
+]
+
+NODES = 7  # nodes of every truncation ladder
+DOUBLING_START = 512  # first top node of a ladder doubled until stable
+FIXED_DEPTH = 2048  # top node of a ladder summed to a set depth
 
 
 def geometric_ladder(k_max: int, levels: int, ratio: int = 2) -> list[int]:
@@ -88,6 +102,18 @@ def extrapolate(
                 f"vs raw spread {raw_spread:.3e}"
             )
     return limit, err
+
+
+def noise_gain(levels: int) -> float:
+    """Sum of the magnitudes of the weights with which :func:`extrapolate`
+    combines the values of a ``levels``-node ladder (8.0 for 7 nodes): the
+    most it amplifies an error carried by every value.  The weights depend
+    only on the ratios of the steps, so any ratio-2 ladder gives the same sum."""
+    steps = [1.0 / k for k in geometric_ladder(2 ** (levels - 1), levels)]
+    return sum(
+        abs(extrapolate(steps, [float(i == j) for i in range(levels)])[0])
+        for j in range(levels)
+    )
 
 
 def ladder_values(

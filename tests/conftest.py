@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import importlib.util
+import math
+from pathlib import Path
+
+import mpmath as mp
 import pytest
 
 import oracles
@@ -63,3 +70,39 @@ def rel_diff(a: complex, b: complex) -> float:
 def matrix_rel_diff(m: dict, ref: dict) -> float:
     """Worst entrywise relative difference between two keyed 2x2 matrices."""
     return max(rel_diff(m[k], ref[k]) for k in ("++", "+-", "-+", "--"))
+
+
+@functools.cache
+def _oracle_solver():
+    """``tools/make_oracles.py`` as a module; its import sets ``mp.dps = 50``,
+    which is put back."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_oracles.py"
+    spec = importlib.util.spec_from_file_location("make_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    dps = mp.mp.dps
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        mp.mp.dps = dps
+    return module
+
+
+@functools.cache
+def solver_matrix(spec) -> dict:
+    """Connection matrix of any spec from the independent 50-digit
+    series/Wronskian solver of ``tools/make_oracles.py`` (the one that froze
+    ``tests/oracles.py``), matched at z = 1/2.  The series about 1 converges
+    there only if the HE singularity ``1/lam`` is more than 1/2 away from 1;
+    both series are summed until their terms at z = 1/2 fall below 1e-48."""
+    reach = min(1.0, abs(1 / complex(spec.lam) - 1)) if spec.family == "HE" else 1.0
+    if reach <= 0.5:
+        raise ValueError(f"the series about 1 diverges at z = 1/2 for lam = {spec.lam}")
+    K = math.ceil(48 / math.log10(2 * reach)) + 30
+    prm = {
+        f.name: mp.mpmathify(v)
+        for f in dataclasses.fields(spec)
+        if (v := getattr(spec, f.name)) is not None and not isinstance(v, str)
+    }
+    with mp.workdps(50):
+        matrix = _oracle_solver().connection_matrix(spec.family, prm, K)
+    return {k: complex(v) for k, v in matrix.items()}

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import random
+import threading
 import time
+from dataclasses import replace
 from itertools import islice
 
 import mpmath as mp
 import pytest
 
 import oracles
-from conftest import matrix_rel_diff, oracle_matrix, rel_diff
+from conftest import matrix_rel_diff, oracle_matrix, rel_diff, solver_matrix
 from heunconn import (
     METHODS,
     AccessoryResonance,
@@ -35,6 +38,7 @@ from heunconn import (
 from heunconn.connection import _eta_sweep, _fixed_iterates, _flip_spec, _ss_precision
 from heunconn.equations import recurrence_quadratics
 from heunconn.precision import HIGH, spec_to_precision
+from heunconn.richardson import FIXED_DEPTH
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -114,13 +118,13 @@ class TestMatrixRoutes:
 def _assert_fixed_point_iterates_match(spec, K=2048):
     """The first K fixed-point iterates of the ss route equal mpmath
     canonical_recurrence_step iterates at the route's working dps."""
-    dps, bits = _ss_precision(complex(spec.theta1), 16384)
+    dps, bits = _ss_precision(complex(spec.theta1), FIXED_DEPTH)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
         with mp.workprec(bits):
             quadratics = recurrence_quadratics(msp, K)
         u_km1, u_k = mp.mpf(0), mp.mpf(1)
-        for k, (re, im) in enumerate(islice(_fixed_iterates(quadratics, bits), K)):
+        for k, (re, im) in enumerate(islice(_fixed_iterates(quadratics, bits, mp.mp), K)):
             u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
             fixed = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
             assert abs(fixed - u_k) <= 1e-25 * abs(u_k), k
@@ -171,7 +175,52 @@ class TestLargeOrder:
         ref = oracle_matrix(RUNS[family])
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
         if method == "ss":
-            assert mat.depth_or_K == 16384
+            assert mat.depth_or_K == FIXED_DEPTH
+
+    # At large coupling the HE amplitude grows like 1/(1-lam) and the
+    # recurrence's second root lam magnifies rounding by 1/(1-lam).
+    @pytest.mark.parametrize(
+        "method, spec",
+        [
+            pytest.param(method, spec, id=f"{spec.family}-{spec.lam}-{method}")
+            for spec, methods in [
+                (he_spec(-0.3037, -0.4366, 0.1266, 0.3688, 0.2675, 0.5747), ("cf", "recurrence")),
+                (he_spec(-0.1416, -0.2117, -0.3047, -0.4292, 0.3618, 0.6114), ("recurrence",)),
+                (rche_spec(-0.0136, 0.1110, 0.1090, -0.7548), ("cf", "recurrence")),
+                (che_spec(-0.2172, 0.4095, 0.4183, -0.3019, 0.8661), ("cf", "recurrence")),
+            ]
+            for method in methods
+        ],
+    )
+    def test_err_estimate_bounds_solver_error_at_large_coupling(self, method, spec):
+        mat = connection_matrix(spec, method)
+        ref = solver_matrix(spec)
+        assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
+
+    def test_ss_ignores_other_threads_mpmath_precision(self):
+        rng = random.Random(11)
+        specs = [
+            he_spec(*(rng.uniform(-0.4, 0.4) for _ in range(4)), rng.uniform(0.1, 0.4),
+                    rng.uniform(-0.5, 0.5))
+            for _ in range(10)
+        ]
+        want = [connection_matrix(spec, "ss").entries for spec in specs]
+        dps, stop = mp.mp.dps, threading.Event()
+
+        def meddle():  # holds mpmath's shared precision at 15 digits most of the time
+            while not stop.is_set():
+                with mp.workdps(15):
+                    time.sleep(1e-4)
+
+        thread = threading.Thread(target=meddle)
+        thread.start()
+        try:
+            got = [connection_matrix(spec, "ss").entries for spec in specs]
+        finally:
+            stop.set()
+            thread.join()
+        assert got == want
+        assert mp.mp.dps == dps
 
 
 class TestContinuedFraction:
@@ -209,6 +258,30 @@ class TestContinuedFraction:
         assert sorted(calls) == list(range(k_top + buffer + 1))
         monkeypatch.undo()
         assert etas == _eta_sweep(he_example, k_top, buffer)
+
+    @pytest.mark.parametrize("lam", [None, 0.6, -0.85])
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_resumed_sweep_matches_fresh_sweep(self, request, family, lam, monkeypatch):
+        # A doubling round keeps eta_1..eta_512 of the round before; they
+        # differ from a fresh sweep's by less than the seed bound of 1e-18.
+        import heunconn.connection as connection
+
+        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
+        if lam is not None:
+            spec = replace(spec, lam=lam)
+        buffer = connection._seed_buffer(abs(spec.lam))
+        fresh = _eta_sweep(spec, 1024, buffer)
+        calls = []
+        real = connection.alpha_beta
+
+        def counting(spec, k):
+            calls.append(k)
+            return real(spec, k)
+
+        monkeypatch.setattr(connection, "alpha_beta", counting)
+        resumed = _eta_sweep(spec, 1024, buffer, 512)
+        assert sorted(calls) == list(range(512, 1024 + buffer + 1))
+        assert _eta_sweep(spec, 512, buffer) + resumed == fresh
 
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)

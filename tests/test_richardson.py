@@ -8,7 +8,7 @@ import math
 import pytest
 
 from heunconn import NonConvergence, SlowConvergence, extrapolate, geometric_ladder
-from heunconn.richardson import double_until_stable, ladder_values
+from heunconn.richardson import double_until_stable, ladder_values, noise_gain
 
 
 class TestGeometricLadder:
@@ -115,6 +115,22 @@ class TestLadderCapture:
         assert first == ladder_values(_inverse_squares(), 1024, 4)
         assert second == ladder_values(_inverse_squares(), 2048, 4)
         assert sorted(seen) == [128, 256, 512, 1024, 2048]
+
+
+class TestNoiseGain:
+    def test_single_node_passes_its_value(self):
+        assert noise_gain(1) == 1.0
+
+    def test_seven_nodes(self):
+        assert abs(noise_gain(7) - 8.0) <= 0.01
+
+    def test_bounds_the_limit_of_unit_errors(self):
+        # Errors of +-1 with the signs of the weights reach the gain exactly.
+        ks = geometric_ladder(512, 5)
+        steps = [1.0 / k for k in ks]
+        signs = [1.0 if extrapolate(steps, [float(i == j) for i in range(5)])[0] > 0 else -1.0
+                 for j in range(5)]
+        assert abs(extrapolate(steps, signs)[0] - noise_gain(5)) <= 1e-12
 
 
 class TestDoubleUntilStable:
