@@ -42,6 +42,7 @@ from .equations import (
     alpha_beta,
     canonical_recurrence_step,
     che_spec,
+    coefficient_table,
     he_spec,
     hyp_spec,
     rche_spec,
@@ -129,6 +130,7 @@ __all__ = [
     "he_spec",
     "validate",
     "alpha_beta",
+    "coefficient_table",
     "canonical_recurrence_step",
     "u_lambda0_sequence",
     "rescaled_a",

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .equations import EquationSpec, alpha_beta, validate
+from .equations import EquationSpec, coefficient_table, validate
 from .errors import DomainError, FamilyFieldError, SizeError
 from .richardson import FIXED_DEPTH, NODES, extrapolate, ladder_values
 
@@ -148,7 +148,7 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     if n > _MAX_N:
         raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
     terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-    betas = [alpha_beta(spec, k)[1] for k in range(1, FIXED_DEPTH + n)]
+    _, betas = coefficient_table(spec, 1, FIXED_DEPTH + n)
 
     def local(k: int) -> complex:  # weighted beta products of all walk types at k
         total = 0.0 + 0.0j

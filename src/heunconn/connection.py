@@ -35,7 +35,7 @@ import mpmath as mp
 
 from .equations import (
     EquationSpec,
-    alpha_beta,
+    coefficient_table,
     recurrence_quadratics,
     validate,
 )
@@ -175,21 +175,19 @@ def _seed_buffer(lam_abs: float) -> int:
 def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int, k_low: int = 0) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
     from a unit seed at ``k_top + buffer`` down to ``k_low + 1``; returns
-    ``[eta_{k_low+1}, ..., eta_k_top]``.  Each ``alpha_beta(spec, k - 1)`` also
-    gives the ``beta`` of the next level.
+    ``[eta_{k_low+1}, ..., eta_k_top]``, from one coefficient table of the
+    indices ``k_low .. k_top + buffer``.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
     out = [one] * (k_top - k_low)
-    _, be = alpha_beta(spec, k_top + buffer)
+    alphas, betas = coefficient_table(spec, k_low, k_top + buffer + 1)
     for k in range(k_top + buffer, k_low, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        al_prev, be_prev = alpha_beta(spec, k - 1)
-        eta = 1 - lam * al_prev - lam * be / eta
-        be = be_prev
+        eta = 1 - lam * alphas[k - 1 - k_low] - lam * betas[k - k_low] / eta
         if watch_branch and complex(eta).real <= 0.0:
             raise BranchAmbiguity(
                 f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
@@ -226,11 +224,12 @@ def log_a_infinity_cf(
     buffer = _seed_buffer(lam_abs)
     seed_err = lam_abs**buffer if lam_abs < 1 else 1.0
     sums: list = []  # ln eta_1 + ... + ln eta_k for k = 1 .. the last round's depth
+    log = mp.log if any(is_mp(getattr(spec, f.name)) for f in fields(spec)) else cmath.log
 
     def limit_at(k_max: int) -> tuple[Any, float]:
         total = sums[-1] if sums else 0
         for eta in _eta_sweep(spec, k_max, buffer, len(sums)):
-            total += p_log(eta)
+            total += log(eta)
             sums.append(total)
         val, err = extrapolate(*ladder_values(sums, k_max, NODES))
         return val, float(err) + seed_err
@@ -244,13 +243,15 @@ def log_a_infinity_cf(
 
 
 def _forward_iterates(spec: EquationSpec):
-    """Iterates ``a_1, a_2, ...`` of ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})``."""
+    """Iterates ``a_1, a_2, ...`` of ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})``,
+    with the coefficients tabled ``DOUBLING_START`` rows at a time."""
+    lam = spec.lam
     a_km1 = 0.0
     a_k = 1.0 + 0 * spec.theta0
-    for k in count():
-        al, be = alpha_beta(spec, k)
-        a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
-        yield a_k
+    for start in count(0, DOUBLING_START):
+        for al, be in zip(*coefficient_table(spec, start, start + DOUBLING_START)):
+            a_k, a_km1 = a_k - lam * (al * a_k + be * a_km1), a_k
+            yield a_k
 
 
 def _recurrence_limit(
@@ -622,11 +623,10 @@ def tail_determinant_limit(spec: EquationSpec, N: int = 10000) -> tuple[complex,
     nodes = geometric_ladder(N, _TAIL_LEVELS)
     vals = []
     for n_j in nodes:
+        alphas, betas = coefficient_table(spec, n_j, n_j + rows)
         p_mm2 = 1.0 + 0 * spec.theta0
-        al, _ = alpha_beta(spec, n_j)
-        p_mm1 = 1 - lam * al
-        for m in range(2, rows + 1):
-            al, be = alpha_beta(spec, n_j + m - 1)
+        p_mm1 = 1 - lam * alphas[0]
+        for al, be in zip(alphas[1:], betas[1:]):
             p_mm1, p_mm2 = (1 - lam * al) * p_mm1 - lam * be * p_mm2, p_mm1
         vals.append(p_mm1)
     limit, err = extrapolate([1.0 / n for n in nodes], vals)

@@ -44,6 +44,7 @@ __all__ = [
     "he_spec",
     "validate",
     "alpha_beta",
+    "coefficient_table",
     "canonical_recurrence_step",
     "u_lambda0_sequence",
     "rescaled_a",
@@ -188,38 +189,86 @@ def _q_pair(spec: EquationSpec, k: Any) -> tuple[Any, Any]:
     return q, qp
 
 
-def alpha_beta(spec: EquationSpec, k: int) -> tuple[Any, Any]:
-    """Coefficient pair of the rescaled recurrence at index ``k >= 0``.
+def _check_resonance(spec: EquationSpec, start: int, stop: int) -> None:
+    """Raise :class:`AccessoryResonance` at the first ``start <= k < stop``
+    where ``Q_k``, or ``Q'_k`` for ``k > 0``, is within 1e-12 of zero.
 
-    HYP has no coupling, so both entries are 0.  A denominator within 1e-12 of
+    ``Q_k = (k + a - x)(k + a + x)`` with ``a = 1/2 - theta0 + theta1``, and
+    ``Q'_k = Q_{k-1}``, so only the rounded roots ``k0 = round(Re(+-x - a))``
+    and ``k0 + 1`` (for ``Q'``) can come that close."""
+    x = spec.omega
+    a = 0.5 - spec.theta0 + spec.theta1
+    candidates = set()
+    for root in (x - a, -x - a):
+        try:
+            k0 = int(round(complex(root).real))
+        except (ValueError, OverflowError):  # a non-finite parameter
+            continue
+        candidates.update((k0, k0 + 1))
+    for k in sorted(candidates):
+        if start <= k < stop:
+            q, qp = _q_pair(spec, k)
+            if abs(q) < _RESONANCE_TOL or (k > 0 and abs(qp) < _RESONANCE_TOL):
+                raise AccessoryResonance(
+                    f"recurrence denominator vanishes at k = {k} (Q = {q!r}, Q' = {qp!r})"
+                )
+
+
+def coefficient_table(spec: EquationSpec, start: int, stop: int) -> tuple[list, list]:
+    """Coefficient pairs of the rescaled recurrence for ``start <= k < stop``,
+    as the lists ``(alphas, betas)``.
+
+    HYP has no coupling, so every entry is 0.  A denominator within 1e-12 of
     zero raises :class:`AccessoryResonance`; ``beta_0 = 0`` for every family.
+    The constants of the spec are computed once per table.
     """
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
+    for k in (start, stop):
+        if not isinstance(k, int) or k < 0:
+            raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
+    rows = range(start, stop)
     if spec.family == "HYP":
-        return 0.0, 0.0
-    q, qp = _q_pair(spec, k)
-    if abs(q) < _RESONANCE_TOL or (k > 0 and abs(qp) < _RESONANCE_TOL):
-        raise AccessoryResonance(
-            f"recurrence denominator vanishes at k = {k} (Q = {q!r}, Q' = {qp!r})"
-        )
+        return [0.0] * len(rows), [0.0] * len(rows)
+    _check_resonance(spec, start, stop)
     t0, t1 = spec.theta0, spec.theta1
+    xx, two_t0 = spec.omega * spec.omega, 2 * t0
+    alphas, betas = [], []
     if spec.family == "RCHE":
-        alpha = 0.0
-        beta = k * (k - 2 * t0) / (q * qp) if k > 0 else 0.0
-        return alpha, beta
+        for k in rows:
+            base = k - t0 + t1
+            q = (base + 0.5) ** 2 - xx
+            qp = (base - 0.5) ** 2 - xx
+            betas.append(k * (k - two_t0) / (q * qp) if k > 0 else 0.0)
+        return [0.0] * len(rows), betas
     if spec.family == "CHE":
         ts = spec.theta_star
-        alpha = (k + 0.5 - t0 - ts) / q
-        beta = -(k * (k - 2 * t0) * (k - t0 + t1 - ts)) / (q * qp) if k > 0 else 0.0
-        return alpha, beta
+        for k in rows:
+            base = k - t0 + t1
+            q = (base + 0.5) ** 2 - xx
+            qp = (base - 0.5) ** 2 - xx
+            alphas.append((k + 0.5 - t0 - ts) / q)
+            betas.append(-(k * (k - two_t0) * (base - ts)) / (q * qp) if k > 0 else 0.0)
+        return alphas, betas
     # HE
-    tt, ti, om = spec.theta_t, spec.theta_inf, spec.omega
-    alpha = -(((k + 0.5 - t0 - tt) ** 2 - t0 * t0 - ti * ti + om * om)) / q
-    beta = (
-        k * (k - 2 * t0) * ((k - t0 + t1 - tt) ** 2 - ti * ti) / (q * qp) if k > 0 else 0.0
-    )
-    return alpha, beta
+    tt, ti = spec.theta_t, spec.theta_inf
+    t0t0, titi = t0 * t0, ti * ti
+    for k in rows:
+        base = k - t0 + t1
+        q = (base + 0.5) ** 2 - xx
+        qp = (base - 0.5) ** 2 - xx
+        alphas.append(-((k + 0.5 - t0 - tt) ** 2 - t0t0 - titi + xx) / q)
+        betas.append(
+            k * (k - two_t0) * ((base - tt) ** 2 - titi) / (q * qp) if k > 0 else 0.0
+        )
+    return alphas, betas
+
+
+def alpha_beta(spec: EquationSpec, k: int) -> tuple[Any, Any]:
+    """Coefficient pair of the rescaled recurrence at index ``k >= 0``: the
+    one row ``k`` of :func:`coefficient_table`."""
+    if not isinstance(k, int) or k < 0:
+        raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
+    alphas, betas = coefficient_table(spec, k, k + 1)
+    return alphas[0], betas[0]
 
 
 def canonical_recurrence_step(spec: EquationSpec, k: int, u_k: Any, u_km1: Any) -> Any:
@@ -328,8 +377,8 @@ def rescaled_a(spec: EquationSpec, K: int) -> list:
     a = [uk / u0k for uk, u0k in zip(u, u0)]
     lam = spec.lam
     worst = 0.0
-    for k in range(K):
-        al, be = alpha_beta(spec, k)
+    alphas, betas = coefficient_table(spec, 0, K)
+    for k, (al, be) in enumerate(zip(alphas, betas)):
         a_km1 = a[k - 1] if k >= 1 else 0.0
         resid = a[k + 1] - a[k] + lam * (al * a[k] + be * a_km1)
         scale = max(1.0, abs(a[k + 1]))

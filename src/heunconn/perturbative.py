@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Sequence
 
-from .equations import EquationSpec, alpha_beta, validate
+from .equations import EquationSpec, coefficient_table, validate
 from .errors import (
     DomainError,
     FamilyFieldError,
@@ -188,16 +188,13 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     one = jet_from_scalar(1.0, N)
     lam = jet_variable(N)
     eta = one
-    # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1},
-    # each alpha_beta(spec, k - 1) also giving the beta of the next level.
+    # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}.
     log_jets: list[tuple] = [()] * FIXED_DEPTH
-    _, be = alpha_beta(spec, FIXED_DEPTH + buffer)
+    alphas, betas = coefficient_table(spec, 0, FIXED_DEPTH + buffer + 1)
     for k in range(FIXED_DEPTH + buffer, 0, -1):
-        al_prev, be_prev = alpha_beta(spec, k - 1)
-        lam_be = Jet(N, tuple(0.0 if j != 1 else be for j in range(N + 1)))
-        lam_al = Jet(N, tuple(0.0 if j != 1 else al_prev for j in range(N + 1)))
+        lam_be = Jet(N, tuple(0.0 if j != 1 else betas[k] for j in range(N + 1)))
+        lam_al = Jet(N, tuple(0.0 if j != 1 else alphas[k - 1] for j in range(N + 1)))
         eta = jet_sub(jet_sub(one, lam_al), jet_div(lam_be, eta))
-        be = be_prev
         if k <= FIXED_DEPTH:
             log_jets[k - 1] = jet_log(eta).coeffs
     sums = accumulate(log_jets, lambda acc, lj: [a + b for a, b in zip(acc, lj)])

@@ -143,11 +143,12 @@ def double_until_stable(
 ) -> tuple[Any, int, Any]:
     """Double ``k`` from ``k_start`` until two successive ``limit_at(k) = (value,
     err)`` agree within ``tol`` with ``err < 10 tol``; returns ``(value, k, err)``.
-    Raises :class:`NonConvergence` (naming ``what``) past ``max_depth``, or when
-    the change between rounds has not beaten its best earlier value for two
-    rounds in a row: the ladder is then at its rounding floor."""
+    Raises :class:`NonConvergence` (naming ``what``) past ``max_depth``, before
+    any ``limit_at`` call when two rounds cannot fit below it, or when the
+    change between rounds has not beaten its best earlier value for two rounds
+    in a row: the ladder is then at its rounding floor."""
     k, prev, changes, stale = k_start, None, [], 0
-    while True:
+    while prev is not None or 2 * k <= max_depth:  # the first two rounds must fit
         val, err = limit_at(k)
         if prev is not None:
             change = abs(val - prev)
@@ -161,8 +162,7 @@ def double_until_stable(
                     "round: " + ", ".join(f"{c:.1e}" for c in changes)
                 )
         if 2 * k > max_depth:
-            raise NonConvergence(
-                f"{what} did not stabilise to {tol:.1e} within depth {max_depth}"
-            )
+            break
         prev = val
         k *= 2
+    raise NonConvergence(f"{what} did not stabilise to {tol:.1e} within depth {max_depth}")

@@ -114,7 +114,7 @@ _TOLS = {
     "determinant": 1e-10,
     "method_agreement_recurrence": 1e-8,
     "method_agreement_wronskian": 1e-8,
-    "method_agreement_ss": 1e-6,
+    "method_agreement_ss": 1e-8,
     "monodromy_products": 1e-8,
     "sigma_slope_vs_closed": 1e-3,
     "series_vs_closed_forms": 1e-8,

@@ -56,6 +56,18 @@ def he_example():
     )
 
 
+def resonant_spec(family: str):
+    """A coupled spec with omega = 5 + 1/2 - theta0 + theta1, so that the
+    recurrence denominators Q_5 and Q'_6 vanish."""
+    t0, t1 = 0.13, 0.27
+    om = 5 + 0.5 - t0 + t1
+    if family == "RCHE":
+        return rche_spec(t0, t1, om, 0.4)
+    if family == "CHE":
+        return che_spec(t0, t1, om, 0.19, 0.4)
+    return he_spec(t0, t1, 0.33, 0.41, om, 0.4)
+
+
 def oracle_matrix(run: dict) -> dict:
     """Decode the frozen ``matrix`` block of a RUN_* table to complex values."""
     return {k: oracles.cplx(v) for k, v in run["matrix"].items()}

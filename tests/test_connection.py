@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 import oracles
-from conftest import matrix_rel_diff, oracle_matrix, rel_diff, solver_matrix
+from conftest import matrix_rel_diff, oracle_matrix, rel_diff, resonant_spec, solver_matrix
 from heunconn import (
     METHODS,
     AccessoryResonance,
@@ -35,7 +35,13 @@ from heunconn import (
     schafke_schmidt_connection,
     tail_determinant_limit,
 )
-from heunconn.connection import _eta_sweep, _fixed_iterates, _flip_spec, _ss_precision
+from heunconn.connection import (
+    _eta_sweep,
+    _fixed_iterates,
+    _flip_spec,
+    _recurrence_limit,
+    _ss_precision,
+)
 from heunconn.equations import recurrence_quadratics
 from heunconn.precision import HIGH, spec_to_precision
 from heunconn.richardson import FIXED_DEPTH
@@ -223,6 +229,22 @@ class TestLargeOrder:
         assert mp.mp.dps == dps
 
 
+def _count_table_rows(monkeypatch) -> list:
+    """Indices of the coefficient-table rows the connection routes request
+    from here on."""
+    import heunconn.connection as connection
+
+    rows = []
+    real = connection.coefficient_table
+
+    def counting(spec, start, stop):
+        rows.extend(range(start, stop))
+        return real(spec, start, stop)
+
+    monkeypatch.setattr(connection, "coefficient_table", counting)
+    return rows
+
+
 class TestContinuedFraction:
     def test_log_amplitude_exponentiates(self, rche_example):
         import cmath
@@ -242,20 +264,10 @@ class TestContinuedFraction:
         assert abs(etas[-1] - 1.0) <= 1e-6
 
     def test_eta_sweep_reads_each_index_once(self, he_example, monkeypatch):
-        import heunconn.connection as connection
-
-        calls = []
-        real = connection.alpha_beta
-
-        def counting(spec, k):
-            calls.append(k)
-            return real(spec, k)
-
-        monkeypatch.setattr(connection, "alpha_beta", counting)
+        rows = _count_table_rows(monkeypatch)
         k_top, buffer = 300, 24
         etas = _eta_sweep(he_example, k_top, buffer)
-        assert len(calls) == k_top + buffer + 1
-        assert sorted(calls) == list(range(k_top + buffer + 1))
+        assert rows == list(range(k_top + buffer + 1))
         monkeypatch.undo()
         assert etas == _eta_sweep(he_example, k_top, buffer)
 
@@ -271,17 +283,37 @@ class TestContinuedFraction:
             spec = replace(spec, lam=lam)
         buffer = connection._seed_buffer(abs(spec.lam))
         fresh = _eta_sweep(spec, 1024, buffer)
+        rows = _count_table_rows(monkeypatch)
+        resumed = _eta_sweep(spec, 1024, buffer, 512)
+        assert rows == list(range(512, 1024 + buffer + 1))
+        assert _eta_sweep(spec, 512, buffer) + resumed == fresh
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_no_per_index_alpha_beta_calls(self, he_example, method, monkeypatch):
+        import heunconn
+
         calls = []
-        real = connection.alpha_beta
+        real = heunconn.equations.alpha_beta
 
         def counting(spec, k):
             calls.append(k)
             return real(spec, k)
 
-        monkeypatch.setattr(connection, "alpha_beta", counting)
-        resumed = _eta_sweep(spec, 1024, buffer, 512)
-        assert sorted(calls) == list(range(512, 1024 + buffer + 1))
-        assert _eta_sweep(spec, 512, buffer) + resumed == fresh
+        for module in (heunconn, heunconn.equations, heunconn.connection):
+            if hasattr(module, "alpha_beta"):
+                monkeypatch.setattr(module, "alpha_beta", counting)
+        connection_matrix(he_example, method=method)
+        assert calls == []
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_resonance_raised_by_both_sweeps(self, family):
+        spec = resonant_spec(family)
+        # The backward sweep checks its whole table before it starts, so it
+        # names the first resonant row; row by row it met k = 6 first.
+        with pytest.raises(AccessoryResonance, match=r"vanishes at k = [56] \(Q = "):
+            _eta_sweep(spec, 300, 24)
+        with pytest.raises(AccessoryResonance, match=r"vanishes at k = 5 \(Q = 0\.0, "):
+            _recurrence_limit(spec, 1e-10)
 
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)
@@ -326,6 +358,13 @@ class TestGuardsAndLimits:
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):
             connection_scalar(rche_example, max_depth=64)
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_tiny_depth_gives_up_before_sweeping(self, rche_example, method, monkeypatch):
+        rows = _count_table_rows(monkeypatch)
+        with pytest.raises(NonConvergence, match="within depth 64"):
+            connection_scalar(rche_example, method=method, max_depth=64)
+        assert rows == []
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_unreachable_tolerance_stalls_fast(self, rche_example, method):

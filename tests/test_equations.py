@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import mpmath as mp
 import pytest
 
+from conftest import resonant_spec
 from heunconn import (
     FAMILIES,
     AccessoryResonance,
@@ -15,6 +17,7 @@ from heunconn import (
     alpha_beta,
     canonical_recurrence_step,
     che_spec,
+    coefficient_table,
     he_spec,
     hyp_spec,
     rche_spec,
@@ -22,6 +25,7 @@ from heunconn import (
     u_lambda0_sequence,
     validate,
 )
+from heunconn.precision import HIGH, spec_to_precision
 
 
 class TestConstructorsAndValidate:
@@ -135,3 +139,171 @@ class TestRecurrenceData:
         spec = rche_spec(0.1, 0.2, 0.6, 0.1)
         with pytest.raises(AccessoryResonance):
             alpha_beta(spec, 1)
+
+
+# alpha_beta(spec, k) at k in (0, 1, 2, 7, 512, 1075), frozen from the
+# per-index evaluation before the coefficient table: float.hex of each
+# binary64 part, repr at 30 digits for the mpmath spec.
+GOLDEN_ROWS = {
+    "HYP": {
+        0: ("0x0.0p+0", "0x0.0p+0"),
+        1: ("0x0.0p+0", "0x0.0p+0"),
+        2: ("0x0.0p+0", "0x0.0p+0"),
+        7: ("0x0.0p+0", "0x0.0p+0"),
+        512: ("0x0.0p+0", "0x0.0p+0"),
+        1075: ("0x0.0p+0", "0x0.0p+0"),
+    },
+    "RCHE": {
+        0: ("0x0.0p+0", "0x0.0p+0"),
+        1: ("0x0.0p+0", "0x1.3317af3c13314p+0"),
+        2: ("0x0.0p+0", "0x1.bf8462c5508d1p-3"),
+        7: ("0x0.0p+0", "0x1.371744e584944p-6"),
+        512: ("0x0.0p+0", "0x1.ff66d45596641p-19"),
+        1075: ("0x0.0p+0", "0x1.d0501e0876a5dp-21"),
+    },
+    "CHE": {
+        0: ("0x1.1c71c71c71c72p-1", "0x0.0p+0"),
+        1: ("0x1.dcc2d9a6ddcc0p-2", "-0x1.050754f310505p+0"),
+        2: ("0x1.4a1330be5e6aap-2", "-0x1.9df40e901db5bp-2"),
+        7: ("0x1.fbd3c97d0c4bdp-4", "-0x1.0a5f1fcaecb89p-3"),
+        512: ("0x1.fef3b1b1bbecep-10", "-0x1.ff40796c0ff8dp-10"),
+        1075: ("0x1.e73bdb71f8f2cp-11", "-0x1.e75eb21fdbd70p-11"),
+    },
+    "HE": {
+        0: ("0x1.1032bcb8c7851p-3", "0x0.0p+0"),
+        1: ("-0x1.a66f08b5d4a74p-2", "0x1.09e5cf2c4d1d5p-1"),
+        2: ("-0x1.35efa4169fac0p-1", "0x1.3f132404c9310p-1"),
+        7: ("-0x1.b39225c817aadp-1", "0x1.b456530b97028p-1"),
+        512: ("-0x1.fecd6bea7f7b8p-1", "0x1.fecd75ea28618p-1"),
+        1075: ("-0x1.ff6dd405a79a9p-1", "0x1.ff6dd64a9fcf6p-1"),
+    },
+    "CHE_COMPLEX": {
+        0: (("0x1.40b1eceb5376ep-1", "0x1.1812a0fb56b56p-2"), "0x0.0p+0"),
+        1: (
+            ("0x1.daf770267e038p-2", "0x1.8491ac31b87c8p-5"),
+            ("-0x1.f550d511135eep-1", "-0x1.a94faf35c436ep-2"),
+        ),
+        2: (
+            ("0x1.473b8d8705218p-2", "0x1.39f8c2c5756aap-6"),
+            ("-0x1.920bfe858f680p-2", "-0x1.38cc5234808e0p-5"),
+        ),
+        7: (
+            ("0x1.f923a5f988472p-4", "0x1.419165bf27bbcp-9"),
+            ("-0x1.069313b9dbb9ep-3", "-0x1.a8762f2e862a1p-9"),
+        ),
+        512: (
+            ("0x1.fee6f91c81a98p-10", "0x1.3234b0e5781acp-21"),
+            ("-0x1.ff21e059e788fp-10", "-0x1.6fdb455898af8p-21"),
+        ),
+        1075: (
+            ("0x1.e73611310ddd0p-11", "0x1.16501acee4828p-23"),
+            ("-0x1.e750c8f960ab9p-11", "-0x1.4e270bfe76a66p-23"),
+        ),
+    },
+    "HE_COMPLEX": {
+        0: (("0x1.6cc063b178a6ep-3", "-0x1.22080aa2684fdp-3"), "0x0.0p+0"),
+        1: (
+            ("-0x1.a4ea4909a3240p-2", "-0x1.7506ccdcf3eecp-6"),
+            ("0x1.f47d0b79f3811p-2", "0x1.8dce9e4ece8a8p-4"),
+        ),
+        2: (
+            ("-0x1.35bee6e44c05fp-1", "-0x1.708b0da268172p-7"),
+            ("0x1.3e80b157dc4aep-1", "0x1.16e5359a50e95p-6"),
+        ),
+        7: (
+            ("-0x1.b38ef405a3c5ap-1", "-0x1.8a1e9b7a9c921p-9"),
+            ("0x1.b452ce7e8c650p-1", "0x1.9fa6460b4f98fp-9"),
+        ),
+        512: (
+            ("-0x1.fecd6bccd691cp-1", "-0x1.47f2c6a8b8364p-15"),
+            ("0x1.fecd75d96ce23p-1", "0x1.48057d43aa96bp-15"),
+        ),
+        1075: (
+            ("-0x1.ff6dd3fef2552p-1", "-0x1.38418ff3250bfp-16"),
+            ("0x1.ff6dd646debb4p-1", "0x1.3849e35cea432p-16"),
+        ),
+    },
+    "RCHE_MP": {
+        0: ("0x0.0p+0", "0x0.0p+0"),
+        1: ("0x0.0p+0", "mpf('1.19958014694856791349868408819915')"),
+        2: ("0x0.0p+0", "mpf('0.218514224669041992547537108339836')"),
+        7: ("0x0.0p+0", "mpf('0.0189874813859856191207815031044669')"),
+        512: ("0x0.0p+0", "mpf('0.00000381023941535272948876120501450215')"),
+        1075: ("0x0.0p+0", "mpf('0.000000864850279443215740203719679093344')"),
+    },
+}
+
+_COMPLEX_SPECS = {
+    "CHE_COMPLEX": lambda: che_spec(
+        0.13 + 0.05j, 0.27 - 0.03j, 0.41 + 0.02j, 0.19 - 0.04j, 0.35 + 0.1j
+    ),
+    "HE_COMPLEX": lambda: he_spec(
+        0.11 + 0.03j, 0.27 - 0.02j, 0.33 + 0.01j, 0.41 - 0.05j, 0.37 + 0.04j, 0.3 + 0.1j
+    ),
+}
+
+
+def _golden_spec(request, name):
+    """The spec of a GOLDEN_ROWS entry; call under ``mp.workdps(30)``."""
+    if name in _COMPLEX_SPECS:
+        return _COMPLEX_SPECS[name]()
+    if name == "RCHE_MP":
+        return spec_to_precision(request.getfixturevalue("rche_example"), HIGH)
+    return request.getfixturevalue(name.lower() + "_example")
+
+
+def _hex(v):
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, complex):
+        return (v.real.hex(), v.imag.hex())
+    return repr(v)
+
+
+# Messages of the per-index evaluation at the two resonant rows of resonant_spec.
+RESONANCE_AT = {
+    5: "recurrence denominator vanishes at k = 5 (Q = 0.0, Q' = -10.280000000000001)",
+    6: "recurrence denominator vanishes at k = 6 (Q = 12.279999999999998, Q' = 0.0)",
+}
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+    def test_alpha_beta_rows_are_frozen(self, request, name):
+        with mp.workdps(30):
+            spec = _golden_spec(request, name)
+            got = {k: tuple(map(_hex, alpha_beta(spec, k))) for k in GOLDEN_ROWS[name]}
+        assert got == GOLDEN_ROWS[name]
+
+    @pytest.mark.parametrize("start, stop", [(0, 8), (1, 3), (2, 513), (500, 1076), (1075, 1076)])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+    def test_table_rows_match_from_any_start(self, request, name, start, stop):
+        with mp.workdps(30):
+            spec = _golden_spec(request, name)
+            alphas, betas = coefficient_table(spec, start, stop)
+            got = {
+                k: (_hex(alphas[k - start]), _hex(betas[k - start]))
+                for k in GOLDEN_ROWS[name]
+                if start <= k < stop
+            }
+        assert len(alphas) == len(betas) == stop - start
+        assert got == {k: row for k, row in GOLDEN_ROWS[name].items() if start <= k < stop}
+
+    def test_empty_range_and_bad_index(self, he_example):
+        assert coefficient_table(he_example, 7, 7) == ([], [])
+        with pytest.raises(DomainError):
+            coefficient_table(he_example, -1, 3)
+        with pytest.raises(DomainError):
+            alpha_beta(he_example, 1.0)
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_resonance_raised_for_ranges_holding_it(self, family):
+        spec = resonant_spec(family)
+        first_resonant_row = {(5, 6): 5, (6, 7): 6, (0, 6): 5, (6, 600): 6, (0, 2048): 5}
+        for (start, stop), k in first_resonant_row.items():
+            with pytest.raises(AccessoryResonance) as info:
+                coefficient_table(spec, start, stop)
+            assert str(info.value) == RESONANCE_AT[k]
+        for start, stop in [(0, 5), (7, 2048), (5, 5)]:
+            alphas, _ = coefficient_table(spec, start, stop)
+            assert len(alphas) == stop - start

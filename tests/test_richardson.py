@@ -156,6 +156,19 @@ class TestDoubleUntilStable:
         with pytest.raises(NonConvergence, match="within depth 64"):
             double_until_stable(lambda k: (1.0 / k, 0.0), 1, 1e-12, 64, "test")
 
+    def test_gives_up_before_sweeping_when_two_rounds_cannot_fit(self):
+        calls = []
+
+        def limit_at(k):
+            calls.append(k)
+            return 1.0 / k, 0.0
+
+        with pytest.raises(NonConvergence, match="within depth 64"):
+            double_until_stable(limit_at, 512, 1e-12, 64, "test")
+        with pytest.raises(NonConvergence, match="within depth 1023"):
+            double_until_stable(limit_at, 512, 1e-12, 1023, "test")
+        assert calls == []
+
     def test_error_estimate_must_also_be_small(self):
         # Values agree exactly but the estimate stays large: no improvement
         # is possible, so the rounds stall.

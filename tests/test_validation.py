@@ -136,6 +136,23 @@ class TestFullReport:
         assert bad
         assert any("ParameterResonance" in c.detail for c in bad)
 
+    @pytest.mark.parametrize("fixture", ["rche_example", "he_example"])
+    def test_ss_agreement_catches_a_1e7_error(self, request, fixture, monkeypatch):
+        import heunconn.connection as connection
+
+        real = connection._ss_scalar
+
+        def off_by_1e7(spec):
+            # The value off by 1e-7 relative, with an estimate that says so,
+            # so the matrix still passes its own determinant gate.
+            val, err, K = real(spec)
+            return val * (1 + 1e-7), err + 1e-7 * abs(val), K
+
+        monkeypatch.setattr(connection, "_ss_scalar", off_by_1e7)
+        spec = request.getfixturevalue(fixture)
+        ss = {c.name: c for c in full_report(spec, FAST).checks}["method_agreement_ss"]
+        assert not ss.passed and 5e-8 < ss.residual < 2e-7, ss.line()
+
     def test_one_cf_matrix_per_report_and_its_error_in_each_check(
         self, rche_example, monkeypatch
     ):
