@@ -412,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=("double", "high"), default=None,
                    help="working precision; default from HEUN_PRECISION or double")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="target tolerance for iterative routes (default 1e-10)")
+                   help="largest error estimate the cf/recurrence routes accept (default 1e-10)")
     p.add_argument("--max-depth", type=int, default=2**20,
-                   help="depth/truncation cap for iterative routes (default 2^20)")
+                   help="cap on the sweep depth K of the cf/recurrence routes (default 2^20)")
     p.add_argument("--allow-large-coupling", action="store_true",
                    help="bypass the |lambda| < 0.9 safety gate")
     p.set_defaults(func=cmd_connect)

@@ -7,9 +7,9 @@ routes are implemented:
 
 * ``cf``          — backward continued-fraction evaluation of the factors
   ``eta_k`` with ``ln a_inf = sum_k ln eta_k`` (plus ``-ln(1-lam)`` for HE),
-  ladder-extrapolated in the truncation order;
+  summed to a depth ``K`` plus the formal ``1/K`` series of the rest;
 * ``recurrence``  — forward iteration of the rescaled three-term recurrence
-  ``a_k`` with the same ladder extrapolation of the limit;
+  to ``a_K``, divided by the formal ``1/K`` series of ``a_K / a_inf``;
 * ``ss``          — large-order asymptotics of the series coefficients,
   ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, with the
   coefficients iterated in fixed-point Gaussian integers at the working
@@ -25,16 +25,19 @@ mutually certify each other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass, fields, replace
 from itertools import count
-from typing import Any
+from operator import mul
+from typing import Any, Iterator
 
 import mpmath as mp
 
 from .equations import (
     EquationSpec,
+    coefficient_expansions,
     coefficient_table,
     recurrence_quadratics,
     validate,
@@ -45,6 +48,7 @@ from .errors import (
     DetCheckFailed,
     DomainError,
     MonodromyInconsistent,
+    NonConvergence,
     TailError,
 )
 from .frobenius import frobenius_series, wronskian
@@ -56,16 +60,7 @@ from .precision import (
     p_log,
     p_power,
 )
-from .richardson import (
-    DOUBLING_START,
-    FIXED_DEPTH,
-    NODES,
-    double_until_stable,
-    extrapolate,
-    geometric_ladder,
-    ladder_values,
-    noise_gain,
-)
+from .richardson import FIXED_DEPTH, NODES, extrapolate, geometric_ladder, ladder_values
 from .special import log_gamma
 
 __all__ = [
@@ -93,8 +88,17 @@ _SERIES_TOL = 1e-15  # last retained series term at the probe
 # Relative error of the binary64 fusion_cl factor away from gamma poles
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
-# Most that the cf/recurrence ladder amplifies the rounding of its values.
-_ROUNDING_GAIN = noise_gain(NODES)
+_EPS64 = 2.0**-53  # unit roundoff of binary64
+# Depth rule of the cf and recurrence sweeps (see _tail_depth): at least
+# _TAIL_MIN_DEPTH, _ROOT_FACTOR times above the roots of the denominators, and
+# deep enough that the second solution is e^-_MODE_MARGIN below the roundoff.
+_TAIL_MIN_DEPTH = 64
+_ROOT_FACTOR = 8
+_MODE_MARGIN = 4.0
+# A 1/k tail is given up after this many pairs of terms without a new
+# smallest pair, or past this many terms in all.
+_TAIL_STALL = 8
+_TAIL_MAX_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -172,30 +176,158 @@ def _seed_buffer(lam_abs: float) -> int:
     return min(4000, max(24, b))
 
 
-def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int, k_low: int = 0) -> list:
+def _is_mp_spec(spec: EquationSpec) -> bool:
+    return any(map(is_mp, vars(spec).values()))
+
+
+def _unit_roundoff(mpmath_numbers: bool) -> float:
+    """Unit roundoff: that of the current mpmath precision for mpmath
+    numbers, else binary64's ``2^-53``."""
+    return 2.0**-mp.mp.prec if mpmath_numbers else _EPS64
+
+
+def _log_second_mode(spec: EquationSpec, K: int) -> float:
+    """ln of a bound on the recurrence's second solution from depth ``K`` on,
+    relative to the first.  Its characteristic roots are 1 and
+    ``lam beta^(0)``: ``beta^(0) = 1`` for HE, so the second solution decays
+    like ``|lam|^k``; for RCHE and CHE ``beta_k`` falls like ``1/k`` or faster,
+    so it decays like ``|lam|^k / k!``.  The bound sums these sizes over
+    ``k >= K``."""
+    lam_abs = abs(spec.lam)
+    ratio = lam_abs if spec.family == "HE" else lam_abs / (K + 1)
+    if ratio >= 1.0:
+        return math.inf
+    log_mode = K * math.log(lam_abs) - math.log1p(-ratio)
+    return log_mode if spec.family == "HE" else log_mode - math.lgamma(K + 1)
+
+
+def _tail_depth(spec: EquationSpec, eps: float, max_depth: int, what: str) -> int:
+    """Sweep depth ``K`` of the ``cf`` and ``recurrence`` routes, from the
+    spec alone: the smallest ``K >= _TAIL_MIN_DEPTH`` that is
+
+    * ``_ROOT_FACTOR`` times above every root of ``Q_k`` and ``Q_{k-1}``,
+      and for HE above ``_ROOT_FACTOR / |1 - lam|``: the ``1/k`` expansions
+      then converge fast, and every index where the accessory-resonance gate
+      can fire lies inside the table;
+    * deep enough that the second solution (:func:`_log_second_mode`) is below
+      ``eps e^-_MODE_MARGIN``: for HE the ``1/k`` series grow like
+      ``n! / (K ln(1/|lam|))^n`` at large order ``n``, and their smallest
+      term, about ``sqrt(2 pi K ln(1/|lam|)) |lam|^K``, must fall below ``eps``.
+
+    Raises :class:`NonConvergence` when ``K`` would exceed ``max_depth``.
+    """
+    a = complex(0.5 - spec.theta0 + spec.theta1)
+    x = complex(spec.omega)
+    reach = max(abs(s - a + e * x) for s in (0, 1) for e in (1, -1))
+    if spec.family == "HE":
+        reach = max(reach, 1.0 / abs(1 - complex(spec.lam)))
+    K = max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
+    target = math.log(eps) - _MODE_MARGIN
+    lam_abs = abs(spec.lam)
+    if spec.family == "HE":
+        K = max(K, math.ceil((target + math.log1p(-lam_abs)) / math.log(lam_abs)))
+    while K <= max_depth and _log_second_mode(spec, K) > target:
+        K += 1
+    if K > max_depth:
+        raise NonConvergence(f"{what} needs depth K = {K}, above max_depth = {max_depth}")
+    return K
+
+
+@functools.cache  # at most _TAIL_MAX_ORDER rows
+def _binomial_rows(n: int) -> tuple[tuple, tuple]:
+    """Row ``n`` of Pascal's triangle, ``C(n, i)``, and the same with signs
+    ``(-1)^(n-i)``, as Python ints (exact under mpmath)."""
+    row = tuple(math.comb(n, i) for i in range(n + 1))
+    return row, tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row))
+
+
+def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[Any, float]:
+    """Sum an asymptotic series until two terms in a row are below ``eps``
+    (times the magnitude of the sum when ``relative``); returns ``(sum, larger
+    of those two sizes)``, which bounds the omitted terms of a decreasing
+    series.  Terms are judged in pairs because one small term can be a
+    cancellation at special parameters.  Raises :class:`NonConvergence`,
+    listing the terms, when ``_TAIL_STALL`` pairs in a row bring no new
+    smallest pair, or past ``_TAIL_MAX_ORDER`` terms."""
+    total, sizes, best, best_at = 0, [], math.inf, 0
+    for n, term in enumerate(terms, 1):
+        total = total + term
+        sizes.append(float(abs(term)))
+        pair = max(sizes[-2:])
+        if n >= 2 and pair < eps * (float(abs(total)) if relative else 1.0):
+            return total, pair
+        if pair < best:
+            best, best_at = pair, n
+        if n - best_at >= _TAIL_STALL or n >= _TAIL_MAX_ORDER:
+            raise NonConvergence(
+                f"{what}: the 1/k tail stopped decreasing before {eps:.1e}; terms "
+                + ", ".join(f"{s:.1e}" for s in sizes)
+            )
+    raise AssertionError("endless series ended")  # pragma: no cover
+
+
+def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
-    from a unit seed at ``k_top + buffer`` down to ``k_low + 1``; returns
-    ``[eta_{k_low+1}, ..., eta_k_top]``, from one coefficient table of the
-    indices ``k_low .. k_top + buffer``.
+    from a unit seed at ``k_top + buffer`` down to ``k = 1``; returns
+    ``[eta_1, ..., eta_k_top]``, from one coefficient table of the indices
+    ``0 .. k_top + buffer``.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
-    out = [one] * (k_top - k_low)
-    alphas, betas = coefficient_table(spec, k_low, k_top + buffer + 1)
-    for k in range(k_top + buffer, k_low, -1):
+    out = [one] * k_top
+    alphas, betas = coefficient_table(spec, 0, k_top + buffer + 1)
+    for k in range(k_top + buffer, 0, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        eta = 1 - lam * alphas[k - 1 - k_low] - lam * betas[k - k_low] / eta
+        eta = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
         if watch_branch and complex(eta).real <= 0.0:
             raise BranchAmbiguity(
                 f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
                 "logarithm branch tracking is ambiguous"
             )
         if k <= k_top:
-            out[k - k_low - 1] = eta
+            out[k - 1] = eta
     return out
+
+
+def _log_eta_tail(spec: EquationSpec, K: int) -> Iterator:
+    """Terms ``tau_n K^-n`` of ``T(K) = sum_{k>K} ln eta_k``.
+
+    ``eta_k = sum_j g_j k^-j`` (``g_0 = 1``) follows order by order from
+    ``eta_k eta_{k+1} = (1 - lam alpha_{k-1}) eta_{k+1} - lam beta_k``, whose
+    order ``k^-N`` fixes ``g_N`` with divisor ``1 - lam beta^(0)``; then
+    ``ln eta_k = sum_j l_j k^-j`` is its series logarithm, and ``T(K) -
+    T(K+1) = ln eta_{K+1}`` fixes ``tau_n`` at order ``K^-(n+1)`` with divisor
+    ``n``.  Coefficients at ``k + 1`` come from ``(1 + 1/k)^-j``."""
+    alpha_it, beta_it = coefficient_expansions(spec, alpha_shift=-1)
+    pa, qb = [next(alpha_it)], [next(beta_it)]
+    g, e, logs, m_logs, shifted, tau = [1], [1], [0], [0], [0], [0]
+    divisor = 1 + pa[0]
+    inv_k, scale = 1.0 / K, 1
+    for N in count(1):
+        pa.append(next(alpha_it))
+        qb.append(next(beta_it))
+        alt = _binomial_rows(N - 1)[1]
+        # e_N without g_N: the coefficient of k^-N in sum_{j<N} g_j (k+1)^-j.
+        e_partial = sum(map(mul, alt, g[1:]))
+        residual = (
+            sum(map(mul, g[1:], e[:0:-1]))
+            + pa[0] * e_partial
+            + sum(map(mul, pa[1:], e[::-1]))
+            + qb[N]
+        )
+        g.append(-residual / divisor)
+        e.append(e_partial + g[N])
+        logs.append(g[N] - sum(map(mul, m_logs[1:], g[N - 1:0:-1])) / N)
+        m_logs.append(N * logs[N])
+        shifted.append(logs[N] + sum(map(mul, alt, logs[1:N])))  # of ln eta_{k+1}
+        if N >= 2:
+            n = N - 1
+            tau.append((shifted[N] + sum(map(mul, alt, tau[1:n]))) / n)
+            scale *= inv_k
+            yield tau[n] * scale
 
 
 def log_a_infinity_cf(
@@ -206,52 +338,94 @@ def log_a_infinity_cf(
 ) -> tuple[Any, int, float]:
     """``ln a_inf`` by the continued-fraction route.
 
-    Sums ``ln eta_k`` with ladder extrapolation of the truncated sums, doubling
-    the truncation until two successive extrapolations agree within ``tol``
-    (plus the unit-seed bound); for HE the exact shift ``-ln(1-lam)`` is added.
-    Each doubling round sweeps only the new indices, from a seed ``buffer``
-    levels above the new truncation, and keeps the factors of the earlier
-    rounds: they differ from a fresh sweep's by the unit-seed bound.
-    Returns ``(value, depth, err_estimate)``; raises :class:`NonConvergence`
-    past ``max_depth`` and :class:`DomainError` at the coupling gate.
+    Sums ``ln eta_k`` for ``k <= K`` from one backward sweep seeded ``buffer``
+    levels above ``K``, and adds the formal tail ``sum_{k>K} ln eta_k`` in
+    powers of ``1/K`` (:func:`_log_eta_tail`) to working precision; for HE the
+    exact shift ``-ln(1-lam)`` is added.  ``K`` comes from
+    :func:`_tail_depth`.  The error estimate is the last tail terms
+    (:func:`_sum_tail`), the unit-seed bound and :func:`_sweep_floor`.
+    Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
+    ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
+    :class:`DomainError` at the coupling gate.
     """
     validate(spec)
     _check_lambda_gate(spec, allow_large_coupling)
     lam = spec.lam
     if lam == 0:
         return 0.0, 0, 0.0
+    what = "continued-fraction sum"
+    mp_spec = _is_mp_spec(spec)
+    eps = _unit_roundoff(mp_spec)
+    K = _tail_depth(spec, eps, max_depth, what)
     lam_abs = abs(lam)
     buffer = _seed_buffer(lam_abs)
+    log = mp.log if mp_spec else cmath.log
+    total = sum(map(log, _eta_sweep(spec, K, buffer)))
+    tail, omitted = _sum_tail(_log_eta_tail(spec, K), eps, False, what)
     seed_err = lam_abs**buffer if lam_abs < 1 else 1.0
-    sums: list = []  # ln eta_1 + ... + ln eta_k for k = 1 .. the last round's depth
-    log = mp.log if any(is_mp(getattr(spec, f.name)) for f in fields(spec)) else cmath.log
-
-    def limit_at(k_max: int) -> tuple[Any, float]:
-        total = sums[-1] if sums else 0
-        for eta in _eta_sweep(spec, k_max, buffer, len(sums)):
-            total += log(eta)
-            sums.append(total)
-        val, err = extrapolate(*ladder_values(sums, k_max, NODES))
-        return val, float(err) + seed_err
-
-    val, k, err = double_until_stable(
-        limit_at, DOUBLING_START, tol, max_depth, "continued-fraction sum"
-    )
+    err = omitted + seed_err + _sweep_floor(spec, K, eps)
+    _check_tol(err, tol, K, what)
+    val = total + tail
     if spec.family == "HE":
         val = val - p_log(1 - lam)
-    return val, k, err
+    return val, K, err
 
 
-def _forward_iterates(spec: EquationSpec):
-    """Iterates ``a_1, a_2, ...`` of ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})``,
-    with the coefficients tabled ``DOUBLING_START`` rows at a time."""
-    lam = spec.lam
-    a_km1 = 0.0
-    a_k = 1.0 + 0 * spec.theta0
-    for start in count(0, DOUBLING_START):
-        for al, be in zip(*coefficient_table(spec, start, start + DOUBLING_START)):
-            a_k, a_km1 = a_k - lam * (al * a_k + be * a_km1), a_k
-            yield a_k
+def _sweep_floor(spec: EquationSpec, K: int, eps: float) -> float:
+    """Relative error a sweep to depth ``K`` leaves besides its tail: the
+    second solution (:func:`_log_second_mode`) and ``K`` roundings, for HE
+    divided by ``|1 - lam|``, as the second characteristic root ``lam``
+    carries a rounding error ``d`` into the limit as ``d / (1 - lam)``."""
+    rounding = K * eps
+    if spec.family == "HE":
+        rounding /= abs(1 - complex(spec.lam))
+    return math.exp(_log_second_mode(spec, K)) + rounding
+
+
+def _check_tol(err: float, tol: float, K: int, what: str) -> None:
+    if err > tol:
+        raise NonConvergence(
+            f"{what} error estimate {err:.1e} at depth K = {K} is above tol = {tol:.1e}"
+        )
+
+
+def _recurrence_tail(spec: EquationSpec, K: int) -> Iterator:
+    """Terms ``d_n K^-n`` of ``S(K)`` in the formal solution ``a_k ~ a_inf
+    S(k)``, ``S(k) = sum_j d_j k^-j``, ``d_0 = 1``, of ``a_{k+1} = a_k -
+    lam (alpha_k a_k + beta_k a_{k-1})``.
+
+    Order ``k^-(n+1)`` fixes ``d_n`` with divisor ``n (1 - lam beta^(0))``
+    (less the ``1/k`` coefficients of ``lam alpha_k + lam beta_k``, which
+    cancel in exact arithmetic); coefficients at ``k + 1`` and ``k - 1`` come
+    from ``(1 +- 1/k)^-j``."""
+    alpha_it, beta_it = coefficient_expansions(spec)
+    pa = [next(alpha_it), next(alpha_it)]
+    qb = [next(beta_it), next(beta_it)]
+    d, back = [1], [1]  # back: coefficients of S(k - 1)
+    divisor, slope = 1 - qb[0], pa[1] + qb[1]
+    inv_k, scale = 1.0 / K, 1
+    yield 1.0
+    for n in count(1):
+        pa.append(next(alpha_it))
+        qb.append(next(beta_it))
+        row, alt = _binomial_rows(n)
+        known = d[1:]
+        # Coefficients of k^-(n+1) in S(k+1) - S(k), and of k^-(n+1), k^-n
+        # in S(k-1), without d_n.
+        forward = sum(map(mul, alt, known))
+        back_next = sum(map(mul, row, known))
+        back_n = sum(map(mul, _binomial_rows(n - 1)[0], known))
+        residual = (
+            forward
+            + sum(map(mul, pa[2:], d[::-1]))
+            + sum(map(mul, qb[2:], back[::-1]))
+            + qb[1] * back_n
+            + qb[0] * back_next
+        )
+        d.append(residual / (n * divisor - slope))
+        back.append(back_n + d[n])
+        scale *= inv_k
+        yield d[n] * scale
 
 
 def _recurrence_limit(
@@ -260,30 +434,56 @@ def _recurrence_limit(
     max_K: int = _MAX_DEPTH,
     allow_large_coupling: bool = False,
 ) -> tuple[Any, int, float]:
-    """Ladder-extrapolated limit of the rescaled iterates ``a_k``.  They do not
-    depend on the truncation, so the doubling rounds continue one forward sweep."""
+    """``a_inf = a_K / S(K)`` from one forward sweep of the rescaled
+    recurrence to ``a_K`` and its formal solution ``S`` (:func:`_recurrence_tail`)
+    summed to working precision.  The error estimate is the last terms of
+    ``S`` (:func:`_sum_tail`) and :func:`_sweep_floor`, relative to
+    ``max(|a_inf|, 1)``: the sweep's rounding stays at the size of its
+    iterates, which start at ``a_0 = 1``."""
     validate(spec)
     _check_lambda_gate(spec, allow_large_coupling)
-    if spec.lam == 0:
+    lam = spec.lam
+    if lam == 0:
         return 1.0, 0, 0.0
-    iterates, seen = _forward_iterates(spec), {}
-    return double_until_stable(
-        lambda k_max: extrapolate(*ladder_values(iterates, k_max, NODES, seen=seen)),
-        DOUBLING_START, tol, max_K, "recurrence limit",
-    )
+    what = "recurrence limit"
+    eps = _unit_roundoff(_is_mp_spec(spec))
+    K = _tail_depth(spec, eps, max_K, what)
+    a_km1 = 0.0
+    a_k = 1.0 + 0 * spec.theta0
+    for al, be in zip(*coefficient_table(spec, 0, K)):
+        a_k, a_km1 = a_k - lam * (al * a_k + be * a_km1), a_k
+    total, omitted = _sum_tail(_recurrence_tail(spec, K), eps, True, what)
+    a_inf = a_k / total
+    rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
+    err = max(float(abs(a_inf)), 1.0) * rel
+    _check_tol(err, tol, K, what)
+    return a_inf, K, err
 
 
 def _assembly_prefactor(spec: EquationSpec) -> Any:
     """Family factor multiplying ``F_cl * a_inf`` in the connection scalar."""
     if spec.family == "CHE":
-        return cmath.exp(complex(spec.lam) / 2.0)
+        return p_exp(spec.lam / 2)
     if spec.family == "HE":
-        return p_power(1.0 - complex(spec.lam), 0.5 - complex(spec.theta_t))
+        return p_power(1 - spec.lam, 0.5 - spec.theta_t)
     return 1.0
 
 
 def _third_parameter(spec: EquationSpec) -> Any:
     return spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+
+
+def _pref_err(spec: EquationSpec, eps: float) -> float:
+    """Relative error bound of the prefactor at unit roundoff ``eps``:
+    ``_PREF_ERR`` scaled from binary64, plus ``eps |z| / dist(z, poles)`` for
+    each gamma argument ``z`` of :func:`fusion_cl`, the rounding of ``z``
+    magnified near a pole of the gamma function (1 where ``Re z >= 1/2``)."""
+    t0, t1, x = spec.theta0, spec.theta1, _third_parameter(spec)
+    a = 0.5 + t1 - t0
+    ulps = _PREF_ERR / _EPS64
+    for z in (1 - 2 * t0, 2 * t1, a + x, a - x):
+        ulps += abs(z) / abs(z - round(z.real)) if z.real < 0.5 else 1.0
+    return float(eps * ulps)
 
 
 def _scalar_with_depth(
@@ -296,8 +496,10 @@ def _scalar_with_depth(
     validate(spec)
     method = method.lower()
     pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
+    # The prefactor's own error and the final rounding of the value to binary64.
+    rel_err = _pref_err(spec, _unit_roundoff(is_mp(pref))) + _EPS64
     if spec.family == "HYP" or spec.lam == 0:
-        return complex(pref), _PREF_ERR * float(abs(pref)), 0
+        return complex(pref), rel_err * float(abs(pref)), 0
     pref = pref * _assembly_prefactor(spec)
     if method == "cf":
         log_a, depth, err = log_a_infinity_cf(
@@ -313,16 +515,10 @@ def _scalar_with_depth(
         raise DomainError(
             f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
         )
-    # Binary64 rounding accumulates over the ``depth`` steps of either sweep and
-    # the ladder amplifies it by up to _ROUNDING_GAIN.  For HE the recurrence's
-    # second characteristic root lam carries a rounding error d into the limit
-    # as d/(1-lam), and a_inf itself grows like 1/(1-lam), so the error is
-    # scaled by the larger of |value| and |pref|.
-    rounding = depth * 2.0**-53 * _ROUNDING_GAIN
-    if spec.family == "HE":
-        rounding /= abs(1 - complex(spec.lam))
+    # Scaled by the larger of |value| and |pref|: near a zero of the amplitude
+    # the sweep's rounding stays at the size of its O(1) iterates.
     scale = max(abs(val), abs(pref))
-    return complex(val), float(scale) * (float(err) + _PREF_ERR + rounding), depth
+    return complex(val), float(scale) * (float(err) + rel_err), depth
 
 
 def connection_scalar(
@@ -424,7 +620,7 @@ def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
             quadratics = recurrence_quadratics(msp, FIXED_DEPTH)
         expo = 1 - 2 * msp.theta1
         gam = ctx.gamma(2 * msp.theta1)
-        pref = _assembly_prefactor(spec)
+        pref = complex(_assembly_prefactor(spec))
 
         def at_node(k, u):
             u_k = ctx.mpc(ctx.ldexp(u[0], -bits), ctx.ldexp(u[1], -bits))

@@ -25,7 +25,8 @@ run in mpmath arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from itertools import count
+from typing import Any, Iterator, Optional
 
 from .errors import (
     AccessoryResonance,
@@ -337,6 +338,55 @@ def recurrence_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, tuple,
         tuple(qi + lam * ri for qi, ri in zip(q, r)),
         (lam * (c * c - ti * ti), 2 * lam * c, lam),
     )
+
+
+def _at_shift(poly: tuple, s: int) -> list:
+    """``c0 + c1 k + c2 k^2`` at ``k + s`` as ``k^2 (c2 + c1' w + c0' w^2)``,
+    ``w = 1/k``: the coefficient list ``[c2, c1', c0']``."""
+    c0, c1, c2 = poly
+    return [c2, c1 + 2 * c2 * s, c0 + c1 * s + c2 * s * s]
+
+
+def _poly_product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _series_quotient(num: list, den: list) -> Iterator:
+    """Endless power-series coefficients of ``num(w) / den(w)``, ``den[0] != 0``."""
+    out = []
+    for n in count():
+        v = num[n] if n < len(num) else 0
+        for i in range(1, min(n, len(den) - 1) + 1):
+            v -= den[i] * out[n - i]
+        out.append(v / den[0])
+        yield out[-1]
+
+
+def coefficient_expansions(spec: EquationSpec, alpha_shift: int = 0) -> tuple[Iterator, Iterator]:
+    """Coefficients of the large-``k`` expansions in powers of ``1/k`` of
+    ``lam alpha_{k + alpha_shift}`` and ``lam beta_k``, as two endless iterators.
+
+    They come from the exact polynomial coefficients of
+    :func:`recurrence_quadratics`: ``lam alpha_k = 1 - A_k/Q_k`` and
+    ``lam beta_k = B_k lead_{k-1} / (Q_k Q_{k-1})``, with ``Q_k`` the
+    ``lam = 0`` part of ``A_k``.  The expansions converge for ``k`` above
+    every root of the denominators."""
+    lead, a_poly, b_poly = recurrence_quadratics(spec, 0)
+    x = spec.omega
+    t = 0.5 - spec.theta0 + spec.theta1
+    q_poly = (t * t - x * x, 2 * t, 1)
+    s = alpha_shift
+    q_s = _at_shift(q_poly, s)
+    alpha = _series_quotient([qi - ai for qi, ai in zip(q_s, _at_shift(a_poly, s))], q_s)
+    beta = _series_quotient(
+        _poly_product(_at_shift(b_poly, 0), _at_shift(lead, -1)),
+        _poly_product(_at_shift(q_poly, 0), _at_shift(q_poly, -1)),
+    )
+    return alpha, beta
 
 
 def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:

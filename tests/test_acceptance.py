@@ -381,7 +381,7 @@ def test_criterion_10_negative_controls(request, rche_example, he_example):
             rche_spec(0.1, 0.2, 0.3, 0.95), allow_large_coupling=True
         )
     with pytest.raises(NonConvergence):
-        connection_scalar(spec, max_depth=64)
+        connection_scalar(spec, max_depth=32)
     with pytest.raises(DomainError):
         geometric_ladder(100, 4)
     with pytest.raises(JetDivByZero):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import replace
 from itertools import islice
 
 import mpmath as mp
@@ -29,6 +28,7 @@ from heunconn import (
     fusion_cl,
     geometric_ladder,
     he_spec,
+    hyp_spec,
     log_a_infinity_cf,
     rche_spec,
     rescaled_a,
@@ -73,6 +73,15 @@ class TestFusionFormula:
     def test_complex_arguments(self):
         v = fusion_cl(0.1 + 0.02j, 0.2 - 0.01j, 0.3)
         assert v == v  # finite, no NaN
+
+    def test_err_estimate_grows_near_a_gamma_pole(self):
+        # 2 theta1 = -0.99984 lies 1.6e-4 from the pole at -1, which magnifies
+        # the rounding of the gamma argument about 6e3-fold.
+        spec = hyp_spec(-0.4523, -0.49992, -0.2249)
+        mat = connection_matrix(spec)
+        with mp.workdps(30):
+            high = connection_matrix(spec_to_precision(spec, HIGH))
+        assert max(abs(mat[k] - high[k]) for k in high.entries) <= mat.err_estimate
 
 
 class TestMatrixRoutes:
@@ -203,6 +212,24 @@ class TestLargeOrder:
         ref = solver_matrix(spec)
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
 
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_mpmath_estimate_is_below_binary64(self, rche_example, method):
+        # At 30 digits the estimate is about the final rounding to binary64,
+        # far below the binary64 sweep's; the oracle is read at 30 digits too.
+        with mp.workdps(30):
+            mat = connection_matrix(spec_to_precision(rche_example, HIGH), method)
+            ref = {k: mp.mpc(*v) for k, v in RUNS["RCHE"]["matrix"].items()}
+            worst = max(abs(mat[k] - ref[k]) for k in ref)
+        assert mat.err_estimate < 0.01 * connection_matrix(rche_example, method).err_estimate
+        assert worst <= mat.err_estimate
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_large_omega_matches_solver(self, method):
+        # The roots of Q_k near k = 13 set the sweep depth, not |lam|.
+        spec = rche_spec(0.13, 0.27, 12.3, 0.2)
+        mat = connection_matrix(spec, method)
+        assert matrix_rel_diff(mat.entries, solver_matrix(spec)) <= 1e-12
+
     def test_ss_ignores_other_threads_mpmath_precision(self):
         rng = random.Random(11)
         specs = [
@@ -271,23 +298,6 @@ class TestContinuedFraction:
         monkeypatch.undo()
         assert etas == _eta_sweep(he_example, k_top, buffer)
 
-    @pytest.mark.parametrize("lam", [None, 0.6, -0.85])
-    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
-    def test_resumed_sweep_matches_fresh_sweep(self, request, family, lam, monkeypatch):
-        # A doubling round keeps eta_1..eta_512 of the round before; they
-        # differ from a fresh sweep's by less than the seed bound of 1e-18.
-        import heunconn.connection as connection
-
-        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
-        if lam is not None:
-            spec = replace(spec, lam=lam)
-        buffer = connection._seed_buffer(abs(spec.lam))
-        fresh = _eta_sweep(spec, 1024, buffer)
-        rows = _count_table_rows(monkeypatch)
-        resumed = _eta_sweep(spec, 1024, buffer, 512)
-        assert rows == list(range(512, 1024 + buffer + 1))
-        assert _eta_sweep(spec, 512, buffer) + resumed == fresh
-
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_no_per_index_alpha_beta_calls(self, he_example, method, monkeypatch):
         import heunconn
@@ -355,23 +365,34 @@ class TestGuardsAndLimits:
         val, err = connection_scalar(spec, allow_large_coupling=True)
         assert err < 1e-8 and abs(val) > 0.01
 
+    def test_resonance_beyond_the_minimum_depth(self):
+        # Q_100 vanishes: the table must reach past k = 100, although |lam|
+        # alone would stop the sweep at K = 64.
+        t0, t1 = 0.13, 0.27
+        spec = rche_spec(t0, t1, 100.5 - t0 + t1, 0.2)
+        with pytest.raises(AccessoryResonance, match="vanishes at k = 100 "):
+            log_a_infinity_cf(spec)
+        with pytest.raises(AccessoryResonance, match="vanishes at k = 100 "):
+            _recurrence_limit(spec, 1e-10)
+
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):
-            connection_scalar(rche_example, max_depth=64)
+            connection_scalar(rche_example, max_depth=32)
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_tiny_depth_gives_up_before_sweeping(self, rche_example, method, monkeypatch):
+        # The example needs K = 64.
         rows = _count_table_rows(monkeypatch)
-        with pytest.raises(NonConvergence, match="within depth 64"):
-            connection_scalar(rche_example, method=method, max_depth=64)
+        with pytest.raises(NonConvergence, match="above max_depth = 32"):
+            connection_scalar(rche_example, method=method, max_depth=32)
         assert rows == []
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_unreachable_tolerance_stalls_fast(self, rche_example, method):
-        # 1e-16 is below the rounding floor of the ladder: the doubling rounds
-        # stop improving and the route must give up long before max_depth.
+        # 1e-16 is below the rounding floor of K steps: the route must give up
+        # at once instead of sweeping deeper.
         start = time.perf_counter()
-        with pytest.raises(NonConvergence, match="stalled"):
+        with pytest.raises(NonConvergence, match="is above tol"):
             connection_matrix(rche_example, method=method, tol=1e-16)
         assert time.perf_counter() - start < 5.0
 

@@ -7,8 +7,8 @@ import math
 
 import pytest
 
-from heunconn import NonConvergence, SlowConvergence, extrapolate, geometric_ladder
-from heunconn.richardson import double_until_stable, ladder_values, noise_gain
+from heunconn import SlowConvergence, extrapolate, geometric_ladder
+from heunconn.richardson import ladder_values
 
 
 class TestGeometricLadder:
@@ -107,84 +107,3 @@ class TestLadderCapture:
         items = (1.0 + 1.0 / k for k in itertools.count(1))
         _, vals = ladder_values(items, 64, 3, at_node=lambda k, v: k * v)
         assert vals == [17.0, 33.0, 65.0]
-
-    def test_seen_resumes_one_iterator(self):
-        it, seen = _inverse_squares(), {}
-        first = ladder_values(it, 1024, 4, seen=seen)
-        second = ladder_values(it, 2048, 4, seen=seen)
-        assert first == ladder_values(_inverse_squares(), 1024, 4)
-        assert second == ladder_values(_inverse_squares(), 2048, 4)
-        assert sorted(seen) == [128, 256, 512, 1024, 2048]
-
-
-class TestNoiseGain:
-    def test_single_node_passes_its_value(self):
-        assert noise_gain(1) == 1.0
-
-    def test_seven_nodes(self):
-        assert abs(noise_gain(7) - 8.0) <= 0.01
-
-    def test_bounds_the_limit_of_unit_errors(self):
-        # Errors of +-1 with the signs of the weights reach the gain exactly.
-        ks = geometric_ladder(512, 5)
-        steps = [1.0 / k for k in ks]
-        signs = [1.0 if extrapolate(steps, [float(i == j) for i in range(5)])[0] > 0 else -1.0
-                 for j in range(5)]
-        assert abs(extrapolate(steps, signs)[0] - noise_gain(5)) <= 1e-12
-
-
-class TestDoubleUntilStable:
-    def test_returns_on_agreement(self):
-        calls = []
-
-        def limit_at(k):
-            calls.append(k)
-            return 1.0 / k, 0.0
-
-        # Successive values differ by 1/k; the first k with 1/k < 0.01 is 128.
-        assert double_until_stable(limit_at, 1, 1e-2, 2**20, "test") == (1.0 / 128, 128, 0.0)
-        assert calls == [1, 2, 4, 8, 16, 32, 64, 128]
-
-    def test_ladder_limit_round(self):
-        val, k, err = double_until_stable(
-            lambda k: extrapolate(*ladder_values(_inverse_squares(), k, 4)), 256, 1e-10, 2**16, "test"
-        )
-        assert abs(val - math.pi**2 / 6.0) <= 1e-10
-        assert err < 1e-9 and k <= 2**16
-
-    def test_raises_past_max_depth(self):
-        with pytest.raises(NonConvergence, match="within depth 64"):
-            double_until_stable(lambda k: (1.0 / k, 0.0), 1, 1e-12, 64, "test")
-
-    def test_gives_up_before_sweeping_when_two_rounds_cannot_fit(self):
-        calls = []
-
-        def limit_at(k):
-            calls.append(k)
-            return 1.0 / k, 0.0
-
-        with pytest.raises(NonConvergence, match="within depth 64"):
-            double_until_stable(limit_at, 512, 1e-12, 64, "test")
-        with pytest.raises(NonConvergence, match="within depth 1023"):
-            double_until_stable(limit_at, 512, 1e-12, 1023, "test")
-        assert calls == []
-
-    def test_error_estimate_must_also_be_small(self):
-        # Values agree exactly but the estimate stays large: no improvement
-        # is possible, so the rounds stall.
-        with pytest.raises(NonConvergence, match="stalled"):
-            double_until_stable(lambda k: (1.0, 1.0), 1, 1e-3, 2**20, "test")
-
-    def test_raises_on_stall(self):
-        calls = []
-
-        def limit_at(k):
-            calls.append(k)
-            # Noise of fixed size: the change between rounds never shrinks.
-            return (-1.0) ** len(calls) * 1e-3, 0.0
-
-        with pytest.raises(NonConvergence) as info:
-            double_until_stable(limit_at, 1, 1e-9, 2**20, "noisy sum")
-        assert calls == [1, 2, 4, 8]
-        assert "noisy sum stalled" in str(info.value)
-        assert "2.0e-03, 2.0e-03, 2.0e-03" in str(info.value)
