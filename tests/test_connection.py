@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 import pytest
@@ -41,6 +42,7 @@ from heunconn.connection import (
     _flip_spec,
     _recurrence_limit,
     _ss_precision,
+    _sum_tail,
 )
 from heunconn.equations import recurrence_quadratics
 from heunconn.precision import HIGH, spec_to_precision
@@ -324,6 +326,19 @@ class TestContinuedFraction:
             _eta_sweep(spec, 300, 24)
         with pytest.raises(AccessoryResonance, match=r"vanishes at k = 5 \(Q = 0\.0, "):
             _recurrence_limit(spec, 1e-10)
+
+    def test_one_small_tail_term_does_not_stop_the_sum(self):
+        # A lone cancellation (tau_2 is 7e-22 on an entry of the RCHE
+        # example) must not cut the series before its 1e-6 term.
+        terms = [1.0, 1e-3, 1e-25, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-21, 1e-24]
+        total, omitted = _sum_tail(iter(terms), 2.0**-53, True, "test")
+        assert abs(total - sum(terms[:9])) <= 1e-15  # summed to the pair 1e-18, 1e-21
+        assert omitted == 1e-18
+
+    def test_growing_tail_terms_raise_and_are_listed(self):
+        terms = (math.factorial(n) / 4.0**n for n in count())
+        with pytest.raises(NonConvergence, match=r"stopped decreasing.*terms 1\.0e\+00, 2\.5e-01"):
+            _sum_tail(terms, 2.0**-53, True, "test")
 
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)
