@@ -266,29 +266,30 @@ def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[A
     raise AssertionError("endless series ended")  # pragma: no cover
 
 
-def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
+def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int, k_low: int = 0) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
-    from a unit seed at ``k_top + buffer`` down to ``k = 1``; returns
-    ``[eta_1, ..., eta_k_top]``, from one coefficient table of the indices
-    ``0 .. k_top + buffer``.
+    from a unit seed at ``k_top + buffer`` down to ``k_low + 1``; returns
+    ``[eta_{k_low+1}, ..., eta_k_top]``, from one coefficient table of the
+    indices ``k_low .. k_top + buffer``.  A sweep resumed from ``k_low`` differs
+    from a fresh one by the unit-seed bound only.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
-    out = [one] * k_top
-    alphas, betas = coefficient_table(spec, 0, k_top + buffer + 1)
-    for k in range(k_top + buffer, 0, -1):
+    out = [one] * (k_top - k_low)
+    alphas, betas = coefficient_table(spec, k_low, k_top + buffer + 1)
+    for k in range(k_top + buffer, k_low, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        eta = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
+        eta = 1 - lam * alphas[k - 1 - k_low] - lam * betas[k - k_low] / eta
         if watch_branch and complex(eta).real <= 0.0:
             raise BranchAmbiguity(
                 f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
                 "logarithm branch tracking is ambiguous"
             )
         if k <= k_top:
-            out[k - 1] = eta
+            out[k - k_low - 1] = eta
     return out
 
 

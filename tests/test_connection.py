@@ -6,6 +6,7 @@ import math
 import random
 import threading
 import time
+from dataclasses import replace
 from itertools import count, islice
 
 import mpmath as mp
@@ -299,6 +300,24 @@ class TestContinuedFraction:
         assert rows == list(range(k_top + buffer + 1))
         monkeypatch.undo()
         assert etas == _eta_sweep(he_example, k_top, buffer)
+
+    @pytest.mark.parametrize("lam", [None, 0.6, -0.85])
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_resumed_sweep_matches_fresh_sweep(self, request, family, lam, monkeypatch):
+        # A sweep resumed from k_low = 512 keeps eta_1..eta_512 of a shallower
+        # sweep; they differ from a fresh sweep's by less than the seed bound
+        # of 1e-18.
+        import heunconn.connection as connection
+
+        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
+        if lam is not None:
+            spec = replace(spec, lam=lam)
+        buffer = connection._seed_buffer(abs(spec.lam))
+        fresh = _eta_sweep(spec, 1024, buffer)
+        rows = _count_table_rows(monkeypatch)
+        resumed = _eta_sweep(spec, 1024, buffer, 512)
+        assert rows == list(range(512, 1024 + buffer + 1))
+        assert _eta_sweep(spec, 512, buffer) + resumed == fresh
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_no_per_index_alpha_beta_calls(self, he_example, method, monkeypatch):
