@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
-from .equations import EquationSpec, coefficient_table, validate
+from .connection import _binomial_rows, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff
+from .equations import EquationSpec, coefficient_expansions, coefficient_table, validate
 from .errors import DomainError, FamilyFieldError, SizeError
-from .richardson import FIXED_DEPTH, NODES, extrapolate, ladder_values
 
 __all__ = [
     "compositions",
@@ -131,11 +133,49 @@ def enumerate_walk_types(n: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _walk_tail(spec: EquationSpec, terms: list, n: int, K: int) -> Iterator:
+    """Terms ``tau_q K^-q`` of ``T(K) = sum_{k>K} local(k)``, where
+    ``local(k) = sum_mu N_mu prod_i beta_{k+i}^{mu_i}``.
+
+    ``beta_{k+s} = sum_j B_j k^-j (1 + s/k)^-j`` re-expands the ``1/k`` series
+    of ``beta_k`` at each shift; the products of these series give ``local(k +
+    1)`` in powers of ``1/k``, and ``T(K) - T(K+1) = local(K+1)`` fixes ``tau_q``
+    at order ``K^-(q+1)`` with divisor ``q``.  As ``beta_k = O(k^-2)``, ``local``
+    is ``O(k^-2n)`` and the terms start at ``q = 2n - 1``."""
+    _, beta_it = coefficient_expansions(replace(spec, lam=1))
+    factors = [[i + 1 for i, power in enumerate(mu) for _ in range(power)] for mu, _ in terms]
+    B, shifted = [], {s: [] for s in range(1, n + 1)}  # shifted[s]: beta_{k+s}
+    chains = [[[] for _ in f] for f in factors]  # partial products of each walk type
+    local, tau = [], [0]
+    inv_k, scale = 1.0 / K, 1
+    for p in itertools.count():
+        B.append(next(beta_it))
+        alt = _binomial_rows(p - 1)[1] if p else ()
+        for s, coeffs in shifted.items():
+            at_s = sum(a * s ** (p - j) * B[j] for j, a in enumerate(alt, 1))
+            coeffs.append(at_s if p else B[0])
+        total = 0
+        for (_, cnt), f, chain in zip(terms, factors, chains):
+            chain[0].append(shifted[f[0]][p])
+            for t in range(1, len(f)):
+                chain[t].append(sum(map(mul, chain[t - 1], reversed(shifted[f[t]]))))
+            total = total + cnt * chain[-1][p]
+        local.append(total)
+        if p >= 2:
+            q = p - 1
+            tau.append((local[p] + sum(map(mul, _binomial_rows(q)[1], tau[1:q]))) / q)
+            scale *= inv_k
+            if q >= 2 * n - 1:
+                yield tau[q] * scale
+
+
 def trace_power(spec: EquationSpec, n: int) -> complex:
     """``Tr A^{2n}`` for the two-term transition matrix built from the
-    family's ``beta_k``, via the walk-type expansion with ladder
-    extrapolation of the ``k``-sum.  Only families with ``alpha == 0``
-    (RCHE) expose the two-term structure; others raise
+    family's ``beta_k``, via the walk-type expansion: the weighted ``beta``
+    products of every walk type summed directly for ``k <= K``
+    (:func:`connection._root_depth`), plus the formal tail
+    :func:`_walk_tail` of the rest to working precision.  Only families with
+    ``alpha == 0`` (RCHE) expose the two-term structure; others raise
     :class:`FamilyFieldError`.
     """
     validate(spec)
@@ -148,7 +188,8 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     if n > _MAX_N:
         raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
     terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-    _, betas = coefficient_table(spec, 1, FIXED_DEPTH + n)
+    K = _root_depth(spec)
+    _, betas = coefficient_table(spec, 1, K + n)
 
     def local(k: int) -> complex:  # weighted beta products of all walk types at k
         total = 0.0 + 0.0j
@@ -161,9 +202,9 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
             total += prod
         return total
 
-    sums = itertools.accumulate(map(local, range(1, FIXED_DEPTH + 1)))
-    limit, _err = extrapolate(*ladder_values(sums, FIXED_DEPTH, NODES))
-    return complex(limit)
+    eps = _unit_roundoff(_is_mp_spec(spec))
+    tail, _ = _sum_tail(_walk_tail(spec, terms, n, K), eps, False, "walk-trace tail")
+    return complex(sum(map(local, range(1, K + 1))) + tail)
 
 
 def log_a_series_from_traces(spec: EquationSpec, N: int) -> list[complex]:

@@ -89,6 +89,7 @@ _SERIES_TOL = 1e-15  # last retained series term at the probe
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
 _EPS64 = 2.0**-53  # unit roundoff of binary64
+_SEED_TARGET = 1e-18  # bound on the cf route's unit-seed error
 # Depth rule of the cf and recurrence sweeps (see _tail_depth): at least
 # _TAIL_MIN_DEPTH, _ROOT_FACTOR times above the roots of the denominators, and
 # deep enough that the second solution is e^-_MODE_MARGIN below the roundoff.
@@ -162,18 +163,25 @@ def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
             )
 
 
-def _seed_buffer(lam_abs: float) -> int:
-    """Backward-sweep start offset so the unit-seed error is below 1e-18.
+def _seed_buffer(spec: EquationSpec, K: int) -> tuple[int, float]:
+    """Rows ``B`` above ``K`` where the backward sweep starts from a unit seed,
+    and a bound on the seed's error at ``K``, below ``_SEED_TARGET``.
 
-    The backward error contracts at least like |lam| per level once the
-    coefficients have saturated, so ``|lam|**B < 1e-18`` suffices.
+    Each level multiplies the seed error by about ``|lam beta_k|``. For HE
+    ``beta_k -> 1``, so the bound is ``|lam|^B``; for RCHE and CHE ``beta_k``
+    falls like ``1/k`` or faster, so it is the product of ``|lam|/k`` over the
+    buffer rows, and a few rows do even at ``|lam| >= 1``.
     """
-    if lam_abs <= 0.0:
-        return 1
-    if lam_abs >= 1.0:
-        return 4000
-    b = int(math.ceil(-18.0 / math.log10(lam_abs))) + 8
-    return min(4000, max(24, b))
+    lam_abs = float(abs(spec.lam))
+    if spec.family == "HE":
+        b = math.ceil(math.log10(_SEED_TARGET) / math.log10(lam_abs)) + 8
+        b = min(4000, max(24, b))
+        return b, lam_abs**b
+    b, bound = 0, 1.0
+    while bound >= _SEED_TARGET:
+        b += 1
+        bound *= lam_abs / (K + b)
+    return b, bound
 
 
 def _is_mp_spec(spec: EquationSpec) -> bool:
@@ -201,14 +209,23 @@ def _log_second_mode(spec: EquationSpec, K: int) -> float:
     return log_mode if spec.family == "HE" else log_mode - math.lgamma(K + 1)
 
 
+def _root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
+    """The smallest depth ``K >= _TAIL_MIN_DEPTH`` that is ``_ROOT_FACTOR``
+    times above ``reach`` and every root of ``Q_k`` and ``Q_{k-1}``: the ``1/k``
+    expansions of the coefficients converge fast there, and every index where
+    the accessory-resonance gate can fire is below it."""
+    a = complex(0.5 - spec.theta0 + spec.theta1)
+    x = complex(spec.omega)
+    reach = max(reach, *(abs(s - a + e * x) for s in (0, 1) for e in (1, -1)))
+    return max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
+
+
 def _tail_depth(spec: EquationSpec, eps: float, max_depth: int, what: str) -> int:
     """Sweep depth ``K`` of the ``cf`` and ``recurrence`` routes, from the
     spec alone: the smallest ``K >= _TAIL_MIN_DEPTH`` that is
 
-    * ``_ROOT_FACTOR`` times above every root of ``Q_k`` and ``Q_{k-1}``,
-      and for HE above ``_ROOT_FACTOR / |1 - lam|``: the ``1/k`` expansions
-      then converge fast, and every index where the accessory-resonance gate
-      can fire lies inside the table;
+    * at least :func:`_root_depth`, for HE also ``_ROOT_FACTOR`` times above
+      ``1 / |1 - lam|``;
     * deep enough that the second solution (:func:`_log_second_mode`) is below
       ``eps e^-_MODE_MARGIN``: for HE the ``1/k`` series grow like
       ``n! / (K ln(1/|lam|))^n`` at large order ``n``, and their smallest
@@ -216,12 +233,7 @@ def _tail_depth(spec: EquationSpec, eps: float, max_depth: int, what: str) -> in
 
     Raises :class:`NonConvergence` when ``K`` would exceed ``max_depth``.
     """
-    a = complex(0.5 - spec.theta0 + spec.theta1)
-    x = complex(spec.omega)
-    reach = max(abs(s - a + e * x) for s in (0, 1) for e in (1, -1))
-    if spec.family == "HE":
-        reach = max(reach, 1.0 / abs(1 - complex(spec.lam)))
-    K = max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
+    K = _root_depth(spec, 1.0 / abs(1 - complex(spec.lam)) if spec.family == "HE" else 0.0)
     target = math.log(eps) - _MODE_MARGIN
     lam_abs = abs(spec.lam)
     if spec.family == "HE":
@@ -358,12 +370,10 @@ def log_a_infinity_cf(
     mp_spec = _is_mp_spec(spec)
     eps = _unit_roundoff(mp_spec)
     K = _tail_depth(spec, eps, max_depth, what)
-    lam_abs = abs(lam)
-    buffer = _seed_buffer(lam_abs)
+    buffer, seed_err = _seed_buffer(spec, K)
     log = mp.log if mp_spec else cmath.log
     total = sum(map(log, _eta_sweep(spec, K, buffer)))
     tail, omitted = _sum_tail(_log_eta_tail(spec, K), eps, False, what)
-    seed_err = lam_abs**buffer if lam_abs < 1 else 1.0
     err = omitted + seed_err + _sweep_floor(spec, K, eps)
     _check_tol(err, tol, K, what)
     val = total + tail

@@ -1,19 +1,23 @@
-"""Coupling-series coefficients of ``ln a_inf`` via truncated-jet arithmetic.
+"""Coupling-series coefficients of ``ln a_inf`` from λ-jets of the forward
+recurrence and its formal ``1/k`` tail.
 
-A :class:`Jet` is a truncated power series in the coupling ``lam`` (degree-N
-polynomial with the O(lam^{N+1}) tail dropped).  Running the backward
-continued-fraction sweep with jets instead of numbers — the coupling itself
-being the jet ``(0, 1, 0, ...)`` — produces the factors ``eta_k`` as jets,
-and summing their logarithms gives the series
+The rescaled recurrence ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})``
+with ``a_0 = 1`` is run with ``a_k`` a truncated power series (a λ-jet) in the
+coupling.  Its order-``n`` coefficient obeys
 
-``ln a_inf = sum_{n>=1} c_n lam^n``
+``a^(n)_{k+1} = a^(n)_k - alpha_k a^(n-1)_k - beta_k a^(n-1)_{k-1}``,
 
-to any order in one sweep.  Because each backward level multiplies the seed
-error by one more power of ``lam``, a seed buffer of ``N+2`` levels above the
-deepest retained index makes the jets exact there; the remaining truncation
-error of the k-sum is algebraic in 1/K and is removed per coefficient by
-extrapolation over the library's one ladder shape (``richardson.NODES`` nodes
-up to ``K = richardson.FIXED_DEPTH``).
+so one sweep to depth ``K`` costs ``O(N K)`` additions and no division.  The
+limit follows from the formal solution ``a_k ~ a_inf S(k)``, ``S(k) = sum_j
+d_j k^-j`` (as in the ``recurrence`` route of :mod:`heunconn.connection`), with
+the ``d_j`` computed as λ-jets: ``ln a_inf = ln a_K - ln S(K)``.  At a fixed
+order in ``lam`` the recurrence has no second solution (that one is of order
+``lam^k``), so ``K`` only has to be ``_ROOT_FACTOR`` times above the roots of the
+denominators, and at least 64.  For HE the ``-ln(1 - lam)`` part of ``ln
+a_inf`` is in the jets already.
+
+The :class:`Jet` type and the ``jet_*`` functions are a small public toolkit of
+truncated-series arithmetic; the expansion above does not use them.
 
 Closed forms for the leading coefficients (``c_1, c_2`` for RCHE, ``c_1`` for
 HE through the composite-exponent slope ``sigma_1``) are implemented from
@@ -22,20 +26,20 @@ digamma/trigamma expressions and serve as independent references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import Any, Sequence
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain, count
+from operator import add, mul, sub
+from typing import Any, Iterator, Sequence
 
-from .equations import EquationSpec, coefficient_table, validate
+from .connection import _binomial_rows, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff
+from .equations import EquationSpec, coefficient_expansions, coefficient_table, validate
 from .errors import (
     DomainError,
     FamilyFieldError,
     JetDivByZero,
     ParameterResonance,
     SizeError,
-    SlowConvergence,
 )
-from .richardson import FIXED_DEPTH, NODES, extrapolate, ladder_values
 from .special import polygamma
 
 __all__ = [
@@ -59,7 +63,6 @@ __all__ = [
 
 _MAX_ORDER = 8
 _RESONANCE_TOL = 1e-10
-_TOL = 1e-9  # largest ladder correction accepted, relative to max(1, |c_n|)
 
 
 @dataclass(frozen=True)
@@ -142,14 +145,7 @@ def jet_log(f: Jet) -> Jet:
         raise DomainError(
             f"jet_log requires a unit constant term, got {f.coeffs[0]!r}"
         )
-    n = f.order
-    out = [0.0] * (n + 1)
-    for m in range(1, n + 1):
-        s = f.coeffs[m]
-        for j in range(1, m):
-            s = s - (j / m) * out[j] * f.coeffs[m - j]
-        out[m] = s
-    return Jet(n, tuple(out))
+    return Jet(f.order, tuple(_series_log(f.coeffs)))
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -170,47 +166,107 @@ def jet_exp(a: Jet) -> Jet:
     return Jet(n, tuple(out))
 
 
+class _Orders(tuple):
+    """The coefficients of one term of a λ-jet series, as :func:`_sum_tail`
+    adds and sizes them: elementwise, and by the largest magnitude."""
+
+    def __add__(self, other):
+        return _Orders(map(add, self, other))
+
+    def __radd__(self, other):  # the 0 that a sum starts from
+        return self
+
+    def __abs__(self):
+        return max(map(abs, self))
+
+
+def _forward_jet(alphas: list, betas: list, N: int) -> list:
+    """Orders ``0 .. N`` of ``a_K`` (``K = len(alphas)``), each a cumulative
+    sum over ``k`` of the order below: ``a^(n)_{k+1} = a^(n)_k - alpha_k
+    a^(n-1)_k - beta_k a^(n-1)_{k-1}``, with ``a^(n)_0 = 0`` for ``n >= 1``."""
+    prev = [1] * (len(alphas) + 1)  # a^(0)_k = 1
+    out = [1]
+    for _ in range(N):
+        steps = map(lambda al, be, x, y: al * x + be * y, alphas, betas, prev, chain((0,), prev))
+        prev = list(accumulate(steps, sub, initial=0))
+        out.append(prev[-1])
+    return out
+
+
+def _jet_tail(spec: EquationSpec, K: int, N: int) -> Iterator:
+    """Terms ``d_n K^-n`` of ``S(K)`` as λ-jets of orders ``0 .. N``: the
+    ``recurrence`` route's formal solution (``connection._recurrence_tail``)
+    with the coupling kept formal.
+
+    ``lam alpha_k`` and ``lam beta_k`` are ``lam`` times the ``1/k``
+    expansions ``A_j``, ``B_j`` of ``alpha_k`` and ``beta_k``, so in each term
+    that holds them order ``m`` reads order ``m - 1`` of the ``d``; the divisor
+    ``n (1 - lam B_0) - lam (A_1 + B_1) = n - lam s_n`` makes ``d^(m)_n =
+    (r^(m) + s_n d^(m-1)_n) / n``."""
+    alpha_it, beta_it = coefficient_expansions(replace(spec, lam=1))
+    A = [next(alpha_it), next(alpha_it)]
+    B = [next(beta_it), next(beta_it)]
+    # d[m][j], back[m][j]: order m of d_j and of the coefficient of k^-j in S(k - 1)
+    d = [[1]] + [[0] for _ in range(N)]
+    back = [[1]] + [[0] for _ in range(N)]
+    inv_k, scale = 1.0 / K, 1
+    yield _Orders([1.0] + [0.0] * N)
+    for n in count(1):
+        A.append(next(alpha_it))
+        B.append(next(beta_it))
+        row, alt = _binomial_rows(n)
+        row_n = _binomial_rows(n - 1)[0]
+        s_n = n * B[0] + A[1] + B[1]
+        scale *= inv_k
+        d_n, lam_part, term = 0, 0, []
+        for m in range(N + 1):
+            known = d[m][1:]
+            back_n = sum(map(mul, row_n, known))
+            d_n = (sum(map(mul, alt, known)) + lam_part + s_n * d_n) / n
+            term.append(d_n * scale)
+            # The lam terms of order m + 1: A and B against order m of
+            # d_0 .. d_{n-1} and of the coefficients of S(k - 1) without d_n.
+            lam_part = (
+                sum(map(mul, A[2:], d[m][::-1]))
+                + sum(map(mul, B[2:], back[m][::-1]))
+                + B[1] * back_n
+                + B[0] * sum(map(mul, row, known))
+            )
+            d[m].append(d_n)
+            back[m].append(back_n + d_n)
+        yield _Orders(term)
+
+
+def _series_log(f: Sequence) -> list:
+    """Series logarithm of coefficients with ``f_0 = 1``:
+    ``l_m = f_m - (1/m) sum_{j<m} j l_j f_{m-j}``."""
+    out = [0.0]
+    for m in range(1, len(f)):
+        out.append(f[m] - sum(j * out[j] * f[m - j] for j in range(1, m)) / m)
+    return out
+
+
 def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     """Coefficients ``c_1 .. c_N`` of ``ln a_inf`` in powers of the coupling.
 
-    The spec's own ``lam`` value is ignored — only the family structure and
-    the non-coupling parameters enter.  ``N`` above 8 raises
-    :class:`SizeError`; a ladder that fails to contract below
-    ``1e-9 max(1, |c_n|)`` for some coefficient raises
-    :class:`SlowConvergence`.  For HYP all coefficients vanish.
+    The spec's own ``lam`` value is ignored: only the family structure and
+    the non-coupling parameters enter.  One λ-jet sweep of the forward
+    recurrence to ``K`` (:func:`connection._root_depth`) gives ``a_K``, the
+    formal tail :func:`_jet_tail` summed to working precision gives ``S(K)``,
+    and ``ln a_inf = ln a_K - ln S(K)``.  ``N`` above 8 raises
+    :class:`SizeError`; a tail that stops decreasing raises
+    :class:`NonConvergence`.  For HYP all coefficients vanish.
     """
     validate(spec)
     if not isinstance(N, int) or N < 1 or N > _MAX_ORDER:
         raise SizeError(f"series order must be an integer in [1, {_MAX_ORDER}], got {N!r}")
     if spec.family == "HYP":
         return [0j] * N
-    buffer = N + 2
-    one = jet_from_scalar(1.0, N)
-    lam = jet_variable(N)
-    eta = one
-    # Backward sweep: eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}.
-    log_jets: list[tuple] = [()] * FIXED_DEPTH
-    alphas, betas = coefficient_table(spec, 0, FIXED_DEPTH + buffer + 1)
-    for k in range(FIXED_DEPTH + buffer, 0, -1):
-        lam_be = Jet(N, tuple(0.0 if j != 1 else betas[k] for j in range(N + 1)))
-        lam_al = Jet(N, tuple(0.0 if j != 1 else alphas[k - 1] for j in range(N + 1)))
-        eta = jet_sub(jet_sub(one, lam_al), jet_div(lam_be, eta))
-        if k <= FIXED_DEPTH:
-            log_jets[k - 1] = jet_log(eta).coeffs
-    sums = accumulate(log_jets, lambda acc, lj: [a + b for a, b in zip(acc, lj)])
-    inv_nodes, sums = ladder_values(sums, FIXED_DEPTH, NODES)
-    out = []
-    for n in range(1, N + 1):
-        cn, err = extrapolate(inv_nodes, [s[n] for s in sums], require_contraction=True)
-        if err > _TOL * max(1.0, abs(cn)):
-            raise SlowConvergence(
-                f"c_{n} ladder correction {err:.3e} above {_TOL:.1e}"
-            )
-        out.append(complex(cn))
-    if spec.family == "HE":
-        # exact shift from the -ln(1-lam) factor: + lam^n / n
-        out = [c + 1.0 / n for n, c in zip(range(1, N + 1), out)]
-    return out
+    K = _root_depth(spec)
+    a_K = _forward_jet(*coefficient_table(spec, 0, K), N)
+    eps = _unit_roundoff(_is_mp_spec(spec))
+    s_K, _ = _sum_tail(_jet_tail(spec, K, N), eps, False, "coupling-series tail")
+    return [complex(x - y) for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
 
 
 def _psi_diff(a: Any, w: Any) -> Any:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 import oracles
 from heunconn import che_spec, he_spec, hyp_spec, rche_spec
@@ -54,6 +56,36 @@ def he_example():
         _f(d["omega"]),
         _f(d["lam"]),
     )
+
+
+_THETA = 0.45
+_INT_MARGIN = 0.02  # of 2 theta0, 2 theta1 from an integer, of gamma arguments from 0
+
+
+def _away_from_int(x: float) -> bool:
+    return abs(x - round(x)) >= _INT_MARGIN
+
+
+@st.composite
+def coupled_specs(draw, lam_max: dict):
+    """RCHE, CHE and HE specs of the validated domain, with ``|lam|`` from
+    0.02 up to ``lam_max[family]``."""
+    family = draw(st.sampled_from(("RCHE", "CHE", "HE")))
+    theta = st.floats(-_THETA, _THETA)
+    t0, t1 = draw(theta), draw(theta)
+    omega = draw(st.floats(0.08, 0.42))
+    assume(_away_from_int(2 * t0) and _away_from_int(2 * t1))
+    # Gamma arguments of the fusion factor of every sign-flipped entry.
+    assume(all(
+        abs(0.5 + s0 * t0 + s1 * t1 + sx * omega) >= _INT_MARGIN
+        for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)
+    ))
+    lam = draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.02, lam_max[family]))
+    if family == "RCHE":
+        return rche_spec(t0, t1, omega, lam)
+    if family == "CHE":
+        return che_spec(t0, t1, omega, draw(theta), lam)
+    return he_spec(t0, t1, draw(theta), draw(theta), omega, lam)
 
 
 def resonant_spec(family: str):

@@ -312,7 +312,7 @@ class TestContinuedFraction:
         spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
         if lam is not None:
             spec = replace(spec, lam=lam)
-        buffer = connection._seed_buffer(abs(spec.lam))
+        buffer, _ = connection._seed_buffer(spec, 1024)
         fresh = _eta_sweep(spec, 1024, buffer)
         rows = _count_table_rows(monkeypatch)
         resumed = _eta_sweep(spec, 1024, buffer, 512)
@@ -408,6 +408,39 @@ class TestGuardsAndLimits:
             log_a_infinity_cf(spec)
         with pytest.raises(AccessoryResonance, match="vanishes at k = 100 "):
             _recurrence_limit(spec, 1e-10)
+
+    def test_missed_tol_on_mpmath_spec_is_named(self):
+        spec = rche_spec(mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf("0.3"), mp.mpf("0.1"))
+        with pytest.raises(NonConvergence, match="is above tol"):
+            connection_matrix(spec, method="cf", tol=1e-30)
+
+    def test_cf_estimate_is_float_on_mpmath_spec(self, rche_example):
+        with mp.workdps(30):
+            _, _, err = log_a_infinity_cf(spec_to_precision(rche_example, HIGH))
+        assert type(err) is float
+
+    def test_cf_beyond_unit_coupling(self):
+        # RCHE and CHE seed buffers shrink like |lam|/k per row, so cf
+        # converges at |lam| >= 1 and matches the recurrence route.
+        spec = rche_spec(0.13, 0.27, 0.31, -1.2)
+        val, err = connection_scalar(spec, method="cf", allow_large_coupling=True)
+        ref, _ = connection_scalar(spec, method="recurrence", allow_large_coupling=True)
+        assert abs(ref - 2.5036296622198644) <= 1e-14
+        assert abs(val - ref) <= err
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_seed_buffer_follows_the_family(self, request, family):
+        # At |lam| = 0.3, HE needs |lam|^B < 1e-18 (35 rows, plus 8 spare); RCHE
+        # and CHE a product of |lam|/k over a few rows above K = 64.
+        import heunconn.connection as connection
+
+        spec = replace(request.getfixturevalue(EXAMPLE_FIXTURES[family]), lam=0.3)
+        buffer, bound = connection._seed_buffer(spec, 64)
+        assert bound < 1e-18
+        if family == "HE":
+            assert buffer == 43 and bound == 0.3**43
+        else:
+            assert buffer <= 8
 
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):

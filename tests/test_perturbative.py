@@ -3,11 +3,15 @@ their closed-form references."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 import oracles
-from conftest import rel_diff
+from conftest import coupled_specs, rel_diff, resonant_spec
 from heunconn import (
+    AccessoryResonance,
     DomainError,
     FamilyFieldError,
     Jet,
@@ -18,6 +22,7 @@ from heunconn import (
     c1_closed_rche,
     c2_closed_rche,
     c_coefficients,
+    che_spec,
     f1_closed_he,
     he_spec,
     jet_add,
@@ -29,9 +34,12 @@ from heunconn import (
     jet_scale,
     jet_sub,
     jet_variable,
+    log_a_infinity_cf,
+    log_a_series_from_traces,
     rche_spec,
     sigma1_closed,
 )
+from heunconn.connection import _root_depth
 
 
 def _jet(*coeffs: complex) -> Jet:
@@ -112,6 +120,55 @@ class TestSeriesCoefficients:
             c_coefficients(rche_example, 9)
         with pytest.raises(SizeError):
             c_coefficients(rche_example, 0)
+
+
+class TestJetTail:
+    """The forward λ-jet sweep to K plus its formal 1/K tail."""
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_matches_frozen_series_to_working_precision(self, request, family):
+        spec = request.getfixturevalue(f"{family.lower()}_example")
+        want = [oracles.cplx(t) for t in oracles.C_SERIES[family]]
+        for g, w in zip(c_coefficients(spec, len(want)), want):
+            assert abs(g - w) <= 1e-12
+
+    def test_wide_spec_takes_a_deeper_sweep(self):
+        d = oracles.WIDE_CHE
+        spec = che_spec(*(float(d[k]) for k in ("theta0", "theta1", "omega", "theta_star")), 0.0)
+        assert _root_depth(spec) > 64
+        want = [oracles.cplx(t) for t in oracles.C_SERIES_WIDE]
+        for g, w in zip(c_coefficients(spec, len(want)), want):
+            assert abs(g - w) <= 1e-11 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_resonance_is_raised(self, family):
+        with pytest.raises(AccessoryResonance):
+            c_coefficients(resonant_spec(family), 6)
+
+
+_SMALL_LAM = 1e-3
+# Near a root of Q_0 the c_n grow like |1/2 - theta0 + theta1 - omega|^-n, and
+# eight of them no longer sum to working precision at _SMALL_LAM (the sum is
+# 9e-9 off at a distance of 0.045); the closed forms need the same margin.
+_DIGAMMA_MARGIN = 0.05
+
+
+# About 5 ms per spec.
+@settings(
+    derandomize=True, database=None, max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(coupled_specs({"RCHE": 0.3, "CHE": 0.3, "HE": 0.3}))
+def test_series_sums_to_the_cf_route_and_matches_the_traces(spec):
+    assume(0.5 - spec.theta0 + spec.theta1 - spec.omega >= _DIGAMMA_MARGIN)
+    cs = c_coefficients(spec, 8)
+    small = replace(spec, lam=_SMALL_LAM)
+    log_a, _, _ = log_a_infinity_cf(small)
+    series = sum(c * _SMALL_LAM ** n for n, c in enumerate(cs, 1))
+    assert abs(series - log_a) <= 1e-12
+    if spec.family == "RCHE":
+        for c, t in zip(cs, log_a_series_from_traces(spec, 3)):
+            assert abs(c - t) <= 1e-11 * max(1.0, abs(c))
 
 
 class TestClosedForms:

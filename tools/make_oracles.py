@@ -14,9 +14,10 @@ the package under test:
   2*theta0 and -2*theta1, det C = -theta0/theta1, and reduction to the
   pure gamma-function formula when the coupling vanishes.
 * The power-series coefficients c_n of log a_infinity are extracted by
-  a discrete contour integral (trapezoid rule on a circle of radius 0.1
-  in the coupling plane) from the Wronskian-derived matrices, and
-  cross-checked against the closed polygamma forms where those exist.
+  a discrete contour integral (trapezoid rule on a circle of radius 0.06,
+  or 0.004 for the wide CHE spec, in the coupling plane) from the
+  Wronskian-derived matrices, and cross-checked against the closed
+  polygamma forms where those exist.
 
 Output is written to tests/oracles.py.  Do not edit that file by hand;
 re-run this script instead.
@@ -259,6 +260,10 @@ RUN_CHE = {"theta0": mpf("0.1"), "theta1": mpf("0.2"), "omega": mpf("0.3"),
            "theta_star": mpf("0.25"), "lam": mpf("0.1")}
 RUN_HE = {"theta0": mpf("0.11"), "theta1": mpf("0.27"), "theta_t": mpf("0.33"),
           "theta_inf": mpf("0.41"), "omega": mpf("0.37"), "lam": mpf("0.1")}
+# A CHE spec whose denominator roots reach past k = 8, so that the depth rule
+# of the series routes takes more than its minimum of 64.
+WIDE_CHE = {"theta0": mpf("0.1"), "theta1": mpf("0.2"), "omega": mpf("7.7"),
+            "theta_star": mpf("0.15"), "lam": mpf("0")}
 RUN_HYP = {"theta0": mpf("0.1"), "theta1": mpf("0.2"),
            "theta_inf_hyp": mpf("0.3")}
 
@@ -518,6 +523,22 @@ def main():
             out.append(f"        {fmt(v)},")
         out.append("    ],")
     out.append("}")
+    out.append("")
+
+    # ---------------- c_n of the wide CHE spec, on a smaller circle
+    print("contour extraction of c_n (wide CHE) ...", flush=True)
+    cs_wide = contour_c_series("CHE", WIDE_CHE, r=mpf("0.004"), M=32)
+    out.append("# coefficients c_1..c_6 of log a_infinity for a CHE spec whose")
+    out.append("# denominator roots reach past k = 8 (contour extraction, radius 0.004,")
+    out.append("# 32 points)")
+    out.append("WIDE_CHE = {")
+    for key in ("theta0", "theta1", "omega", "theta_star"):
+        out.append(f'    "{key}": "{mp.nstr(WIDE_CHE[key], 32)}",')
+    out.append("}")
+    out.append("C_SERIES_WIDE = [")
+    for v in cs_wide:
+        out.append(f"    {fmt(v)},")
+    out.append("]")
     out.append("")
 
     # ---------------- composite monodromy exponent for the HE example
