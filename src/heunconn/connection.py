@@ -12,8 +12,9 @@ routes are implemented:
   to ``a_K``, divided by the formal ``1/K`` series of ``a_K / a_inf``;
 * ``ss``          — large-order asymptotics of the series coefficients,
   ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, with the
-  coefficients iterated in fixed-point Gaussian integers at the working
-  precision plus guard bits, in an mpmath context of the calling thread;
+  coefficients iterated to a depth ``K`` in fixed-point Gaussian integers at
+  the working precision plus guard bits, in an mpmath context of the calling
+  thread, and divided by their own formal ``1/K`` series;
 * ``wronskian``   — overlap of the truncated local series at a midpoint probe,
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
@@ -29,7 +30,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, fields, replace
-from itertools import count
+from itertools import count, islice
 from operator import mul
 from typing import Any, Iterator
 
@@ -60,7 +61,7 @@ from .precision import (
     p_log,
     p_power,
 )
-from .richardson import FIXED_DEPTH, NODES, extrapolate, geometric_ladder, ladder_values
+from .richardson import extrapolate, geometric_ladder
 from .special import log_gamma
 
 __all__ = [
@@ -89,8 +90,8 @@ _SERIES_TOL = 1e-15  # last retained series term at the probe
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
 _EPS64 = 2.0**-53  # unit roundoff of binary64
-_SEED_TARGET = 1e-18  # bound on the cf route's unit-seed error
-# Depth rule of the cf and recurrence sweeps (see _tail_depth): at least
+_SEED_TARGET = 1e-18  # bound on the cf route's unit-seed error in binary64
+# Depth rule of the cf, recurrence and ss sweeps (see _tail_depth): at least
 # _TAIL_MIN_DEPTH, _ROOT_FACTOR times above the roots of the denominators, and
 # deep enough that the second solution is e^-_MODE_MARGIN below the roundoff.
 _TAIL_MIN_DEPTH = 64
@@ -165,7 +166,8 @@ def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
 
 def _seed_buffer(spec: EquationSpec, K: int) -> tuple[int, float]:
     """Rows ``B`` above ``K`` where the backward sweep starts from a unit seed,
-    and a bound on the seed's error at ``K``, below ``_SEED_TARGET``.
+    and a bound on the seed's error at ``K``, below ``_SEED_TARGET`` and a
+    hundredth of the spec's unit roundoff.
 
     Each level multiplies the seed error by about ``|lam beta_k|``. For HE
     ``beta_k -> 1``, so the bound is ``|lam|^B``; for RCHE and CHE ``beta_k``
@@ -173,12 +175,13 @@ def _seed_buffer(spec: EquationSpec, K: int) -> tuple[int, float]:
     buffer rows, and a few rows do even at ``|lam| >= 1``.
     """
     lam_abs = float(abs(spec.lam))
+    target = min(_SEED_TARGET, 1e-2 * _unit_roundoff(_is_mp_spec(spec)))
     if spec.family == "HE":
-        b = math.ceil(math.log10(_SEED_TARGET) / math.log10(lam_abs)) + 8
+        b = math.ceil(math.log10(target) / math.log10(lam_abs)) + 8
         b = min(4000, max(24, b))
         return b, lam_abs**b
     b, bound = 0, 1.0
-    while bound >= _SEED_TARGET:
+    while bound >= target:
         b += 1
         bound *= lam_abs / (K + b)
     return b, bound
@@ -198,15 +201,23 @@ def _log_second_mode(spec: EquationSpec, K: int) -> float:
     """ln of a bound on the recurrence's second solution from depth ``K`` on,
     relative to the first.  Its characteristic roots are 1 and
     ``lam beta^(0)``: ``beta^(0) = 1`` for HE, so the second solution decays
-    like ``|lam|^k``; for RCHE and CHE ``beta_k`` falls like ``1/k`` or faster,
-    so it decays like ``|lam|^k / k!``.  The bound sums these sizes over
-    ``k >= K``."""
+    like ``|lam|^k k^p``, with ``p = -2 Re(theta_t + theta1)`` the difference
+    of the two solutions' power laws (counted when positive); for RCHE and
+    CHE ``beta_k`` falls like ``1/k`` or faster, so it decays like ``|lam|^k /
+    k!``.  The bound sums these sizes over ``k >= K``."""
     lam_abs = abs(spec.lam)
-    ratio = lam_abs if spec.family == "HE" else lam_abs / (K + 1)
+    if lam_abs == 0:
+        return -math.inf
+    if spec.family == "HE":
+        power = max(0.0, -2 * complex(spec.theta_t + spec.theta1).real)
+        ratio = lam_abs * math.exp(power / K)  # bounds the ratio of two sizes
+        log_scale = power * math.log(K)
+    else:
+        ratio = lam_abs / (K + 1)
+        log_scale = -math.lgamma(K + 1)
     if ratio >= 1.0:
         return math.inf
-    log_mode = K * math.log(lam_abs) - math.log1p(-ratio)
-    return log_mode if spec.family == "HE" else log_mode - math.lgamma(K + 1)
+    return K * math.log(lam_abs) - math.log1p(-ratio) + log_scale
 
 
 def _root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
@@ -215,34 +226,45 @@ def _root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
     expansions of the coefficients converge fast there, and every index where
     the accessory-resonance gate can fire is below it."""
     a = complex(0.5 - spec.theta0 + spec.theta1)
-    x = complex(spec.omega)
+    x = complex(_third_parameter(spec))
     reach = max(reach, *(abs(s - a + e * x) for s in (0, 1) for e in (1, -1)))
     return max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
 
 
-def _tail_depth(spec: EquationSpec, eps: float, max_depth: int, what: str) -> int:
-    """Sweep depth ``K`` of the ``cf`` and ``recurrence`` routes, from the
-    spec alone: the smallest ``K >= _TAIL_MIN_DEPTH`` that is
+def _tail_depth(
+    spec: EquationSpec, eps: float, max_depth: int, what: str, reach: float = 0.0
+) -> int:
+    """Sweep depth ``K`` of the ``cf``, ``recurrence`` and ``ss`` routes, from
+    the spec alone: the smallest ``K >= _TAIL_MIN_DEPTH`` that is
 
-    * at least :func:`_root_depth`, for HE also ``_ROOT_FACTOR`` times above
-      ``1 / |1 - lam|``;
+    * at least :func:`_root_depth` of ``reach``, for HE also ``_ROOT_FACTOR``
+      times above ``1 / |1 - lam|``;
     * deep enough that the second solution (:func:`_log_second_mode`) is below
       ``eps e^-_MODE_MARGIN``: for HE the ``1/k`` series grow like
-      ``n! / (K ln(1/|lam|))^n`` at large order ``n``, and their smallest
-      term, about ``sqrt(2 pi K ln(1/|lam|)) |lam|^K``, must fall below ``eps``.
+      ``n! n^p / (K ln(1/|lam|))^n`` at large order ``n``, and their smallest
+      term, about ``sqrt(2 pi K ln(1/|lam|)) |lam|^K K^p``, must fall below
+      ``eps``.
 
     Raises :class:`NonConvergence` when ``K`` would exceed ``max_depth``.
     """
-    K = _root_depth(spec, 1.0 / abs(1 - complex(spec.lam)) if spec.family == "HE" else 0.0)
+    if spec.family == "HE":
+        reach = max(reach, 1.0 / abs(1 - complex(spec.lam)))
+    K = _root_depth(spec, reach)
     target = math.log(eps) - _MODE_MARGIN
     lam_abs = abs(spec.lam)
-    if spec.family == "HE":
+    if spec.family == "HE" and lam_abs > 0:
         K = max(K, math.ceil((target + math.log1p(-lam_abs)) / math.log(lam_abs)))
     while K <= max_depth and _log_second_mode(spec, K) > target:
         K += 1
     if K > max_depth:
         raise NonConvergence(f"{what} needs depth K = {K}, above max_depth = {max_depth}")
     return K
+
+
+def _inverse_depth(spec: EquationSpec, K: int) -> Any:
+    """``1/K`` in the spec's real number type: a binary64 ``1/K`` would hold an
+    mpmath spec's ``1/K`` series near binary64's relative accuracy."""
+    return 1 / (K + 0 * spec.theta0).real
 
 
 @functools.cache  # at most _TAIL_MAX_ORDER rows
@@ -318,7 +340,7 @@ def _log_eta_tail(spec: EquationSpec, K: int) -> Iterator:
     pa, qb = [next(alpha_it)], [next(beta_it)]
     g, e, logs, m_logs, shifted, tau = [1], [1], [0], [0], [0], [0]
     divisor = 1 + pa[0]
-    inv_k, scale = 1.0 / K, 1
+    inv_k, scale = _inverse_depth(spec, K), 1
     for N in count(1):
         pa.append(next(alpha_it))
         qb.append(next(beta_it))
@@ -414,7 +436,7 @@ def _recurrence_tail(spec: EquationSpec, K: int) -> Iterator:
     qb = [next(beta_it), next(beta_it)]
     d, back = [1], [1]  # back: coefficients of S(k - 1)
     divisor, slope = 1 - qb[0], pa[1] + qb[1]
-    inv_k, scale = 1.0 / K, 1
+    inv_k, scale = _inverse_depth(spec, K), 1
     yield 1.0
     for n in count(1):
         pa.append(next(alpha_it))
@@ -613,50 +635,106 @@ def _spec_in(ctx: Any, spec: EquationSpec) -> EquationSpec:
     })
 
 
+def _ss_tail(quadratics: tuple, rho: complex, K: int) -> Iterator:
+    """Terms ``e_n K^-n`` of ``S(K)`` in the formal solution ``u_k ~ C k^rho
+    S(k)``, ``S(k) = sum_j e_j k^-j``, ``e_0 = 1``, of ``lead_k u_{k+1} = A_k
+    u_k - B_k u_{k-1}``, in binary64.
+
+    Divided by ``k^(rho+2)`` the recurrence reads ``L(w) P_+(w) S(k+1) -
+    A(w) S(k) + B(w) P_-(w) S(k-1) = 0`` in ``w = 1/k``, with ``L, A, B`` the
+    quadratics as polynomials in ``w`` and ``P_+- = (1 +- w)^rho``.  Order
+    ``w^(n+1)`` fixes ``e_n`` with divisor ``n (1 - B_2)``; coefficients at
+    ``k + 1`` and ``k - 1`` come from ``(1 +- 1/k)^-j``."""
+    lead, a_w, b_w = ([complex(c) for c in reversed(poly)] for poly in quadratics)
+    binom, g_plus, g_minus = [], [], []  # rho choose m; of L P_+ and B P_-
+    e, s_plus, s_minus = [1.0], [1.0], [1.0]  # of S(k), S(k+1), S(k-1)
+    divisor = 1 - b_w[0]
+    inv_k, scale = 1.0 / K, 1.0
+    yield 1.0
+    for n in count(1):
+        while len(binom) < n + 2:
+            m = len(binom)
+            binom.append(binom[-1] * (rho - m + 1) / m if m else 1.0)
+            low = range(min(m, 2) + 1)
+            g_plus.append(sum(lead[i] * binom[m - i] for i in low))
+            g_minus.append(sum(b_w[i] * binom[m - i] * (-1) ** (m - i) for i in low))
+        row, alt = _binomial_rows(n)
+        row_n, alt_n = _binomial_rows(n - 1)
+        known = e[1:]
+        # Coefficients of w^(n+1) and w^n in S(k+-1), without e_n.
+        plus_next, plus_n = sum(map(mul, alt, known)), sum(map(mul, alt_n, known))
+        minus_next, minus_n = sum(map(mul, row, known)), sum(map(mul, row_n, known))
+        residual = (
+            g_plus[0] * plus_next
+            + g_plus[1] * plus_n
+            + sum(map(mul, g_plus[2:], reversed(s_plus)))
+            + g_minus[0] * minus_next
+            + g_minus[1] * minus_n
+            + sum(map(mul, g_minus[2:], reversed(s_minus)))
+            - a_w[2] * e[n - 1]
+        )
+        e.append(residual / (n * divisor))
+        s_plus.append(plus_n + e[n])
+        s_minus.append(minus_n + e[n])
+        scale *= inv_k
+        yield e[n] * scale
+
+
 def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
-    """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`; the
-    estimate is the ladder's last Neville correction scaled by
-    ``|Gamma(2 theta1) pref|`` plus a ``1e-15 |value|`` rounding floor."""
+    """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`.
+
+    The estimate is ``|value|`` times the sum of:
+
+    * the omitted tail terms (:func:`_sum_tail`);
+    * the second solution (:func:`_log_second_mode`);
+    * the fixed-point rounding, ``K`` units of the working ``dps``;
+    * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor of
+      :func:`_ss_tail` magnifies the rounding of each residual;
+    * a ``1e-15`` floor for the binary64 assembly."""
     validate(spec)
     th1 = complex(spec.theta1)
     if abs(2 * th1.real) >= 4.0:
         raise DomainError(
             f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
         )
-    dps, bits = _ss_precision(th1, FIXED_DEPTH)
+    what = "large-order amplitude"
+    # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
+    K = _tail_depth(spec, _EPS64, _MAX_DEPTH, what, abs(2 * complex(spec.theta0) - 1))
+    dps, bits = _ss_precision(th1, K)
     ctx = _thread_context()
     with ctx.workdps(dps):
         msp = _spec_in(ctx, spec)
         with ctx.workprec(bits):
-            quadratics = recurrence_quadratics(msp, FIXED_DEPTH)
-        expo = 1 - 2 * msp.theta1
-        gam = ctx.gamma(2 * msp.theta1)
-        pref = complex(_assembly_prefactor(spec))
-
-        def at_node(k, u):
-            u_k = ctx.mpc(ctx.ldexp(u[0], -bits), ctx.ldexp(u[1], -bits))
-            return ctx.power(k, expo) * u_k
-
-        steps, vals = ladder_values(
-            _fixed_iterates(quadratics, bits, ctx), FIXED_DEPTH, NODES, at_node, ctx.mpf(1)
-        )
-        limit, corr = extrapolate(steps, vals, require_contraction=True)
-        val = complex(gam * limit) * pref
-        err = float(abs(gam * pref) * corr)
-    return val, err + 1e-15 * abs(val), FIXED_DEPTH
+            quadratics = recurrence_quadratics(msp, K)
+        (_, l1, _), (_, a1, _), (_, b1, b2) = quadratics
+        rho = -(l1 - a1 + b1) / (1 - b2)  # 2 theta1 - 1 in exact arithmetic
+        re, im = next(islice(_fixed_iterates(quadratics, bits, ctx), K - 1, None))
+        u_K = ctx.mpc(ctx.ldexp(re, -bits), ctx.ldexp(im, -bits))
+        amplitude = complex(ctx.gamma(2 * msp.theta1) * u_K / ctx.power(K, rho))
+    total, omitted = _sum_tail(_ss_tail(quadratics, complex(rho), K), _EPS64, True, what)
+    val = amplitude / total * complex(_assembly_prefactor(spec))
+    rel = (
+        omitted / abs(total)
+        + math.exp(_log_second_mode(spec, K))
+        + K * 10.0**-dps
+        + 2 * _EPS64 / abs(1 - complex(b2))
+    )
+    return val, abs(val) * (rel + 1e-15), K
 
 
 def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     """Connection scalar from the large-order behaviour of the series
     coefficients: ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``.
 
-    The forward recurrence for ``u_k`` runs in fixed-point Gaussian integers
-    at the working precision plus guard bits (the subdominant component grows
-    like ``k^(4 |Re theta1|)`` relative to the limit, so binary64 iterates
-    would contaminate the ladder); the limit is extrapolated in mpmath over
-    the 7-node geometric ladder ``K/2^j``, ``j = 0..6``, ``K = 2048``.  The
-    mpmath work runs in a context of the calling thread, not in the shared
-    ``mpmath.mp``.  Requires ``|Re 2 theta1| < 4``.
+    The forward recurrence for ``u_k`` runs once to a depth ``K`` chosen from
+    the spec (:func:`_tail_depth` at binary64, with the root ``2 theta0 - 1``
+    of ``lead_k`` in the reach) in fixed-point Gaussian integers at the
+    working precision plus guard bits (the iterates fall like
+    ``k^(-1-2 |Re theta1|)``).  The limit is ``u_K / (K^rho S(K))`` with
+    ``rho = 2 theta1 - 1`` from the recurrence's coefficients and ``S`` its
+    formal ``1/k`` series in u-space (:func:`_ss_tail`), summed in binary64 to
+    the unit roundoff.  The mpmath work runs in a context of the calling
+    thread, not in the shared ``mpmath.mp``.  Requires ``|Re 2 theta1| < 4``.
     """
     return _ss_scalar(spec)[0]
 

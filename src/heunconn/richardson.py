@@ -1,36 +1,24 @@
 """Polynomial extrapolation of sequences with integer-power tails.
 
-Several quantities in this library approach their limits with an asymptotic
-expansion in pure integer powers of a small step (typically 1/K for a
-truncation size K): large-order coefficient ladders, the coupling jets of
-the continued fraction, truncated determinants and truncated trace sums.  For
-all of them the limit is recovered by Neville polynomial extrapolation to step
-zero over a geometric ladder of nodes.
-
-:func:`extrapolate` takes the nodes and values and returns the extrapolated
-limit together with an error estimate (the magnitude of the last Neville
-correction); :func:`ladder_values` is the one place that iterates a sequence
-to its ladder nodes.
-
-The ladders of the library have ``NODES`` nodes with the top one at
-``FIXED_DEPTH``; the tail determinants keep their own shorter ladder.
+A quantity that approaches its limit with an asymptotic expansion in pure
+integer powers of a small step (1/N for a truncation size N) is recovered by
+Neville polynomial extrapolation to step zero over a geometric ladder of
+nodes.  The tail determinants of the connection module are the library's
+ladder: :func:`geometric_ladder` gives their nodes and :func:`extrapolate`
+the extrapolated limit together with an error estimate (the magnitude of the
+last Neville correction).
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Sequence
 
 from .errors import DomainError, SlowConvergence
 
 __all__ = [
     "extrapolate",
     "geometric_ladder",
-    "ladder_values",
 ]
-
-NODES = 7  # nodes of every truncation ladder
-FIXED_DEPTH = 2048  # top node of every ladder
 
 
 def geometric_ladder(k_max: int, levels: int, ratio: int = 2) -> list[int]:
@@ -97,22 +85,3 @@ def extrapolate(
                 f"vs raw spread {raw_spread:.3e}"
             )
     return limit, err
-
-
-def ladder_values(
-    items: Iterable,
-    k_max: int,
-    levels: int,
-    at_node: Optional[Callable[[int, Any], Any]] = None,
-    unit: Any = 1.0,
-) -> tuple[list, list]:
-    """Steps ``unit/k`` and values ``f(k)`` at ``geometric_ladder(k_max, levels)``
-    for :func:`extrapolate`, read from ``items`` whose k-th item (k = 1, 2, ...)
-    is ``f(k)``; ``at_node(k, f(k))`` replaces a value as it is read."""
-    nodes = geometric_ladder(k_max, levels)
-    it, pos, values = iter(items), 0, []
-    for k in nodes:
-        value = next(islice(it, k - pos - 1, None))
-        values.append(value if at_node is None else at_node(k, value))
-        pos = k
-    return [unit / k for k in nodes], values

@@ -1,6 +1,6 @@
-"""The ``cf`` and ``recurrence`` error estimates bound the true error across
-the validated domain, checked against the independent 50-digit solver of
-``tools/make_oracles.py`` on specs that hypothesis draws."""
+"""The ``cf``, ``recurrence`` and ``ss`` error estimates bound the true error
+across the validated domain, checked against the independent 50-digit solver
+of ``tools/make_oracles.py`` on specs that hypothesis draws."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ _BRANCH_WATCH = 0.3  # |lam| above which cf may raise BranchAmbiguity
 @given(coupled_specs(_LAM_MAX))
 def test_err_estimate_bounds_solver_error(spec):
     ref = solver_matrix(spec)
-    for method in ("cf", "recurrence"):
+    for method in ("cf", "recurrence", "ss"):
         try:
             mat = connection_matrix(spec, method)
         except BranchAmbiguity:

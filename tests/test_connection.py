@@ -19,6 +19,7 @@ from heunconn import (
     AccessoryResonance,
     BranchAmbiguity,
     DomainError,
+    HeunConnError,
     NonConvergence,
     canonical_recurrence_step,
     che_spec,
@@ -47,7 +48,6 @@ from heunconn.connection import (
 )
 from heunconn.equations import recurrence_quadratics
 from heunconn.precision import HIGH, spec_to_precision
-from heunconn.richardson import FIXED_DEPTH
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -134,9 +134,10 @@ class TestMatrixRoutes:
 
 
 def _assert_fixed_point_iterates_match(spec, K=2048):
-    """The first K fixed-point iterates of the ss route equal mpmath
-    canonical_recurrence_step iterates at the route's working dps."""
-    dps, bits = _ss_precision(complex(spec.theta1), FIXED_DEPTH)
+    """The first K fixed-point iterates of the ss route, at the precision the
+    route would use for depth K, equal mpmath canonical_recurrence_step
+    iterates at the route's working dps."""
+    dps, bits = _ss_precision(complex(spec.theta1), K)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
         with mp.workprec(bits):
@@ -193,19 +194,25 @@ class TestLargeOrder:
         ref = oracle_matrix(RUNS[family])
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
         if method == "ss":
-            assert mat.depth_or_K == FIXED_DEPTH
+            assert mat.depth_or_K == 64  # _tail_depth's minimum on every example
 
     # At large coupling the HE amplitude grows like 1/(1-lam) and the
-    # recurrence's second root lam magnifies rounding by 1/(1-lam).
+    # recurrence's second root lam magnifies rounding by 1/(1-lam).  In the
+    # last HE spec the second solution decays like |lam|^k k^1.71: at the
+    # K = 78 of |lam|^k alone the recurrence's 1/k tail stalled at 1.2e-16.
     @pytest.mark.parametrize(
         "method, spec",
         [
             pytest.param(method, spec, id=f"{spec.family}-{spec.lam}-{method}")
             for spec, methods in [
-                (he_spec(-0.3037, -0.4366, 0.1266, 0.3688, 0.2675, 0.5747), ("cf", "recurrence")),
-                (he_spec(-0.1416, -0.2117, -0.3047, -0.4292, 0.3618, 0.6114), ("recurrence",)),
-                (rche_spec(-0.0136, 0.1110, 0.1090, -0.7548), ("cf", "recurrence")),
-                (che_spec(-0.2172, 0.4095, 0.4183, -0.3019, 0.8661), ("cf", "recurrence")),
+                (
+                    he_spec(-0.3037, -0.4366, 0.1266, 0.3688, 0.2675, 0.5747),
+                    ("cf", "recurrence", "ss"),
+                ),
+                (he_spec(-0.1416, -0.2117, -0.3047, -0.4292, 0.3618, 0.6114), ("recurrence", "ss")),
+                (rche_spec(-0.0136, 0.1110, 0.1090, -0.7548), ("cf", "recurrence", "ss")),
+                (che_spec(-0.2172, 0.4095, 0.4183, -0.3019, 0.8661), ("cf", "recurrence", "ss")),
+                (he_spec(-0.4226, -0.4243, -0.4322, -0.1351, 0.1668, 0.5861), ("recurrence", "ss")),
             ]
             for method in methods
         ],
@@ -214,6 +221,41 @@ class TestLargeOrder:
         mat = connection_matrix(spec, method)
         ref = solver_matrix(spec)
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            he_spec(0.11, 0.27, 0.33, 0.41, 0.37, 0.92),
+            he_spec(0.11, 0.27, 0.33, 0.41, 0.37, -0.92),
+            rche_spec(0.1, 0.2, 0.3, 0.9),
+            che_spec(0.1, 0.2, 0.3, 0.15, -0.9),
+        ],
+        ids=lambda spec: f"{spec.family}-{spec.lam}",
+    )
+    def test_ss_at_the_coupling_gate(self, spec):
+        # Named errors would be allowed here; these specs converge, to the
+        # recurrence route within the two estimates.
+        start = time.perf_counter()
+        try:
+            mat = connection_matrix(spec, "ss")
+        except HeunConnError:
+            mat = None
+        assert time.perf_counter() - start < 2.0
+        if mat is not None:
+            ref = connection_matrix(spec, "recurrence", allow_large_coupling=True)
+            assert max(abs(mat[k] - ref[k]) for k in ref.entries) <= (
+                mat.err_estimate + ref.err_estimate
+            )
+
+    def test_ss_second_solution_power_law(self):
+        # The second solution decays like |lam|^k k^1.41 here; without the
+        # power law the ss sweep stopped at K = 159, 3e-14 off.
+        spec = he_spec(0.2401, -0.3190, -0.3864, -0.1786, 0.1990, -0.7664)
+        mat = connection_matrix(spec, "ss")
+        with mp.workdps(34):
+            ref = connection_matrix(spec_to_precision(spec, HIGH), "recurrence", tol=1e-25)
+            worst = max(abs(mat[k] - ref[k]) for k in ref.entries)
+        assert worst <= mat.err_estimate < 1e-14
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_mpmath_estimate_is_below_binary64(self, rche_example, method):
@@ -418,6 +460,15 @@ class TestGuardsAndLimits:
         with mp.workdps(30):
             _, _, err = log_a_infinity_cf(spec_to_precision(rche_example, HIGH))
         assert type(err) is float
+
+    def test_cf_reaches_fifty_digits(self):
+        # The seed buffer and the 1/K of the tail follow the working precision.
+        with mp.workdps(50):
+            spec = spec_to_precision(che_spec(0.1, 0.2, 7.7, 0.15, 0.004), HIGH)
+            log_a, _, err = log_a_infinity_cf(spec, tol=1e-45)
+            a_inf, _, _ = _recurrence_limit(spec, 1e-45)
+            assert err < 1e-45
+            assert abs(log_a - mp.log(a_inf)) < 1e-45
 
     def test_cf_beyond_unit_coupling(self):
         # RCHE and CHE seed buffers shrink like |lam|/k per row, so cf

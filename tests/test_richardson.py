@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import pytest
 
 from heunconn import SlowConvergence, extrapolate, geometric_ladder
-from heunconn.richardson import ladder_values
 
 
 class TestGeometricLadder:
@@ -83,27 +81,3 @@ class TestExtrapolate:
     def test_length_mismatch(self):
         with pytest.raises(Exception):
             extrapolate([1.0, 0.5], [1.0])
-
-
-def _inverse_squares():
-    """Partial sums of sum 1/j^2: the k-th item is f(k) = sum_{j<=k} 1/j^2."""
-    return itertools.accumulate(1.0 / (j * j) for j in itertools.count(1))
-
-
-class TestLadderCapture:
-    def test_capture_equals_hand_loop(self):
-        ks = geometric_ladder(4096, 4)
-        hand, s = [], 0.0
-        for j in range(1, ks[-1] + 1):
-            s += 1.0 / (j * j)
-            if j in ks:
-                hand.append(s)
-        steps, vals = ladder_values(_inverse_squares(), 4096, 4)
-        assert vals == hand
-        assert steps == [1.0 / k for k in ks]
-
-    def test_node_transform_sees_position(self):
-        # f(k) = 1 + 1/k scaled by k at the nodes gives k + 1 exactly.
-        items = (1.0 + 1.0 / k for k in itertools.count(1))
-        _, vals = ladder_values(items, 64, 3, at_node=lambda k, v: k * v)
-        assert vals == [17.0, 33.0, 65.0]
