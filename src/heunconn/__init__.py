@@ -68,7 +68,6 @@ from .errors import (
     ReflectionMismatch,
     ResonantExponents,
     SizeError,
-    SlowConvergence,
     TailError,
 )
 from .frobenius import (
@@ -77,6 +76,7 @@ from .frobenius import (
     evaluate,
     evaluate_deriv,
     frobenius_series,
+    local_basis,
     ode_residual,
     potential,
     wronskian,
@@ -149,6 +149,7 @@ __all__ = [
     # series solutions
     "FrobeniusSolution",
     "frobenius_series",
+    "local_basis",
     "evaluate",
     "evaluate_deriv",
     "wronskian",
@@ -212,7 +213,6 @@ __all__ = [
     "CFBreakdown",
     "NonConvergence",
     "DetCheckFailed",
-    "SlowConvergence",
     "MonodromyInconsistent",
     "JetDivByZero",
     "ParameterResonance",

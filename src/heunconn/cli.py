@@ -13,6 +13,7 @@ stderr), 2 usage error (bad flags, missing family fields, order caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -395,6 +396,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="also write a reproducible JSON artifact (runtimes zeroed)")
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heunconn",
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest error estimate the cf/recurrence routes accept (default 1e-10)")
     p.add_argument("--max-depth", type=int, default=2**20,
-                   help="cap on the sweep depth K of the cf/recurrence routes (default 2^20)")
+                   help="cap on the sweep depth K of the cf/recurrence/ss routes (default 2^20)")
     p.add_argument("--allow-large-coupling", action="store_true",
                    help="bypass the |lambda| < 0.9 safety gate")
     p.set_defaults(func=cmd_connect)

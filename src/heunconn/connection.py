@@ -50,9 +50,8 @@ from .errors import (
     DomainError,
     MonodromyInconsistent,
     NonConvergence,
-    TailError,
 )
-from .frobenius import frobenius_series, wronskian
+from .frobenius import local_basis, value_and_deriv
 from .precision import (
     DOUBLE,
     HIGH,
@@ -85,7 +84,6 @@ _MAX_DEPTH = 2**20
 _TAIL_LEVELS = 4  # ladder nodes of the tail determinants
 _DET_FACTOR = 100.0  # determinant gate, in units of the matrix's accuracy
 _PROBE = 0.5  # matching point of the wronskian route
-_SERIES_TOL = 1e-15  # last retained series term at the probe
 # Relative error of the binary64 fusion_cl factor away from gamma poles
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
@@ -680,7 +678,7 @@ def _ss_tail(quadratics: tuple, rho: complex, K: int) -> Iterator:
         yield e[n] * scale
 
 
-def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
+def _ss_scalar(spec: EquationSpec, max_depth: int = _MAX_DEPTH) -> tuple[complex, float, int]:
     """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`.
 
     The estimate is ``|value|`` times the sum of:
@@ -699,7 +697,7 @@ def _ss_scalar(spec: EquationSpec) -> tuple[complex, float, int]:
         )
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
-    K = _tail_depth(spec, _EPS64, _MAX_DEPTH, what, abs(2 * complex(spec.theta0) - 1))
+    K = _tail_depth(spec, _EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
     dps, bits = _ss_precision(th1, K)
     ctx = _thread_context()
     with ctx.workdps(dps):
@@ -746,40 +744,26 @@ def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
     ``C_{e+} = -W(psi0_e, psi1_-)/(2 theta1)``,
     ``C_{e-} = +W(psi0_e, psi1_+)/(2 theta1)``
 
-    at ``z = 1/2``.  The truncation grows geometrically (capped at 10^4) until
-    the last retained terms at the probe are below 1e-15.
+    at ``z = 1/2``, with the truncation of :func:`local_basis` at reach 1/2.
     """
-    validate(spec)
-    r = max(abs(_PROBE), abs(1.0 - _PROBE))
-    K = 64
-    while True:
-        sols = [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
-        worst = max(abs(s.coeffs[K]) * r**K for s in sols)
-        if worst < _SERIES_TOL:
-            break
-        if K >= 10000:
-            raise TailError(
-                f"series tail {worst:.3e} at probe still above {_SERIES_TOL:.1e} "
-                f"at the K = 10^4 cap"
-            )
-        K *= 2
-    s0p, s0m, s1p, s1m = sols
+    basis = local_basis(spec, max(abs(_PROBE), abs(1.0 - _PROBE)))
+    (a0p, d0p), (a0m, d0m), (a1p, d1p), (a1m, d1m) = (value_and_deriv(s, _PROBE) for s in basis)
     t1 = spec.theta1
     entries = {}
-    for row_sign, s0 in (("+", s0p), ("-", s0m)):
-        w_minus = wronskian(s0, s1m, _PROBE)
-        w_plus = wronskian(s0, s1p, _PROBE)
+    for row_sign, a0, d0 in (("+", a0p, d0p), ("-", a0m, d0m)):
+        w_minus = a0 * d1m - d0 * a1m
+        w_plus = a0 * d1p - d0 * a1p
         entries[row_sign + "+"] = complex(-w_minus / (2 * t1))
         entries[row_sign + "-"] = complex(w_plus / (2 * t1))
     # Self-Wronskian defects measure the truncation quality.
-    w00 = wronskian(s0p, s0m, _PROBE)
-    w11 = wronskian(s1p, s1m, _PROBE)
+    w00 = a0p * d0m - d0p * a0m
+    w11 = a1p * d1m - d1p * a1m
     err = abs(w00 - 2 * spec.theta0) + abs(w11 + 2 * spec.theta1) + 1e-14
     return ConnectionMatrix(
         entries=entries,
         spec=spec,
         method="wronskian",
-        depth_or_K=K,
+        depth_or_K=basis[0].K,
         err_estimate=float(err),
     )
 
@@ -809,7 +793,7 @@ def connection_matrix(
             for s1, col in ((1, "+"), (-1, "-")):
                 fspec = validate(_flip_spec(spec, s0, s1))
                 if method == "ss":
-                    val, err, d = _ss_scalar(fspec)
+                    val, err, d = _ss_scalar(fspec, max_depth)
                     precision = HIGH
                 else:
                     val, err, d = _scalar_with_depth(

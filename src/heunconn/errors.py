@@ -20,7 +20,6 @@ __all__ = [
     "CFBreakdown",
     "NonConvergence",
     "DetCheckFailed",
-    "SlowConvergence",
     "MonodromyInconsistent",
     "JetDivByZero",
     "ParameterResonance",
@@ -76,10 +75,6 @@ class NonConvergence(HeunConnError):
 
 class DetCheckFailed(HeunConnError):
     """Connection-matrix determinant deviates from -theta0/theta1 beyond tolerance."""
-
-
-class SlowConvergence(HeunConnError):
-    """Extrapolation ladder is not contracting towards a limit at the needed rate."""
 
 
 class MonodromyInconsistent(HeunConnError):

@@ -19,8 +19,10 @@ of convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from itertools import count, islice
+from typing import Any, Iterator, Optional
 
 from .equations import EquationSpec, validate
 from .errors import DomainError, RadiusError, ResonantExponents, TailError
@@ -29,8 +31,10 @@ from .precision import p_power
 __all__ = [
     "FrobeniusSolution",
     "frobenius_series",
+    "local_basis",
     "evaluate",
     "evaluate_deriv",
+    "value_and_deriv",
     "wronskian",
     "ode_residual",
     "potential",
@@ -38,6 +42,9 @@ __all__ = [
 ]
 
 _INDICIAL_TOL = 1e-10
+_BASIS_K = 64  # first truncation of local_basis, doubled until the tail is small
+_BASIS_K_CAP = 10000  # no doubling from here on
+_SERIES_TOL = 1e-15  # last retained terms of local_basis at its reach
 
 
 def _padd(a: list, b: list) -> list:
@@ -185,6 +192,59 @@ class FrobeniusSolution:
     K: int
 
 
+def _cleared_at(d: list, q: list, point: int) -> tuple[list, list]:
+    """``(E, Q)`` in ``w = z - point`` of ``D psi'' + Q psi = 0``, with
+    ``D = w^2 E(w)``."""
+    if point == 1:
+        d = _pshift(d, 1.0)
+        q = _pshift(q, 1.0)
+    scale = max(abs(c) for c in d)
+    if not (abs(d[0]) <= 1e-10 * scale and abs(d[1]) <= 1e-10 * scale):
+        raise DomainError("cleared equation lacks the double root at the expansion point")
+    return d[2:], list(q)
+
+
+def _exponent(e: list, qw: list, theta: Any, sign: int) -> Any:
+    """``rho = 1/2 - sign*theta``, checked against the indicial equation
+    ``e0 rho (rho - 1) + q0 = 0``."""
+    rho = 0.5 - sign * theta
+    ind = e[0] * rho * (rho - 1) + qw[0]
+    if abs(ind) > _INDICIAL_TOL * max(1.0, abs(qw[0])):
+        raise DomainError(f"indicial equation violated: residual {abs(ind):.3e}")
+    return rho
+
+
+def _coefficients(e: list, qw: list, rho: Any, point: int) -> Iterator:
+    """``c_0 = 1, c_1, c_2, ...`` of the local solution with exponent ``rho``;
+    ``c_n`` does not depend on how many follow.
+
+    Raises :class:`ResonantExponents` on reaching an ``n`` whose recurrence
+    denominator ``n (n + 2 rho - 1)`` vanishes."""
+    jmax = max(len(e), len(qw)) - 1
+    ej = e + [0.0] * (jmax + 1 - len(e))
+    qj = qw + [0.0] * (jmax + 1 - len(qw))
+    # Rows j of the sum over c_{n-j}; a row with E_j = Q_j = 0 adds nothing.
+    rows = [(j, ej[j], qj[j]) for j in range(1, jmax + 1) if ej[j] != 0 or qj[j] != 0]
+    c = [1.0 + 0 * rho]
+    yield c[0]
+    for n in count(1):
+        den_factor = n + 2 * rho - 1  # = n - 2 sign theta
+        if abs(den_factor) < _INDICIAL_TOL:
+            raise ResonantExponents(
+                f"integer exponent difference at point {point}: n = {n} matches 2*theta"
+            )
+        den = e[0] * n * den_factor
+        rn = rho + n
+        s = 0.0 * rho
+        for j, ejj, qjj in rows:
+            if j > n:
+                break
+            rr = rn - j
+            s = s + (ejj * rr * (rr - 1) + qjj) * c[n - j]
+        c.append(-s / den)
+        yield c[n]
+
+
 def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> FrobeniusSolution:
     """Coefficients of the normalized local solution at ``point`` (0 or 1)
     with exponent ``1/2 - sign*theta`` truncated at order ``K``.
@@ -200,40 +260,56 @@ def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> Frobe
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     if K < 1:
         raise DomainError("K must be at least 1")
-    theta = spec.theta0 if point == 0 else spec.theta1
-    rho = 0.5 - sign * theta
+    e, qw = _cleared_at(*_family_polys(spec), point)
+    rho = _exponent(e, qw, spec.theta0 if point == 0 else spec.theta1, sign)
+    coeffs = tuple(islice(_coefficients(e, qw, rho, point), K + 1))
+    return FrobeniusSolution(spec=spec, point=point, sign=sign, exponent=rho, coeffs=coeffs, K=K)
+
+
+def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
+    """The four local solutions ``[psi0_+, psi0_-, psi1_+, psi1_-]``, truncated
+    for probe points at most ``reach`` from their expansion point.
+
+    The truncation is ``K = 64 * 2^m``, the first whose last retained terms
+    ``|c_K| reach^K`` are all below 1e-15; doubling ``K`` extends the
+    coefficients already computed.  Raises :class:`DomainError` unless
+    ``0 < reach < 1``, :class:`RadiusError` when ``reach`` is not inside both
+    discs of convergence, and :class:`TailError` when the tail is still too
+    large at the ``K = 10^4`` cap.
+    """
+    validate(spec)
+    if not 0.0 < reach < 1.0:
+        raise DomainError(f"reach must lie in (0, 1), got {reach!r}")
+    radius = min(convergence_radius(spec, 0), convergence_radius(spec, 1))
+    if reach >= radius:
+        raise RadiusError(
+            f"reach {reach:.6g} is outside the convergence radius {radius:.6g}"
+        )
     d, q = _family_polys(spec)
-    if point == 1:
-        d = _pshift(d, 1.0)
-        q = _pshift(q, 1.0)
-    scale = max(abs(c) for c in d)
-    if not (abs(d[0]) <= 1e-10 * scale and abs(d[1]) <= 1e-10 * scale):
-        raise DomainError("cleared equation lacks the double root at the expansion point")
-    e = d[2:]
-    qw = list(q)
-    # Indicial consistency: e0 rho (rho - 1) + q0 = 0.
-    ind = e[0] * rho * (rho - 1) + qw[0]
-    if abs(ind) > _INDICIAL_TOL * max(1.0, abs(qw[0])):
-        raise DomainError(f"indicial equation violated: residual {abs(ind):.3e}")
-    jmax = max(len(e), len(qw)) - 1
-    ej = e + [0.0] * (jmax + 1 - len(e))
-    qj = qw + [0.0] * (jmax + 1 - len(qw))
-    c = [1.0 + 0 * rho]
-    for n in range(1, K + 1):
-        den_factor = n + 2 * rho - 1  # = n - 2 sign theta
-        if abs(den_factor) < _INDICIAL_TOL:
-            raise ResonantExponents(
-                f"integer exponent difference at point {point}: n = {n} matches 2*theta"
+    series = []
+    for point, theta in ((0, spec.theta0), (1, spec.theta1)):
+        e, qw = _cleared_at(d, q, point)
+        for sign in (1, -1):
+            rho = _exponent(e, qw, theta, sign)
+            series.append((point, sign, rho, _coefficients(e, qw, rho, point), []))
+    K = _BASIS_K
+    while True:
+        for *_, coeffs, c in series:
+            c.extend(islice(coeffs, K + 1 - len(c)))
+        tails = (abs(c[K]) * reach**K for *_, c in series)
+        worst = max(t if t == t else math.inf for t in tails)  # an overflow's nan counts as inf
+        if worst < _SERIES_TOL:
+            break
+        if K >= _BASIS_K_CAP:
+            raise TailError(
+                f"series tail {worst:.3e} at reach {reach:g} still above {_SERIES_TOL:.1e} "
+                f"at the K = 10^4 cap"
             )
-        den = e[0] * n * den_factor
-        s = 0.0 * rho
-        for j in range(1, min(n, jmax) + 1):
-            rr = rho + n - j
-            s = s + (ej[j] * rr * (rr - 1) + qj[j]) * c[n - j]
-        c.append(-s / den)
-    return FrobeniusSolution(
-        spec=spec, point=point, sign=sign, exponent=rho, coeffs=tuple(c), K=K
-    )
+        K *= 2
+    return [
+        FrobeniusSolution(spec=spec, point=point, sign=sign, exponent=rho, coeffs=tuple(c), K=K)
+        for point, sign, rho, _, c in series
+    ]
 
 
 def convergence_radius(spec: EquationSpec, point: int) -> float:
@@ -249,17 +325,17 @@ def convergence_radius(spec: EquationSpec, point: int) -> float:
     return min(1.0, other)
 
 
-def _series_and_derivs(sol: FrobeniusSolution, w: Any) -> tuple:
-    """Horner sums S(w), w S'(w), w^2 S''(w) of the truncated series."""
-    s0 = 0.0 * w
-    t1 = 0.0 * w
-    t2 = 0.0 * w
-    for k in range(sol.K, -1, -1):
-        ck = sol.coeffs[k]
-        s0 = s0 * w + ck
-        t1 = t1 * w + k * ck
-        t2 = t2 * w + (k * (k - 1)) * ck
-    return s0, t1, t2
+def _horner(coeffs: Any, w: Any) -> Any:
+    """``sum_k coeffs[k] w^k`` by Horner's rule."""
+    s = 0.0 * w
+    for ck in reversed(coeffs):
+        s = s * w + ck
+    return s
+
+
+def _times_k(coeffs: tuple) -> list:
+    """Coefficients of ``w S'(w)`` given those of ``S(w)``."""
+    return [k * ck for k, ck in enumerate(coeffs)]
 
 
 def _check_radius_and_tail(sol: FrobeniusSolution, z: Any, tol: Optional[float]) -> Any:
@@ -290,33 +366,42 @@ def evaluate(sol: FrobeniusSolution, z: Any, tol: Optional[float] = None) -> Any
     ``tol`` is given, :class:`TailError` if the last retained term exceeds it.
     """
     w = _check_radius_and_tail(sol, z, tol)
-    s0, _, _ = _series_and_derivs(sol, w)
-    return p_power(_prefactor_base(sol, z), sol.exponent) * s0
+    return p_power(_prefactor_base(sol, z), sol.exponent) * _horner(sol.coeffs, w)
+
+
+def value_and_deriv(sol: FrobeniusSolution, z: Any, tol: Optional[float] = None) -> tuple:
+    """``(psi(z), psi'(z))`` of the truncated local solution, as
+    :func:`evaluate` and :func:`evaluate_deriv` give them."""
+    w = _check_radius_and_tail(sol, z, tol)
+    s0 = _horner(sol.coeffs, w)
+    t1 = _horner(_times_k(sol.coeffs), w)
+    rho = sol.exponent
+    b = _prefactor_base(sol, z)
+    inner = rho * s0 + t1  # = rho S + w S'(w)
+    value = p_power(b, rho) * s0
+    if sol.point == 0:
+        return value, p_power(b, rho - 1) * inner
+    return value, -p_power(b, rho - 1) * inner
 
 
 def evaluate_deriv(sol: FrobeniusSolution, z: Any, tol: Optional[float] = None) -> Any:
     """d/dz of the truncated local solution at z."""
-    w = _check_radius_and_tail(sol, z, tol)
-    s0, t1, _ = _series_and_derivs(sol, w)
-    rho = sol.exponent
-    b = _prefactor_base(sol, z)
-    inner = rho * s0 + t1  # = rho S + w S'(w)
-    if sol.point == 0:
-        return p_power(b, rho - 1) * inner
-    return -p_power(b, rho - 1) * inner
+    return value_and_deriv(sol, z, tol)[1]
 
 
 def wronskian(sol_a: FrobeniusSolution, sol_b: FrobeniusSolution, z: Any) -> Any:
     """W(a, b)(z) = a(z) b'(z) - a'(z) b(z)."""
-    return evaluate(sol_a, z) * evaluate_deriv(sol_b, z) - evaluate_deriv(sol_a, z) * evaluate(
-        sol_b, z
-    )
+    a, da = value_and_deriv(sol_a, z)
+    b, db = value_and_deriv(sol_b, z)
+    return a * db - da * b
 
 
 def ode_residual(spec: EquationSpec, sol: FrobeniusSolution, z: Any) -> Any:
     """Residual ``psi'' + P(z) psi`` of the truncated solution at z."""
     w = _check_radius_and_tail(sol, z, None)
-    s0, t1, t2 = _series_and_derivs(sol, w)
+    s0 = _horner(sol.coeffs, w)
+    t1 = _horner(_times_k(sol.coeffs), w)
+    t2 = _horner([(k * (k - 1)) * ck for k, ck in enumerate(sol.coeffs)], w)
     rho = sol.exponent
     b = _prefactor_base(sol, z)
     # Both points reduce to the same form in the Horner sums t1 = w S' and

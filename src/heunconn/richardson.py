@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .errors import DomainError, SlowConvergence
+from .errors import DomainError
 
 __all__ = [
     "extrapolate",
@@ -44,8 +44,6 @@ def geometric_ladder(k_max: int, levels: int, ratio: int = 2) -> list[int]:
 def extrapolate(
     steps: Sequence[Any],
     values: Sequence[Any],
-    *,
-    require_contraction: bool = False,
 ) -> tuple[Any, float]:
     """Neville extrapolation of ``values[j] = f(steps[j])`` to step zero.
 
@@ -54,10 +52,6 @@ def extrapolate(
     where ``err`` is the magnitude of the final correction (difference between
     the last two table stages) — a standard a-posteriori error estimate for a
     convergent ladder.
-
-    With ``require_contraction=True`` a :class:`SlowConvergence` error is
-    raised when the final correction is not smaller than the first-column
-    spread, i.e. when the table shows no gain over the raw sequence.
     """
     n = len(steps)
     if n != len(values) or n == 0:
@@ -77,11 +71,4 @@ def extrapolate(
         stage = nxt
     limit = stage[0]
     err = abs(limit - prev_last)
-    if require_contraction:
-        raw_spread = abs(values[-1] - values[0])
-        if raw_spread > 0 and not (err < raw_spread):
-            raise SlowConvergence(
-                f"extrapolation ladder not contracting: final correction {err:.3e} "
-                f"vs raw spread {raw_spread:.3e}"
-            )
     return limit, err

@@ -11,6 +11,7 @@ parameter degeneracies surface as failed entries, never as crashes.
 from __future__ import annotations
 
 import cmath
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -29,6 +30,7 @@ from .frobenius import (
     convergence_radius,
     evaluate,
     frobenius_series,
+    local_basis,
     ode_residual,
     potential,
 )
@@ -124,7 +126,6 @@ _TOLS = {
 }
 _MATRIX_TOL = 1e-10  # tol of the connection matrices the checks compare
 _Z_LIST = (0.3, 0.5, 0.7)  # probe points of the identity check
-_K = 400  # series truncation of the identity check
 _LAMBDA = 1e4  # HE parameter scale of the CHE limit check
 
 
@@ -198,27 +199,34 @@ def verify_connection_identity(
 
 
 def _check_identity(
-    spec: EquationSpec, z_list: Sequence[float], K: int, tol: float, cf: Callable
+    spec: EquationSpec, z_list: Sequence[float], K: Optional[int], tol: float, cf: Callable
 ) -> CheckResult:
+    """The identity check at truncation ``K``; ``K=None`` truncates as
+    :func:`local_basis` does for the farthest probe point."""
+
     def run():
         mat = cf()
-        sols0 = {s: frobenius_series(spec, 0, 1 if s == "+" else -1, K) for s in ("+", "-")}
-        sols1 = {s: frobenius_series(spec, 1, 1 if s == "+" else -1, K) for s in ("+", "-")}
         r0 = convergence_radius(spec, 0)
         r1 = convergence_radius(spec, 1)
-        worst = 0.0
         for z in z_list:
             if not (0.0 < z < 1.0) or abs(z) >= r0 or abs(1 - z) >= r1:
                 raise DomainError(
                     f"probe point {z} lies outside both series' convergence domains"
                 )
-            for eps in ("+", "-"):
-                lhs = evaluate(sols0[eps], z)
-                rhs = mat[eps + "+"] * evaluate(sols1["+"], z) + mat[
-                    eps + "-"
-                ] * evaluate(sols1["-"], z)
-                worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        return worst, f"max over {len(z_list)} points x 2 signs, K={K}"
+        if K is None:
+            basis = local_basis(spec, max(max(z, 1 - z) for z in z_list))
+        else:
+            basis = [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
+        sol0p, sol0m, sol1p, sol1m = basis
+        worst = 0.0
+        for z in z_list:
+            psi1p, psi1m = evaluate(sol1p, z), evaluate(sol1m, z)
+            for eps, sol0 in (("+", sol0p), ("-", sol0m)):
+                lhs = evaluate(sol0, z)
+                rhs = mat[eps + "+"] * psi1p + mat[eps + "-"] * psi1m
+                res = abs(lhs - rhs) / abs(lhs)
+                worst = max(worst, res if res == res else math.inf)  # nan: an overflowed series
+        return worst, f"max over {len(z_list)} points x 2 signs, K={sol0p.K}"
 
     return _timed("connection_identity", tol, run)
 
@@ -329,9 +337,8 @@ def _check_reflection(
             b = potential(spec, 1.0 - w)
             pot_res = max(pot_res, abs(a - b) / max(1.0, abs(b)))
         ode_res = 0.0
-        for point, sign in ((0, 1), (1, -1)):
-            sol = frobenius_series(refl, point, sign, 220)
-            z0 = 0.35 if point == 0 else 0.65
+        sol0p, _, _, sol1m = local_basis(refl, 0.35)
+        for sol, z0 in ((sol0p, 0.35), (sol1m, 0.65)):
             ode_res = max(ode_res, abs(ode_residual(refl, sol, z0)))
         mat = cf()
         mat_r = connection_matrix(refl, method="cf", tol=matrix_tol)
@@ -437,7 +444,7 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     # One cf matrix, shared by every check of this spec that needs it.
     cf = _cf_once(spec, mtol)
     checks: list[CheckResult] = []
-    checks.append(_check_identity(spec, _Z_LIST, _K, tols["connection_identity"], cf))
+    checks.append(_check_identity(spec, _Z_LIST, None, tols["connection_identity"], cf))
     checks.append(_check_determinant(spec, tols["determinant"], cf))
     others = ["recurrence", "wronskian"]
     if abs(2.0 * complex(spec.theta1).real) < 4.0:

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
 from conftest import rel_diff
+from heunconn import cli
 from heunconn.cli import main
 
 RCHE_ARGS = [
@@ -230,6 +234,20 @@ class TestFlags:
     def test_config_echoes_the_flags_taken(self, capsys, command, echoed):
         _, out, _ = run_cli(capsys, [*BASE_ARGV[command], "--output", "json"])
         assert set(json.loads(out)["config"]) == echoed
+
+
+def test_parser_is_built_once_and_on_first_use(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import heunconn.cli as c; "
+        "print(c.build_parser.cache_info().currsize)"
+    )
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert fresh.stdout.strip() == "0", fresh.stderr
+    run_cli(capsys, BASE_ARGV["walks"])
+    parser = cli.build_parser()
+    assert run_cli(capsys, BASE_ARGV["walks"])[0] == 0
+    assert cli.build_parser() is parser
 
 
 class TestExitCodes:

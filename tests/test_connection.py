@@ -30,6 +30,9 @@ from heunconn import (
     extrapolate,
     fusion_cl,
     geometric_ladder,
+    evaluate,
+    evaluate_deriv,
+    frobenius_series,
     he_spec,
     hyp_spec,
     log_a_infinity_cf,
@@ -37,6 +40,7 @@ from heunconn import (
     rescaled_a,
     schafke_schmidt_connection,
     tail_determinant_limit,
+    wronskian_connection,
 )
 from heunconn.connection import (
     _eta_sweep,
@@ -126,6 +130,28 @@ class TestMatrixRoutes:
         ss = schafke_schmidt_connection(rche_example)
         val, _ = connection_scalar(rche_example, method="cf")
         assert rel_diff(ss, val) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
+    def test_wronskian_entries_are_the_wronskians_at_the_probe(self, request, family):
+        # Bit for bit the W(a, b) = a b' - a' b of evaluate and evaluate_deriv
+        # on frobenius_series at the route's K.
+        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
+        mat = wronskian_connection(spec)
+        assert mat.depth_or_K == 64
+        p0p, p0m, p1p, p1m = (
+            frobenius_series(spec, pt, sg, 64) for pt in (0, 1) for sg in (1, -1)
+        )
+
+        def w(a, b):
+            return evaluate(a, 0.5) * evaluate_deriv(b, 0.5) - evaluate_deriv(a, 0.5) * evaluate(
+                b, 0.5
+            )
+
+        for row, p0 in (("+", p0p), ("-", p0m)):
+            assert mat[row + "+"] == complex(-w(p0, p1m) / (2 * spec.theta1))
+            assert mat[row + "-"] == complex(w(p0, p1p) / (2 * spec.theta1))
+        err = abs(w(p0p, p0m) - 2 * spec.theta0) + abs(w(p1p, p1m) + 2 * spec.theta1) + 1e-14
+        assert mat.err_estimate == err
 
     @pytest.mark.parametrize("method", METHODS)
     def test_err_estimate_is_float_for_mpmath_spec(self, rche_example, method):
@@ -492,6 +518,15 @@ class TestGuardsAndLimits:
             assert buffer == 43 and bound == 0.3**43
         else:
             assert buffer <= 8
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
+    def test_max_depth_caps_every_sweeping_route(self, method):
+        # This spec needs K = 47,621 (ss: 60,854) at binary64.
+        spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.999)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergence, match="above max_depth = 4096"):
+            connection_matrix(spec, method, max_depth=4096)
+        assert time.perf_counter() - start < 0.5
 
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):

@@ -7,16 +7,22 @@ import pytest
 import oracles
 from conftest import rel_diff
 from heunconn import (
+    DomainError,
     RadiusError,
     TailError,
     convergence_radius,
     evaluate,
     evaluate_deriv,
     frobenius_series,
+    he_spec,
+    local_basis,
     ode_residual,
     potential,
     wronskian,
 )
+from heunconn.precision import p_power
+
+EXAMPLES = ("hyp_example", "rche_example", "che_example", "he_example")
 
 
 class TestCoefficients:
@@ -104,3 +110,63 @@ class TestDomainsAndErrors:
     def test_potential_is_real_for_real_parameters(self, he_example):
         v = potential(he_example, 0.37)
         assert abs(complex(v).imag) <= 1e-14
+
+
+class TestLocalBasis:
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    @pytest.mark.parametrize("reach, K", [(0.35, 64), (0.5, 64), (0.7, 128)])
+    def test_coefficients_are_frobenius_series_at_the_chosen_k(
+        self, request, fixture, reach, K
+    ):
+        # At reach 0.7 the K = 64 lists are extended to 128, not rebuilt.
+        spec = request.getfixturevalue(fixture)
+        basis = local_basis(spec, reach)
+        pairs = [(0, +1), (0, -1), (1, +1), (1, -1)]
+        assert [(s.point, s.sign, s.K) for s in basis] == [(p, g, K) for p, g in pairs]
+        for sol, (point, sign) in zip(basis, pairs):
+            fresh = frobenius_series(spec, point, sign, K)
+            assert sol.exponent == fresh.exponent
+            assert sol.coeffs == fresh.coeffs
+
+    @pytest.mark.parametrize("lam, K", [(0.58, 1024), (0.585, 2048)])
+    def test_truncation_is_the_first_doubling_below_the_tail_bound(self, lam, K):
+        # HE with the singular point 1/lam just beyond 0.7 from z = 1.
+        spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, lam)
+        basis = local_basis(spec, 0.7)
+        assert all(s.K == K for s in basis)
+        assert max(abs(s.coeffs[K]) * 0.7**K for s in basis) < 1e-15
+        assert max(abs(s.coeffs[K // 2]) * 0.7 ** (K // 2) for s in basis) >= 1e-15
+        assert basis[3].coeffs == frobenius_series(spec, 1, -1, K).coeffs
+
+    @pytest.mark.parametrize("reach", [0.0, 1.0, 1.5, 1e300])
+    def test_reach_outside_the_unit_interval(self, rche_example, reach):
+        with pytest.raises(DomainError):
+            local_basis(rche_example, reach)
+
+    def test_reach_beyond_the_radius(self):
+        # The radius at z = 1 is 1/0.7 - 1 = 0.43: named error, no sweep.
+        with pytest.raises(RadiusError):
+            local_basis(he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.7), 0.5)
+
+    def test_overflowing_series_reach_the_cap(self):
+        # The radius at z = 1 is 0.7001: the point-1 coefficients overflow to
+        # inf/nan before their tail at 0.7 falls, which must not pass the rule.
+        with pytest.raises(TailError, match="tail inf"):
+            local_basis(he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 1 / 1.7001), 0.7)
+
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    def test_value_and_derivative_chains_match_the_full_horner(self, request, fixture):
+        spec = request.getfixturevalue(fixture)
+        for sol in local_basis(spec, 0.7):
+            for z in (0.3, 0.5, 0.7):
+                # evaluate_deriv of the three-chain Horner sums, written out.
+                w = z - sol.point
+                s0 = t1 = 0.0 * w
+                for k in range(sol.K, -1, -1):
+                    s0 = s0 * w + sol.coeffs[k]
+                    t1 = t1 * w + k * sol.coeffs[k]
+                b = z if sol.point == 0 else 1.0 - z
+                pref = p_power(b, sol.exponent - 1)
+                inner = sol.exponent * s0 + t1
+                assert evaluate(sol, z) == p_power(b, sol.exponent) * s0
+                assert evaluate_deriv(sol, z) == (pref if sol.point == 0 else -pref) * inner

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from heunconn import SlowConvergence, extrapolate, geometric_ladder
+from heunconn import extrapolate, geometric_ladder
 
 
 class TestGeometricLadder:
@@ -63,20 +63,6 @@ class TestExtrapolate:
         raw_error = abs(vals[-1] - target)
         assert abs(limit - target) <= 1e-6 * raw_error
         assert abs(limit - target) <= 10.0 * max(err, 1e-16)
-
-    def test_require_contraction_flags_noise(self):
-        ks = geometric_ladder(64, 4)
-        noise = [0.1, -0.2, 0.15, -0.05]  # no systematic approach to a limit
-        with pytest.raises(SlowConvergence):
-            extrapolate([1.0 / k for k in ks], noise, require_contraction=True)
-
-    def test_require_contraction_accepts_convergent(self):
-        ks = geometric_ladder(4096, 4)
-        vals = [1.0 + 3.0 / k for k in ks]
-        limit, _ = extrapolate(
-            [1.0 / k for k in ks], vals, require_contraction=True
-        )
-        assert abs(limit - 1.0) <= 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(Exception):

@@ -103,6 +103,17 @@ class TestFullReport:
         rep = full_report(spec, FAST)
         assert rep.passed, rep.summary()
 
+    @pytest.mark.parametrize(
+        "fixture", ["hyp_example", "rche_example", "che_example", "he_example"]
+    )
+    def test_identity_residual_is_that_of_k400(self, request, fixture):
+        # The report truncates at K = 128 for the probe points 0.3, 0.5, 0.7.
+        spec = request.getfixturevalue(fixture)
+        got = {c.name: c for c in full_report(spec, FAST).checks}["connection_identity"]
+        ref = verify_connection_identity(spec, K=400)
+        assert got.residual == ref.residual
+        assert got.detail.endswith("K=128") and ref.detail.endswith("K=400")
+
     def test_check_roster_rche(self, rche_example):
         rep = full_report(rche_example, FAST)
         names = [c.name for c in rep.checks]
@@ -142,10 +153,10 @@ class TestFullReport:
 
         real = connection._ss_scalar
 
-        def off_by_1e7(spec):
+        def off_by_1e7(spec, max_depth):
             # The value off by 1e-7 relative, with an estimate that says so,
             # so the matrix still passes its own determinant gate.
-            val, err, K = real(spec)
+            val, err, K = real(spec, max_depth)
             return val * (1 + 1e-7), err + 1e-7 * abs(val), K
 
         monkeypatch.setattr(connection, "_ss_scalar", off_by_1e7)
