@@ -23,7 +23,7 @@ from typing import Any, Optional
 from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import METHODS, connection_matrix, det_residual
-from .equations import EquationSpec, che_spec, he_spec, hyp_spec, rche_spec
+from .equations import _REQUIRED, EquationSpec, che_spec, he_spec, hyp_spec, rche_spec
 from .errors import FamilyFieldError, HeunConnError, SizeError
 from .perturbative import (
     c1_closed_he,
@@ -96,17 +96,8 @@ def _spec_params(spec: EquationSpec) -> dict:
     out: dict = {"theta0": spec.theta0, "theta1": spec.theta1}
     if spec.family != "HYP":
         out["lambda"] = spec.lam
-    if spec.family == "HYP":
-        out["theta_inf"] = spec.theta_inf_hyp
-    elif spec.family == "RCHE":
-        out["omega"] = spec.omega
-    elif spec.family == "CHE":
-        out["omega"] = spec.omega
-        out["theta_star"] = spec.theta_star
-    else:
-        out["omega"] = spec.omega
-        out["theta_t"] = spec.theta_t
-        out["theta_inf"] = spec.theta_inf
+    for name in _REQUIRED[spec.family]:
+        out["theta_inf" if name == "theta_inf_hyp" else name] = getattr(spec, name)
     return out
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
@@ -142,7 +141,7 @@ def _walk_tail(spec: EquationSpec, terms: list, n: int, K: int) -> Iterator:
     1)`` in powers of ``1/k``, and ``T(K) - T(K+1) = local(K+1)`` fixes ``tau_q``
     at order ``K^-(q+1)`` with divisor ``q``.  As ``beta_k = O(k^-2)``, ``local``
     is ``O(k^-2n)`` and the terms start at ``q = 2n - 1``."""
-    _, beta_it = coefficient_expansions(replace(spec, lam=1))
+    _, beta_it = coefficient_expansions(spec)
     factors = [[i + 1 for i, power in enumerate(mu) for _ in range(power)] for mu, _ in terms]
     B, shifted = [], {s: [] for s in range(1, n + 1)}  # shifted[s]: beta_{k+s}
     chains = [[[] for _ in f] for f in factors]  # partial products of each walk type

@@ -298,30 +298,29 @@ def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[A
     raise AssertionError("endless series ended")  # pragma: no cover
 
 
-def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int, k_low: int = 0) -> list:
+def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
-    from a unit seed at ``k_top + buffer`` down to ``k_low + 1``; returns
-    ``[eta_{k_low+1}, ..., eta_k_top]``, from one coefficient table of the
-    indices ``k_low .. k_top + buffer``.  A sweep resumed from ``k_low`` differs
-    from a fresh one by the unit-seed bound only.
+    from a unit seed at ``k_top + buffer`` down to ``k = 1``; returns
+    ``[eta_1, ..., eta_k_top]``, from one coefficient table of the indices
+    ``0 .. k_top + buffer``.
     """
     lam = spec.lam
     watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
-    out = [one] * (k_top - k_low)
-    alphas, betas = coefficient_table(spec, k_low, k_top + buffer + 1)
-    for k in range(k_top + buffer, k_low, -1):
+    out = [one] * k_top
+    alphas, betas = coefficient_table(spec, 0, k_top + buffer + 1)
+    for k in range(k_top + buffer, 0, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        eta = 1 - lam * alphas[k - 1 - k_low] - lam * betas[k - k_low] / eta
+        eta = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
         if watch_branch and complex(eta).real <= 0.0:
             raise BranchAmbiguity(
                 f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
                 "logarithm branch tracking is ambiguous"
             )
         if k <= k_top:
-            out[k - k_low - 1] = eta
+            out[k - 1] = eta
     return out
 
 
@@ -334,14 +333,15 @@ def _log_eta_tail(spec: EquationSpec, K: int) -> Iterator:
     ``ln eta_k = sum_j l_j k^-j`` is its series logarithm, and ``T(K) -
     T(K+1) = ln eta_{K+1}`` fixes ``tau_n`` at order ``K^-(n+1)`` with divisor
     ``n``.  Coefficients at ``k + 1`` come from ``(1 + 1/k)^-j``."""
+    lam = spec.lam
     alpha_it, beta_it = coefficient_expansions(spec, alpha_shift=-1)
-    pa, qb = [next(alpha_it)], [next(beta_it)]
+    pa, qb = [lam * next(alpha_it)], [lam * next(beta_it)]
     g, e, logs, m_logs, shifted, tau = [1], [1], [0], [0], [0], [0]
     divisor = 1 + pa[0]
     inv_k, scale = _inverse_depth(spec, K), 1
     for N in count(1):
-        pa.append(next(alpha_it))
-        qb.append(next(beta_it))
+        pa.append(lam * next(alpha_it))
+        qb.append(lam * next(beta_it))
         alt = _binomial_rows(N - 1)[1]
         # e_N without g_N: the coefficient of k^-N in sum_{j<N} g_j (k+1)^-j.
         e_partial = sum(map(mul, alt, g[1:]))
@@ -420,43 +420,54 @@ def _check_tol(err: float, tol: float, K: int, what: str) -> None:
         )
 
 
-def _recurrence_tail(spec: EquationSpec, K: int) -> Iterator:
+def _recurrence_tail(spec: EquationSpec, K: int, lam: Any, N: int) -> Iterator:
     """Terms ``d_n K^-n`` of ``S(K)`` in the formal solution ``a_k ~ a_inf
     S(k)``, ``S(k) = sum_j d_j k^-j``, ``d_0 = 1``, of ``a_{k+1} = a_k -
-    lam (alpha_k a_k + beta_k a_{k-1})``.
+    lam (alpha_k a_k + beta_k a_{k-1})`` at the coupling ``lam + delta``, each
+    as the list of its orders ``0 .. N`` in ``delta``.
 
-    Order ``k^-(n+1)`` fixes ``d_n`` with divisor ``n (1 - lam beta^(0))``
-    (less the ``1/k`` coefficients of ``lam alpha_k + lam beta_k``, which
-    cancel in exact arithmetic); coefficients at ``k + 1`` and ``k - 1`` come
-    from ``(1 +- 1/k)^-j``."""
+    With ``A_j``, ``B_j`` the ``1/k`` expansions of ``alpha_k``, ``beta_k``,
+    order ``k^-(n+1)`` fixes ``d_n`` with divisor ``n - lam s_n``, ``s_n = n
+    B_0 + A_1 + B_1`` (``A_1 + B_1`` cancels in exact arithmetic): order ``m``
+    of ``d_n`` is ``(f_n + lam g_n + g'_n + s_n d'_n) / (n - lam s_n)``, where
+    ``f_n`` (of ``S(k+1) - S(k)``) and ``g_n`` (of the ``A``, ``B`` terms) hold
+    order ``m`` of ``d_0 .. d_{n-1}``, and ``g'_n``, ``d'_n`` are order ``m -
+    1`` of ``g_n``, ``d_n`` (0 at ``m = 0``).  Coefficients at ``k + 1`` and
+    ``k - 1`` come from ``(1 +- 1/k)^-j``."""
     alpha_it, beta_it = coefficient_expansions(spec)
-    pa = [next(alpha_it), next(alpha_it)]
-    qb = [next(beta_it), next(beta_it)]
-    d, back = [1], [1]  # back: coefficients of S(k - 1)
-    divisor, slope = 1 - qb[0], pa[1] + qb[1]
+    A = [next(alpha_it), next(alpha_it)]
+    B = [next(beta_it), next(beta_it)]
+    # d[m][j], back[m][j]: order m of d_j and of the coefficient of k^-j in S(k - 1)
+    d = [[1]] + [[0] for _ in range(N)]
+    back = [[1]] + [[0] for _ in range(N)]
     inv_k, scale = _inverse_depth(spec, K), 1
-    yield 1.0
+    yield [1.0] + [0.0] * N
     for n in count(1):
-        pa.append(next(alpha_it))
-        qb.append(next(beta_it))
+        A.append(next(alpha_it))
+        B.append(next(beta_it))
+        a_rev, b_rev = A[:1:-1], B[:1:-1]  # A_{n+1} .. A_2 against d_0 .. d_{n-1}
         row, alt = _binomial_rows(n)
-        known = d[1:]
-        # Coefficients of k^-(n+1) in S(k+1) - S(k), and of k^-(n+1), k^-n
-        # in S(k-1), without d_n.
-        forward = sum(map(mul, alt, known))
-        back_next = sum(map(mul, row, known))
-        back_n = sum(map(mul, _binomial_rows(n - 1)[0], known))
-        residual = (
-            forward
-            + sum(map(mul, pa[2:], d[::-1]))
-            + sum(map(mul, qb[2:], back[::-1]))
-            + qb[1] * back_n
-            + qb[0] * back_next
-        )
-        d.append(residual / (n * divisor - slope))
-        back.append(back_n + d[n])
+        row_n = _binomial_rows(n - 1)[0]
+        s_n = n * B[0] + A[1] + B[1]
+        divisor = n - lam * s_n
         scale *= inv_k
-        yield d[n] * scale
+        d_n, g_below, term = 0, 0, []
+        for m in range(N + 1):
+            known = d[m][1:]
+            # Coefficients of k^-n and k^-(n+1) in S(k - 1), without d_n.
+            back_n = sum(map(mul, row_n, known))
+            g = (
+                sum(map(mul, a_rev, d[m]))
+                + sum(map(mul, b_rev, back[m]))
+                + B[1] * back_n
+                + B[0] * sum(map(mul, row, known))
+            )
+            d_n = (sum(map(mul, alt, known)) + lam * g + g_below + s_n * d_n) / divisor
+            term.append(d_n * scale)
+            g_below = g
+            d[m].append(d_n)
+            back[m].append(back_n + d_n)
+        yield term
 
 
 def _recurrence_limit(
@@ -483,7 +494,8 @@ def _recurrence_limit(
     a_k = 1.0 + 0 * spec.theta0
     for al, be in zip(*coefficient_table(spec, 0, K)):
         a_k, a_km1 = a_k - lam * (al * a_k + be * a_km1), a_k
-    total, omitted = _sum_tail(_recurrence_tail(spec, K), eps, True, what)
+    terms = (term[0] for term in _recurrence_tail(spec, K, lam, 0))
+    total, omitted = _sum_tail(terms, eps, True, what)
     a_inf = a_k / total
     rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
     err = max(float(abs(a_inf)), 1.0) * rel

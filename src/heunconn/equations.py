@@ -304,6 +304,27 @@ def canonical_recurrence_step(spec: EquationSpec, k: int, u_k: Any, u_km1: Any) 
     return rhs / lead
 
 
+def _quadratic_parts(spec: EquationSpec) -> tuple[tuple, tuple, tuple, tuple]:
+    """The coupling-free parts ``(lead, Q, R, P)`` of the recurrence
+    ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``, with ``A_k = Q_k + lam R_k``
+    and ``B_k = lam P_k``, each as ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2``."""
+    t0, t1 = spec.theta0, spec.theta1
+    x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+    a = 0.5 - t0 + t1
+    lead = (1 - 2 * t0, 2 - 2 * t0, 1)
+    q = (a * a - x * x, 2 * a, 1)
+    if spec.family == "HYP":
+        return lead, q, (0, 0, 0), (0, 0, 0)
+    if spec.family == "RCHE":
+        return lead, q, (0, 0, 0), (1, 0, 0)
+    if spec.family == "CHE":
+        ts = spec.theta_star
+        return lead, q, (-(0.5 - t0 - ts), -1, 0), (-(t1 - t0 - ts), -1, 0)
+    tt, ti, om = spec.theta_t, spec.theta_inf, spec.omega
+    b, c = 0.5 - t0 - tt, t1 - t0 - tt
+    return lead, q, (b * b - t0 * t0 - ti * ti + om * om, 2 * b, 1), (c * c - ti * ti, 2 * c, 1)
+
+
 def recurrence_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, tuple, tuple]:
     """Coefficients ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2`` for ``lead_k``,
     ``A_k`` and ``B_k`` in the recurrence ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
@@ -320,24 +341,8 @@ def recurrence_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, tuple,
     for k in sorted({int(round(complex(r).real)) for r in roots}):
         if 0 <= k < k_max:
             canonical_recurrence_step(spec, k, 0, 0)
-    lead = (1 - 2 * t0, 2 - 2 * t0, 1)
-    q = (a * a - x * x, 2 * a, 1)
-    if spec.family == "HYP":
-        return lead, q, (0, 0, 0)
-    if spec.family == "RCHE":
-        return lead, q, (lam, 0, 0)
-    if spec.family == "CHE":
-        ts = spec.theta_star
-        a_che = (q[0] - lam * (0.5 - t0 - ts), q[1] - lam, 1)
-        return lead, a_che, (-lam * (t1 - t0 - ts), -lam, 0)
-    tt, ti, om = spec.theta_t, spec.theta_inf, spec.omega
-    b, c = 0.5 - t0 - tt, t1 - t0 - tt
-    r = (b * b - t0 * t0 - ti * ti + om * om, 2 * b, 1)
-    return (
-        lead,
-        tuple(qi + lam * ri for qi, ri in zip(q, r)),
-        (lam * (c * c - ti * ti), 2 * lam * c, lam),
-    )
+    lead, q, r, p = _quadratic_parts(spec)
+    return lead, tuple(qi + lam * ri for qi, ri in zip(q, r)), tuple(lam * pi for pi in p)
 
 
 def _at_shift(poly: tuple, s: int) -> list:
@@ -368,23 +373,18 @@ def _series_quotient(num: list, den: list) -> Iterator:
 
 def coefficient_expansions(spec: EquationSpec, alpha_shift: int = 0) -> tuple[Iterator, Iterator]:
     """Coefficients of the large-``k`` expansions in powers of ``1/k`` of
-    ``lam alpha_{k + alpha_shift}`` and ``lam beta_k``, as two endless iterators.
+    ``alpha_{k + alpha_shift}`` and ``beta_k``, as two endless iterators.
 
-    They come from the exact polynomial coefficients of
-    :func:`recurrence_quadratics`: ``lam alpha_k = 1 - A_k/Q_k`` and
-    ``lam beta_k = B_k lead_{k-1} / (Q_k Q_{k-1})``, with ``Q_k`` the
-    ``lam = 0`` part of ``A_k``.  The expansions converge for ``k`` above
-    every root of the denominators."""
-    lead, a_poly, b_poly = recurrence_quadratics(spec, 0)
-    x = spec.omega
-    t = 0.5 - spec.theta0 + spec.theta1
-    q_poly = (t * t - x * x, 2 * t, 1)
-    s = alpha_shift
-    q_s = _at_shift(q_poly, s)
-    alpha = _series_quotient([qi - ai for qi, ai in zip(q_s, _at_shift(a_poly, s))], q_s)
+    They come from the exact polynomial parts of
+    :func:`recurrence_quadratics`: ``alpha_k = -R_k/Q_k`` and ``beta_k = P_k
+    lead_{k-1} / (Q_k Q_{k-1})``, free of the coupling.  The expansions
+    converge for ``k`` above every root of the denominators."""
+    lead, q, r, p = _quadratic_parts(spec)
+    q_s = _at_shift(q, alpha_shift)
+    alpha = _series_quotient([-c for c in _at_shift(r, alpha_shift)], q_s)
     beta = _series_quotient(
-        _poly_product(_at_shift(b_poly, 0), _at_shift(lead, -1)),
-        _poly_product(_at_shift(q_poly, 0), _at_shift(q_poly, -1)),
+        _poly_product(_at_shift(p, 0), _at_shift(lead, -1)),
+        _poly_product(_at_shift(q, 0), _at_shift(q, -1)),
     )
     return alpha, beta
 

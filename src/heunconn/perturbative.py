@@ -9,8 +9,8 @@ coupling.  Its order-``n`` coefficient obeys
 
 so one sweep to depth ``K`` costs ``O(N K)`` additions and no division.  The
 limit follows from the formal solution ``a_k ~ a_inf S(k)``, ``S(k) = sum_j
-d_j k^-j`` (as in the ``recurrence`` route of :mod:`heunconn.connection`), with
-the ``d_j`` computed as λ-jets: ``ln a_inf = ln a_K - ln S(K)``.  At a fixed
+d_j k^-j``, with the ``d_j`` computed as λ-jets by the ``recurrence`` route's
+own tail (``connection._recurrence_tail``): ``ln a_inf = ln a_K - ln S(K)``.  At a fixed
 order in ``lam`` the recurrence has no second solution (that one is of order
 ``lam^k``), so ``K`` only has to be ``_ROOT_FACTOR`` times above the roots of the
 denominators, and at least 64.  For HE the ``-ln(1 - lam)`` part of ``ln
@@ -26,13 +26,13 @@ digamma/trigamma expressions and serve as independent references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain, count
-from operator import add, mul, sub
-from typing import Any, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import add, sub
+from typing import Any, Sequence
 
-from .connection import _binomial_rows, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff
-from .equations import EquationSpec, coefficient_expansions, coefficient_table, validate
+from .connection import _is_mp_spec, _recurrence_tail, _root_depth, _sum_tail, _unit_roundoff
+from .equations import EquationSpec, coefficient_table, validate
 from .errors import (
     DomainError,
     FamilyFieldError,
@@ -193,50 +193,6 @@ def _forward_jet(alphas: list, betas: list, N: int) -> list:
     return out
 
 
-def _jet_tail(spec: EquationSpec, K: int, N: int) -> Iterator:
-    """Terms ``d_n K^-n`` of ``S(K)`` as λ-jets of orders ``0 .. N``: the
-    ``recurrence`` route's formal solution (``connection._recurrence_tail``)
-    with the coupling kept formal.
-
-    ``lam alpha_k`` and ``lam beta_k`` are ``lam`` times the ``1/k``
-    expansions ``A_j``, ``B_j`` of ``alpha_k`` and ``beta_k``, so in each term
-    that holds them order ``m`` reads order ``m - 1`` of the ``d``; the divisor
-    ``n (1 - lam B_0) - lam (A_1 + B_1) = n - lam s_n`` makes ``d^(m)_n =
-    (r^(m) + s_n d^(m-1)_n) / n``."""
-    alpha_it, beta_it = coefficient_expansions(replace(spec, lam=1))
-    A = [next(alpha_it), next(alpha_it)]
-    B = [next(beta_it), next(beta_it)]
-    # d[m][j], back[m][j]: order m of d_j and of the coefficient of k^-j in S(k - 1)
-    d = [[1]] + [[0] for _ in range(N)]
-    back = [[1]] + [[0] for _ in range(N)]
-    inv_k, scale = 1.0 / K, 1
-    yield _Orders([1.0] + [0.0] * N)
-    for n in count(1):
-        A.append(next(alpha_it))
-        B.append(next(beta_it))
-        row, alt = _binomial_rows(n)
-        row_n = _binomial_rows(n - 1)[0]
-        s_n = n * B[0] + A[1] + B[1]
-        scale *= inv_k
-        d_n, lam_part, term = 0, 0, []
-        for m in range(N + 1):
-            known = d[m][1:]
-            back_n = sum(map(mul, row_n, known))
-            d_n = (sum(map(mul, alt, known)) + lam_part + s_n * d_n) / n
-            term.append(d_n * scale)
-            # The lam terms of order m + 1: A and B against order m of
-            # d_0 .. d_{n-1} and of the coefficients of S(k - 1) without d_n.
-            lam_part = (
-                sum(map(mul, A[2:], d[m][::-1]))
-                + sum(map(mul, B[2:], back[m][::-1]))
-                + B[1] * back_n
-                + B[0] * sum(map(mul, row, known))
-            )
-            d[m].append(d_n)
-            back[m].append(back_n + d_n)
-        yield _Orders(term)
-
-
 def _series_log(f: Sequence) -> list:
     """Series logarithm of coefficients with ``f_0 = 1``:
     ``l_m = f_m - (1/m) sum_{j<m} j l_j f_{m-j}``."""
@@ -252,7 +208,8 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     The spec's own ``lam`` value is ignored: only the family structure and
     the non-coupling parameters enter.  One λ-jet sweep of the forward
     recurrence to ``K`` (:func:`connection._root_depth`) gives ``a_K``, the
-    formal tail :func:`_jet_tail` summed to working precision gives ``S(K)``,
+    ``recurrence`` route's formal tail (:func:`connection._recurrence_tail`)
+    at coupling 0 to order ``N``, summed to working precision, gives ``S(K)``,
     and ``ln a_inf = ln a_K - ln S(K)``.  ``N`` above 8 raises
     :class:`SizeError`; a tail that stops decreasing raises
     :class:`NonConvergence`.  For HYP all coefficients vanish.
@@ -265,7 +222,8 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     K = _root_depth(spec)
     a_K = _forward_jet(*coefficient_table(spec, 0, K), N)
     eps = _unit_roundoff(_is_mp_spec(spec))
-    s_K, _ = _sum_tail(_jet_tail(spec, K, N), eps, False, "coupling-series tail")
+    tail = map(_Orders, _recurrence_tail(spec, K, 0, N))
+    s_K, _ = _sum_tail(tail, eps, False, "coupling-series tail")
     return [complex(x - y) for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
 
 

@@ -183,7 +183,7 @@ def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMa
 def verify_connection_identity(
     spec: EquationSpec,
     z_list: Sequence[float] = _Z_LIST,
-    K: int = 400,
+    K: Optional[int] = None,
     tol: float = 1e-9,
     matrix: Optional[ConnectionMatrix] = None,
 ) -> CheckResult:
@@ -191,7 +191,9 @@ def verify_connection_identity(
     ``psi0_eps`` against ``sum_eps' C[eps eps'] psi1_eps'`` entrywise.
 
     The residual is relative to ``|psi0_eps|``; the matrix defaults to the
-    continued-fraction route.
+    continued-fraction route.  ``K=None`` truncates the series as
+    :func:`local_basis` does for the farthest probe point (as
+    :func:`full_report` does); an integer ``K`` truncates every series there.
     """
     validate(spec)
     cf = _cf_once(spec, _MATRIX_TOL) if matrix is None else lambda: matrix

@@ -39,7 +39,8 @@ from heunconn import (
     rche_spec,
     sigma1_closed,
 )
-from heunconn.connection import _root_depth
+from heunconn.connection import _recurrence_tail, _root_depth, _sum_tail
+from heunconn.perturbative import _Orders
 
 
 def _jet(*coeffs: complex) -> Jet:
@@ -131,6 +132,18 @@ class TestJetTail:
         want = [oracles.cplx(t) for t in oracles.C_SERIES[family]]
         for g, w in zip(c_coefficients(spec, len(want)), want):
             assert abs(g - w) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-3, -1e-3])
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_orders_sum_to_the_recurrence_routes_tail(self, request, family, lam):
+        # One recursion serves both callers: its orders 0..6 at coupling 0,
+        # summed in powers of lam, give its order-0 sum at coupling lam.
+        spec = request.getfixturevalue(f"{family.lower()}_example")
+        K, eps = _root_depth(spec), 2.0**-53
+        jets, _ = _sum_tail(map(_Orders, _recurrence_tail(spec, K, 0, 6)), eps, False, "jets")
+        at_lam = (t[0] for t in _recurrence_tail(spec, K, lam, 0))
+        direct, _ = _sum_tail(at_lam, eps, False, "at lam")
+        assert abs(sum(c * lam**m for m, c in enumerate(jets)) - direct) <= 1e-15
 
     def test_wide_spec_takes_a_deeper_sweep(self):
         d = oracles.WIDE_CHE

@@ -13,6 +13,7 @@ from heunconn import (
     ReflectionMismatch,
     connection_matrix,
     full_report,
+    he_spec,
     rche_spec,
     verify_che_as_he_limit,
     verify_connection_identity,
@@ -27,6 +28,14 @@ class TestConnectionIdentity:
     def test_passes_on_example(self, rche_example):
         r = verify_connection_identity(rche_example)
         assert r.passed and r.residual <= 1e-9
+
+    def test_default_truncation_follows_the_probe_points(self):
+        # Near the HE radius a fixed K = 400 leaves 1.2e-6 of truncation error;
+        # the default truncates as local_basis does, here at K = 2048.
+        spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.585)
+        r = verify_connection_identity(spec)
+        assert r.passed and r.residual <= 1e-13
+        assert r.detail.endswith("K=2048")
 
     def test_fails_on_corrupted_matrix(self, rche_example):
         mat = connection_matrix(rche_example)
