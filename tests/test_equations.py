@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -25,6 +26,7 @@ from heunconn import (
     u_lambda0_sequence,
     validate,
 )
+from heunconn.equations import coefficient_expansions
 from heunconn.precision import HIGH, spec_to_precision
 
 
@@ -139,6 +141,25 @@ class TestRecurrenceData:
         spec = rche_spec(0.1, 0.2, 0.6, 0.1)
         with pytest.raises(AccessoryResonance):
             alpha_beta(spec, 1)
+
+    @pytest.mark.parametrize("alpha_shift", [0, -1])
+    @pytest.mark.parametrize("name", ["hyp_example", "rche_example", "che_example", "he_example"])
+    def test_expansions_sum_to_the_coupling_free_table(self, request, name, alpha_shift):
+        # The 1/k expansions are of alpha_{k + alpha_shift} and beta_k
+        # themselves, not of lam times them: 40 terms at k = 400 give the
+        # table rows, and a spec at another coupling has the same expansions.
+        spec = request.getfixturevalue(name)
+        k = 400
+        alpha_it, beta_it = coefficient_expansions(spec, alpha_shift)
+        alpha_terms, beta_terms = list(islice(alpha_it, 40)), list(islice(beta_it, 40))
+        alphas, _ = coefficient_table(spec, k + alpha_shift, k + alpha_shift + 1)
+        _, betas = coefficient_table(spec, k, k + 1)
+        for terms, ref in ((alpha_terms, alphas[0]), (beta_terms, betas[0])):
+            total = sum(c * k**-j for j, c in enumerate(terms))
+            assert abs(total - ref) <= 1e-14 * abs(ref)
+        if spec.lam is not None:
+            other = coefficient_expansions(replace(spec, lam=spec.lam / 2), alpha_shift)
+            assert [list(islice(it, 40)) for it in other] == [alpha_terms, beta_terms]
 
 
 # alpha_beta(spec, k) at k in (0, 1, 2, 7, 512, 1075), frozen from the
