@@ -13,8 +13,9 @@ routes are implemented:
 * ``ss``          — large-order asymptotics of the series coefficients,
   ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``, with the
   coefficients iterated to a depth ``K`` in fixed-point Gaussian integers at
-  the working precision plus guard bits, in an mpmath context of the calling
-  thread, and divided by their own formal ``1/K`` series;
+  the working precision plus guard bits, from recurrence coefficients formed
+  exactly from the parameters, and divided by their own formal ``1/K``
+  series;
 * ``wronskian``   — overlap of the truncated local series at a midpoint probe,
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
@@ -28,8 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import count, islice
 from operator import mul
 from typing import Any, Iterator
@@ -40,7 +40,6 @@ from .equations import (
     EquationSpec,
     coefficient_expansions,
     coefficient_table,
-    recurrence_quadratics,
     validate,
 )
 from .errors import (
@@ -51,7 +50,8 @@ from .errors import (
     MonodromyInconsistent,
     NonConvergence,
 )
-from .frobenius import local_basis, value_and_deriv
+from .fixedpoint import amplitude, exact_quadratics, fixed_iterates
+from .frobenius import local_basis, truncated_basis, value_and_deriv
 from .precision import (
     DOUBLE,
     HIGH,
@@ -84,6 +84,7 @@ _MAX_DEPTH = 2**20
 _TAIL_LEVELS = 4  # ladder nodes of the tail determinants
 _DET_FACTOR = 100.0  # determinant gate, in units of the matrix's accuracy
 _PROBE = 0.5  # matching point of the wronskian route
+_PROBE_REACH = max(abs(_PROBE), abs(1.0 - _PROBE))  # of the route's local basis
 # Relative error of the binary64 fusion_cl factor away from gamma poles
 # (at most 6.4e-14 on 3000 seeded parameter triples).
 _PREF_ERR = 1e-13
@@ -584,36 +585,6 @@ def _flip_spec(spec: EquationSpec, s0: int, s1: int) -> EquationSpec:
     return replace(spec, theta0=s0 * spec.theta0, theta1=s1 * spec.theta1)
 
 
-def _fixed_iterates(quadratics: tuple, bits: int, ctx: Any):
-    """Iterates ``u_1, u_2, ...`` of ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
-    from ``u_0 = 1, u_{-1} = 0`` as Gaussian integers ``(re, im)`` scaled by
-    ``2^bits``.  The quadratic coefficients of :func:`recurrence_quadratics`
-    (numbers of the mpmath context ``ctx``) are scaled once; ``lead_k, A_k,
-    B_k`` then advance by exact integer finite differences, and the division
-    goes through ``conj(lead)/|lead|^2``."""
-    state = []  # per quadratic: re, im of p(k), of p(k+1) - p(k), of 2 c2
-    with ctx.workprec(bits):
-        for c0, c1, c2 in quadratics:
-            for v in (c0, c1 + c2, 2 * c2):
-                v = ctx.mpc(v)
-                state += [int(ctx.nint(ctx.ldexp(part, bits))) for part in (v.real, v.imag)]
-    lr, li, dlr, dli, ddlr, ddli = state[:6]
-    ar, ai, dar, dai, ddar, ddai = state[6:12]
-    br, bi, dbr, dbi, ddbr, ddbi = state[12:]
-    ur, ui, vr, vi = 1 << bits, 0, 0, 0
-    while True:
-        nr = (ar * ur - ai * ui - br * vr + bi * vi) >> bits
-        ni = (ar * ui + ai * ur - br * vi - bi * vr) >> bits
-        d = lr * lr + li * li
-        vr, vi = ur, ui
-        ur = ((nr * lr + ni * li) << bits) // d
-        ui = ((ni * lr - nr * li) << bits) // d
-        yield ur, ui
-        lr, dlr, li, dli = lr + dlr, dlr + ddlr, li + dli, dli + ddli
-        ar, dar, ai, dai = ar + dar, dar + ddar, ai + dai, dai + ddai
-        br, dbr, bi, dbi = br + dbr, dbr + ddbr, bi + dbi, dbi + ddbi
-
-
 def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     """Working ``dps`` of the ``ss`` route and the fixed-point ``bits`` of its
     iterates: ``|u_k|`` falls to about ``k^(-1-2|Re theta1|)``, so guard bits
@@ -621,28 +592,6 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     dps = max(30, 20 + int(4 * abs(theta1.real) * math.log10(max(K, 10))) + 10)
     guard = int((1 + 2 * abs(theta1.real)) * math.log2(max(K, 2))) + 16
     return dps, mp.libmp.dps_to_prec(dps) + guard
-
-
-_THREAD = threading.local()
-
-
-def _thread_context() -> Any:
-    """The calling thread's own mpmath context: the ``ss`` route sets its
-    precision without touching the process-wide ``mpmath.mp`` that every
-    thread shares."""
-    ctx = getattr(_THREAD, "ctx", None)
-    if ctx is None:
-        ctx = _THREAD.ctx = mp.MPContext()
-    return ctx
-
-
-def _spec_in(ctx: Any, spec: EquationSpec) -> EquationSpec:
-    """The spec with every numeric field a number of the mpmath context ``ctx``."""
-    return replace(spec, **{
-        f.name: ctx.convert(getattr(spec, f.name))
-        for f in fields(spec)
-        if not isinstance(getattr(spec, f.name), (str, type(None)))
-    })
 
 
 def _ss_tail(quadratics: tuple, rho: complex, K: int) -> Iterator:
@@ -690,7 +639,9 @@ def _ss_tail(quadratics: tuple, rho: complex, K: int) -> Iterator:
         yield e[n] * scale
 
 
-def _ss_scalar(spec: EquationSpec, max_depth: int = _MAX_DEPTH) -> tuple[complex, float, int]:
+def _ss_scalar(
+    spec: EquationSpec, tol: float = math.inf, max_depth: int = _MAX_DEPTH
+) -> tuple[complex, float, int]:
     """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`.
 
     The estimate is ``|value|`` times the sum of:
@@ -700,7 +651,10 @@ def _ss_scalar(spec: EquationSpec, max_depth: int = _MAX_DEPTH) -> tuple[complex
     * the fixed-point rounding, ``K`` units of the working ``dps``;
     * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor of
       :func:`_ss_tail` magnifies the rounding of each residual;
-    * a ``1e-15`` floor for the binary64 assembly."""
+    * a ``1e-15`` floor for the assembly's roundings.
+
+    Raises :class:`NonConvergence` when the sum without the floor is above
+    ``tol``, as :func:`log_a_infinity_cf` judges its estimate."""
     validate(spec)
     th1 = complex(spec.theta1)
     if abs(2 * th1.real) >= 4.0:
@@ -711,24 +665,19 @@ def _ss_scalar(spec: EquationSpec, max_depth: int = _MAX_DEPTH) -> tuple[complex
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
     K = _tail_depth(spec, _EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
     dps, bits = _ss_precision(th1, K)
-    ctx = _thread_context()
-    with ctx.workdps(dps):
-        msp = _spec_in(ctx, spec)
-        with ctx.workprec(bits):
-            quadratics = recurrence_quadratics(msp, K)
-        (_, l1, _), (_, a1, _), (_, b1, b2) = quadratics
-        rho = -(l1 - a1 + b1) / (1 - b2)  # 2 theta1 - 1 in exact arithmetic
-        re, im = next(islice(_fixed_iterates(quadratics, bits, ctx), K - 1, None))
-        u_K = ctx.mpc(ctx.ldexp(re, -bits), ctx.ldexp(im, -bits))
-        amplitude = complex(ctx.gamma(2 * msp.theta1) * u_K / ctx.power(K, rho))
+    quadratics, exact = exact_quadratics(spec, K)
+    u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))
+    rho = 2 * exact.theta1 - 1
     total, omitted = _sum_tail(_ss_tail(quadratics, complex(rho), K), _EPS64, True, what)
-    val = amplitude / total * complex(_assembly_prefactor(spec))
+    val = amplitude(exact, rho, u_K, bits, K) / total
+    b2 = complex(quadratics[2][2])
     rel = (
         omitted / abs(total)
         + math.exp(_log_second_mode(spec, K))
         + K * 10.0**-dps
-        + 2 * _EPS64 / abs(1 - complex(b2))
+        + 2 * _EPS64 / abs(1 - b2)
     )
+    _check_tol(rel, tol, K, what)
     return val, abs(val) * (rel + 1e-15), K
 
 
@@ -740,11 +689,13 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     the spec (:func:`_tail_depth` at binary64, with the root ``2 theta0 - 1``
     of ``lead_k`` in the reach) in fixed-point Gaussian integers at the
     working precision plus guard bits (the iterates fall like
-    ``k^(-1-2 |Re theta1|)``).  The limit is ``u_K / (K^rho S(K))`` with
-    ``rho = 2 theta1 - 1`` from the recurrence's coefficients and ``S`` its
-    formal ``1/k`` series in u-space (:func:`_ss_tail`), summed in binary64 to
-    the unit roundoff.  The mpmath work runs in a context of the calling
-    thread, not in the shared ``mpmath.mp``.  Requires ``|Re 2 theta1| < 4``.
+    ``k^(-1-2 |Re theta1|)``), from recurrence coefficients formed exactly
+    from the parameters' binary mantissas and exponents
+    (:mod:`heunconn.fixedpoint`).  The limit is ``u_K / (K^rho S(K))`` with
+    ``rho = 2 theta1 - 1`` and ``S`` the recurrence's formal ``1/k`` series in
+    u-space (:func:`_ss_tail`), summed in binary64 to the unit roundoff.  No
+    mpmath context is read or set: the gamma function and ``K^rho`` take an
+    explicit precision.  Requires ``|Re 2 theta1| < 4``.
     """
     return _ss_scalar(spec)[0]
 
@@ -758,7 +709,11 @@ def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
 
     at ``z = 1/2``, with the truncation of :func:`local_basis` at reach 1/2.
     """
-    basis = local_basis(spec, max(abs(_PROBE), abs(1.0 - _PROBE)))
+    return _wronskian_matrix(spec, local_basis(spec, _PROBE_REACH))
+
+
+def _wronskian_matrix(spec: EquationSpec, basis: list) -> ConnectionMatrix:
+    """:func:`wronskian_connection` from its local basis."""
     (a0p, d0p), (a0m, d0m), (a1p, d1p), (a1m, d1m) = (value_and_deriv(s, _PROBE) for s in basis)
     t1 = spec.theta1
     entries = {}
@@ -778,6 +733,14 @@ def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
         depth_or_K=basis[0].K,
         err_estimate=float(err),
     )
+
+
+def _wronskian_of_basis(spec: EquationSpec, basis: list, tol: float) -> ConnectionMatrix:
+    """``connection_matrix(spec, "wronskian", tol)`` from a basis of
+    :func:`local_basis` built for a reach of at least 1/2: cut to the
+    route's own truncation (:func:`truncated_basis`), it gives the same
+    matrix."""
+    return _det_gate(_wronskian_matrix(spec, truncated_basis(basis, _PROBE_REACH)), tol)
 
 
 def connection_matrix(
@@ -805,7 +768,7 @@ def connection_matrix(
             for s1, col in ((1, "+"), (-1, "-")):
                 fspec = validate(_flip_spec(spec, s0, s1))
                 if method == "ss":
-                    val, err, d = _ss_scalar(fspec, max_depth)
+                    val, err, d = _ss_scalar(fspec, tol, max_depth)
                     precision = HIGH
                 else:
                     val, err, d = _scalar_with_depth(
@@ -822,9 +785,15 @@ def connection_matrix(
             err_estimate=worst,
             precision=precision,
         )
+    return _det_gate(matrix, tol)
+
+
+def _det_gate(matrix: ConnectionMatrix, tol: float) -> ConnectionMatrix:
+    """The matrix, once ``|det C + theta0/theta1|`` is within ``_DET_FACTOR
+    max(tol, err_estimate)``: the determinant can only be certified to the
+    accuracy of the method that produced the entries.  Raises
+    :class:`DetCheckFailed` beyond."""
     resid = det_residual(matrix)
-    # The determinant can only be certified to the accuracy of the method
-    # that produced the entries.
     det_gate = _DET_FACTOR * max(tol, matrix.err_estimate)
     if resid > det_gate:
         raise DetCheckFailed(

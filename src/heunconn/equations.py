@@ -325,24 +325,18 @@ def _quadratic_parts(spec: EquationSpec) -> tuple[tuple, tuple, tuple, tuple]:
     return lead, q, (b * b - t0 * t0 - ti * ti + om * om, 2 * b, 1), (c * c - ti * ti, 2 * c, 1)
 
 
-def recurrence_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, tuple, tuple]:
-    """Coefficients ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2`` for ``lead_k``,
-    ``A_k`` and ``B_k`` in the recurrence ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``
-    of :func:`canonical_recurrence_step`, in that order.
-
-    First raises the error :func:`canonical_recurrence_step` would raise at the
-    first gated step ``k < k_max``: a gate fires only within 1e-6 of a root of
-    ``k+1-2 theta0`` or ``Q_k``, so the steps at the rounded roots are checked.
-    """
-    t0, t1, lam = spec.theta0, spec.theta1, spec.lam
+def replay_step_gates(spec: EquationSpec, k_max: int) -> None:
+    """Raise the error :func:`canonical_recurrence_step` would raise at the
+    first gated step ``k < k_max``, in the spec's own arithmetic: a gate fires
+    only within 1e-6 of a root of ``k+1-2 theta0`` or ``Q_k``, so the steps at
+    the rounded roots are checked."""
+    t0, t1 = spec.theta0, spec.theta1
     x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
     a = 0.5 - t0 + t1
     roots = [2 * t0 - 1] + ([] if spec.family == "HYP" else [x - a, -x - a])
     for k in sorted({int(round(complex(r).real)) for r in roots}):
         if 0 <= k < k_max:
             canonical_recurrence_step(spec, k, 0, 0)
-    lead, q, r, p = _quadratic_parts(spec)
-    return lead, tuple(qi + lam * ri for qi, ri in zip(q, r)), tuple(lam * pi for pi in p)
 
 
 def _at_shift(poly: tuple, s: int) -> list:
@@ -375,8 +369,8 @@ def coefficient_expansions(spec: EquationSpec, alpha_shift: int = 0) -> tuple[It
     """Coefficients of the large-``k`` expansions in powers of ``1/k`` of
     ``alpha_{k + alpha_shift}`` and ``beta_k``, as two endless iterators.
 
-    They come from the exact polynomial parts of
-    :func:`recurrence_quadratics`: ``alpha_k = -R_k/Q_k`` and ``beta_k = P_k
+    They come from the polynomial parts of the recurrence
+    (:func:`_quadratic_parts`): ``alpha_k = -R_k/Q_k`` and ``beta_k = P_k
     lead_{k-1} / (Q_k Q_{k-1})``, free of the coupling.  The expansions
     converge for ``k`` above every root of the denominators."""
     lead, q, r, p = _quadratic_parts(spec)

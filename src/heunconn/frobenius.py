@@ -20,7 +20,7 @@ of convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Any, Iterator, Optional
 
@@ -296,8 +296,7 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
     while True:
         for *_, coeffs, c in series:
             c.extend(islice(coeffs, K + 1 - len(c)))
-        tails = (abs(c[K]) * reach**K for *_, c in series)
-        worst = max(t if t == t else math.inf for t in tails)  # an overflow's nan counts as inf
+        worst = _worst_tail([c for *_, c in series], K, reach)
         if worst < _SERIES_TOL:
             break
         if K >= _BASIS_K_CAP:
@@ -310,6 +309,24 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
         FrobeniusSolution(spec=spec, point=point, sign=sign, exponent=rho, coeffs=tuple(c), K=K)
         for point, sign, rho, _, c in series
     ]
+
+
+def _worst_tail(coeff_lists: list, K: int, reach: float) -> float:
+    """The largest ``|c_K| reach^K`` of the series; an overflow's nan counts
+    as inf."""
+    tails = (abs(c[K]) * reach**K for c in coeff_lists)
+    return max(t if t == t else math.inf for t in tails)
+
+
+def truncated_basis(basis: list, reach: float) -> list[FrobeniusSolution]:
+    """A basis of :func:`local_basis` cut to the ``K`` that ``local_basis(spec,
+    reach)`` picks.  Built for a reach at least as large, the basis holds those
+    coefficients as a prefix, so the result equals that basis."""
+    coeffs = [sol.coeffs for sol in basis]
+    K = _BASIS_K
+    while K < basis[0].K and _worst_tail(coeffs, K, reach) >= _SERIES_TOL:
+        K *= 2
+    return [replace(sol, coeffs=sol.coeffs[: K + 1], K=K) for sol in basis]
 
 
 def convergence_radius(spec: EquationSpec, point: int) -> float:

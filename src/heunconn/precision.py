@@ -3,9 +3,7 @@
 Two backends are supported:
 
 * ``"double"`` — plain Python ``complex``/``float`` arithmetic (binary64);
-* ``"high"``   — ``mpmath`` arbitrary-precision arithmetic, used internally by
-  routines whose raw iterates lose digits before extrapolation (e.g. the
-  large-order coefficient route).
+* ``"high"``   — ``mpmath`` arbitrary-precision arithmetic.
 
 :func:`spec_to_precision` coerces a spec's scalars to one backend; every
 kernel then runs in the type it is given.  The elementary-function helpers

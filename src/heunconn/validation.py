@@ -14,11 +14,12 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .connection import (
     ConnectionMatrix,
     _product_relations,
+    _wronskian_of_basis,
     connection_matrix,
     det_residual,
     extract_sigma,
@@ -162,15 +163,15 @@ def _timed(name: str, tol: float, fn) -> CheckResult:
     )
 
 
-def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMatrix]:
-    """Getter of the ``cf``-route matrix of ``spec``, computed on the first call;
-    a library error it raised is raised again on every later call."""
+def _once(compute: Callable[[], Any]) -> Callable[[], Any]:
+    """Getter of ``compute()``, computed on the first call; a library error it
+    raised is raised again on every later call."""
     outcome = []
 
-    def get() -> ConnectionMatrix:
+    def get() -> Any:
         if not outcome:
             try:
-                outcome.append(connection_matrix(spec, method="cf", tol=matrix_tol))
+                outcome.append(compute())
             except HeunConnError as exc:
                 outcome.append(exc)
         if isinstance(outcome[0], HeunConnError):
@@ -178,6 +179,21 @@ def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMa
         return outcome[0]
 
     return get
+
+
+def _cf_once(spec: EquationSpec, matrix_tol: float) -> Callable[[], ConnectionMatrix]:
+    """Getter of the ``cf``-route matrix of ``spec`` (see :func:`_once`)."""
+    return _once(lambda: connection_matrix(spec, method="cf", tol=matrix_tol))
+
+
+def _basis_for(spec: EquationSpec, z_list: Sequence[float], K: Optional[int]) -> Callable:
+    """Getter of the Frobenius basis ``[psi0_+, psi0_-, psi1_+, psi1_-]`` of
+    the identity check: ``K=None`` truncates as :func:`local_basis` does for
+    the farthest probe point, an integer ``K`` truncates every series there."""
+    if K is None:
+        reach = max(max(z, 1 - z) for z in z_list)
+        return _once(lambda: local_basis(spec, reach))
+    return lambda: [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
 
 
 def verify_connection_identity(
@@ -197,14 +213,14 @@ def verify_connection_identity(
     """
     validate(spec)
     cf = _cf_once(spec, _MATRIX_TOL) if matrix is None else lambda: matrix
-    return _check_identity(spec, z_list, K, tol, cf)
+    return _check_identity(spec, z_list, tol, cf, _basis_for(spec, z_list, K))
 
 
 def _check_identity(
-    spec: EquationSpec, z_list: Sequence[float], K: Optional[int], tol: float, cf: Callable
+    spec: EquationSpec, z_list: Sequence[float], tol: float, cf: Callable, basis: Callable
 ) -> CheckResult:
-    """The identity check at truncation ``K``; ``K=None`` truncates as
-    :func:`local_basis` does for the farthest probe point."""
+    """The identity check with the Frobenius basis of the getter ``basis``
+    (:func:`_basis_for`)."""
 
     def run():
         mat = cf()
@@ -215,11 +231,7 @@ def _check_identity(
                 raise DomainError(
                     f"probe point {z} lies outside both series' convergence domains"
                 )
-        if K is None:
-            basis = local_basis(spec, max(max(z, 1 - z) for z in z_list))
-        else:
-            basis = [frobenius_series(spec, pt, sg, K) for pt in (0, 1) for sg in (1, -1)]
-        sol0p, sol0m, sol1p, sol1m = basis
+        sol0p, sol0m, sol1p, sol1m = basis()
         worst = 0.0
         for z in z_list:
             psi1p, psi1m = evaluate(sol1p, z), evaluate(sol1m, z)
@@ -363,16 +375,28 @@ def _check_determinant(spec: EquationSpec, tol: float, cf: Callable) -> CheckRes
     return _timed("determinant", tol, run)
 
 
-def _check_method_agreement(
-    spec: EquationSpec, other: str, tol: float, matrix_tol: float, cf: Callable
-) -> CheckResult:
+def _check_method_agreement(other: str, tol: float, cf: Callable, matrix: Callable) -> CheckResult:
+    """Entrywise agreement of the matrix of the getter ``matrix``, by the
+    route ``other``, with the ``cf`` matrix."""
+
     def run():
         base = cf()
-        alt = connection_matrix(spec, method=other, tol=matrix_tol)
+        alt = matrix()
         worst = max(abs(base[k] - alt[k]) / abs(base[k]) for k in ("++", "+-", "-+", "--"))
         return worst, "entrywise vs cf"
 
     return _timed(f"method_agreement_{other}", tol, run)
+
+
+def _shared_wronskian(spec: EquationSpec, matrix_tol: float, basis: Callable) -> ConnectionMatrix:
+    """The ``wronskian``-route matrix from the identity check's basis, cut
+    to the route's truncation; built anew when that basis raised (its reach
+    can lie outside a convergence radius that the route's does not)."""
+    try:
+        shared = basis()
+    except HeunConnError:
+        return connection_matrix(spec, method="wronskian", tol=matrix_tol)
+    return _wronskian_of_basis(spec, shared, matrix_tol)
 
 
 def _check_monodromy(spec: EquationSpec, tol: float, cf: Callable) -> CheckResult:
@@ -443,17 +467,22 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
         tols, mtol = _TOLS, _MATRIX_TOL
     else:
         tols, mtol = dict.fromkeys(_TOLS, config.tol), min(_MATRIX_TOL, config.tol)
-    # One cf matrix, shared by every check of this spec that needs it.
+    # One cf matrix and one Frobenius basis, shared by every check of this
+    # spec that needs them.
     cf = _cf_once(spec, mtol)
+    basis = _basis_for(spec, _Z_LIST, None)
     checks: list[CheckResult] = []
-    checks.append(_check_identity(spec, _Z_LIST, None, tols["connection_identity"], cf))
+    checks.append(_check_identity(spec, _Z_LIST, tols["connection_identity"], cf, basis))
     checks.append(_check_determinant(spec, tols["determinant"], cf))
-    others = ["recurrence", "wronskian"]
+    matrices = {
+        "recurrence": lambda: connection_matrix(spec, method="recurrence", tol=mtol),
+        "wronskian": lambda: _shared_wronskian(spec, mtol, basis),
+    }
     if abs(2.0 * complex(spec.theta1).real) < 4.0:
-        others.append("ss")
-    for other in others:
+        matrices["ss"] = lambda: connection_matrix(spec, method="ss", tol=mtol)
+    for other, matrix in matrices.items():
         tol = tols["method_agreement_" + other]
-        checks.append(_check_method_agreement(spec, other, tol, mtol, cf))
+        checks.append(_check_method_agreement(other, tol, cf, matrix))
     checks.append(_check_monodromy(spec, tols["monodromy_products"], cf))
     if spec.family == "HE" and config.include_slow:
         checks.append(_check_sigma_slope(spec, tols["sigma_slope_vs_closed"], mtol))

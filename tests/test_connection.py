@@ -44,13 +44,18 @@ from heunconn import (
 )
 from heunconn.connection import (
     _eta_sweep,
-    _fixed_iterates,
     _flip_spec,
     _recurrence_limit,
     _ss_precision,
     _sum_tail,
 )
-from heunconn.equations import recurrence_quadratics
+from heunconn.fixedpoint import (
+    Dyadic,
+    _gaussian_iterates,
+    _real_iterates,
+    exact_quadratics,
+    fixed_iterates,
+)
 from heunconn.precision import HIGH, spec_to_precision
 
 RUNS = {
@@ -159,17 +164,22 @@ class TestMatrixRoutes:
         assert type(mat.err_estimate) is float
 
 
+COMPLEX_SPECS = [
+    che_spec(0.12 - 0.04j, -0.23 + 0.02j, 0.31 + 0.01j, 0.2 + 0.1j, -0.25 + 0.05j),
+    he_spec(0.11 + 0.05j, 0.27 - 0.03j, 0.33 + 0.01j, 0.41 - 0.02j, 0.37 + 0.02j, 0.3 + 0.1j),
+]
+
+
 def _assert_fixed_point_iterates_match(spec, K=2048):
     """The first K fixed-point iterates of the ss route, at the precision the
     route would use for depth K, equal mpmath canonical_recurrence_step
     iterates at the route's working dps."""
     dps, bits = _ss_precision(complex(spec.theta1), K)
+    quadratics, _ = exact_quadratics(spec, K)
     with mp.workdps(dps):
         msp = spec_to_precision(spec, HIGH)
-        with mp.workprec(bits):
-            quadratics = recurrence_quadratics(msp, K)
         u_km1, u_k = mp.mpf(0), mp.mpf(1)
-        for k, (re, im) in enumerate(islice(_fixed_iterates(quadratics, bits, mp.mp), K)):
+        for k, (re, im) in enumerate(islice(fixed_iterates(quadratics, bits), K)):
             u_k, u_km1 = canonical_recurrence_step(msp, k, u_k, u_km1), u_k
             fixed = mp.mpc(mp.ldexp(re, -bits), mp.ldexp(im, -bits))
             assert abs(fixed - u_k) <= 1e-25 * abs(u_k), k
@@ -182,18 +192,42 @@ class TestLargeOrder:
         spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
         _assert_fixed_point_iterates_match(_flip_spec(spec, *signs))
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            che_spec(0.12 - 0.04j, -0.23 + 0.02j, 0.31 + 0.01j, 0.2 + 0.1j, -0.25 + 0.05j),
-            he_spec(
-                0.11 + 0.05j, 0.27 - 0.03j, 0.33 + 0.01j, 0.41 - 0.02j, 0.37 + 0.02j, 0.3 + 0.1j
-            ),
-        ],
-        ids=["CHE", "HE"],
-    )
+    @pytest.mark.parametrize("spec", COMPLEX_SPECS, ids=["CHE", "HE"])
     def test_fixed_point_iterates_complex_parameters(self, spec):
         _assert_fixed_point_iterates_match(spec, K=512)
+
+    @pytest.mark.parametrize(
+        "x",
+        [3, 0.1, -0.25, 1e20, -2.5 + 0.75j, 1e-300j, mp.mpf(-0.25), mp.mpf(4096),
+         mp.mpc(-0.1, 3.5), mp.mpf(1) / 3],
+        ids=repr,
+    )
+    def test_dyadic_numbers_are_exact(self, x):
+        # mpf(-0.25).man_exp is (1, -2): the sign comes from the mpf tuple.
+        d = Dyadic.of(x)
+        with mp.workprec(4000):
+            assert mp.mpc(mp.ldexp(d.re, -d.exp), mp.ldexp(d.im, -d.exp)) == mp.mpc(x)
+        assert complex(d) == complex(x)
+
+    @pytest.mark.parametrize("x", [math.inf, complex(0, math.nan), mp.mpf("nan"), mp.mpc(1, "inf")])
+    def test_dyadic_numbers_are_finite(self, x):
+        with pytest.raises(DomainError, match="not finite"):
+            Dyadic.of(x)
+
+    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
+    def test_real_sweep_is_the_gaussian_sweep(self, request, family):
+        spec = _flip_spec(request.getfixturevalue(EXAMPLE_FIXTURES[family]), -1, 1)
+        _, bits = _ss_precision(complex(spec.theta1), 512)
+        quadratics, _ = exact_quadratics(spec, 512)
+        state = [
+            part
+            for c0, c1, c2 in quadratics
+            for v in (c0, c1 + c2, 2 * c2)
+            for part in Dyadic.of(v).scaled(bits)
+        ]
+        assert not any(state[1::2])
+        real = islice(_real_iterates(state[::2], bits), 512)
+        assert list(real) == list(islice(_gaussian_iterates(state, bits), 512))
 
     def test_accessory_resonance_gate(self):
         # omega = 1/2 - theta0 + theta1 + 3 makes Q_3 vanish.
@@ -282,6 +316,34 @@ class TestLargeOrder:
             ref = connection_matrix(spec_to_precision(spec, HIGH), "recurrence", tol=1e-25)
             worst = max(abs(mat[k] - ref[k]) for k in ref.entries)
         assert worst <= mat.err_estimate < 1e-14
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            hyp_spec(0.13, -0.27, 0.31),
+            rche_spec(-0.13, 0.27, 0.31, -0.4),
+            he_spec(0.2401, -0.3190, -0.3864, -0.1786, 0.1990, -0.7664),
+            *COMPLEX_SPECS,
+        ],
+        ids=["HYP", "RCHE", "HE", "CHE-complex", "HE-complex"],
+    )
+    def test_ss_depends_on_the_values_not_the_number_type(self, spec):
+        # The recurrence's coefficients are formed exactly from the binary
+        # mantissas and exponents, so mpmath numbers of the same values give
+        # the same bits.
+        mat = connection_matrix(spec, "ss")
+        high = connection_matrix(spec_to_precision(spec, HIGH), "ss")
+        assert high.entries == mat.entries
+        assert high.depth_or_K == mat.depth_or_K
+
+    def test_ss_of_a_fifty_digit_spec(self):
+        with mp.workdps(50):
+            spec = he_spec(*map(mp.mpf, ("0.11", "-0.27", "0.33", "0.41", "0.37", "0.61")))
+        mat = connection_matrix(spec, "ss")
+        with mp.workdps(34):
+            ref = connection_matrix(spec, "recurrence", tol=1e-25)
+            worst = max(abs(mat[k] - ref[k]) for k in ref.entries)
+        assert worst <= mat.err_estimate
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_mpmath_estimate_is_below_binary64(self, rche_example, method):
@@ -522,7 +584,7 @@ class TestGuardsAndLimits:
             connection_scalar(rche_example, method=method, max_depth=32)
         assert rows == []
 
-    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
     def test_unreachable_tolerance_stalls_fast(self, rche_example, method):
         # 1e-16 is below the rounding floor of K steps: the route must give up
         # at once instead of sweeping deeper.

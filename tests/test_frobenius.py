@@ -20,6 +20,7 @@ from heunconn import (
     potential,
     wronskian,
 )
+from heunconn.frobenius import truncated_basis
 from heunconn.precision import p_power
 
 EXAMPLES = ("hyp_example", "rche_example", "che_example", "he_example")
@@ -137,6 +138,20 @@ class TestLocalBasis:
         assert max(abs(s.coeffs[K]) * 0.7**K for s in basis) < 1e-15
         assert max(abs(s.coeffs[K // 2]) * 0.7 ** (K // 2) for s in basis) >= 1e-15
         assert basis[3].coeffs == frobenius_series(spec, 1, -1, K).coeffs
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.3),
+            he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.58),
+            he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.585),
+        ],
+        ids=lambda spec: f"HE-{spec.lam}",
+    )
+    @pytest.mark.parametrize("reach", [0.35, 0.5, 0.7])
+    def test_truncated_basis_is_the_basis_of_the_smaller_reach(self, spec, reach):
+        basis = truncated_basis(local_basis(spec, 0.7), reach)
+        assert basis == local_basis(spec, reach)
 
     @pytest.mark.parametrize("reach", [0.0, 1.0, 1.5, 1e300])
     def test_reach_outside_the_unit_interval(self, rche_example, reach):

@@ -156,16 +156,53 @@ class TestFullReport:
         assert bad
         assert any("ParameterResonance" in c.detail for c in bad)
 
+    @pytest.mark.parametrize(
+        "fixture", ["hyp_example", "rche_example", "che_example", "he_example"]
+    )
+    def test_one_frobenius_basis_per_report(self, request, fixture, monkeypatch):
+        # The wronskian route cuts the identity check's basis (reach 0.7) to
+        # its own truncation, and its matrix stays bit for bit the route's.
+        import heunconn.connection as connection
+        import heunconn.validation as validation
+
+        spec = request.getfixturevalue(fixture)
+        cf, wr = connection_matrix(spec), connection_matrix(spec, "wronskian")
+        want = max(abs(cf[k] - wr[k]) / abs(cf[k]) for k in cf.entries)
+        reaches = []
+        real = validation.local_basis
+
+        def counting(sp, reach):
+            if sp == spec:
+                reaches.append(reach)
+            return real(sp, reach)
+
+        monkeypatch.setattr(validation, "local_basis", counting)
+        monkeypatch.setattr(connection, "local_basis", counting)
+        checks = {c.name: c for c in full_report(spec, FAST).checks}
+        assert reaches == [0.7]
+        assert checks["method_agreement_wronskian"].residual == want
+
+    def test_wronskian_agreement_beyond_the_identity_checks_reach(self):
+        # At lam = 0.6 the radius at z = 1 is 2/3: the identity check's reach
+        # 0.7 lies outside it, the wronskian route's 0.5 inside.
+        spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.6)
+        checks = {c.name: c for c in full_report(spec, FAST).checks}
+        assert "DomainError" in checks["connection_identity"].detail
+        cf, wr = connection_matrix(spec), connection_matrix(spec, "wronskian")
+        got = checks["method_agreement_wronskian"]
+        assert got.passed
+        assert got.residual == max(abs(cf[k] - wr[k]) / abs(cf[k]) for k in cf.entries)
+
     @pytest.mark.parametrize("fixture", ["rche_example", "he_example"])
     def test_ss_agreement_catches_a_1e7_error(self, request, fixture, monkeypatch):
         import heunconn.connection as connection
 
         real = connection._ss_scalar
 
-        def off_by_1e7(spec, max_depth):
+        def off_by_1e7(spec, *args):
             # The value off by 1e-7 relative, with an estimate that says so,
             # so the matrix still passes its own determinant gate.
-            val, err, K = real(spec, max_depth)
+            val, err, K = real(spec, *args)
             return val * (1 + 1e-7), err + 1e-7 * abs(val), K
 
         monkeypatch.setattr(connection, "_ss_scalar", off_by_1e7)
