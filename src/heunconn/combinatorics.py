@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .connection import _binomial_rows, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff
-from .equations import EquationSpec, coefficient_expansions, coefficient_table, validate
+from .equations import EquationSpec, beta_expansion, coefficient_table, validate
 from .errors import DomainError, FamilyFieldError, SizeError
 
 __all__ = [
@@ -141,7 +141,7 @@ def _walk_tail(spec: EquationSpec, terms: list, n: int, K: int) -> Iterator:
     1)`` in powers of ``1/k``, and ``T(K) - T(K+1) = local(K+1)`` fixes ``tau_q``
     at order ``K^-(q+1)`` with divisor ``q``.  As ``beta_k = O(k^-2)``, ``local``
     is ``O(k^-2n)`` and the terms start at ``q = 2n - 1``."""
-    _, beta_it = coefficient_expansions(spec)
+    beta_it = beta_expansion(spec)
     factors = [[i + 1 for i, power in enumerate(mu) for _ in range(power)] for mu, _ in terms]
     B, shifted = [], {s: [] for s in range(1, n + 1)}  # shifted[s]: beta_{k+s}
     chains = [[[] for _ in f] for f in factors]  # partial products of each walk type

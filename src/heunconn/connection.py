@@ -7,7 +7,9 @@ routes are implemented:
 
 * ``cf``          — backward continued-fraction evaluation of the factors
   ``eta_k`` with ``ln a_inf = sum_k ln eta_k`` (plus ``-ln(1-lam)`` for HE),
-  summed to a depth ``K`` plus the formal ``1/K`` series of the rest;
+  summed to a depth ``K``, plus ``ln S(K+1)`` for the rest, ``S`` the
+  formal ``1/k`` series of the tail determinants ``D_k``, ``eta_k = D_k /
+  D_{k+1}``;
 * ``recurrence``  — forward iteration of the rescaled three-term recurrence
   to ``a_K``, divided by the formal ``1/K`` series of ``a_K / a_inf``;
 * ``ss``          — large-order asymptotics of the series coefficients,
@@ -20,8 +22,10 @@ routes are implemented:
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
 The first three produce the scalar ``C(theta0, theta1)``; matrix entries come
-from sign-flipped parameter sets.  All four agree within stated tolerances and
-mutually certify each other.
+from sign-flipped parameter sets.  One kernel, :func:`_formal_tail`, gives
+their formal series from each route's own recurrence, so they share no tail
+coefficient.  All four agree within stated tolerances and mutually certify
+each other.
 """
 
 from __future__ import annotations
@@ -30,15 +34,16 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import count, islice
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import mul, truediv
 from typing import Any, Iterator
 
 import mpmath as mp
 
 from .equations import (
     EquationSpec,
-    coefficient_expansions,
+    _quadratic_parts,
+    _shifted_product,
     coefficient_table,
     validate,
 )
@@ -58,6 +63,7 @@ from .precision import (
     is_mp,
     p_exp,
     p_log,
+    p_log1p,
     p_power,
 )
 from .richardson import extrapolate, geometric_ladder
@@ -100,6 +106,10 @@ _MODE_MARGIN = 4.0
 # smallest pair, or past this many terms in all.
 _TAIL_STALL = 8
 _TAIL_MAX_ORDER = 200
+# 1/i! and (-1)^i/i! from i = 2, for the shifts (1 +- 1/k)^rho S(k +- 1) at rho != 0
+_INV_FACT = list(accumulate(range(1, _TAIL_MAX_ORDER + 2), truediv, initial=1.0))[2:]
+_ALT_INV_FACT = [-f if i % 2 else f for i, f in enumerate(_INV_FACT)]
+_ZERO = (0,) * 5  # a vanishing polynomial part of _formal_tail
 
 
 @dataclass(frozen=True)
@@ -299,6 +309,113 @@ def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[A
     raise AssertionError("endless series ended")  # pragma: no cover
 
 
+def _formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Iterator:
+    """Terms ``e_n K^-n`` (``inv_k = 1/K``) of the formal solution ``y_k ~ k^rho
+    S(k)``, ``S(k) = sum_n e_n k^-n``, ``e_0 = 1``, of ``L(k) y_{k+1} - A(k)
+    y_k + B(k) y_{k-1} = 0`` at the coupling ``lam + delta``, each as the list
+    of its orders ``0 .. N`` in ``delta``.  ``parts`` holds ``(free,
+    linear)`` of ``L``, ``A``, ``B``, each ``free + (lam + delta) linear``,
+    as 5 coefficients in ``w = 1/k`` of ``k^-d`` times it, ``d <= 4``.
+
+    Divided by ``k^(rho+d)`` the recurrence reads ``L(w) P_+(w) S(k+1) -
+    A(w) S(k) + B(w) P_-(w) S(k-1) = 0``, ``P_+- = (1 +- w)^rho``.  With the
+    root 1 (``L_0 - A_0 + B_0 = 0``) and its power law (``rho (L_0 - B_0) +
+    L_1 - A_1 + B_1 = 0``) at every coupling, order ``w^(n+1)`` fixes ``e_n``
+    with divisor ``n (L_0 - B_0)`` (:func:`_delta_order`)."""
+    at = [[f + lam * g for f, g in zip(free, linear)] for free, linear in parts]
+    orders = repeat(((), 0))
+    for m in range(N + 1):
+        orders = _delta_order(at, [x[1] for x in parts] if m < N else None, rho, m == 0, orders)
+    scale = 1
+    yield [1] + [0] * N
+    for term, _ in orders:
+        scale *= inv_k
+        yield [e * scale for e in term]
+
+
+def _scalar_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any) -> Iterator:
+    """The terms of :func:`_formal_tail` at the coupling ``lam`` alone."""
+    at = [[f + lam * g for f, g in zip(free, linear)] for free, linear in parts]
+    scale = 1
+    yield 1
+    for (e,), _ in _delta_order(at, None, rho, True, repeat(((), 0))):
+        scale *= inv_k
+        yield e * scale
+
+
+def _delta_order(at: list, slope: Any, rho: Any, first: bool, below: Iterator) -> Iterator:
+    """For ``n = 1, 2, ..``: ``e_n`` of the orders in ``delta`` up to this one
+    (order 0 if ``first``) of :func:`_formal_tail`, and what this ``e_n``
+    adds to the next order's residual through the ``slope`` parts and the
+    ``delta`` part of the divisor; ``below`` gives the same of the order below.
+
+    The shifts enter as ``p_m = [w^m] P_+ S(k+1) = sum_j C(rho-j, m-j) e_j``
+    and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
+    binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
+    rest has fixed length.  At ``rho = 0`` the sums run on the rows of
+    :func:`_binomial_rows`; otherwise, in binary64, on ``C(rho-j, i) = v h_j /
+    i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho (rho-1) .. (rho-j+1)``."""
+    (l0, l1, l2, l3, l4), (_, _, a2, a3, a4), (b0, b1, b2, b3, b4) = at
+    divisor = l0 - b0
+    if slope is not None:  # coefficients of the state tuple below, in the residual's order
+        (s0, s1, *s), (_, _, *t), (u0, u1, *u) = slope
+        slope_row = [s0, u0, s1, u1, *(c for i in range(3) for c in (s[i], -t[i], u[i]))]
+    e1 = p1 = q1 = 1 if first else 0  # e, p, q of orders n-1, n-2, n-3
+    e2 = p2 = q2 = e3 = p3 = q3 = 0
+    seq = [e1] if rho else []  # e_1 .., or h_j e_j from j = 0
+    p_sum, q_sum, r, h, v = 0, 0, 0, 1, rho or 1
+    for n, (lower, carry) in enumerate(below, 1):
+        shift = (rho - n + 1) * e1
+        p_n, q_n = p_sum + shift, q_sum - shift  # without e_n
+        if rho:
+            v *= rho - n
+            h /= rho - n + 1
+            p_sum = v * sum(map(mul, _INV_FACT[n - 1 :: -1], seq))
+            q_sum = v * sum(map(mul, _ALT_INV_FACT[n - 1 :: -1], seq))
+        else:
+            row, alt = _binomial_rows(n)
+            p_sum, q_sum = sum(map(mul, alt, seq)), sum(map(mul, row, seq))
+        residual = (
+            l0 * p_sum + b0 * q_sum + l1 * p_n + b1 * q_n
+            + l2 * p1 - a2 * e1 + b2 * q1
+            + l3 * p2 - a3 * e2 + b3 * q2
+            + l4 * p3 - a4 * e3 + b4 * q3
+        )
+        e = (residual + carry) / (n * divisor)
+        if slope is not None:
+            state = p_sum, q_sum, p_n, q_n, p1, e1, q1, p2, e2, q2, p3, e3, q3
+            r = sum(map(mul, slope_row, state)) - n * (s0 - u0) * e
+        e3, p3, q3, e2, p2, q2 = e2, p2, q2, e1, p1, q1
+        e1, p1, q1 = e, p_n + e, q_n + e
+        seq.append(e * h)
+        yield lower + (e,), r
+
+
+def _a_space(spec: EquationSpec) -> tuple:
+    """:func:`_formal_tail` ``parts`` of ``a_{k+1} = a_k - lam (alpha_k a_k +
+    beta_k a_{k-1})`` times ``Q_k Q_{k-1}``: ``L = Q_k Q_{k-1}``, ``A = L +
+    lam R_k Q_{k-1}``, ``B = lam P_k lead_{k-1}`` (:func:`_quadratic_parts`)."""
+    lead, q, r, p = _quadratic_parts(spec)
+    qq, beta = _shifted_product(q, 0, q, -1), _shifted_product(p, 0, lead, -1)
+    return (qq, _ZERO), (qq, _shifted_product(r, 0, q, -1)), (_ZERO, beta)
+
+
+def _d_space(spec: EquationSpec) -> tuple:
+    """:func:`_formal_tail` ``parts`` of the tail determinants, ``D_k = (1 - lam
+    alpha_{k-1}) D_{k+1} - lam beta_k D_{k+2}``, in ``j = k + 1`` times
+    ``Q_{j-1} Q_{j-2}``: ``L = lam P_{j-1} lead_{j-2}``, ``A = Q_{j-1} Q_{j-2}
+    + lam R_{j-2} Q_{j-1}``, ``B = Q_{j-1} Q_{j-2}``."""
+    lead, q, r, p = _quadratic_parts(spec)
+    qq, beta = _shifted_product(q, -1, q, -2), _shifted_product(p, -1, lead, -2)
+    return (_ZERO, beta), (qq, _shifted_product(r, -2, q, -1)), (qq, _ZERO)
+
+
+def _u_space(quadratics: tuple) -> tuple:
+    """:func:`_formal_tail` ``parts``, taken at coupling 0, of ``lead_k u_{k+1}
+    = A_k u_k - B_k u_{k-1}`` in binary64 from :func:`exact_quadratics`."""
+    return tuple(([complex(c) for c in reversed(poly)] + [0, 0], _ZERO) for poly in quadratics)
+
+
 def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
     from a unit seed at ``k_top + buffer`` down to ``k = 1``; returns
@@ -325,45 +442,6 @@ def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     return out
 
 
-def _log_eta_tail(spec: EquationSpec, K: int) -> Iterator:
-    """Terms ``tau_n K^-n`` of ``T(K) = sum_{k>K} ln eta_k``.
-
-    ``eta_k = sum_j g_j k^-j`` (``g_0 = 1``) follows order by order from
-    ``eta_k eta_{k+1} = (1 - lam alpha_{k-1}) eta_{k+1} - lam beta_k``, whose
-    order ``k^-N`` fixes ``g_N`` with divisor ``1 - lam beta^(0)``; then
-    ``ln eta_k = sum_j l_j k^-j`` is its series logarithm, and ``T(K) -
-    T(K+1) = ln eta_{K+1}`` fixes ``tau_n`` at order ``K^-(n+1)`` with divisor
-    ``n``.  Coefficients at ``k + 1`` come from ``(1 + 1/k)^-j``."""
-    lam = spec.lam
-    alpha_it, beta_it = coefficient_expansions(spec, alpha_shift=-1)
-    pa, qb = [lam * next(alpha_it)], [lam * next(beta_it)]
-    g, e, logs, m_logs, shifted, tau = [1], [1], [0], [0], [0], [0]
-    divisor = 1 + pa[0]
-    inv_k, scale = _inverse_depth(spec, K), 1
-    for N in count(1):
-        pa.append(lam * next(alpha_it))
-        qb.append(lam * next(beta_it))
-        alt = _binomial_rows(N - 1)[1]
-        # e_N without g_N: the coefficient of k^-N in sum_{j<N} g_j (k+1)^-j.
-        e_partial = sum(map(mul, alt, g[1:]))
-        residual = (
-            sum(map(mul, g[1:], e[:0:-1]))
-            + pa[0] * e_partial
-            + sum(map(mul, pa[1:], e[::-1]))
-            + qb[N]
-        )
-        g.append(-residual / divisor)
-        e.append(e_partial + g[N])
-        logs.append(g[N] - sum(map(mul, m_logs[1:], g[N - 1:0:-1])) / N)
-        m_logs.append(N * logs[N])
-        shifted.append(logs[N] + sum(map(mul, alt, logs[1:N])))  # of ln eta_{k+1}
-        if N >= 2:
-            n = N - 1
-            tau.append((shifted[N] + sum(map(mul, alt, tau[1:n]))) / n)
-            scale *= inv_k
-            yield tau[n] * scale
-
-
 def log_a_infinity_cf(
     spec: EquationSpec,
     tol: float = 1e-10,
@@ -373,16 +451,24 @@ def log_a_infinity_cf(
     """``ln a_inf`` by the continued-fraction route.
 
     Sums ``ln eta_k`` for ``k <= K`` from one backward sweep seeded ``buffer``
-    levels above ``K``, and adds the formal tail ``sum_{k>K} ln eta_k`` in
-    powers of ``1/K`` (:func:`_log_eta_tail`) to working precision; for HE the
-    exact shift ``-ln(1-lam)`` is added.  ``K`` comes from
-    :func:`_tail_depth`.  The error estimate is the last tail terms
-    (:func:`_sum_tail`), the unit-seed bound and :func:`_sweep_floor`.
-    Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
-    ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
-    :class:`DomainError` at the coupling gate.
+    levels above ``K``, and adds the rest, ``sum_{k>K} ln eta_k = ln S(K+1)``:
+    ``eta_k = D_k / D_{k+1}`` with ``D_k`` the tail determinants, and ``S``
+    their formal ``1/k`` series (:func:`_d_space`), summed without its leading
+    1 to working precision and taken through ``log1p``; for HE the exact shift
+    ``-ln(1-lam)`` is added.  ``K`` comes from :func:`_tail_depth`.  The error
+    estimate is the last tail terms (:func:`_sum_tail`), the unit-seed bound
+    and :func:`_sweep_floor`.  Returns ``(value, K, err_estimate)``; raises
+    :class:`NonConvergence` when ``K`` exceeds ``max_depth`` or the estimate
+    exceeds ``tol``, and :class:`DomainError` at the coupling gate or on an
+    invalid spec.
     """
-    validate(spec)
+    return _cf_limit(validate(spec), tol, max_depth, allow_large_coupling)
+
+
+def _cf_limit(
+    spec: EquationSpec, tol: float, max_depth: int, allow_large_coupling: bool
+) -> tuple[Any, int, float]:
+    """:func:`log_a_infinity_cf` of a valid spec."""
     _check_lambda_gate(spec, allow_large_coupling)
     lam = spec.lam
     if lam == 0:
@@ -394,10 +480,11 @@ def log_a_infinity_cf(
     buffer, seed_err = _seed_buffer(spec, K)
     log = mp.log if mp_spec else cmath.log
     total = sum(map(log, _eta_sweep(spec, K, buffer)))
-    tail, omitted = _sum_tail(_log_eta_tail(spec, K), eps, False, what)
-    err = omitted + seed_err + _sweep_floor(spec, K, eps)
+    terms = _scalar_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1))
+    rest, omitted = _sum_tail(islice(terms, 1, None), eps, False, what)  # S(K+1) - 1
+    err = omitted / float(abs(1 + rest)) + seed_err + _sweep_floor(spec, K, eps)
     _check_tol(err, tol, K, what)
-    val = total + tail
+    val = total + p_log1p(rest)
     if spec.family == "HE":
         val = val - p_log(1 - lam)
     return val, K, err
@@ -421,56 +508,6 @@ def _check_tol(err: float, tol: float, K: int, what: str) -> None:
         )
 
 
-def _recurrence_tail(spec: EquationSpec, K: int, lam: Any, N: int) -> Iterator:
-    """Terms ``d_n K^-n`` of ``S(K)`` in the formal solution ``a_k ~ a_inf
-    S(k)``, ``S(k) = sum_j d_j k^-j``, ``d_0 = 1``, of ``a_{k+1} = a_k -
-    lam (alpha_k a_k + beta_k a_{k-1})`` at the coupling ``lam + delta``, each
-    as the list of its orders ``0 .. N`` in ``delta``.
-
-    With ``A_j``, ``B_j`` the ``1/k`` expansions of ``alpha_k``, ``beta_k``,
-    order ``k^-(n+1)`` fixes ``d_n`` with divisor ``n - lam s_n``, ``s_n = n
-    B_0 + A_1 + B_1`` (``A_1 + B_1`` cancels in exact arithmetic): order ``m``
-    of ``d_n`` is ``(f_n + lam g_n + g'_n + s_n d'_n) / (n - lam s_n)``, where
-    ``f_n`` (of ``S(k+1) - S(k)``) and ``g_n`` (of the ``A``, ``B`` terms) hold
-    order ``m`` of ``d_0 .. d_{n-1}``, and ``g'_n``, ``d'_n`` are order ``m -
-    1`` of ``g_n``, ``d_n`` (0 at ``m = 0``).  Coefficients at ``k + 1`` and
-    ``k - 1`` come from ``(1 +- 1/k)^-j``."""
-    alpha_it, beta_it = coefficient_expansions(spec)
-    A = [next(alpha_it), next(alpha_it)]
-    B = [next(beta_it), next(beta_it)]
-    # d[m][j], back[m][j]: order m of d_j and of the coefficient of k^-j in S(k - 1)
-    d = [[1]] + [[0] for _ in range(N)]
-    back = [[1]] + [[0] for _ in range(N)]
-    inv_k, scale = _inverse_depth(spec, K), 1
-    yield [1.0] + [0.0] * N
-    for n in count(1):
-        A.append(next(alpha_it))
-        B.append(next(beta_it))
-        a_rev, b_rev = A[:1:-1], B[:1:-1]  # A_{n+1} .. A_2 against d_0 .. d_{n-1}
-        row, alt = _binomial_rows(n)
-        row_n = _binomial_rows(n - 1)[0]
-        s_n = n * B[0] + A[1] + B[1]
-        divisor = n - lam * s_n
-        scale *= inv_k
-        d_n, g_below, term = 0, 0, []
-        for m in range(N + 1):
-            known = d[m][1:]
-            # Coefficients of k^-n and k^-(n+1) in S(k - 1), without d_n.
-            back_n = sum(map(mul, row_n, known))
-            g = (
-                sum(map(mul, a_rev, d[m]))
-                + sum(map(mul, b_rev, back[m]))
-                + B[1] * back_n
-                + B[0] * sum(map(mul, row, known))
-            )
-            d_n = (sum(map(mul, alt, known)) + lam * g + g_below + s_n * d_n) / divisor
-            term.append(d_n * scale)
-            g_below = g
-            d[m].append(d_n)
-            back[m].append(back_n + d_n)
-        yield term
-
-
 def _recurrence_limit(
     spec: EquationSpec,
     tol: float,
@@ -478,12 +515,11 @@ def _recurrence_limit(
     allow_large_coupling: bool = False,
 ) -> tuple[Any, int, float]:
     """``a_inf = a_K / S(K)`` from one forward sweep of the rescaled
-    recurrence to ``a_K`` and its formal solution ``S`` (:func:`_recurrence_tail`)
-    summed to working precision.  The error estimate is the last terms of
-    ``S`` (:func:`_sum_tail`) and :func:`_sweep_floor`, relative to
-    ``max(|a_inf|, 1)``: the sweep's rounding stays at the size of its
+    recurrence to ``a_K`` and its formal solution ``S`` (:func:`_a_space`)
+    summed to working precision, for a valid spec.  The error estimate is the
+    last terms of ``S`` (:func:`_sum_tail`) and :func:`_sweep_floor`, relative
+    to ``max(|a_inf|, 1)``: the sweep's rounding stays at the size of its
     iterates, which start at ``a_0 = 1``."""
-    validate(spec)
     _check_lambda_gate(spec, allow_large_coupling)
     lam = spec.lam
     if lam == 0:
@@ -495,7 +531,7 @@ def _recurrence_limit(
     a_k = 1.0 + 0 * spec.theta0
     for al, be in zip(*coefficient_table(spec, 0, K)):
         a_k, a_km1 = a_k - lam * (al * a_k + be * a_km1), a_k
-    terms = (term[0] for term in _recurrence_tail(spec, K, lam, 0))
+    terms = _scalar_tail(_a_space(spec), lam, 0, _inverse_depth(spec, K))
     total, omitted = _sum_tail(terms, eps, True, what)
     a_inf = a_k / total
     rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
@@ -537,7 +573,7 @@ def _scalar_with_depth(
     allow_large_coupling: bool,
     max_depth: int = _MAX_DEPTH,
 ) -> tuple[complex, float, int]:
-    validate(spec)
+    """:func:`connection_scalar` of a valid spec, and the depth ``K``."""
     method = method.lower()
     pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
     # The prefactor's own error and the final rounding of the value to binary64.
@@ -546,14 +582,10 @@ def _scalar_with_depth(
         return complex(pref), rel_err * float(abs(pref)), 0
     pref = pref * _assembly_prefactor(spec)
     if method == "cf":
-        log_a, depth, err = log_a_infinity_cf(
-            spec, tol=tol, max_depth=max_depth, allow_large_coupling=allow_large_coupling
-        )
+        log_a, depth, err = _cf_limit(spec, tol, max_depth, allow_large_coupling)
         val = pref * p_exp(log_a)
     elif method == "recurrence":
-        a_inf, depth, err = _recurrence_limit(
-            spec, tol=tol, max_K=max_depth, allow_large_coupling=allow_large_coupling
-        )
+        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth, allow_large_coupling)
         val = pref * a_inf
     else:
         raise DomainError(
@@ -577,7 +609,7 @@ def connection_scalar(
 
     Returns ``(value, err_estimate)``.
     """
-    val, err, _ = _scalar_with_depth(spec, method, tol, allow_large_coupling, max_depth)
+    val, err, _ = _scalar_with_depth(validate(spec), method, tol, allow_large_coupling, max_depth)
     return val, err
 
 
@@ -594,51 +626,6 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     return dps, mp.libmp.dps_to_prec(dps) + guard
 
 
-def _ss_tail(quadratics: tuple, rho: complex, K: int) -> Iterator:
-    """Terms ``e_n K^-n`` of ``S(K)`` in the formal solution ``u_k ~ C k^rho
-    S(k)``, ``S(k) = sum_j e_j k^-j``, ``e_0 = 1``, of ``lead_k u_{k+1} = A_k
-    u_k - B_k u_{k-1}``, in binary64.
-
-    Divided by ``k^(rho+2)`` the recurrence reads ``L(w) P_+(w) S(k+1) -
-    A(w) S(k) + B(w) P_-(w) S(k-1) = 0`` in ``w = 1/k``, with ``L, A, B`` the
-    quadratics as polynomials in ``w`` and ``P_+- = (1 +- w)^rho``.  Order
-    ``w^(n+1)`` fixes ``e_n`` with divisor ``n (1 - B_2)``; coefficients at
-    ``k + 1`` and ``k - 1`` come from ``(1 +- 1/k)^-j``."""
-    lead, a_w, b_w = ([complex(c) for c in reversed(poly)] for poly in quadratics)
-    binom, g_plus, g_minus = [], [], []  # rho choose m; of L P_+ and B P_-
-    e, s_plus, s_minus = [1.0], [1.0], [1.0]  # of S(k), S(k+1), S(k-1)
-    divisor = 1 - b_w[0]
-    inv_k, scale = 1.0 / K, 1.0
-    yield 1.0
-    for n in count(1):
-        while len(binom) < n + 2:
-            m = len(binom)
-            binom.append(binom[-1] * (rho - m + 1) / m if m else 1.0)
-            low = range(min(m, 2) + 1)
-            g_plus.append(sum(lead[i] * binom[m - i] for i in low))
-            g_minus.append(sum(b_w[i] * binom[m - i] * (-1) ** (m - i) for i in low))
-        row, alt = _binomial_rows(n)
-        row_n, alt_n = _binomial_rows(n - 1)
-        known = e[1:]
-        # Coefficients of w^(n+1) and w^n in S(k+-1), without e_n.
-        plus_next, plus_n = sum(map(mul, alt, known)), sum(map(mul, alt_n, known))
-        minus_next, minus_n = sum(map(mul, row, known)), sum(map(mul, row_n, known))
-        residual = (
-            g_plus[0] * plus_next
-            + g_plus[1] * plus_n
-            + sum(map(mul, g_plus[2:], reversed(s_plus)))
-            + g_minus[0] * minus_next
-            + g_minus[1] * minus_n
-            + sum(map(mul, g_minus[2:], reversed(s_minus)))
-            - a_w[2] * e[n - 1]
-        )
-        e.append(residual / (n * divisor))
-        s_plus.append(plus_n + e[n])
-        s_minus.append(minus_n + e[n])
-        scale *= inv_k
-        yield e[n] * scale
-
-
 def _ss_scalar(
     spec: EquationSpec, tol: float = math.inf, max_depth: int = _MAX_DEPTH
 ) -> tuple[complex, float, int]:
@@ -649,13 +636,14 @@ def _ss_scalar(
     * the omitted tail terms (:func:`_sum_tail`);
     * the second solution (:func:`_log_second_mode`);
     * the fixed-point rounding, ``K`` units of the working ``dps``;
-    * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor of
-      :func:`_ss_tail` magnifies the rounding of each residual;
+    * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor
+      ``n (1 - B_2)`` of :func:`_formal_tail` magnifies the rounding of each
+      residual;
     * a ``1e-15`` floor for the assembly's roundings.
 
     Raises :class:`NonConvergence` when the sum without the floor is above
-    ``tol``, as :func:`log_a_infinity_cf` judges its estimate."""
-    validate(spec)
+    ``tol``, as :func:`log_a_infinity_cf` judges its estimate.  The spec must
+    be valid."""
     th1 = complex(spec.theta1)
     if abs(2 * th1.real) >= 4.0:
         raise DomainError(
@@ -668,7 +656,8 @@ def _ss_scalar(
     quadratics, exact = exact_quadratics(spec, K)
     u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))
     rho = 2 * exact.theta1 - 1
-    total, omitted = _sum_tail(_ss_tail(quadratics, complex(rho), K), _EPS64, True, what)
+    terms = _scalar_tail(_u_space(quadratics), 0, complex(rho), 1.0 / K)
+    total, omitted = _sum_tail(terms, _EPS64, True, what)
     val = amplitude(exact, rho, u_K, bits, K) / total
     b2 = complex(quadratics[2][2])
     rel = (
@@ -693,11 +682,11 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     from the parameters' binary mantissas and exponents
     (:mod:`heunconn.fixedpoint`).  The limit is ``u_K / (K^rho S(K))`` with
     ``rho = 2 theta1 - 1`` and ``S`` the recurrence's formal ``1/k`` series in
-    u-space (:func:`_ss_tail`), summed in binary64 to the unit roundoff.  No
+    u-space (:func:`_u_space`), summed in binary64 to the unit roundoff.  No
     mpmath context is read or set: the gamma function and ``K^rho`` take an
     explicit precision.  Requires ``|Re 2 theta1| < 4``.
     """
-    return _ss_scalar(spec)[0]
+    return _ss_scalar(validate(spec))[0]
 
 
 def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
@@ -752,7 +741,8 @@ def connection_matrix(
 ) -> ConnectionMatrix:
     """2x2 connection matrix by any route, with the determinant identity
     ``det C = -theta0/theta1`` enforced at ``100 max(tol, err_estimate)``
-    (:class:`DetCheckFailed` beyond)."""
+    (:class:`DetCheckFailed` beyond).  The spec is validated once: a sign
+    flip keeps each ``2 theta``'s distance to the integers and ``|lam|``."""
     validate(spec)
     method = method.lower()
     if method not in METHODS:
@@ -766,7 +756,7 @@ def connection_matrix(
         precision = HIGH if is_mp(spec.theta0) else DOUBLE
         for s0, row in ((1, "+"), (-1, "-")):
             for s1, col in ((1, "+"), (-1, "-")):
-                fspec = validate(_flip_spec(spec, s0, s1))
+                fspec = _flip_spec(spec, s0, s1)
                 if method == "ss":
                     val, err, d = _ss_scalar(fspec, tol, max_depth)
                     precision = HIGH

@@ -24,6 +24,7 @@ run in mpmath arithmetic.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import count
 from typing import Any, Iterator, Optional
@@ -151,6 +152,7 @@ def validate(spec: EquationSpec) -> EquationSpec:
     """Check family membership, field completeness, and exponent conditions.
 
     Raises :class:`FamilyFieldError` for unknown families or field misuse,
+    :class:`DomainError` for a parameter that is nan or infinite,
     :class:`ResonantExponents` when ``2 theta0`` or ``2 theta1`` is within
     1e-10 of an integer (integer exponent differences at 0 or 1), and
     :class:`DomainError` when an HE coupling has ``|lam| >= 1`` (the third
@@ -169,6 +171,9 @@ def validate(spec: EquationSpec) -> EquationSpec:
     if spec.family == "HYP":
         if spec.lam != 0:
             raise FamilyFieldError("family HYP must have lam = 0")
+    for name in ("theta0", "theta1", "lam", *required):
+        if not cmath.isfinite(getattr(spec, name)):
+            raise DomainError(f"{name} = {getattr(spec, name)!r} is not finite")
     for label, theta in (("theta0", spec.theta0), ("theta1", spec.theta1)):
         if _near_half_integer(theta):
             raise ResonantExponents(
@@ -346,12 +351,10 @@ def _at_shift(poly: tuple, s: int) -> list:
     return [c2, c1 + 2 * c2 * s, c0 + c1 * s + c2 * s * s]
 
 
-def _poly_product(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _shifted_product(x: tuple, s: int, y: tuple, t: int) -> list:
+    """``x(k + s) y(k + t)`` of two quadratics, as :func:`_at_shift` gives one."""
+    (a0, a1, a2), (b0, b1, b2) = _at_shift(x, s), _at_shift(y, t)
+    return [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0, a1 * b2 + a2 * b1, a2 * b2]
 
 
 def _series_quotient(num: list, den: list) -> Iterator:
@@ -365,22 +368,14 @@ def _series_quotient(num: list, den: list) -> Iterator:
         yield out[-1]
 
 
-def coefficient_expansions(spec: EquationSpec, alpha_shift: int = 0) -> tuple[Iterator, Iterator]:
-    """Coefficients of the large-``k`` expansions in powers of ``1/k`` of
-    ``alpha_{k + alpha_shift}`` and ``beta_k``, as two endless iterators.
-
-    They come from the polynomial parts of the recurrence
-    (:func:`_quadratic_parts`): ``alpha_k = -R_k/Q_k`` and ``beta_k = P_k
-    lead_{k-1} / (Q_k Q_{k-1})``, free of the coupling.  The expansions
-    converge for ``k`` above every root of the denominators."""
-    lead, q, r, p = _quadratic_parts(spec)
-    q_s = _at_shift(q, alpha_shift)
-    alpha = _series_quotient([-c for c in _at_shift(r, alpha_shift)], q_s)
-    beta = _series_quotient(
-        _poly_product(_at_shift(p, 0), _at_shift(lead, -1)),
-        _poly_product(_at_shift(q, 0), _at_shift(q, -1)),
-    )
-    return alpha, beta
+def beta_expansion(spec: EquationSpec) -> Iterator:
+    """Coefficients of the large-``k`` expansion in powers of ``1/k`` of
+    ``beta_k = P_k lead_{k-1} / (Q_k Q_{k-1})``, from the polynomial parts of
+    the recurrence (:func:`_quadratic_parts`), free of the coupling, as an
+    endless iterator.  It converges for ``k`` above every root of the
+    denominators."""
+    lead, q, _, p = _quadratic_parts(spec)
+    return _series_quotient(_shifted_product(p, 0, lead, -1), _shifted_product(q, 0, q, -1))
 
 
 def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:

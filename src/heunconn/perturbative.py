@@ -10,11 +10,11 @@ coupling.  Its order-``n`` coefficient obeys
 so one sweep to depth ``K`` costs ``O(N K)`` additions and no division.  The
 limit follows from the formal solution ``a_k ~ a_inf S(k)``, ``S(k) = sum_j
 d_j k^-j``, with the ``d_j`` computed as λ-jets by the ``recurrence`` route's
-own tail (``connection._recurrence_tail``): ``ln a_inf = ln a_K - ln S(K)``.  At a fixed
-order in ``lam`` the recurrence has no second solution (that one is of order
-``lam^k``), so ``K`` only has to be ``_ROOT_FACTOR`` times above the roots of the
-denominators, and at least 64.  For HE the ``-ln(1 - lam)`` part of ``ln
-a_inf`` is in the jets already.
+own tail kernel (``connection._formal_tail``): ``ln a_inf = ln a_K - ln
+S(K)``.  At a fixed order in ``lam`` the recurrence has no second solution
+(that one is of order ``lam^k``), so ``K`` only has to be ``_ROOT_FACTOR``
+times above the roots of the denominators, and at least 64.  For HE the
+``-ln(1 - lam)`` part of ``ln a_inf`` is in the jets already.
 
 The :class:`Jet` type and the ``jet_*`` functions are a small public toolkit of
 truncated-series arithmetic; the expansion above does not use them.
@@ -31,7 +31,9 @@ from itertools import accumulate, chain
 from operator import add, sub
 from typing import Any, Sequence
 
-from .connection import _is_mp_spec, _recurrence_tail, _root_depth, _sum_tail, _unit_roundoff
+from .connection import (
+    _a_space, _formal_tail, _inverse_depth, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff,
+)
 from .equations import EquationSpec, coefficient_table, validate
 from .errors import (
     DomainError,
@@ -208,9 +210,11 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     The spec's own ``lam`` value is ignored: only the family structure and
     the non-coupling parameters enter.  One λ-jet sweep of the forward
     recurrence to ``K`` (:func:`connection._root_depth`) gives ``a_K``, the
-    ``recurrence`` route's formal tail (:func:`connection._recurrence_tail`)
-    at coupling 0 to order ``N``, summed to working precision, gives ``S(K)``,
-    and ``ln a_inf = ln a_K - ln S(K)``.  ``N`` above 8 raises
+    ``recurrence`` route's formal tail (:func:`connection._formal_tail` of
+    :func:`connection._a_space`) at coupling 0 to order ``N``, summed to
+    working precision, gives ``S(K)``, and ``ln a_inf = ln a_K - ln S(K)``.
+    The coefficients are binary64 ``complex`` also for an mpmath spec, whose
+    arithmetic they are computed in.  ``N`` above 8 raises
     :class:`SizeError`; a tail that stops decreasing raises
     :class:`NonConvergence`.  For HYP all coefficients vanish.
     """
@@ -222,7 +226,7 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     K = _root_depth(spec)
     a_K = _forward_jet(*coefficient_table(spec, 0, K), N)
     eps = _unit_roundoff(_is_mp_spec(spec))
-    tail = map(_Orders, _recurrence_tail(spec, K, 0, N))
+    tail = map(_Orders, _formal_tail(_a_space(spec), 0, 0, _inverse_depth(spec, K), N))
     s_K, _ = _sum_tail(tail, eps, False, "coupling-series tail")
     return [complex(x - y) for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
 

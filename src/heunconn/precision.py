@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 import os
 from typing import Any
 
@@ -88,6 +89,14 @@ def p_log(x: Any) -> Any:
     if is_mp(x):
         return mp.log(x)
     return cmath.log(x)
+
+
+def p_log1p(x: Any) -> Any:
+    """Principal ``ln(1 + x)`` under either backend, without rounding ``1 + x``."""
+    if is_mp(x):
+        return mp.log1p(x)
+    re, im = complex(x).real, complex(x).imag  # |1 + x|^2 - 1 = re (2 + re) + im^2
+    return complex(0.5 * math.log1p(re * (2 + re) + im * im), math.atan2(im, 1 + re))
 
 
 def p_exp(x: Any) -> Any:

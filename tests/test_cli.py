@@ -282,6 +282,15 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("1e999", "inf")])
+    def test_verify_rejects_a_non_finite_parameter(self, capsys, value, shown):
+        argv = ["verify", *RCHE_ARGS, "--fast"]
+        argv[argv.index("--omega") + 1] = value
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"DomainError: omega = {shown} is not finite")
+
     def test_expand_order_cap(self, capsys):
         code, _, _ = run_cli(capsys, ["expand", *RCHE_ARGS, "--order", "9"])
         assert code == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import threading
@@ -11,9 +12,17 @@ from itertools import count, islice
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import oracles
-from conftest import matrix_rel_diff, oracle_matrix, rel_diff, resonant_spec, solver_matrix
+from conftest import (
+    coupled_specs,
+    matrix_rel_diff,
+    oracle_matrix,
+    rel_diff,
+    resonant_spec,
+    solver_matrix,
+)
 from heunconn import (
     METHODS,
     AccessoryResonance,
@@ -43,12 +52,19 @@ from heunconn import (
     wronskian_connection,
 )
 from heunconn.connection import (
+    _a_space,
+    _d_space,
     _eta_sweep,
     _flip_spec,
     _recurrence_limit,
+    _scalar_tail,
+    _seed_buffer,
     _ss_precision,
     _sum_tail,
+    _tail_depth,
+    _u_space,
 )
+from heunconn.equations import EquationSpec, coefficient_table
 from heunconn.fixedpoint import (
     Dyadic,
     _gaussian_iterates,
@@ -99,6 +115,22 @@ class TestFusionFormula:
 class TestMatrixRoutes:
     def test_method_names(self):
         assert METHODS == ("cf", "recurrence", "ss", "wronskian")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matrix_validates_its_spec_once(self, he_example, method, monkeypatch):
+        # Sign flips keep a valid spec valid, so the entries need no check of their own.
+        import heunconn
+
+        calls = []
+        real = heunconn.equations.validate
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(heunconn.connection, "validate", counting)
+        connection_matrix(he_example, method=method)
+        assert calls == [he_example]
 
     @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
     @pytest.mark.parametrize("method", ["cf", "recurrence", "ss", "wronskian"])
@@ -476,6 +508,62 @@ class TestContinuedFraction:
         assert abs(log_a) <= 1e-14
 
 
+def _tail_sum(terms) -> complex:
+    return _sum_tail(terms, 2.0**-53, True, "tail")[0]
+
+
+def _eta_tail(spec, K: int) -> complex:
+    """The cf route's T(K) = sum_{k>K} ln eta_k = ln S(K+1) of the tail
+    determinants."""
+    return cmath.log(_tail_sum(_scalar_tail(_d_space(spec), spec.lam, 0, 1 / (K + 1))))
+
+
+def _a_limit(spec, K: int) -> complex:
+    """The recurrence route's a_K / S(K)."""
+    a_km1, a_k = 0.0, 1.0
+    for al, be in zip(*coefficient_table(spec, 0, K)):
+        a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
+    return a_k / _tail_sum(_scalar_tail(_a_space(spec), spec.lam, 0, 1 / K))
+
+
+# Dropping one coefficient of the recurrence from the tail moved these
+# identities by 5e-8 or more on the examples; the sweeps' roundings leave 4e-15.
+_K_TOL = 1e-13
+
+
+def _assert_tails_do_not_depend_on_K(spec):
+    eps = 2.0**-53
+    K = _tail_depth(spec, eps, 2**20, "tail")
+    etas = _eta_sweep(spec, 2 * K, _seed_buffer(spec, 2 * K)[0])
+    summed = sum(map(cmath.log, etas[K:]))
+    assert abs(summed + _eta_tail(spec, 2 * K) - _eta_tail(spec, K)) <= _K_TOL
+    assert rel_diff(_a_limit(spec, K), _a_limit(spec, 2 * K)) <= _K_TOL
+    # ss: u_K / (K^rho S(K)), rho = 2 theta1 - 1, from the fixed-point sweep
+    K = _tail_depth(spec, eps, 2**20, "tail", abs(2 * complex(spec.theta0) - 1))
+    _, bits = _ss_precision(complex(spec.theta1), 2 * K)
+    quadratics, _ = exact_quadratics(spec, 2 * K)
+    u = [complex(*z) / 2.0**bits for z in islice(fixed_iterates(quadratics, bits), 2 * K)]
+    rho = 2 * complex(spec.theta1) - 1
+    parts = _u_space(quadratics)
+    ss = [u[k - 1] / (k**rho * _tail_sum(_scalar_tail(parts, 0, rho, 1 / k))) for k in (K, 2 * K)]
+    assert rel_diff(*ss) <= _K_TOL
+
+
+class TestFormalTail:
+    """Each route's formal tail continues its sweep: moving the depth from K
+    to 2K changes nothing."""
+
+    @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
+    def test_tails_do_not_depend_on_the_depth(self, request, family):
+        _assert_tails_do_not_depend_on_K(request.getfixturevalue(EXAMPLE_FIXTURES[family]))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(coupled_specs({"RCHE": 0.6, "CHE": 0.6, "HE": 0.6}))
+    def test_tails_of_seeded_specs_do_not_depend_on_the_depth(self, spec):
+        _assert_tails_do_not_depend_on_K(spec)
+
+
 class TestSigma:
     @pytest.mark.parametrize("lam_key", sorted(oracles.SIGMA_HE))
     def test_extract_sigma_matches_frozen(self, lam_key):
@@ -592,6 +680,22 @@ class TestGuardsAndLimits:
         with pytest.raises(NonConvergence, match="is above tol"):
             connection_matrix(rche_example, method=method, tol=1e-16)
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("field", ["theta1", "omega", "lam"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_parameter_is_a_domain_error(self, method, field):
+        # Built past the constructor, which validates the same way.
+        spec = replace(EquationSpec("RCHE", 0.1, 0.2, lam=0.1, omega=0.3), **{field: math.nan})
+        with pytest.raises(DomainError, match=f"{field} = nan is not finite"):
+            connection_matrix(spec, method=method)
+
+    @pytest.mark.parametrize(
+        "route", [log_a_infinity_cf, schafke_schmidt_connection, connection_scalar]
+    )
+    def test_non_finite_parameter_on_the_scalar_routes(self, route):
+        spec = EquationSpec("CHE", 0.1, 0.2, lam=0.1, omega=0.3, theta_star=math.inf)
+        with pytest.raises(DomainError, match="theta_star = inf is not finite"):
+            route(spec)
 
     def test_ss_theta1_gate(self):
         with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import islice
 
@@ -26,7 +27,7 @@ from heunconn import (
     u_lambda0_sequence,
     validate,
 )
-from heunconn.equations import coefficient_expansions
+from heunconn.equations import beta_expansion
 from heunconn.precision import HIGH, spec_to_precision
 
 
@@ -72,6 +73,21 @@ class TestConstructorsAndValidate:
     def test_unknown_family(self, rche_example):
         with pytest.raises(FamilyFieldError):
             validate(replace(rche_example, family="XYZ"))
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, complex(0.3, math.nan), mp.mpf("nan"), mp.mpc(0.3, "inf")],
+    )
+    @pytest.mark.parametrize("field", ["theta0", "theta1", "omega", "lam"])
+    def test_non_finite_field(self, rche_example, field, value):
+        with pytest.raises(DomainError, match=f"{field} = .* is not finite"):
+            validate(replace(rche_example, **{field: value}))
+
+    def test_constructor_rejects_nan(self):
+        with pytest.raises(DomainError, match="omega = nan is not finite"):
+            rche_spec(0.1, 0.2, math.nan, 0.1)
+        with pytest.raises(DomainError, match="theta_inf_hyp = inf is not finite"):
+            hyp_spec(0.1, 0.2, math.inf)
 
 
 class TestRecurrenceData:
@@ -142,24 +158,18 @@ class TestRecurrenceData:
         with pytest.raises(AccessoryResonance):
             alpha_beta(spec, 1)
 
-    @pytest.mark.parametrize("alpha_shift", [0, -1])
     @pytest.mark.parametrize("name", ["hyp_example", "rche_example", "che_example", "he_example"])
-    def test_expansions_sum_to_the_coupling_free_table(self, request, name, alpha_shift):
-        # The 1/k expansions are of alpha_{k + alpha_shift} and beta_k
-        # themselves, not of lam times them: 40 terms at k = 400 give the
-        # table rows, and a spec at another coupling has the same expansions.
+    def test_expansions_sum_to_the_coupling_free_table(self, request, name):
+        # The 1/k expansion is of beta_k itself, not of lam times it: 40
+        # terms at k = 400 give the table row, and a spec at another coupling
+        # has the same expansion.
         spec = request.getfixturevalue(name)
         k = 400
-        alpha_it, beta_it = coefficient_expansions(spec, alpha_shift)
-        alpha_terms, beta_terms = list(islice(alpha_it, 40)), list(islice(beta_it, 40))
-        alphas, _ = coefficient_table(spec, k + alpha_shift, k + alpha_shift + 1)
+        terms = list(islice(beta_expansion(spec), 40))
         _, betas = coefficient_table(spec, k, k + 1)
-        for terms, ref in ((alpha_terms, alphas[0]), (beta_terms, betas[0])):
-            total = sum(c * k**-j for j, c in enumerate(terms))
-            assert abs(total - ref) <= 1e-14 * abs(ref)
-        if spec.lam is not None:
-            other = coefficient_expansions(replace(spec, lam=spec.lam / 2), alpha_shift)
-            assert [list(islice(it, 40)) for it in other] == [alpha_terms, beta_terms]
+        total = sum(c * k**-j for j, c in enumerate(terms))
+        assert abs(total - betas[0]) <= 1e-14 * abs(betas[0])
+        assert list(islice(beta_expansion(replace(spec, lam=spec.lam / 2)), 40)) == terms
 
 
 # alpha_beta(spec, k) at k in (0, 1, 2, 7, 512, 1075), frozen from the

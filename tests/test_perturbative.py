@@ -39,8 +39,9 @@ from heunconn import (
     rche_spec,
     sigma1_closed,
 )
-from heunconn.connection import _recurrence_tail, _root_depth, _sum_tail
-from heunconn.perturbative import _Orders
+from heunconn.connection import _a_space, _formal_tail, _root_depth, _scalar_tail, _sum_tail
+from heunconn.equations import coefficient_table
+from heunconn.perturbative import _forward_jet, _Orders, _series_log
 
 
 def _jet(*coeffs: complex) -> Jet:
@@ -123,6 +124,23 @@ class TestSeriesCoefficients:
             c_coefficients(rche_example, 0)
 
 
+def _log_a_jets(spec, K: int) -> list:
+    """c_1 .. c_6 as ln a_K - ln S(K) at depth K."""
+    a_K = _forward_jet(*coefficient_table(spec, 0, K), 6)
+    tail = map(_Orders, _formal_tail(_a_space(spec), 0, 0, 1 / K, 6))
+    s_K, _ = _sum_tail(tail, 2.0**-53, False, "jets")
+    return [x - y for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
+
+
+def _assert_jets_do_not_depend_on_K(spec):
+    # Dropping a coupling-linear coefficient from the tail moved the c_n of
+    # the CHE and HE examples by 2e-5 or more; the sweep's roundings leave
+    # 1.2e-14.
+    K = _root_depth(spec)
+    for at_K, at_2K in zip(_log_a_jets(spec, K), _log_a_jets(spec, 2 * K)):
+        assert abs(at_K - at_2K) <= 1e-13 * max(1.0, abs(at_K))
+
+
 class TestJetTail:
     """The forward λ-jet sweep to K plus its formal 1/K tail."""
 
@@ -140,10 +158,20 @@ class TestJetTail:
         # summed in powers of lam, give its order-0 sum at coupling lam.
         spec = request.getfixturevalue(f"{family.lower()}_example")
         K, eps = _root_depth(spec), 2.0**-53
-        jets, _ = _sum_tail(map(_Orders, _recurrence_tail(spec, K, 0, 6)), eps, False, "jets")
-        at_lam = (t[0] for t in _recurrence_tail(spec, K, lam, 0))
-        direct, _ = _sum_tail(at_lam, eps, False, "at lam")
+        parts = _a_space(spec)
+        jets, _ = _sum_tail(map(_Orders, _formal_tail(parts, 0, 0, 1 / K, 6)), eps, False, "jets")
+        direct, _ = _sum_tail(_scalar_tail(parts, lam, 0, 1 / K), eps, False, "at lam")
         assert abs(sum(c * lam**m for m, c in enumerate(jets)) - direct) <= 1e-15
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_tail_does_not_depend_on_the_depth(self, request, family):
+        _assert_jets_do_not_depend_on_K(request.getfixturevalue(f"{family.lower()}_example"))
+
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(coupled_specs({"RCHE": 0.3, "CHE": 0.3, "HE": 0.3}))
+    def test_tail_of_seeded_specs_does_not_depend_on_the_depth(self, spec):
+        _assert_jets_do_not_depend_on_K(spec)
 
     def test_wide_spec_takes_a_deeper_sweep(self):
         d = oracles.WIDE_CHE
@@ -157,6 +185,11 @@ class TestJetTail:
     def test_resonance_is_raised(self, family):
         with pytest.raises(AccessoryResonance):
             c_coefficients(resonant_spec(family), 6)
+
+    @pytest.mark.parametrize("field", ["theta0", "omega", "lam"])
+    def test_non_finite_parameter_is_a_domain_error(self, he_example, field):
+        with pytest.raises(DomainError, match=f"{field} = nan is not finite"):
+            c_coefficients(replace(he_example, **{field: float("nan")}), 6)
 
 
 _SMALL_LAM = 1e-3
