@@ -32,6 +32,7 @@ __all__ = [
     "is_mp",
     "spec_to_precision",
     "p_log",
+    "p_log1p",
     "p_exp",
     "p_power",
 ]

@@ -72,7 +72,7 @@ from heunconn.fixedpoint import (
     exact_quadratics,
     fixed_iterates,
 )
-from heunconn.precision import HIGH, spec_to_precision
+from heunconn.precision import HIGH, p_log1p, spec_to_precision
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -502,6 +502,14 @@ class TestContinuedFraction:
         terms = (math.factorial(n) / 4.0**n for n in count())
         with pytest.raises(NonConvergence, match=r"stopped decreasing.*terms 1\.0e\+00, 2\.5e-01"):
             _sum_tail(terms, 2.0**-53, True, "test")
+
+    @pytest.mark.parametrize("x", [1e-3 + 2e-4j, -3.7e-5 + 0j, 2.5e-8 - 1e-9j, 0.3 - 0.2j])
+    def test_log1p_is_accurate_relative_to_x(self, x):
+        # The cf route adds ln(1 + x) for x = S(K+1) - 1, which is small.
+        with mp.workdps(40):
+            want = mp.log1p(mp.mpc(x))
+            assert abs(p_log1p(mp.mpc(x)) - want) <= mp.mpf(10) ** -38 * abs(x)
+        assert abs(p_log1p(x) - complex(want)) <= 4 * 2.0**-53 * abs(x)
 
     def test_hyp_log_amplitude_is_zero(self, hyp_example):
         log_a, _, _ = log_a_infinity_cf(hyp_example)
