@@ -353,8 +353,8 @@ def _delta_order(at: list, slope: Any, rho: Any, first: bool, below: Iterator) -
     and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
     binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
     rest has fixed length.  At ``rho = 0`` the sums run on the rows of
-    :func:`_binomial_rows`; otherwise, in binary64, on ``C(rho-j, i) = v h_j /
-    i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho (rho-1) .. (rho-j+1)``."""
+    :func:`_binomial_rows`, else in binary64 (finite to order 170) on ``C(rho-j,
+    i) = v h_j / i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``."""
     (l0, l1, l2, l3, l4), (_, _, a2, a3, a4), (b0, b1, b2, b3, b4) = at
     divisor = l0 - b0
     if slope is not None:  # coefficients of the state tuple below, in the residual's order
