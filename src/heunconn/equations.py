@@ -152,7 +152,8 @@ def validate(spec: EquationSpec) -> EquationSpec:
     """Check family membership, field completeness, and exponent conditions.
 
     Raises :class:`FamilyFieldError` for unknown families or field misuse,
-    :class:`DomainError` for a parameter that is nan or infinite,
+    :class:`DomainError` for a parameter that is not a number or is nan or
+    infinite,
     :class:`ResonantExponents` when ``2 theta0`` or ``2 theta1`` is within
     1e-10 of an integer (integer exponent differences at 0 or 1), and
     :class:`DomainError` when an HE coupling has ``|lam| >= 1`` (the third
@@ -172,8 +173,13 @@ def validate(spec: EquationSpec) -> EquationSpec:
         if spec.lam != 0:
             raise FamilyFieldError("family HYP must have lam = 0")
     for name in ("theta0", "theta1", "lam", *required):
-        if not cmath.isfinite(getattr(spec, name)):
-            raise DomainError(f"{name} = {getattr(spec, name)!r} is not finite")
+        value = getattr(spec, name)
+        try:
+            finite = cmath.isfinite(value)
+        except TypeError:
+            raise DomainError(f"{name} = {value!r} is not a number") from None
+        if not finite:
+            raise DomainError(f"{name} = {value!r} is not finite")
     for label, theta in (("theta0", spec.theta0), ("theta1", spec.theta1)):
         if _near_half_integer(theta):
             raise ResonantExponents(

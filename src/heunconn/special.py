@@ -18,6 +18,22 @@ The binary64 backend implements:
   strategy.
 * ``pochhammer`` — rising factorial as a direct product.
 
+A binary64 argument whose imaginary part is zero (a float, an int, or a
+complex with imaginary part ``0.0`` or ``-0.0``) takes a real-line path:
+``log_gamma`` is ``math.lgamma(x)`` with imaginary part ``-pi ceil(-x)`` for
+``x < 0`` (the same upper-half-plane branch), and ``polygamma`` runs the
+shift-plus-asymptotic algorithm above in float arithmetic.  Measured against
+mpmath at 30 digits on ``[-2, 3]``, 0.02 from the poles (Python 3.11, x86-64):
+
+* real line, 20,000 points: ``log_gamma`` 2.0e-15 absolute error,
+  ``polygamma`` orders 0-3 at most 4.2e-15 times ``max(1, |value|)`` (order 2
+  next to its zeros near ``-1/2`` and ``-3/2``, where shift terms of size 16
+  cancel; orders 0, 1 and 3 at most 2.3e-15);
+* complex kernel, 2,000 points with ``0 < |Im z| <= 2``: ``log_gamma``
+  2.6e-14 absolute error, from the cancellation between the Stirling sum at
+  ``Re w >= 18`` and the logs of the shifts, and ``polygamma`` orders 0-3 at
+  most 1.6e-15 times ``max(1, |value|)``.
+
 Each function follows the type of its argument, like the helpers of
 :mod:`heunconn.precision`: an mpmath scalar (``mpf``/``mpc``) is evaluated by
 mpmath at the current working precision, anything else by the binary64
@@ -194,12 +210,21 @@ def log_gamma(z: Any) -> Any:
     """Principal-branch log-gamma (cut along the nonpositive real axis).
 
     Real negative arguments are evaluated as limits from the upper half-plane,
-    so the imaginary part decreases by pi across each pole interval.
+    so the imaginary part decreases by pi across each pole interval.  A real
+    argument whose log-gamma exceeds the binary64 range (about 2.5e305) gives
+    ``inf``.
     """
     _check_pole(complex(z), "log_gamma")
     if is_mp(z):
         return mp.loggamma(z)
     z = complex(z)
+    if z.imag == 0.0:
+        x = z.real
+        try:
+            lg = math.lgamma(x)
+        except OverflowError:  # log Gamma(x) above the binary64 range
+            lg = math.inf
+        return complex(lg, -math.pi * math.ceil(-x) if x < 0.0 else 0.0)
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
@@ -207,10 +232,12 @@ def log_gamma(z: Any) -> Any:
     return _LN_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
 
 
-def _polygamma_asymptotic(n: int, w: complex) -> complex:
-    """Asymptotic polygamma series; accurate for Re w >= 18 + n."""
+def _polygamma_asymptotic(n: int, w: Any) -> Any:
+    """Asymptotic polygamma series; accurate for Re w >= 18 + n.  ``w`` is a
+    float or a complex, and the result has its type."""
     if n == 0:
-        s = cmath.log(w) - 0.5 / w
+        log = cmath.log if isinstance(w, complex) else math.log
+        s = log(w) - 0.5 / w
         w2 = w * w
         p = w2  # w^(2k)
         for k in range(10):
@@ -244,15 +271,16 @@ def polygamma(n: int, z: Any) -> Any:
     z = complex(z)
     if z.imag < 0.0:
         return polygamma(n, z.conjugate()).conjugate()
+    # On the real line the same algorithm runs in float arithmetic.
+    w = z.real if z.imag == 0.0 else z
     threshold = 18.0 + n
     shift_sign = 1.0 if n % 2 == 0 else -1.0
     fact_n = float(math.factorial(n))
-    acc = 0.0 + 0.0j
-    w = z
+    acc = 0.0
     while w.real < threshold:
         acc += shift_sign * fact_n / w ** (n + 1)
         w += 1.0
-    return _polygamma_asymptotic(n, w) - acc
+    return complex(_polygamma_asymptotic(n, w) - acc)
 
 
 def digamma(z: Any) -> Any:

@@ -642,7 +642,7 @@ class TestGuardsAndLimits:
         spec = rche_spec(0.13, 0.27, 0.31, -1.2)
         val, err = connection_scalar(spec, method="cf", allow_large_coupling=True)
         ref, _ = connection_scalar(spec, method="recurrence", allow_large_coupling=True)
-        assert abs(ref - 2.5036296622198644) <= 1e-14
+        assert abs(ref - 2.5036296622198524) <= 1e-14
         assert abs(val - ref) <= err
 
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])

@@ -83,6 +83,11 @@ class TestConstructorsAndValidate:
         with pytest.raises(DomainError, match=f"{field} = .* is not finite"):
             validate(replace(rche_example, **{field: value}))
 
+    @pytest.mark.parametrize("field, value", [("theta0", "0.1"), ("lam", None)])
+    def test_non_number_field(self, rche_example, field, value):
+        with pytest.raises(DomainError, match=f"{field} = .* is not a number"):
+            validate(replace(rche_example, **{field: value}))
+
     def test_constructor_rejects_nan(self):
         with pytest.raises(DomainError, match="omega = nan is not finite"):
             rche_spec(0.1, 0.2, math.nan, 0.1)

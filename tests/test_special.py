@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import pytest
 
 import oracles
-from heunconn import PoleError, digamma, gamma, log_gamma, pochhammer, polygamma
+from heunconn import PoleError, digamma, fusion_cl, gamma, log_gamma, pochhammer, polygamma
 
 SPOT_TOL = 1e-13
 
@@ -116,7 +117,10 @@ class TestPoles:
         with pytest.raises(PoleError):
             gamma(z)
 
-    @pytest.mark.parametrize("z", [0.0, -3.0])
+    # Real points within 1e-12 of a pole, given as floats and as complexes.
+    REAL_POLES = [0.0, -3.0, 5e-13, -2.0 + 9e-13, complex(-1.0, -0.0)]
+
+    @pytest.mark.parametrize("z", REAL_POLES)
     def test_log_gamma_pole(self, z):
         with pytest.raises(PoleError):
             log_gamma(z)
@@ -124,3 +128,103 @@ class TestPoles:
     def test_polygamma_pole(self):
         with pytest.raises(PoleError):
             polygamma(1, -2.0)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("z", REAL_POLES)
+    def test_polygamma_real_poles(self, z, n):
+        with pytest.raises(PoleError):
+            polygamma(n, z)
+
+
+def _real_points(seed: int, count: int) -> list[float]:
+    """Seeded ``x`` in [-2, 3], at least 0.02 from the poles of gamma."""
+    rng = random.Random(seed)
+    xs: list[float] = []
+    while len(xs) < count:
+        x = rng.uniform(-2.0, 3.0)
+        if round(x) > 0 or abs(x - round(x)) >= 0.02:
+            xs.append(x)
+    return xs
+
+
+def _fusion_triples(seed: int, count: int) -> list[tuple[float, float, float]]:
+    """Seeded real ``(theta0, theta1, theta_inf)`` of the scan specs' domain:
+    thetas in [-0.45, 0.45] with ``2 theta`` 0.02 from an integer, the third
+    exponent in [0.08, 0.42], and every ``1/2 +- theta0 +- theta1 +-
+    theta_inf`` at least 0.02 from zero."""
+    rng = random.Random(seed)
+
+    def theta() -> float:
+        while True:
+            t = rng.uniform(-0.45, 0.45)
+            if abs(2 * t - round(2 * t)) >= 0.02:
+                return t
+
+    triples: list[tuple[float, float, float]] = []
+    while len(triples) < count:
+        t0, t1, x = theta(), theta(), rng.uniform(0.08, 0.42)
+        if all(
+            abs(0.5 + s0 * t0 + s1 * t1 + sx * x) >= 0.02
+            for s0 in (1, -1)
+            for s1 in (1, -1)
+            for sx in (1, -1)
+        ):
+            triples.append((t0, t1, x))
+    return triples
+
+
+class TestRealLine:
+    """A binary64 argument with zero imaginary part takes the real-line path."""
+
+    XS = _real_points(18, 300)
+    REAL_TOL = 4e-15
+
+    def test_log_gamma_against_mpmath(self):
+        with mp.workdps(30):
+            for x in self.XS:
+                got = log_gamma(x)
+                assert abs(mp.mpc(got) - mp.loggamma(mp.mpf(x))) <= self.REAL_TOL, x
+                assert got.imag == (-math.pi * math.ceil(-x) if x < 0 else 0.0), x
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_polygamma_against_mpmath(self, n):
+        with mp.workdps(30):
+            for x in self.XS:
+                want = mp.polygamma(n, mp.mpf(x))
+                got = polygamma(n, x)
+                assert abs(mp.mpc(got) - want) <= self.REAL_TOL * max(1, abs(want)), x
+                assert got.imag == 0.0
+
+    def test_zero_imaginary_part_of_either_sign_is_real(self):
+        for x in self.XS:
+            for f in (log_gamma, lambda z: polygamma(2, z)):
+                assert f(x) == f(complex(x, 0.0)) == f(complex(x, -0.0)), x
+
+    def test_just_outside_the_pole_tolerance(self):
+        x = -2.0 + 2e-12
+        with mp.workdps(30):
+            want = mp.loggamma(mp.mpf(x))
+            assert abs(mp.mpc(log_gamma(x)) - want) <= 1e-15 * abs(want)
+            want = mp.polygamma(1, mp.mpf(x))
+            assert abs(polygamma(1, x) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("x", [1e200, 1e300])
+    def test_huge_arguments(self, x):
+        with mp.workdps(30):
+            for got, want in (
+                (log_gamma(x), mp.loggamma(mp.mpf(x))),
+                (polygamma(0, x), mp.digamma(mp.mpf(x))),
+            ):
+                assert abs(mp.mpc(got) - want) <= 1e-15 * abs(want)
+
+    def test_log_gamma_past_the_binary64_range_is_infinite(self):
+        assert log_gamma(3e305) == complex(math.inf, 0.0)
+        assert log_gamma(math.ldexp(1.0, 1023)) == complex(math.inf, 0.0)
+
+    def test_fusion_cl_on_real_triples(self):
+        with mp.workdps(30):
+            for t0, t1, x in _fusion_triples(18, 3000):
+                T0, T1, X = mp.mpf(t0), mp.mpf(t1), mp.mpf(x)
+                a = mp.mpf(0.5) + T1 - T0
+                want = mp.gamma(1 - 2 * T0) * mp.gamma(2 * T1) / (mp.gamma(a + X) * mp.gamma(a - X))
+                assert abs(fusion_cl(t0, t1, x) - want) <= 1e-14 * abs(want), (t0, t1, x)
