@@ -52,7 +52,6 @@ from .equations import (
 )
 from .errors import (
     AccessoryResonance,
-    BranchAmbiguity,
     CFBreakdown,
     DetCheckFailed,
     DomainError,
@@ -218,5 +217,4 @@ __all__ = [
     "ParameterResonance",
     "SizeError",
     "ReflectionMismatch",
-    "BranchAmbiguity",
 ]

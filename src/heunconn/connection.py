@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice, repeat
 from operator import mul, truediv
@@ -48,7 +49,6 @@ from .equations import (
     validate,
 )
 from .errors import (
-    BranchAmbiguity,
     CFBreakdown,
     DetCheckFailed,
     DomainError,
@@ -167,6 +167,19 @@ def fusion_cl(theta0: Any, theta1: Any, theta_inf: Any) -> Any:
         - log_gamma(a + theta_inf)
         - log_gamma(a - theta_inf)
     )
+
+
+def _check_tol_arg(tol: Any) -> None:
+    """A nan ``tol`` would pass every estimate (``inf`` turns the check off)."""
+    # float and int first: they skip the slower check against the ABC
+    if not isinstance(tol, (float, int, numbers.Real)) or tol != tol:
+        raise DomainError(f"tol must be a real number other than nan, got {tol!r}")
+
+
+def _method_name(method: Any) -> str:
+    if not isinstance(method, str):
+        raise DomainError(f"method must be a string, got {method!r}")
+    return method.lower()
 
 
 def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
@@ -428,7 +441,6 @@ def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
     ``0 .. k_top + buffer``.
     """
     lam = spec.lam
-    watch_branch = abs(lam) > 0.3
     one = 1.0 + 0 * spec.theta0
     eta = one
     out = [one] * k_top
@@ -437,11 +449,6 @@ def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
         eta = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
-        if watch_branch and complex(eta).real <= 0.0:
-            raise BranchAmbiguity(
-                f"eta_{k} = {complex(eta):.6g} left the right half-plane; "
-                "logarithm branch tracking is ambiguous"
-            )
         if k <= k_top:
             out[k - 1] = eta
     return out
@@ -453,20 +460,23 @@ def log_a_infinity_cf(
     max_depth: int = _MAX_DEPTH,
     allow_large_coupling: bool = False,
 ) -> tuple[Any, int, float]:
-    """``ln a_inf`` by the continued-fraction route.
+    """A logarithm of ``a_inf`` by the continued-fraction route: ``sum_{k<=K}
+    Log eta_k + log1p(S(K+1) - 1)``, and ``- Log(1 - lam)`` for HE, in
+    principal logarithms.  Its exponential is ``a_inf``; once some ``eta_k``
+    leaves the right half-plane it can differ by ``2 pi i m`` from the
+    continuation of ``ln a_inf`` in ``lam``.
 
-    Sums ``ln eta_k`` for ``k <= K`` from one backward sweep seeded ``buffer``
-    levels above ``K``, and adds the rest, ``sum_{k>K} ln eta_k = ln S(K+1)``:
-    ``eta_k = D_k / D_{k+1}`` with ``D_k`` the tail determinants, and ``S``
-    their formal ``1/k`` series (:func:`_d_space`), summed without its leading
-    1 to working precision and taken through ``log1p``; for HE the exact shift
-    ``-ln(1-lam)`` is added.  ``K`` comes from :func:`_tail_depth`.  The error
-    estimate is the last tail terms (:func:`_sum_tail`), the unit-seed bound
-    and :func:`_sweep_floor`.  Returns ``(value, K, err_estimate)``; raises
-    :class:`NonConvergence` when ``K`` exceeds ``max_depth`` or the estimate
-    exceeds ``tol``, and :class:`DomainError` at the coupling gate or on an
-    invalid spec.
+    The ``eta_k`` come from one backward sweep seeded ``buffer`` levels above
+    ``K``; ``prod_{k>K} eta_k = S(K+1)``, ``eta_k = D_k / D_{k+1}`` with
+    ``D_k`` the tail determinants and ``S`` their formal ``1/k`` series
+    (:func:`_d_space`), summed without its leading 1 to working precision.
+    ``K`` comes from :func:`_tail_depth`.  The error estimate is the last tail
+    terms (:func:`_sum_tail`), the unit-seed bound and :func:`_sweep_floor`.
+    Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
+    ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
+    :class:`DomainError` at the coupling gate or on an invalid spec.
     """
+    _check_tol_arg(tol)
     return _cf_limit(validate(spec), tol, max_depth, allow_large_coupling)
 
 
@@ -614,6 +624,8 @@ def connection_scalar(
 
     Returns ``(value, err_estimate)``.
     """
+    _check_tol_arg(tol)
+    method = _method_name(method)
     val, err, _ = _scalar_with_depth(validate(spec), method, tol, allow_large_coupling, max_depth)
     return val, err
 
@@ -749,7 +761,8 @@ def connection_matrix(
     (:class:`DetCheckFailed` beyond).  The spec is validated once: a sign
     flip keeps each ``2 theta``'s distance to the integers and ``|lam|``."""
     validate(spec)
-    method = method.lower()
+    _check_tol_arg(tol)
+    method = _method_name(method)
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     if method == "wronskian":
@@ -826,6 +839,7 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     cross-checks both product relations (see :func:`_product_relations`); a
     relative violation beyond ``tol`` raises :class:`MonodromyInconsistent`.
     """
+    _check_tol_arg(tol)
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
     a, b, c, d = (matrix[k] for k in ("++", "+-", "-+", "--"))

@@ -390,8 +390,8 @@ def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:
     ``a = 1/2 - theta0 + theta1`` and ``x`` the family's third exponent
     parameter, built iteratively as ``u0_{k+1} = Q_k u0_k / ((k+1)(k+1-2t0))``.
     """
-    if K < 0:
-        raise DomainError("K must be nonnegative")
+    if not isinstance(K, int) or K < 0:
+        raise DomainError(f"K must be a nonnegative integer, got {K!r}")
     t0 = spec.theta0
     out = [1.0 + 0 * t0]
     for k in range(K):
@@ -413,8 +413,8 @@ def rescaled_a(spec: EquationSpec, K: int) -> list:
     breakdown of the ratio representation).
     """
     validate(spec)
-    if K < 1:
-        raise DomainError("K must be at least 1")
+    if not isinstance(K, int) or K < 1:
+        raise DomainError(f"K must be an integer of at least 1, got {K!r}")
     u = [1.0 + 0 * spec.theta0, canonical_recurrence_step(spec, 0, 1.0, 0.0)]
     for k in range(1, K):
         u.append(canonical_recurrence_step(spec, k, u[k], u[k - 1]))

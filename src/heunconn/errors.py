@@ -25,7 +25,6 @@ __all__ = [
     "ParameterResonance",
     "SizeError",
     "ReflectionMismatch",
-    "BranchAmbiguity",
 ]
 
 
@@ -95,7 +94,3 @@ class SizeError(HeunConnError):
 
 class ReflectionMismatch(HeunConnError):
     """Reflected equation data fail their consistency identities."""
-
-
-class BranchAmbiguity(HeunConnError):
-    """Logarithm branch tracking became ambiguous (a factor crossed the cut)."""

@@ -258,8 +258,8 @@ def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> Frobe
         raise DomainError(f"expansion point must be 0 or 1, got {point!r}")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    if K < 1:
-        raise DomainError("K must be at least 1")
+    if not isinstance(K, int) or K < 1:
+        raise DomainError(f"K must be an integer of at least 1, got {K!r}")
     e, qw = _cleared_at(*_family_polys(spec), point)
     rho = _exponent(e, qw, spec.theta0 if point == 0 else spec.theta1, sign)
     coeffs = tuple(islice(_coefficients(e, qw, rho, point), K + 1))

@@ -7,10 +7,9 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 
 from conftest import coupled_specs, solver_matrix
-from heunconn import BranchAmbiguity, connection_matrix
+from heunconn import connection_matrix
 
 _LAM_MAX = {"RCHE": 0.88, "CHE": 0.88, "HE": 0.6}  # HE: where the solver reaches
-_BRANCH_WATCH = 0.3  # |lam| above which cf may raise BranchAmbiguity
 
 
 # About 0.13 s of solver time per spec.
@@ -22,10 +21,5 @@ _BRANCH_WATCH = 0.3  # |lam| above which cf may raise BranchAmbiguity
 def test_err_estimate_bounds_solver_error(spec):
     ref = solver_matrix(spec)
     for method in ("cf", "recurrence", "ss"):
-        try:
-            mat = connection_matrix(spec, method)
-        except BranchAmbiguity:
-            if method == "cf" and abs(spec.lam) > _BRANCH_WATCH:
-                continue
-            raise
+        mat = connection_matrix(spec, method)
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate, method

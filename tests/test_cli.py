@@ -291,6 +291,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"DomainError: omega = {shown} is not finite")
 
+    def test_connect_rejects_a_nan_tol(self, capsys):
+        code, out, err = run_cli(capsys, ["connect", *RCHE_ARGS, "--tol", "nan"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError: tol must be a real number other than nan")
+
     def test_expand_order_cap(self, capsys):
         code, _, _ = run_cli(capsys, ["expand", *RCHE_ARGS, "--order", "9"])
         assert code == 2

@@ -26,7 +26,6 @@ from conftest import (
 from heunconn import (
     METHODS,
     AccessoryResonance,
-    BranchAmbiguity,
     DomainError,
     HeunConnError,
     NonConvergence,
@@ -589,18 +588,50 @@ class TestSigma:
         assert rel_diff(sigma, want) <= 1e-11
 
 
+def _large_coupling_specs(count: int, seed: int) -> list:
+    """Seeded RCHE and CHE specs with 0.4 <= |lam| <= 0.88 and HE specs with
+    0.4 <= |lam| <= 0.8, kept 0.02 from exponent resonances and gamma poles."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        family = rng.choice(("RCHE", "CHE", "HE"))
+        t0, t1 = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
+        om = rng.uniform(0.08, 0.42)
+        lam = rng.choice((1.0, -1.0)) * rng.uniform(0.4, 0.8 if family == "HE" else 0.88)
+        if min(abs(x - round(x)) for x in (2 * t0, 2 * t1)) < 0.02 or any(
+            abs(0.5 + s0 * t0 + s1 * t1 + sx * om) < 0.02
+            for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)
+        ):
+            continue
+        if family == "RCHE":
+            out.append(rche_spec(t0, t1, om, lam))
+        elif family == "CHE":
+            out.append(che_spec(t0, t1, om, rng.uniform(-0.45, 0.45), lam))
+        else:
+            tt, ti = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
+            out.append(he_spec(t0, t1, tt, ti, om, lam))
+    return out
+
+
 class TestGuardsAndLimits:
     def test_coupling_gate(self):
         with pytest.raises(DomainError):
             connection_scalar(rche_spec(0.1, 0.2, 0.3, 0.95))
 
-    def test_branch_guard_near_amplitude_zero(self):
-        # For these parameters the amplitude crosses zero below lam = 0.95,
-        # so even with the gate overridden the log-branch guard must fire.
-        with pytest.raises(BranchAmbiguity):
-            connection_scalar(
-                rche_spec(0.1, 0.2, 0.3, 0.95), allow_large_coupling=True
-            )
+    def test_cf_past_an_amplitude_zero(self):
+        # The amplitude crosses zero below lam = 0.95 and some eta_k leave the
+        # right half-plane; the scalar needs only their product.
+        spec = rche_spec(0.1, 0.2, 0.3, 0.95)
+        val, err = connection_scalar(spec, allow_large_coupling=True)
+        assert abs(val - solver_matrix(spec)["++"]) <= err
+
+    def test_cf_serves_every_large_coupling_spec(self):
+        # Some eta_k leave the right half-plane on about half of these specs.
+        for spec in _large_coupling_specs(90, 7):
+            cf = connection_matrix(spec, "cf")
+            ref = connection_matrix(spec, "recurrence")
+            worst = max(abs(cf[k] - ref[k]) for k in ref.entries)
+            assert worst <= cf.err_estimate + ref.err_estimate, spec
 
     def test_coupling_override_when_branch_is_safe(self):
         spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.37, 0.92)
@@ -704,6 +735,30 @@ class TestGuardsAndLimits:
         spec = EquationSpec("CHE", 0.1, 0.2, lam=0.1, omega=0.3, theta_star=math.inf)
         with pytest.raises(DomainError, match="theta_star = inf is not finite"):
             route(spec)
+
+    @pytest.mark.parametrize("tol", [math.nan, "1e-10", None, 1j])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, tol: connection_matrix(spec, "cf", tol=tol),
+            lambda spec, tol: connection_matrix(spec, "wronskian", tol=tol),
+            lambda spec, tol: connection_scalar(spec, tol=tol),
+            lambda spec, tol: log_a_infinity_cf(spec, tol=tol),
+            lambda spec, tol: extract_sigma(connection_matrix(spec), tol=tol),
+        ],
+        ids=["cf", "wronskian", "scalar", "log_a", "sigma"],
+    )
+    def test_bad_tol_is_a_domain_error(self, rche_example, call, tol):
+        # A nan tol would pass every estimate and determinant check.
+        with pytest.raises(DomainError, match="tol must be a real number"):
+            call(rche_example, tol)
+
+    @pytest.mark.parametrize("method", [None, 5, b"cf"])
+    def test_non_string_method_is_a_domain_error(self, rche_example, method):
+        with pytest.raises(DomainError, match="method must be a string"):
+            connection_matrix(rche_example, method)
+        with pytest.raises(DomainError, match="method must be a string"):
+            connection_scalar(rche_example, method)
 
     def test_ss_theta1_gate(self):
         with pytest.raises(DomainError):

@@ -332,6 +332,13 @@ class TestCoefficientTable:
         with pytest.raises(DomainError):
             alpha_beta(he_example, 1.0)
 
+    @pytest.mark.parametrize("K", [2.5, 3.0, "3", None])
+    def test_non_integer_length_is_a_domain_error(self, he_example, K):
+        with pytest.raises(DomainError, match="K must be"):
+            u_lambda0_sequence(he_example, K)
+        with pytest.raises(DomainError, match="K must be"):
+            rescaled_a(he_example, K)
+
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
     def test_resonance_raised_for_ranges_holding_it(self, family):
         spec = resonant_spec(family)

@@ -158,6 +158,11 @@ class TestLocalBasis:
         with pytest.raises(DomainError):
             local_basis(rche_example, reach)
 
+    @pytest.mark.parametrize("K", [2.5, 3.0, "3", None])
+    def test_non_integer_order_is_a_domain_error(self, rche_example, K):
+        with pytest.raises(DomainError, match="K must be an integer"):
+            frobenius_series(rche_example, 0, 1, K)
+
     def test_reach_beyond_the_radius(self):
         # The radius at z = 1 is 1/0.7 - 1 = 0.43: named error, no sweep.
         with pytest.raises(RadiusError):

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import heunconn.special as special
 import oracles
-from heunconn import PoleError, digamma, fusion_cl, gamma, log_gamma, pochhammer, polygamma
+from heunconn import (
+    DomainError,
+    PoleError,
+    digamma,
+    fusion_cl,
+    gamma,
+    log_gamma,
+    pochhammer,
+    polygamma,
+)
 
 SPOT_TOL = 1e-13
 
@@ -134,6 +146,39 @@ class TestPoles:
     def test_polygamma_real_poles(self, z, n):
         with pytest.raises(PoleError):
             polygamma(n, z)
+
+
+def test_kernel_tables_are_the_derivation():
+    # tools/derive_lanczos.py solves the collocation system at 60 digits.
+    path = Path(__file__).resolve().parents[1] / "tools" / "derive_lanczos.py"
+    spec = importlib.util.spec_from_file_location("derive_lanczos", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    dps = mp.mp.dps
+    assert tool.kernel_tables() == (special._SHIFT, special._NUM, special._DEN)
+    assert mp.mp.dps == dps
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), mp.inf])
+    @pytest.mark.parametrize(
+        "f", [gamma, log_gamma, lambda z: polygamma(1, z)], ids=["gamma", "log_gamma", "polygamma"]
+    )
+    def test_non_finite_argument(self, f, z):
+        with pytest.raises(DomainError, match="is not finite"):
+            f(z)
+
+    @pytest.mark.parametrize("z", [200.0, 200.0 + 1j])
+    def test_gamma_past_the_binary64_range(self, z):
+        with pytest.raises(DomainError, match="outside the binary64 range"):
+            gamma(z)
+
+    @pytest.mark.parametrize("n, z", [(2, 1e160), (3, 1e160), (16, 1e160), (2, 1e160 + 1j)])
+    def test_polygamma_where_the_power_overflows(self, n, z):
+        # |z|^n is beyond binary64; the value is the leading term (n-1)!/z^n.
+        with mp.workdps(30):
+            want = complex(mp.polygamma(n, mp.mpmathify(z)))
+        assert abs(polygamma(n, z) - want) <= 1e-323
 
 
 def _real_points(seed: int, count: int) -> list[float]:
