@@ -3,10 +3,9 @@
 A quantity that approaches its limit with an asymptotic expansion in pure
 integer powers of a small step (1/N for a truncation size N) is recovered by
 Neville polynomial extrapolation to step zero over a geometric ladder of
-nodes.  The tail determinants of the connection module are the library's
-ladder: :func:`geometric_ladder` gives their nodes and :func:`extrapolate`
-the extrapolated limit together with an error estimate (the magnitude of the
-last Neville correction).
+nodes: :func:`geometric_ladder` gives the nodes and :func:`extrapolate` the
+extrapolated limit together with an error estimate (the magnitude of the
+last Neville correction).  No route or check of the library calls them.
 """
 
 from __future__ import annotations

@@ -15,8 +15,12 @@ The binary64 backend implements:
   with explicit sine-log unwinding for ``Re z < 1/2``.  Real ``z < 0`` is
   treated as the limit from the upper half-plane.
 * ``polygamma`` — orders ``0 <= n <= 16`` by the same shift-plus-asymptotic
-  strategy.
+  strategy, for ``Re z >= -2^20``.
 * ``pochhammer`` — rising factorial as a direct product.
+
+The complex asymptotic tails stop at the first power outside the binary64
+range (:func:`_finite_terms`); a complex value outside it raises
+:class:`DomainError`.
 
 A binary64 argument whose imaginary part is zero (a float, an int, or a
 complex with imaginary part ``0.0`` or ``-0.0``) takes a real-line path:
@@ -125,6 +129,7 @@ _PG_TAIL = tuple(
 )
 
 _POLE_TOL = 1e-12
+_MAX_SHIFT = 2**20  # upward shifts of polygamma; past 2^53 a shift does not move z
 
 
 def _horner(coeffs: tuple[float, ...], x: complex) -> complex:
@@ -170,11 +175,22 @@ def gamma(z: Any) -> Any:
         return mp.gamma(z)
     z = complex(z)
     try:
-        if z.real >= 0.5:
-            return _gamma_core(z)
-        return math.pi / (_sin_pi(z) * _gamma_core(1.0 - z))
+        val = _gamma_core(z) if z.real >= 0.5 else math.pi / (_sin_pi(z) * _gamma_core(1.0 - z))
+        if cmath.isfinite(val):
+            return val
     except OverflowError:
-        raise DomainError(f"gamma({z!r}) is outside the binary64 range") from None
+        pass
+    raise DomainError(f"gamma({z!r}) is outside the binary64 range")
+
+
+def _finite_terms(p: complex, w2: complex) -> int:
+    """How many powers ``p w2^k``, ``k < 10``, of a complex asymptotic tail are
+    finite; the terms past them are below the rounding of the sum."""
+    for k in range(10):
+        if not cmath.isfinite(p):
+            return k
+        p *= w2
+    return 10
 
 
 def _stirling_log_gamma(w: complex) -> complex:
@@ -183,7 +199,7 @@ def _stirling_log_gamma(w: complex) -> complex:
     s = (w - 0.5) * lw - w + _LN_SQRT_2PI
     w2 = w * w
     p = w  # w^(2k-1)
-    for c in _LG_TAIL:
+    for c in _LG_TAIL[: _finite_terms(p, w2)]:
         s += c / p
         p *= w2
     return s
@@ -218,7 +234,7 @@ def log_gamma(z: Any) -> Any:
     Real negative arguments are evaluated as limits from the upper half-plane,
     so the imaginary part decreases by pi across each pole interval.  A real
     argument whose log-gamma exceeds the binary64 range (about 2.5e305) gives
-    ``inf``.
+    ``inf``; a complex one raises :class:`DomainError`.
     """
     _check_pole(complex(z), "log_gamma")
     if is_mp(z):
@@ -234,19 +250,24 @@ def log_gamma(z: Any) -> Any:
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
-        return _log_gamma_right(z)
-    return _LN_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
+        val = _log_gamma_right(z)
+    else:
+        val = _LN_PI - _log_sin_pi_upper(z) - _log_gamma_right(1.0 - z)
+    if not cmath.isfinite(val):
+        raise DomainError(f"log_gamma({z!r}) is outside the binary64 range")
+    return val
 
 
 def _polygamma_asymptotic(n: int, w: Any) -> Any:
     """Asymptotic polygamma series; accurate for Re w >= 18 + n.  ``w`` is a
-    float or a complex, and the result has its type."""
+    float or a complex, and the result has its type; a complex tail stops at
+    the binary64 range (:func:`_finite_terms`)."""
+    complex_w = isinstance(w, complex)
     if n == 0:
-        log = cmath.log if isinstance(w, complex) else math.log
-        s = log(w) - 0.5 / w
+        s = (cmath.log if complex_w else math.log)(w) - 0.5 / w
         w2 = w * w
         p = w2  # w^(2k)
-        for k in range(10):
+        for k in range(_finite_terms(p, w2) if complex_w else 10):
             s -= _PG_TAIL[0][k] / p
             p *= w2
         return s
@@ -258,7 +279,7 @@ def _polygamma_asymptotic(n: int, w: Any) -> Any:
     s = math.factorial(n - 1) / wn + math.factorial(n) / (2.0 * wn * w)
     w2 = w * w
     p = wn * w2  # w^(2k+n)
-    for k in range(10):
+    for k in range(_finite_terms(p, w2) if complex_w else 10):
         s += _PG_TAIL[n][k] / p
         p *= w2
     return sign * s
@@ -267,8 +288,10 @@ def _polygamma_asymptotic(n: int, w: Any) -> Any:
 def polygamma(n: int, z: Any) -> Any:
     """n-th derivative of log-gamma, orders 0..16.
 
-    Raises :class:`OrderError` outside the supported order range and
-    :class:`PoleError` within 1e-12 of a nonpositive integer.
+    Raises :class:`OrderError` outside the supported order range,
+    :class:`PoleError` within 1e-12 of a nonpositive integer, and
+    :class:`DomainError` where the argument would take more than 2^20 upward
+    shifts or a complex value leaves the binary64 range.
     """
     if not isinstance(n, int) or n < 0 or n > _MAX_POLYGAMMA_ORDER:
         raise OrderError(
@@ -283,13 +306,21 @@ def polygamma(n: int, z: Any) -> Any:
     # On the real line the same algorithm runs in float arithmetic.
     w = z.real if z.imag == 0.0 else z
     threshold = 18.0 + n
+    if threshold - w.real > _MAX_SHIFT:
+        raise DomainError(f"polygamma({n}, {z!r}) would take more than {_MAX_SHIFT} shifts")
     shift_sign = 1.0 if n % 2 == 0 else -1.0
     fact_n = float(math.factorial(n))
     acc = 0.0
-    while w.real < threshold:
-        acc += shift_sign * fact_n / w ** (n + 1)
-        w += 1.0
-    return complex(_polygamma_asymptotic(n, w) - acc)
+    try:
+        while w.real < threshold:
+            acc += shift_sign * fact_n / w ** (n + 1)
+            w += 1.0
+        val = complex(_polygamma_asymptotic(n, w) - acc)
+        if cmath.isfinite(val):
+            return val
+    except OverflowError:  # the power of a complex shift
+        pass
+    raise DomainError(f"polygamma({n}, {z!r}) is outside the binary64 range")
 
 
 def digamma(z: Any) -> Any:

@@ -308,7 +308,7 @@ def test_criterion_07_walk_combinatorics(rche_example):
 
 def test_criterion_08_tail_determinant(he_example):
     """The truncated tail determinant converges to 1/(1 - lam)."""
-    D, _ = tail_determinant_limit(he_example, N=10000)
+    D, _ = tail_determinant_limit(he_example)
     want = 1.0 / (1.0 - he_example.lam)
     resid = rel_diff(D, want)
     print(f"criterion 8: D_inf {D:.12g} vs {want:.12g}, rel {resid:.3e}")
@@ -348,7 +348,7 @@ def test_criterion_10_negative_controls(request, rche_example, he_example):
         extract_sigma(bad, tol=1e-8)
     c1 = c1_closed_rche(spec)
     assert abs(1.01 * c1 - c1) / max(1.0, abs(c1)) > 1e-8  # series vs closed
-    D, _ = tail_determinant_limit(he_example, N=10000)
+    D, _ = tail_determinant_limit(he_example)
     want = 1.0 / (1.0 - he_example.lam)
     assert rel_diff(1.01 * D, want) > 1e-8  # tail determinant
     s1 = sigma1_closed(he_example)

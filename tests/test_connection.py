@@ -633,6 +633,14 @@ class TestGuardsAndLimits:
             worst = max(abs(cf[k] - ref[k]) for k in ref.entries)
             assert worst <= cf.err_estimate + ref.err_estimate, spec
 
+    def test_cf_seed_buffer_follows_he_coupling_to_minus_one(self):
+        # K = 9184 here; a buffer capped at 4000 rows left a seed error of
+        # 0.995^4000 = 2.0e-9, above the default tol.
+        spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.37, -0.995)
+        cf, ss = connection_matrix(spec, "cf"), connection_matrix(spec, "ss")
+        worst = max(abs(cf[k] - ss[k]) for k in ss.entries)
+        assert worst <= cf.err_estimate + ss.err_estimate <= 1e-11
+
     def test_coupling_override_when_branch_is_safe(self):
         spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.37, 0.92)
         val, err = connection_scalar(spec, allow_large_coupling=True)
@@ -765,9 +773,16 @@ class TestGuardsAndLimits:
             schafke_schmidt_connection(he_spec(0.11, 2.1, 0.33, 0.41, 0.37, 0.1))
 
     def test_tail_determinant_he(self, he_example):
-        D, err = tail_determinant_limit(he_example, N=10000)
+        D, err = tail_determinant_limit(he_example)
         assert rel_diff(D, 1.0 / (1.0 - he_example.lam)) <= 1e-8
 
     def test_tail_determinant_rche_is_one(self, rche_example):
-        D, _ = tail_determinant_limit(rche_example, N=10000)
+        D, _ = tail_determinant_limit(rche_example)
         assert rel_diff(D, 1.0) <= 1e-8
+
+    def test_tail_determinant_keeps_an_mpmath_specs_precision(self):
+        with mp.workdps(30):
+            spec = he_spec(*map(mp.mpf, ("0.11", "-0.27", "0.33", "0.41", "0.37", "0.61")))
+            D, err = tail_determinant_limit(spec)
+            miss = abs(D * (1 - spec.lam) - 1)
+        assert miss <= 1e-28 and err <= 1e-26

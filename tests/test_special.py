@@ -6,6 +6,7 @@ import cmath
 import importlib.util
 import math
 import random
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -168,7 +169,7 @@ class TestOutOfRange:
         with pytest.raises(DomainError, match="is not finite"):
             f(z)
 
-    @pytest.mark.parametrize("z", [200.0, 200.0 + 1j])
+    @pytest.mark.parametrize("z", [200.0, 200.0 + 1j, 171.7, 171.7 + 0.5j])
     def test_gamma_past_the_binary64_range(self, z):
         with pytest.raises(DomainError, match="outside the binary64 range"):
             gamma(z)
@@ -179,6 +180,37 @@ class TestOutOfRange:
         with mp.workdps(30):
             want = complex(mp.polygamma(n, mp.mpmathify(z)))
         assert abs(polygamma(n, z) - want) <= 1e-323
+
+    @pytest.mark.parametrize(
+        "f, mp_f, z",
+        [
+            (log_gamma, mp.loggamma, 1e20 + 1j),
+            (log_gamma, mp.loggamma, -1e20 + 1j),
+            (lambda z: polygamma(0, z), mp.digamma, 1e20 + 1j),
+            (lambda z: polygamma(1, z), lambda z: mp.polygamma(1, z), 1e200 + 1j),
+            (lambda z: polygamma(2, z), lambda z: mp.polygamma(2, z), 1e15 + 1j),
+            (lambda z: polygamma(16, z), lambda z: mp.polygamma(16, z), 0.7 + 1e15j),
+        ],
+        ids=["log_gamma", "log_gamma_reflected", "digamma", "trigamma", "order2", "order16"],
+    )
+    def test_complex_tail_where_its_power_overflows(self, f, mp_f, z):
+        # The asymptotic tails stop at the first power outside binary64.
+        with mp.workdps(30):
+            want = mp_f(mp.mpc(z))
+            assert abs(f(z) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("z", [-1e17 + 1j, -(2.0**50) + 0.5, -1e300 + 1e-3j])
+    def test_polygamma_refuses_endless_shifts(self, z):
+        # Past 2^53 an upward shift no longer moves the argument.
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="shifts"):
+            polygamma(0, z)
+        assert time.perf_counter() - start < 0.1
+
+    def test_polygamma_of_a_power_past_the_range_is_a_domain_error(self):
+        # psi^(16)(0.7 + 1e20 i) is about 15!/1e320, and the shift's power overflows.
+        with pytest.raises(DomainError, match="outside the binary64 range"):
+            polygamma(16, 0.7 + 1e20j)
 
 
 def _real_points(seed: int, count: int) -> list[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
@@ -11,10 +12,12 @@ from heunconn import (
     DomainError,
     FamilyFieldError,
     ReflectionMismatch,
+    che_spec,
     connection_matrix,
     full_report,
     he_spec,
     rche_spec,
+    tail_determinant_limit,
     verify_che_as_he_limit,
     verify_connection_identity,
     verify_reflection,
@@ -243,3 +246,51 @@ class TestFullReport:
         )
         assert len(set(failed.values())) == 1
         assert next(iter(failed.values())).startswith("NonConvergence: ")
+
+
+def _seeded_specs(family: str, count: int, seed: int = 7) -> list:
+    """Coupled specs with theta in +-0.45, omega in +-[0.08, 0.42] and |lam| up
+    to 0.88 (RCHE, CHE) or 0.55 (HE), away from integer 2 theta and from the
+    poles of every sign-flipped fusion factor."""
+    lam_max = 0.55 if family == "HE" else 0.88
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        t0, t1, t2, t3 = (rng.uniform(-0.45, 0.45) for _ in range(4))
+        omega = rng.choice((1, -1)) * rng.uniform(0.08, 0.42)
+        lam = rng.choice((1, -1)) * rng.uniform(0.02, lam_max)
+        gaps = [abs(2 * t - round(2 * t)) for t in (t0, t1)] + [
+            abs(0.5 + s0 * t0 + s1 * t1 + sx * omega)
+            for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)
+        ]
+        if min(gaps) < 0.02:
+            continue
+        if family == "RCHE":
+            specs.append(rche_spec(t0, t1, omega, lam))
+        elif family == "CHE":
+            specs.append(che_spec(t0, t1, omega, t2, lam))
+        else:
+            specs.append(he_spec(t0, t1, t2, t3, omega, lam))
+    return specs
+
+
+class TestSlowChecks:
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_slow_report_on_seeded_specs(self, family):
+        for spec in _seeded_specs(family, 30):
+            checks = {c.name: c for c in full_report(spec).checks}
+            assert checks["tail_determinant"].passed, checks["tail_determinant"].line()
+            if family == "HE":
+                slope = checks["sigma_slope_vs_closed"]
+                assert slope.passed, slope.line()
+            D, err = tail_determinant_limit(spec)
+            target = 1 / (1 - spec.lam) if family == "HE" else 1.0
+            assert abs(D - target) <= min(err, 1e-12 * abs(target)), spec
+
+    def test_slope_check_catches_a_1e6_error_of_the_closed_form(self, he_example, monkeypatch):
+        import heunconn.validation as validation
+
+        real = validation.sigma1_closed
+        monkeypatch.setattr(validation, "sigma1_closed", lambda spec: real(spec) * (1 + 1e-6))
+        slope = {c.name: c for c in full_report(he_example).checks}["sigma_slope_vs_closed"]
+        assert not slope.passed, slope.line()
