@@ -19,12 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Iterator, Sequence
 
-from .connection import _binomial_rows, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff
-from .equations import EquationSpec, beta_expansion, coefficient_table, validate
+from .connection import (
+    _d_space, _formal_tail, _inverse_depth, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff,
+)
+from .equations import EquationSpec, coefficient_table, validate
 from .errors import DomainError, FamilyFieldError, SizeError
+from .perturbative import _Orders, _series_log
 
 __all__ = [
     "compositions",
@@ -132,50 +134,19 @@ def enumerate_walk_types(n: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def _walk_tail(spec: EquationSpec, terms: list, n: int, K: int) -> Iterator:
-    """Terms ``tau_q K^-q`` of ``T(K) = sum_{k>K} local(k)``, where
-    ``local(k) = sum_mu N_mu prod_i beta_{k+i}^{mu_i}``.
-
-    ``beta_{k+s} = sum_j B_j k^-j (1 + s/k)^-j`` re-expands the ``1/k`` series
-    of ``beta_k`` at each shift; the products of these series give ``local(k +
-    1)`` in powers of ``1/k``, and ``T(K) - T(K+1) = local(K+1)`` fixes ``tau_q``
-    at order ``K^-(q+1)`` with divisor ``q``.  As ``beta_k = O(k^-2)``, ``local``
-    is ``O(k^-2n)`` and the terms start at ``q = 2n - 1``."""
-    beta_it = beta_expansion(spec)
-    factors = [[i + 1 for i, power in enumerate(mu) for _ in range(power)] for mu, _ in terms]
-    B, shifted = [], {s: [] for s in range(1, n + 1)}  # shifted[s]: beta_{k+s}
-    chains = [[[] for _ in f] for f in factors]  # partial products of each walk type
-    local, tau = [], [0]
-    inv_k, scale = 1.0 / K, 1
-    for p in itertools.count():
-        B.append(next(beta_it))
-        alt = _binomial_rows(p - 1)[1] if p else ()
-        for s, coeffs in shifted.items():
-            at_s = sum(a * s ** (p - j) * B[j] for j, a in enumerate(alt, 1))
-            coeffs.append(at_s if p else B[0])
-        total = 0
-        for (_, cnt), f, chain in zip(terms, factors, chains):
-            chain[0].append(shifted[f[0]][p])
-            for t in range(1, len(f)):
-                chain[t].append(sum(map(mul, chain[t - 1], reversed(shifted[f[t]]))))
-            total = total + cnt * chain[-1][p]
-        local.append(total)
-        if p >= 2:
-            q = p - 1
-            tau.append((local[p] + sum(map(mul, _binomial_rows(q)[1], tau[1:q]))) / q)
-            scale *= inv_k
-            if q >= 2 * n - 1:
-                yield tau[q] * scale
-
-
 def trace_power(spec: EquationSpec, n: int) -> complex:
     """``Tr A^{2n}`` for the two-term transition matrix built from the
     family's ``beta_k``, via the walk-type expansion: the weighted ``beta``
     products of every walk type summed directly for ``k <= K``
-    (:func:`connection._root_depth`), plus the formal tail
-    :func:`_walk_tail` of the rest to working precision.  Only families with
-    ``alpha == 0`` (RCHE) expose the two-term structure; others raise
-    :class:`FamilyFieldError`.
+    (:func:`connection._root_depth`), plus the rest ``T_n(K)``.
+
+    The rest is the same sum over the chain that starts at row ``K + 1``, whose
+    tail determinant has ``ln D_{K+1} = -sum_n lam^n T_n(K) / (2n)`` (``D_inf =
+    1`` as ``alpha = 0``).  So ``T_n(K) = -2n [lam^n] ln S_d(K+1)``, with
+    ``S_d`` the ``cf`` route's formal ``1/k`` series of the tail determinants
+    (:func:`connection._d_space`) as λ-jets to order ``n``, summed to working
+    precision.  Only families with ``alpha == 0`` (RCHE) expose the two-term
+    structure; others raise :class:`FamilyFieldError`.
     """
     validate(spec)
     if spec.family != "RCHE":
@@ -202,8 +173,9 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
         return total
 
     eps = _unit_roundoff(_is_mp_spec(spec))
-    tail, _ = _sum_tail(_walk_tail(spec, terms, n, K), eps, False, "walk-trace tail")
-    return complex(sum(map(local, range(1, K + 1))) + tail)
+    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), n))
+    s_d, _ = _sum_tail(tail, eps, False, "walk-trace tail")
+    return complex(sum(map(local, range(1, K + 1))) - 2 * n * _series_log(s_d)[n])
 
 
 def log_a_series_from_traces(spec: EquationSpec, N: int) -> list[complex]:

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import count
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .errors import (
     AccessoryResonance,
@@ -361,27 +360,6 @@ def _shifted_product(x: tuple, s: int, y: tuple, t: int) -> list:
     """``x(k + s) y(k + t)`` of two quadratics, as :func:`_at_shift` gives one."""
     (a0, a1, a2), (b0, b1, b2) = _at_shift(x, s), _at_shift(y, t)
     return [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0, a1 * b2 + a2 * b1, a2 * b2]
-
-
-def _series_quotient(num: list, den: list) -> Iterator:
-    """Endless power-series coefficients of ``num(w) / den(w)``, ``den[0] != 0``."""
-    out = []
-    for n in count():
-        v = num[n] if n < len(num) else 0
-        for i in range(1, min(n, len(den) - 1) + 1):
-            v -= den[i] * out[n - i]
-        out.append(v / den[0])
-        yield out[-1]
-
-
-def beta_expansion(spec: EquationSpec) -> Iterator:
-    """Coefficients of the large-``k`` expansion in powers of ``1/k`` of
-    ``beta_k = P_k lead_{k-1} / (Q_k Q_{k-1})``, from the polynomial parts of
-    the recurrence (:func:`_quadratic_parts`), free of the coupling, as an
-    endless iterator.  It converges for ``k`` above every root of the
-    denominators."""
-    lead, q, _, p = _quadratic_parts(spec)
-    return _series_quotient(_shifted_product(p, 0, lead, -1), _shifted_product(q, 0, q, -1))
 
 
 def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import random
 from collections import Counter
 
+import mpmath as mp
 import pytest
 
 import oracles
@@ -19,9 +22,11 @@ from heunconn import (
     enumerate_walk_types,
     log_a_series_from_traces,
     n_mu,
+    rche_spec,
     trace_power,
     walk_type,
 )
+from heunconn.precision import HIGH, spec_to_precision
 
 
 def brute_force_census(n: int) -> Counter:
@@ -101,10 +106,32 @@ class TestMultiplicityFormula:
 
 class TestTraceRoute:
     def test_trace_formula_reproduces_series(self, rche_example):
-        want = [oracles.cplx(t) for t in oracles.C_SERIES["RCHE"]][:3]
-        got = log_a_series_from_traces(rche_example, 3)
+        want = [oracles.cplx(t) for t in oracles.C_SERIES["RCHE"]]
+        got = log_a_series_from_traces(rche_example, 6)
         for g, w in zip(got, want):
-            assert rel_diff(g, w) <= 1e-9
+            assert rel_diff(g, w) <= 1e-12
+
+    def test_mpmath_spec_reproduces_series(self, rche_example):
+        # At 30 digits only the final rounding to binary64 is left (the
+        # binary64 spec is up to 4.1e-15 off).
+        want = [oracles.cplx(t) for t in oracles.C_SERIES["RCHE"]]
+        with mp.workdps(30):
+            got = log_a_series_from_traces(spec_to_precision(rche_example, HIGH), 6)
+        for g, w in zip(got, want):
+            assert rel_diff(g, w) <= 1e-15
+
+    def test_agrees_with_jets_on_seeded_specs(self):
+        # 100 specs, every other one with a complex omega; the worst seen is
+        # 4.3e-11 of max(1, |c_n|).
+        rng = random.Random(5)
+        for i in range(100):
+            t0, t1 = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
+            r = rng.uniform(0.05, 2.0)
+            omega = cmath.rect(r, rng.uniform(-3.1, 3.1)) if i % 2 else r
+            spec = rche_spec(t0, t1, omega, 0.1)
+            jets = c_coefficients(spec, 8)
+            for c, t in zip(jets, log_a_series_from_traces(spec, 8)):
+                assert abs(c - t) <= 1e-9 * max(1.0, abs(c)), spec
 
     def test_trace_sign_convention(self, rche_example):
         # c_n = -Tr A^{2n} / (2n) term by term.

@@ -55,11 +55,13 @@ from heunconn.connection import (
     _d_space,
     _eta_sweep,
     _flip_spec,
+    _forward_sweep,
     _recurrence_limit,
     _scalar_tail,
     _seed_buffer,
     _ss_precision,
     _sum_tail,
+    _sweep_floor,
     _tail_depth,
     _u_space,
 )
@@ -71,7 +73,7 @@ from heunconn.fixedpoint import (
     exact_quadratics,
     fixed_iterates,
 )
-from heunconn.precision import HIGH, p_log1p, spec_to_precision
+from heunconn.precision import DOUBLE, HIGH, p_log1p, spec_to_precision
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -193,6 +195,14 @@ class TestMatrixRoutes:
     def test_err_estimate_is_float_for_mpmath_spec(self, rche_example, method):
         mat = connection_matrix(spec_to_precision(rche_example, HIGH), method)
         assert type(mat.err_estimate) is float
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_precision_names_the_arithmetic(self, rche_example, method):
+        # ss runs in mpmath at every spec; an mpmath spec, wronskian included,
+        # runs every route in mpmath.
+        assert connection_matrix(spec_to_precision(rche_example, HIGH), method).precision == HIGH
+        want = HIGH if method == "ss" else DOUBLE
+        assert connection_matrix(rche_example, method).precision == want
 
 
 COMPLEX_SPECS = [
@@ -514,6 +524,58 @@ class TestContinuedFraction:
         log_a, _, _ = log_a_infinity_cf(hyp_example)
         assert abs(log_a) <= 1e-14
 
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_sweep_rounding_is_within_the_floor(self, family):
+        # The forward sweep from row 0 and from row K, and the eta sweep,
+        # against the same sweeps in mpmath at 40 digits, relative to the
+        # O(1) iterates as the routes scale them.  Where Q_0 or Q_1 nearly
+        # cancels (within 0.036 of the gamma-argument margin), the table's
+        # rounding went past the floor on 8 of 14,400 seeded specs.
+        eps = 2.0**-53
+        specs = _sweep_specs(family, 16)
+        if family == "HE":  # 5.4 roundings per row, far from the margin
+            specs.append(he_spec(
+                -0.13963452397957893, -0.31104492881472634, -0.43787434459337793,
+                -0.2059984647166381, -0.18175120914901655, -0.868808763342742,
+            ))
+        for spec in specs:
+            K = _tail_depth(spec, eps, 2**20, "sweep")
+            buffer, _ = _seed_buffer(spec, K)
+            with mp.workdps(40):
+                high = spec_to_precision(spec, HIGH)
+                refs = [_forward_sweep(high, 0, K), _forward_sweep(high, K, 2 * K + 1)]
+                refs.append(mp.exp(sum(map(mp.log, _eta_sweep(high, K, buffer)))))
+            etas = cmath.exp(sum(map(cmath.log, _eta_sweep(spec, K, buffer))))
+            got = [_forward_sweep(spec, 0, K), _forward_sweep(spec, K, 2 * K + 1), etas]
+            floor = _sweep_floor(spec, K, eps)
+            for g, r in zip(got, map(complex, refs)):
+                assert abs(g - r) <= floor * max(abs(r), 1.0), spec
+
+
+def _sweep_specs(family: str, count: int) -> list:
+    """Seeded specs of the validated domain, every other one with complex
+    parameters (imaginary parts up to 0.2) and a complex coupling."""
+    rng = random.Random(11)
+    specs = []
+    while len(specs) < count:
+        cplx = len(specs) % 2 == 1
+        reals = [rng.uniform(-0.45, 0.45) for _ in range(4)]
+        reals.append(rng.choice((1, -1)) * rng.uniform(0.08, 0.42))
+        t0, t1, t2, t3, omega = (complex(x, rng.uniform(-0.2, 0.2)) if cplx else x for x in reals)
+        phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) if cplx else rng.choice((1, -1))
+        lam = rng.uniform(0.02, 0.9) * phase
+        signs = [(s0, s1, sx) for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)]
+        args = [2 * t0, 2 * t1] + [0.5 + s0 * t0 + s1 * t1 + sx * omega for s0, s1, sx in signs]
+        if min(abs(z - round(z.real)) for z in args) < 0.02:
+            continue
+        if family == "RCHE":
+            specs.append(rche_spec(t0, t1, omega, lam))
+        elif family == "CHE":
+            specs.append(che_spec(t0, t1, omega, t2, lam))
+        else:
+            specs.append(he_spec(t0, t1, t2, t3, omega, lam))
+    return specs
+
 
 def _tail_sum(terms) -> complex:
     return _sum_tail(terms, 2.0**-53, True, "tail")[0]
@@ -700,12 +762,29 @@ class TestGuardsAndLimits:
 
     @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
     def test_max_depth_caps_every_sweeping_route(self, method):
-        # This spec needs K = 47,621 (ss: 60,854) at binary64.
+        # Every route needs K = 60,854 for this spec at binary64.
         spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.999)
         start = time.perf_counter()
         with pytest.raises(NonConvergence, match="above max_depth = 4096"):
             connection_matrix(spec, method, max_depth=4096)
         assert time.perf_counter() - start < 0.5
+
+    def test_depth_search_bisects(self, rche_example, monkeypatch):
+        # The target is met 13,233 steps above the first K here.
+        import heunconn.connection as connection
+
+        real, calls = connection._log_second_mode, []
+        monkeypatch.setattr(
+            connection, "_log_second_mode", lambda spec, K: calls.append(K) or real(spec, K)
+        )
+        spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.999)
+        K = _tail_depth(spec, 2.0**-53, 2**20, "sweep")
+        assert K == 60_854 and len(calls) <= 64
+        target = math.log(2.0**-53) - connection._MODE_MARGIN
+        assert real(spec, K - 1) > target >= real(spec, K)
+        calls.clear()
+        assert _tail_depth(rche_example, 2.0**-53, 2**20, "sweep") == 64
+        assert len(calls) == 1  # the first K meets the target
 
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):
