@@ -148,39 +148,55 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     precision.  Only families with ``alpha == 0`` (RCHE) expose the two-term
     structure; others raise :class:`FamilyFieldError`.
     """
+    _check_two_term(spec)
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"trace power needs a positive integer, got {n!r}")
+    if n > _MAX_N:
+        raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
+    return _traces(spec, [n], n)[0]
+
+
+def _check_two_term(spec: EquationSpec) -> None:
     validate(spec)
     if spec.family != "RCHE":
         raise FamilyFieldError(
             f"trace expansion requires the two-term family RCHE, got {spec.family}"
         )
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"trace power needs a positive integer, got {n!r}")
-    if n > _MAX_N:
-        raise SizeError(f"trace power capped at {_MAX_N}, got {n}")
-    terms = [(mu, n_mu(mu)) for mu in compositions(n)]
+
+
+def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
+    """:func:`trace_power` of a valid RCHE spec at each of ``orders``, all
+    ``<= N``, from one coefficient table and one tail to order ``N``."""
     K = _root_depth(spec)
-    _, betas = coefficient_table(spec, 1, K + n)
-
-    def local(k: int) -> complex:  # weighted beta products of all walk types at k
-        total = 0.0 + 0.0j
-        for mu, cnt in terms:
-            prod = float(cnt) + 0.0j
-            for off, power in enumerate(mu):
-                b = betas[k - 1 + off]
-                for _ in range(power):
-                    prod *= b
-            total += prod
-        return total
-
+    _, betas = coefficient_table(spec, 1, K + N)
     eps = _unit_roundoff(_is_mp_spec(spec))
-    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), n))
+    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), N))
     s_d, _ = _sum_tail(tail, eps, False, "walk-trace tail")
-    return complex(sum(map(local, range(1, K + 1))) - 2 * n * _series_log(s_d)[n])
+    log_s = _series_log(s_d)
+    out = []
+    for n in orders:
+        terms = [(mu, n_mu(mu)) for mu in compositions(n)]
+
+        def local(k: int) -> complex:  # weighted beta products of all walk types at k
+            total = 0.0 + 0.0j
+            for mu, cnt in terms:
+                prod = float(cnt) + 0.0j
+                for off, power in enumerate(mu):
+                    b = betas[k - 1 + off]
+                    for _ in range(power):
+                        prod *= b
+                total += prod
+            return total
+
+        out.append(complex(sum(map(local, range(1, K + 1))) - 2 * n * log_s[n]))
+    return out
 
 
 def log_a_series_from_traces(spec: EquationSpec, N: int) -> list[complex]:
     """Series coefficients ``c_1 .. c_N`` of ``ln a_inf`` from traces:
-    ``c_n = -Tr A^{2n} / (2n)``.  Two-term families only."""
+    ``c_n = -Tr A^{2n} / (2n)``, all from one table and one tail to order
+    ``N``.  Two-term families only."""
     if not isinstance(N, int) or N < 1 or N > _MAX_N:
         raise SizeError(f"series order must be in [1, {_MAX_N}], got {N!r}")
-    return [-trace_power(spec, n) / (2 * n) for n in range(1, N + 1)]
+    _check_two_term(spec)
+    return [-t / (2 * n) for n, t in enumerate(_traces(spec, range(1, N + 1), N), 1)]

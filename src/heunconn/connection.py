@@ -36,7 +36,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, tee
 from operator import mul, truediv
 from typing import Any, Iterator
 
@@ -96,7 +96,6 @@ _PROBE_REACH = max(abs(_PROBE), abs(1.0 - _PROBE))  # of the route's local basis
 # take the kernel, so the floor stays.
 _PREF_ERR = 1e-13
 _EPS64 = 2.0**-53  # unit roundoff of binary64
-_SEED_TARGET = 1e-18  # bound on the cf route's unit-seed error in binary64
 # Depth rule of the cf, recurrence and ss sweeps (see _tail_depth): at least
 # _TAIL_MIN_DEPTH, _ROOT_FACTOR times above the roots of the denominators, and
 # deep enough that the second solution is e^-_MODE_MARGIN below the roundoff.
@@ -194,28 +193,6 @@ def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
                 f"|lam| = {abs(spec.lam):.4g} exceeds the series gate {_LAMBDA_GATE}; "
                 "pass allow_large_coupling=True to override"
             )
-
-
-def _seed_buffer(spec: EquationSpec, K: int) -> tuple[int, float]:
-    """Rows ``B`` above ``K`` where the backward sweep starts from a unit seed,
-    and a bound on the seed's error at ``K``, below ``_SEED_TARGET`` and a
-    hundredth of the spec's unit roundoff.
-
-    Each level multiplies the seed error by about ``|lam beta_k|``. For HE
-    ``beta_k -> 1``, so the bound is ``|lam|^B``; for RCHE and CHE ``beta_k``
-    falls like ``1/k`` or faster, so it is the product of ``|lam|/k`` over the
-    buffer rows, and a few rows do even at ``|lam| >= 1``.
-    """
-    lam_abs = float(abs(spec.lam))
-    target = min(_SEED_TARGET, 1e-2 * _unit_roundoff(_is_mp_spec(spec)))
-    if spec.family == "HE":
-        b = max(24, math.ceil(math.log10(target) / math.log10(lam_abs)) + 8)
-        return b, lam_abs**b
-    b, bound = 0, 1.0
-    while bound >= target:
-        b += 1
-        bound *= lam_abs / (K + b)
-    return b, bound
 
 
 def _is_mp_spec(spec: EquationSpec) -> bool:
@@ -447,23 +424,19 @@ def _u_space(quadratics: tuple) -> tuple:
     return tuple(([complex(c) for c in reversed(poly)] + [0, 0], _ZERO) for poly in quadratics)
 
 
-def _eta_sweep(spec: EquationSpec, k_top: int, buffer: int) -> list:
+def _eta_sweep(spec: EquationSpec, k_top: int, seed: Any) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
-    from a unit seed at ``k_top + buffer`` down to ``k = 1``; returns
-    ``[eta_1, ..., eta_k_top]``, from one coefficient table of the indices
-    ``0 .. k_top + buffer``.
+    from ``eta_{k_top+1} = seed`` down to ``k = 1``; returns ``[eta_1, ...,
+    eta_k_top]``, from one coefficient table of the indices ``0 .. k_top``.
     """
     lam = spec.lam
-    one = 1.0 + 0 * spec.theta0
-    eta = one
-    out = [one] * k_top
-    alphas, betas = coefficient_table(spec, 0, k_top + buffer + 1)
-    for k in range(k_top + buffer, 0, -1):
+    eta = seed
+    out = [seed] * k_top
+    alphas, betas = coefficient_table(spec, 0, k_top + 1)
+    for k in range(k_top, 0, -1):
         if abs(eta) < 1e-14:
             raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        eta = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
-        if k <= k_top:
-            out[k - 1] = eta
+        eta = out[k - 1] = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
     return out
 
 
@@ -479,12 +452,14 @@ def log_a_infinity_cf(
     leaves the right half-plane it can differ by ``2 pi i m`` from the
     continuation of ``ln a_inf`` in ``lam``.
 
-    The ``eta_k`` come from one backward sweep seeded ``buffer`` levels above
-    ``K``; ``prod_{k>K} eta_k = S(K+1)``, ``eta_k = D_k / D_{k+1}`` with
-    ``D_k`` the tail determinants and ``S`` their formal ``1/k`` series
+    ``prod_{k>K} eta_k = S(K+1)``, ``eta_k = D_k / D_{k+1}`` with ``D_k`` the
+    tail determinants and ``S`` their formal ``1/k`` series
     (:func:`_d_space`), summed without its leading 1 to working precision.
-    ``K`` comes from :func:`_tail_depth`.  The error estimate is the last tail
-    terms (:func:`_sum_tail`), the unit-seed bound and :func:`_sweep_floor`.
+    The same series seeds one backward sweep for ``eta_1 .. eta_K`` with
+    ``eta_{K+1} = S(K+1) / S(K+2)``.  ``K`` comes from :func:`_tail_depth`.
+    The error estimate is the last terms of ``S(K+1)`` (:func:`_sum_tail`)
+    and :func:`_sweep_floor`, which charges the seed's error, the last terms
+    of both sums, as a rounding of the top row.
     Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
     ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
     :class:`DomainError` at the coupling gate or on an invalid spec.
@@ -505,12 +480,16 @@ def _cf_limit(
     mp_spec = _is_mp_spec(spec)
     eps = _unit_roundoff(mp_spec)
     K = _tail_depth(spec, eps, max_depth, what)
-    buffer, seed_err = _seed_buffer(spec, K)
+    # The terms of S(K+1) - 1, and times ((K+1)/(K+2))^n those of S(K+2) - 1
+    terms = islice(_scalar_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1)), 1, None)
+    terms, shifted = tee(terms)
+    ratio = (K + 1) * _inverse_depth(spec, K + 2)
+    rest, omitted = _sum_tail(terms, eps, False, what)
+    rest2, omitted2 = _sum_tail(map(mul, shifted, accumulate(repeat(ratio), mul)), eps, False, what)
+    rel, rel2 = omitted / float(abs(1 + rest)), omitted2 / float(abs(1 + rest2))
     log = mp.log if mp_spec else cmath.log
-    total = sum(map(log, _eta_sweep(spec, K, buffer)))
-    terms = _scalar_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1))
-    rest, omitted = _sum_tail(islice(terms, 1, None), eps, False, what)  # S(K+1) - 1
-    err = omitted / float(abs(1 + rest)) + seed_err + _sweep_floor(spec, K, eps)
+    total = sum(map(log, _eta_sweep(spec, K, (1 + rest) / (1 + rest2))))
+    err = rel + _sweep_floor(spec, K, eps, rel + rel2)
     _check_tol(err, tol, K, what)
     val = total + p_log1p(rest)
     if spec.family == "HE":
@@ -518,13 +497,15 @@ def _cf_limit(
     return val, K, err
 
 
-def _sweep_floor(spec: EquationSpec, K: int, eps: float) -> float:
+def _sweep_floor(spec: EquationSpec, K: int, eps: float, seed_err: float = 0.0) -> float:
     """Relative error a sweep to depth ``K`` leaves besides its tail: the
     second solution (:func:`_log_second_mode`) and ``_SWEEP_ROUNDINGS``
-    roundings per row, for HE divided by ``|1 - lam|``, as the second
-    characteristic root ``lam`` carries a rounding error ``d`` into the limit
-    as ``d / (1 - lam)``."""
-    rounding = _SWEEP_ROUNDINGS * K * eps
+    roundings per row, plus ``seed_err``, the relative error of the cf
+    sweep's seed, which enters its top row as a rounding does.  Each row
+    passes on about ``lam beta_k`` of an error ``d``: at most about
+    ``|lam|/k`` for RCHE and CHE, but ``lam`` for HE, where ``d`` reaches the
+    limit as ``d / (1 - lam)``, so there the sum is divided by ``|1 - lam|``."""
+    rounding = _SWEEP_ROUNDINGS * K * eps + seed_err
     if spec.family == "HE":
         rounding /= abs(1 - complex(spec.lam))
     return math.exp(_log_second_mode(spec, K)) + rounding

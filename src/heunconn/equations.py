@@ -335,20 +335,6 @@ def _quadratic_parts(spec: EquationSpec) -> tuple[tuple, tuple, tuple, tuple]:
     return lead, q, (b * b - t0 * t0 - ti * ti + om * om, 2 * b, 1), (c * c - ti * ti, 2 * c, 1)
 
 
-def replay_step_gates(spec: EquationSpec, k_max: int) -> None:
-    """Raise the error :func:`canonical_recurrence_step` would raise at the
-    first gated step ``k < k_max``, in the spec's own arithmetic: a gate fires
-    only within 1e-6 of a root of ``k+1-2 theta0`` or ``Q_k``, so the steps at
-    the rounded roots are checked."""
-    t0, t1 = spec.theta0, spec.theta1
-    x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
-    a = 0.5 - t0 + t1
-    roots = [2 * t0 - 1] + ([] if spec.family == "HYP" else [x - a, -x - a])
-    for k in sorted({int(round(complex(r).real)) for r in roots}):
-        if 0 <= k < k_max:
-            canonical_recurrence_step(spec, k, 0, 0)
-
-
 def _at_shift(poly: tuple, s: int) -> list:
     """``c0 + c1 k + c2 k^2`` at ``k + s`` as ``k^2 (c2 + c1' w + c0' w^2)``,
     ``w = 1/k``: the coefficient list ``[c2, c1', c0']``."""

@@ -18,7 +18,7 @@ from typing import Any, Iterator
 
 import mpmath as mp
 
-from .equations import EquationSpec, _quadratic_parts, replay_step_gates
+from .equations import EquationSpec, _check_resonance, _quadratic_parts
 from .errors import DomainError
 from .precision import is_mp
 
@@ -110,9 +110,13 @@ def exact_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, EquationSpe
     ``A_k = Q_k + lam R_k`` and ``B_k = lam P_k`` (:func:`_quadratic_parts`)
     in the recurrence ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}`` of
     :func:`canonical_recurrence_step`, exact, and the spec with each number
-    a :class:`Dyadic`.  First raises the error a step ``k < k_max`` would
-    raise (:func:`replay_step_gates`)."""
-    replay_step_gates(spec, k_max)
+    a :class:`Dyadic`.  First raises :class:`AccessoryResonance` where ``Q_k``
+    vanishes for a ``k < k_max``, with the coefficient table's gate (HYP has
+    none).  The spec must be valid: ``lead_k`` has a root near an integer
+    only where ``2 theta0`` is within 1e-10 of one, which :func:`validate`
+    rejects."""
+    if spec.family != "HYP":
+        _check_resonance(spec, 0, k_max)
     numbers = {k: v for k, v in vars(spec).items() if not isinstance(v, (str, type(None)))}
     exact = replace(spec, **{k: Dyadic.of(v) for k, v in numbers.items()})
     lead, q, r, p = _quadratic_parts(exact)

@@ -1,17 +1,23 @@
-"""The library names the benchmark's tracer binds by name must exist.
+"""The library names the benchmark's tracer binds by name must exist, and
+the traced ops must run.
 
 ``perfbench/tracing.py`` looks up every function of its ``TARGETS`` table in
 the ``heunconn`` modules and rebinds it; a rename or deletion in the library
-would break the traced benchmark without failing any other test.
+would break the traced benchmark without failing any other test, and so
+would a changed call shape of a function whose arguments a probe reads.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
+import numbers
 import sys
 from pathlib import Path
 
 import pytest
+
+import heunconn as hc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +55,33 @@ def test_tracer_resolves_every_target_and_restores_the_bindings(tracing):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_ops_give_finite_metrics(tracing, request):
+    # One op of each shape the benchmark's workloads time, called through
+    # the heunconn namespace, which the tracer rebinds.
+    rche, che, he, hyp = (
+        request.getfixturevalue(f"{f}_example") for f in ("rche", "che", "he", "hyp")
+    )
+    ops = [
+        lambda: hc.connection_matrix(rche, "cf"),
+        lambda: hc.connection_matrix(che, "recurrence"),
+        lambda: hc.connection_matrix(he, "wronskian"),
+        lambda: hc.connection_matrix(he, "ss"),
+        lambda: hc.c_coefficients(che, 6),
+        lambda: hc.log_a_series_from_traces(rche, 3),
+        lambda: hc.full_report(he, hc.CheckConfig(include_slow=False)),
+        lambda: hc.extract_sigma(hc.connection_matrix(hyp)),
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op_id, op in enumerate(ops):
+            tracer.run_op(op_id, op)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, {})
+    assert tracer.ops == len(ops) and metrics
+    for name, metric in metrics.items():
+        value = metric["value"]
+        assert isinstance(value, numbers.Real) and math.isfinite(value), (name, value)

@@ -26,6 +26,8 @@ from conftest import (
 from heunconn import (
     METHODS,
     AccessoryResonance,
+    CFBreakdown,
+    DetCheckFailed,
     DomainError,
     HeunConnError,
     NonConvergence,
@@ -53,12 +55,12 @@ from heunconn import (
 from heunconn.connection import (
     _a_space,
     _d_space,
+    _det_gate,
     _eta_sweep,
     _flip_spec,
     _forward_sweep,
     _recurrence_limit,
     _scalar_tail,
-    _seed_buffer,
     _ss_precision,
     _sum_tail,
     _sweep_floor,
@@ -271,9 +273,10 @@ class TestLargeOrder:
         assert list(real) == list(islice(_gaussian_iterates(state, bits), 512))
 
     def test_accessory_resonance_gate(self):
-        # omega = 1/2 - theta0 + theta1 + 3 makes Q_3 vanish.
+        # omega = 1/2 - theta0 + theta1 + 3 makes Q_3 vanish; the gate is the
+        # coefficient table's, so the message is that of cf and recurrence.
         t0, t1 = 0.1, 0.2
-        with pytest.raises(AccessoryResonance):
+        with pytest.raises(AccessoryResonance, match=r"vanishes at k = 3 \(Q = "):
             schafke_schmidt_connection(rche_spec(t0, t1, 3.5 - t0 + t1, 0.1))
 
     def test_matrix_is_fast(self, he_example):
@@ -460,17 +463,21 @@ class TestContinuedFraction:
         assert err < 1e-10
 
     def test_eta_tail_approaches_one(self, rche_example):
-        # eta_k from a unit seed 8 levels deeper, far out in the tail.
-        etas = _eta_sweep(rche_example, 2**16, 8)
+        # eta_k from a unit seed at k = 2^16 + 1, far out in the tail.
+        etas = _eta_sweep(rche_example, 2**16, 1.0)
         assert abs(etas[-1] - 1.0) <= 1e-6
 
     def test_eta_sweep_reads_each_index_once(self, he_example, monkeypatch):
         rows = _count_table_rows(monkeypatch)
-        k_top, buffer = 300, 24
-        etas = _eta_sweep(he_example, k_top, buffer)
-        assert rows == list(range(k_top + buffer + 1))
+        k_top = 300
+        etas = _eta_sweep(he_example, k_top, 1.0)
+        assert rows == list(range(k_top + 1))
         monkeypatch.undo()
-        assert etas == _eta_sweep(he_example, k_top, buffer)
+        assert etas == _eta_sweep(he_example, k_top, 1.0)
+
+    def test_vanishing_seed_is_a_breakdown(self, rche_example):
+        with pytest.raises(CFBreakdown, match="denominator vanished at k = 11"):
+            _eta_sweep(rche_example, 10, 0.0)
 
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_no_per_index_alpha_beta_calls(self, he_example, method, monkeypatch):
@@ -495,7 +502,7 @@ class TestContinuedFraction:
         # The backward sweep checks its whole table before it starts, so it
         # names the first resonant row; row by row it met k = 6 first.
         with pytest.raises(AccessoryResonance, match=r"vanishes at k = [56] \(Q = "):
-            _eta_sweep(spec, 300, 24)
+            _eta_sweep(spec, 300, 1.0)
         with pytest.raises(AccessoryResonance, match=r"vanishes at k = 5 \(Q = 0\.0, "):
             _recurrence_limit(spec, 1e-10)
 
@@ -526,9 +533,10 @@ class TestContinuedFraction:
 
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
     def test_sweep_rounding_is_within_the_floor(self, family):
-        # The forward sweep from row 0 and from row K, and the eta sweep,
-        # against the same sweeps in mpmath at 40 digits, relative to the
-        # O(1) iterates as the routes scale them.  Where Q_0 or Q_1 nearly
+        # The forward sweep from row 0 and from row K, and the eta sweep
+        # from the cf route's binary64 seed, against the same sweeps in
+        # mpmath at 40 digits, relative to the O(1) iterates as the routes
+        # scale them.  Where Q_0 or Q_1 nearly
         # cancels (within 0.036 of the gamma-argument margin), the table's
         # rounding went past the floor on 8 of 14,400 seeded specs.
         eps = 2.0**-53
@@ -540,12 +548,12 @@ class TestContinuedFraction:
             ))
         for spec in specs:
             K = _tail_depth(spec, eps, 2**20, "sweep")
-            buffer, _ = _seed_buffer(spec, K)
+            seed = _d_tail(spec, K + 1) / _d_tail(spec, K + 2)
             with mp.workdps(40):
                 high = spec_to_precision(spec, HIGH)
                 refs = [_forward_sweep(high, 0, K), _forward_sweep(high, K, 2 * K + 1)]
-                refs.append(mp.exp(sum(map(mp.log, _eta_sweep(high, K, buffer)))))
-            etas = cmath.exp(sum(map(cmath.log, _eta_sweep(spec, K, buffer))))
+                refs.append(mp.exp(sum(map(mp.log, _eta_sweep(high, K, seed)))))
+            etas = cmath.exp(sum(map(cmath.log, _eta_sweep(spec, K, seed))))
             got = [_forward_sweep(spec, 0, K), _forward_sweep(spec, K, 2 * K + 1), etas]
             floor = _sweep_floor(spec, K, eps)
             for g, r in zip(got, map(complex, refs)):
@@ -581,10 +589,15 @@ def _tail_sum(terms) -> complex:
     return _sum_tail(terms, 2.0**-53, True, "tail")[0]
 
 
+def _d_tail(spec, k: int) -> complex:
+    """The formal series S(k) of the tail determinants, D_k / D_inf."""
+    return _tail_sum(_scalar_tail(_d_space(spec), spec.lam, 0, 1 / k))
+
+
 def _eta_tail(spec, K: int) -> complex:
     """The cf route's T(K) = sum_{k>K} ln eta_k = ln S(K+1) of the tail
     determinants."""
-    return cmath.log(_tail_sum(_scalar_tail(_d_space(spec), spec.lam, 0, 1 / (K + 1))))
+    return cmath.log(_d_tail(spec, K + 1))
 
 
 def _a_limit(spec, K: int) -> complex:
@@ -603,7 +616,10 @@ _K_TOL = 1e-13
 def _assert_tails_do_not_depend_on_K(spec):
     eps = 2.0**-53
     K = _tail_depth(spec, eps, 2**20, "tail")
-    etas = _eta_sweep(spec, 2 * K, _seed_buffer(spec, 2 * K)[0])
+    # A unit seed K rows above 2K, not the route's seed from the tail: the
+    # seed's error falls like the second solution, which the depth rule puts
+    # below the unit roundoff within K rows.
+    etas = _eta_sweep(spec, 3 * K, 1.0)[: 2 * K]
     summed = sum(map(cmath.log, etas[K:]))
     assert abs(summed + _eta_tail(spec, 2 * K) - _eta_tail(spec, K)) <= _K_TOL
     assert rel_diff(_a_limit(spec, K), _a_limit(spec, 2 * K)) <= _K_TOL
@@ -695,9 +711,10 @@ class TestGuardsAndLimits:
             worst = max(abs(cf[k] - ref[k]) for k in ref.entries)
             assert worst <= cf.err_estimate + ref.err_estimate, spec
 
-    def test_cf_seed_buffer_follows_he_coupling_to_minus_one(self):
-        # K = 9184 here; a buffer capped at 4000 rows left a seed error of
-        # 0.995^4000 = 2.0e-9, above the default tol.
+    def test_cf_follows_he_coupling_to_minus_one(self):
+        # K = 9184 here, and each row passes on 0.995 of an error: a unit
+        # seed 4000 rows above K left 0.995^4000 = 2.0e-9, above the default
+        # tol.  The seed from the formal tail leaves a deviation of 1.9e-13.
         spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.37, -0.995)
         cf, ss = connection_matrix(spec, "cf"), connection_matrix(spec, "ss")
         worst = max(abs(cf[k] - ss[k]) for k in ss.entries)
@@ -729,7 +746,7 @@ class TestGuardsAndLimits:
         assert type(err) is float
 
     def test_cf_reaches_fifty_digits(self):
-        # The seed buffer and the 1/K of the tail follow the working precision.
+        # The seed and the 1/K of the tail follow the working precision.
         with mp.workdps(50):
             spec = spec_to_precision(che_spec(0.1, 0.2, 7.7, 0.15, 0.004), HIGH)
             log_a, _, err = log_a_infinity_cf(spec, tol=1e-45)
@@ -738,27 +755,13 @@ class TestGuardsAndLimits:
             assert abs(log_a - mp.log(a_inf)) < 1e-45
 
     def test_cf_beyond_unit_coupling(self):
-        # RCHE and CHE seed buffers shrink like |lam|/k per row, so cf
+        # RCHE and CHE rows pass on about |lam|/k of an error, so cf
         # converges at |lam| >= 1 and matches the recurrence route.
         spec = rche_spec(0.13, 0.27, 0.31, -1.2)
         val, err = connection_scalar(spec, method="cf", allow_large_coupling=True)
         ref, _ = connection_scalar(spec, method="recurrence", allow_large_coupling=True)
         assert abs(ref - 2.5036296622198524) <= 1e-14
         assert abs(val - ref) <= err
-
-    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
-    def test_seed_buffer_follows_the_family(self, request, family):
-        # At |lam| = 0.3, HE needs |lam|^B < 1e-18 (35 rows, plus 8 spare); RCHE
-        # and CHE a product of |lam|/k over a few rows above K = 64.
-        import heunconn.connection as connection
-
-        spec = replace(request.getfixturevalue(EXAMPLE_FIXTURES[family]), lam=0.3)
-        buffer, bound = connection._seed_buffer(spec, 64)
-        assert bound < 1e-18
-        if family == "HE":
-            assert buffer == 43 and bound == 0.3**43
-        else:
-            assert buffer <= 8
 
     @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
     def test_max_depth_caps_every_sweeping_route(self, method):
@@ -839,6 +842,22 @@ class TestGuardsAndLimits:
         # A nan tol would pass every estimate and determinant check.
         with pytest.raises(DomainError, match="tol must be a real number"):
             call(rche_example, tol)
+
+    @pytest.mark.parametrize("method", ["ss", "wronskian"])
+    def test_scalar_route_names_its_methods(self, rche_example, method):
+        with pytest.raises(DomainError, match="supports methods 'cf' and 'recurrence'"):
+            connection_scalar(rche_example, method)
+
+    def test_unknown_method_is_a_domain_error(self, rche_example):
+        with pytest.raises(DomainError, match="method must be one of"):
+            connection_matrix(rche_example, "foo")
+
+    def test_corrupted_entry_fails_the_determinant_gate(self, rche_example):
+        matrix = connection_matrix(rche_example)
+        bad = replace(matrix, entries={**matrix.entries, "+-": matrix["+-"] * (1 + 1e-6)})
+        assert _det_gate(matrix, 1e-10) is matrix
+        with pytest.raises(DetCheckFailed, match=r"\|det C \+ theta0/theta1\| = "):
+            _det_gate(bad, 1e-10)
 
     @pytest.mark.parametrize("method", [None, 5, b"cf"])
     def test_non_string_method_is_a_domain_error(self, rche_example, method):
