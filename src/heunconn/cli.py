@@ -49,8 +49,10 @@ _ECHO = ("method", "tol", "max_depth", "precision", "output")
 def parse_complex(text: str):
     """Complex flag literal: ``0.1`` (real) or ``0.1+0.05i``."""
     s = text.strip().replace(" ", "")
+    if s.endswith("i"):  # the imaginary unit; "inf" and "infinity" keep their i
+        s = s[:-1] + "j"
     try:
-        val = complex(s.replace("i", "j"))
+        val = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a real or a+bi complex literal: {text!r}")
     return val.real if val.imag == 0.0 else val

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .connection import (
@@ -138,7 +139,10 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     """``Tr A^{2n}`` for the two-term transition matrix built from the
     family's ``beta_k``, via the walk-type expansion: the weighted ``beta``
     products of every walk type summed directly for ``k <= K``
-    (:func:`connection._root_depth`), plus the rest ``T_n(K)``.
+    (:func:`connection._root_depth`), plus the rest ``T_n(K)``.  The direct
+    sums take a whole column of ``k`` at a time: each type's products over
+    all ``k``, multiplied in the order of the per-``k`` product, added type
+    by type into one column, which is then summed over ``k``.
 
     The rest is the same sum over the chain that starts at row ``K + 1``, whose
     tail determinant has ``ln D_{K+1} = -sum_n lam^n T_n(K) / (2n)`` (``D_inf =
@@ -173,22 +177,17 @@ def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
     tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), N))
     s_d, _ = _sum_tail(tail, eps, False, "walk-trace tail")
     log_s = _series_log(s_d)
+    columns = [betas[off : off + K] for off in range(N)]  # beta_{k+off}, k = 1 .. K
     out = []
     for n in orders:
-        terms = [(mu, n_mu(mu)) for mu in compositions(n)]
-
-        def local(k: int) -> complex:  # weighted beta products of all walk types at k
-            total = 0.0 + 0.0j
-            for mu, cnt in terms:
-                prod = float(cnt) + 0.0j
-                for off, power in enumerate(mu):
-                    b = betas[k - 1 + off]
-                    for _ in range(power):
-                        prod *= b
-                total += prod
-            return total
-
-        out.append(complex(sum(map(local, range(1, K + 1))) - 2 * n * log_s[n]))
+        total = [0.0 + 0.0j] * K  # weighted beta products of all walk types at each k
+        for mu in compositions(n):
+            prods = itertools.repeat(float(n_mu(mu)) + 0.0j)
+            for column, power in zip(columns, mu):
+                for _ in range(power):
+                    prods = map(mul, prods, column)
+            total = list(map(add, total, prods))
+        out.append(complex(sum(total) - 2 * n * log_s[n]))
     return out
 
 

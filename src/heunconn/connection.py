@@ -36,8 +36,8 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import accumulate, islice, repeat, tee
-from operator import mul, truediv
+from itertools import accumulate, chain, count, islice, repeat, tee
+from operator import add, mul, truediv
 from typing import Any, Iterator
 
 import mpmath as mp
@@ -321,82 +321,75 @@ def _formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> It
     """Terms ``e_n K^-n`` (``inv_k = 1/K``) of the formal solution ``y_k ~ k^rho
     S(k)``, ``S(k) = sum_n e_n k^-n``, ``e_0 = 1``, of ``L(k) y_{k+1} - A(k)
     y_k + B(k) y_{k-1} = 0`` at the coupling ``lam + delta``, each as the list
-    of its orders ``0 .. N`` in ``delta``.  ``parts`` holds ``(free,
-    linear)`` of ``L``, ``A``, ``B``, each ``free + (lam + delta) linear``,
-    as 5 coefficients in ``w = 1/k`` of ``k^-d`` times it, ``d <= 4``.
+    of its orders ``0 .. N`` in ``delta``, or at ``N = 0`` as the bare value at
+    ``lam``.  ``parts`` holds ``(free, linear)`` of ``L``, ``A``, ``B``, each
+    ``free + (lam + delta) linear``, as 5 coefficients in ``w = 1/k`` of
+    ``k^-d`` times it, ``d <= 4``.
 
     Divided by ``k^(rho+d)`` the recurrence reads ``L(w) P_+(w) S(k+1) -
     A(w) S(k) + B(w) P_-(w) S(k-1) = 0``, ``P_+- = (1 +- w)^rho``.  With the
     root 1 (``L_0 - A_0 + B_0 = 0``) and its power law (``rho (L_0 - B_0) +
     L_1 - A_1 + B_1 = 0``) at every coupling, order ``w^(n+1)`` fixes ``e_n``
-    with divisor ``n (L_0 - B_0)`` (:func:`_delta_order`)."""
-    at = [[f + lam * g for f, g in zip(free, linear)] for free, linear in parts]
-    orders = repeat(((), 0))
-    for m in range(N + 1):
-        orders = _delta_order(at, [x[1] for x in parts] if m < N else None, rho, m == 0, orders)
-    scale = 1
-    yield [1] + [0] * N
-    for term, _ in orders:
-        scale *= inv_k
-        yield [e * scale for e in term]
-
-
-def _scalar_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any) -> Iterator:
-    """The terms of :func:`_formal_tail` at the coupling ``lam`` alone."""
-    at = [[f + lam * g for f, g in zip(free, linear)] for free, linear in parts]
-    scale = 1
-    yield 1
-    for (e,), _ in _delta_order(at, None, rho, True, repeat(((), 0))):
-        scale *= inv_k
-        yield e * scale
-
-
-def _delta_order(at: list, slope: Any, rho: Any, first: bool, below: Iterator) -> Iterator:
-    """For ``n = 1, 2, ..``: ``e_n`` of the orders in ``delta`` up to this one
-    (order 0 if ``first``) of :func:`_formal_tail`, and what this ``e_n``
-    adds to the next order's residual through the ``slope`` parts and the
-    ``delta`` part of the divisor; ``below`` gives the same of the order below.
+    with divisor ``n (L_0 - B_0)``.  One loop over ``n`` steps every order;
+    each passes up what its ``e_n`` adds to the next order's residual (the
+    carry) through the ``linear`` parts and the ``delta`` part of the divisor.
 
     The shifts enter as ``p_m = [w^m] P_+ S(k+1) = sum_j C(rho-j, m-j) e_j``
     and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
     binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
     rest has fixed length.  At ``rho = 0`` the sums run on the rows of
     :func:`_binomial_rows`, else in binary64 (finite to order 170) on ``C(rho-j,
-    i) = v h_j / i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``."""
-    (l0, l1, l2, l3, l4), (_, _, a2, a3, a4), (b0, b1, b2, b3, b4) = at
-    divisor = l0 - b0
-    if slope is not None:  # coefficients of the state tuple below, in the residual's order
-        (s0, s1, *s), (_, _, *t), (u0, u1, *u) = slope
-        slope_row = [s0, u0, s1, u1, *(c for i in range(3) for c in (s[i], -t[i], u[i]))]
-    e1 = p1 = q1 = 1 if first else 0  # e, p, q of orders n-1, n-2, n-3
-    e2 = p2 = q2 = e3 = p3 = q3 = 0
-    seq = [e1] if rho else []  # e_1 .., or h_j e_j from j = 0
-    p_sum, q_sum, r, h, v = 0, 0, 0, 1, rho or 1
-    for n, (lower, carry) in enumerate(below, 1):
-        shift = (rho - n + 1) * e1
-        p_n, q_n = p_sum + shift, q_sum - shift  # without e_n
+    i) = v h_j / i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
+
+    Where ``rho = 0`` and ``L - A + B`` vanishes at ``lam`` (coupling 0 in
+    :func:`_a_space` and :func:`_d_space`), the jets' order 0 is ``S = 1``
+    exactly and is not computed: its carry is the ``linear`` part of
+    ``L_{n+1} - A_{n+1} + B_{n+1}`` for ``n <= 3``, and nothing after."""
+    (L, (s0, s1, s2, s3, s4)), (A, (_, _, t2, t3, t4)), (B, (u0, u1, u2, u3, u4)) = parts
+    l0, l1, l2, l3, l4 = map(add, L, map(mul, repeat(lam), (s0, s1, s2, s3, s4)))
+    a2, a3, a4 = map(add, A[2:], map(mul, repeat(lam), (t2, t3, t4)))
+    b0, b1, b2, b3, b4 = map(add, B, map(mul, repeat(lam), (u0, u1, u2, u3, u4)))
+    # per order: e, p, q of n-1, n-2, n-3, the binomial sums, and e_1 .. (h_j e_j from j = 0)
+    states = [(1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, [1] if rho else [])]
+    carries, known = repeat(0), 0  # known: 1 where order 0 is S = 1
+    if N:
+        # coefficients of an order's state tuple in the next order's residual
+        slope_row = [s0, u0, s1, u1, s2, -t2, u2, s3, -t3, u3, s4, -t4, u4]
+        if not rho and l2 - a2 + b2 == l3 - a3 + b3 == l4 - a4 + b4 == 0:
+            states, known = [], 1
+            carries = chain([s2 - t2 + u2, s3 - t3 + u3, s4 - t4 + u4], carries)
+        states += [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, [0] if rho else []) for _ in range(N)]
+    divisor, h, v, scale = l0 - b0, 1, rho or 1, 1
+    yield [1] + [0] * N if N else 1
+    for n, carry in zip(count(1), carries):
+        back = rho - n + 1
         if rho:
             v *= rho - n
-            h /= rho - n + 1
-            p_sum = v * sum(map(mul, _INV_FACT[n - 1 :: -1], seq))
-            q_sum = v * sum(map(mul, _ALT_INV_FACT[n - 1 :: -1], seq))
+            h /= back
+            q_row, p_row = _ALT_INV_FACT[n - 1 :: -1], _INV_FACT[n - 1 :: -1]
         else:
-            row, alt = _binomial_rows(n)
-            p_sum, q_sum = sum(map(mul, alt, seq)), sum(map(mul, row, seq))
-        residual = (
-            l0 * p_sum + b0 * q_sum + l1 * p_n + b1 * q_n
-            + l2 * p1 - a2 * e1 + b2 * q1
-            + l3 * p2 - a3 * e2 + b3 * q2
-            + l4 * p3 - a4 * e3 + b4 * q3
-        )
-        e = (residual + carry) / (n * divisor)
-        if slope is not None:
-            state = p_sum, q_sum, p_n, q_n, p1, e1, q1, p2, e2, q2, p3, e3, q3
-            r = sum(map(mul, slope_row, state)) - n * (s0 - u0) * e
-        e3, p3, q3, e2, p2, q2 = e2, p2, q2, e1, p1, q1
-        e1, p1, q1 = e, p_n + e, q_n + e
-        seq.append(e * h)
-        yield lower + (e,), r
+            q_row, p_row = _binomial_rows(n)
+        step = n * divisor
+        for m, (e1, p1, q1, e2, p2, q2, e3, p3, q3, p_sum, q_sum, seq) in enumerate(states, known):
+            shift = back * e1
+            p_n, q_n = p_sum + shift, q_sum - shift  # without e_n
+            p_sum, q_sum = sum(map(mul, p_row, seq)), sum(map(mul, q_row, seq))
+            if rho:
+                p_sum, q_sum = v * p_sum, v * q_sum
+            residual = (
+                l0 * p_sum + b0 * q_sum + l1 * p_n + b1 * q_n
+                + l2 * p1 - a2 * e1 + b2 * q1
+                + l3 * p2 - a3 * e2 + b3 * q2
+                + l4 * p3 - a4 * e3 + b4 * q3
+            )
+            e = (residual + carry) / step
+            if m < N:  # the last order passes no carry
+                state = p_sum, q_sum, p_n, q_n, p1, e1, q1, p2, e2, q2, p3, e3, q3
+                carry = sum(map(mul, slope_row, state)) - n * (s0 - u0) * e
+            seq.append(e * h)
+            states[m - known] = e, p_n + e, q_n + e, e1, p1, q1, e2, p2, q2, p_sum, q_sum, seq
+        scale *= inv_k
+        yield [0] * known + [x[0] * scale for x in states] if N else e * scale
 
 
 def _a_space(spec: EquationSpec) -> tuple:
@@ -481,7 +474,7 @@ def _cf_limit(
     eps = _unit_roundoff(mp_spec)
     K = _tail_depth(spec, eps, max_depth, what)
     # The terms of S(K+1) - 1, and times ((K+1)/(K+2))^n those of S(K+2) - 1
-    terms = islice(_scalar_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1)), 1, None)
+    terms = islice(_formal_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1)), 1, None)
     terms, shifted = tee(terms)
     ratio = (K + 1) * _inverse_depth(spec, K + 2)
     rest, omitted = _sum_tail(terms, eps, False, what)
@@ -546,7 +539,7 @@ def _recurrence_limit(
     what = "recurrence limit"
     eps = _unit_roundoff(_is_mp_spec(spec))
     K = _tail_depth(spec, eps, max_K, what)
-    terms = _scalar_tail(_a_space(spec), lam, 0, _inverse_depth(spec, K))
+    terms = _formal_tail(_a_space(spec), lam, 0, _inverse_depth(spec, K))
     total, omitted = _sum_tail(terms, eps, True, what)
     a_inf = _forward_sweep(spec, 0, K) / total
     rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
@@ -673,7 +666,7 @@ def _ss_scalar(
     quadratics, exact = exact_quadratics(spec, K)
     u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))
     rho = 2 * exact.theta1 - 1
-    terms = _scalar_tail(_u_space(quadratics), 0, complex(rho), 1.0 / K)
+    terms = _formal_tail(_u_space(quadratics), 0, complex(rho), 1.0 / K)
     total, omitted = _sum_tail(terms, _EPS64, True, what)
     val = amplitude(exact, rho, u_K, bits, K) / total
     b2 = complex(quadratics[2][2])
@@ -877,7 +870,7 @@ def tail_determinant_limit(spec: EquationSpec) -> tuple[Any, float]:
     N = _tail_depth(spec, eps, _MAX_DEPTH, what)
     limit, rel = _forward_sweep(spec, N, 2 * N + 1), _sweep_floor(spec, N, eps)
     for space, k in ((_a_space, 2 * N + 1), (_d_space, N + 1)):
-        terms = _scalar_tail(space(spec), spec.lam, 0, _inverse_depth(spec, k))
+        terms = _formal_tail(space(spec), spec.lam, 0, _inverse_depth(spec, k))
         total, omitted = _sum_tail(terms, eps, True, what)
         limit, rel = limit / total, rel + omitted / float(abs(total))
     return limit, float(abs(limit)) * rel

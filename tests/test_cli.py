@@ -282,10 +282,14 @@ class TestExitCodes:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("1e999", "inf")])
+    @pytest.mark.parametrize(
+        "value, shown", [("nan", "nan"), ("1e999", "inf"), ("inf", "inf"), ("-inf", "-inf")]
+    )
     def test_verify_rejects_a_non_finite_parameter(self, capsys, value, shown):
+        # "--omega=-inf": argparse reads a lone "-inf" as an option
         argv = ["verify", *RCHE_ARGS, "--fast"]
-        argv[argv.index("--omega") + 1] = value
+        at = argv.index("--omega")
+        argv[at : at + 2] = [f"--omega={value}"]
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""

@@ -26,6 +26,9 @@ from heunconn import (
     trace_power,
     walk_type,
 )
+from heunconn.connection import _d_space, _formal_tail, _inverse_depth, _root_depth, _sum_tail
+from heunconn.equations import coefficient_table
+from heunconn.perturbative import _Orders, _series_log
 from heunconn.precision import HIGH, spec_to_precision
 
 
@@ -37,6 +40,34 @@ def brute_force_census(n: int) -> Counter:
         for i in ups:
             steps[i] = "U"
         out[walk_type("".join(steps))] += 1
+    return out
+
+
+def per_k_traces(spec, orders, N: int) -> list:
+    """``Tr A^{2n}`` at each of ``orders`` as the trace route sums it, with
+    the walk sums taken one ``k`` at a time: the reference for its
+    whole-column sums."""
+    K = _root_depth(spec)
+    _, betas = coefficient_table(spec, 1, K + N)
+    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), N))
+    s_d, _ = _sum_tail(tail, 2.0**-53, False, "walk-trace tail")
+    log_s = _series_log(s_d)
+    out = []
+    for n in orders:
+        terms = [(mu, n_mu(mu)) for mu in compositions(n)]
+
+        def local(k: int) -> complex:  # weighted beta products of all walk types at k
+            total = 0.0 + 0.0j
+            for mu, cnt in terms:
+                prod = float(cnt) + 0.0j
+                for off, power in enumerate(mu):
+                    b = betas[k - 1 + off]
+                    for _ in range(power):
+                        prod *= b
+                total += prod
+            return total
+
+        out.append(complex(sum(map(local, range(1, K + 1))) - 2 * n * log_s[n]))
     return out
 
 
@@ -132,6 +163,18 @@ class TestTraceRoute:
             jets = c_coefficients(spec, 8)
             for c, t in zip(jets, log_a_series_from_traces(spec, 8)):
                 assert abs(c - t) <= 1e-9 * max(1.0, abs(c)), spec
+
+    def test_column_sums_match_the_per_k_walk_sums(self):
+        # 16 seeded specs, the second eight with a complex omega, one per N.
+        rng = random.Random(23)
+        for i in range(16):
+            t0, t1 = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
+            r = rng.uniform(0.05, 2.0)
+            omega = cmath.rect(r, rng.uniform(-3.1, 3.1)) if i >= 8 else r
+            spec, N = rche_spec(t0, t1, omega, 0.1), 1 + i % 8
+            want = [-t / (2 * n) for n, t in enumerate(per_k_traces(spec, range(1, N + 1), N), 1)]
+            assert log_a_series_from_traces(spec, N) == want
+            assert trace_power(spec, N) == per_k_traces(spec, [N], N)[0]
 
     def test_trace_sign_convention(self, rche_example):
         # c_n = -Tr A^{2n} / (2n) term by term.

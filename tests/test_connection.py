@@ -58,9 +58,9 @@ from heunconn.connection import (
     _det_gate,
     _eta_sweep,
     _flip_spec,
+    _formal_tail,
     _forward_sweep,
     _recurrence_limit,
-    _scalar_tail,
     _ss_precision,
     _sum_tail,
     _sweep_floor,
@@ -591,7 +591,7 @@ def _tail_sum(terms) -> complex:
 
 def _d_tail(spec, k: int) -> complex:
     """The formal series S(k) of the tail determinants, D_k / D_inf."""
-    return _tail_sum(_scalar_tail(_d_space(spec), spec.lam, 0, 1 / k))
+    return _tail_sum(_formal_tail(_d_space(spec), spec.lam, 0, 1 / k))
 
 
 def _eta_tail(spec, K: int) -> complex:
@@ -605,7 +605,7 @@ def _a_limit(spec, K: int) -> complex:
     a_km1, a_k = 0.0, 1.0
     for al, be in zip(*coefficient_table(spec, 0, K)):
         a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
-    return a_k / _tail_sum(_scalar_tail(_a_space(spec), spec.lam, 0, 1 / K))
+    return a_k / _tail_sum(_formal_tail(_a_space(spec), spec.lam, 0, 1 / K))
 
 
 # Dropping one coefficient of the recurrence from the tail moved these
@@ -630,7 +630,7 @@ def _assert_tails_do_not_depend_on_K(spec):
     u = [complex(*z) / 2.0**bits for z in islice(fixed_iterates(quadratics, bits), 2 * K)]
     rho = 2 * complex(spec.theta1) - 1
     parts = _u_space(quadratics)
-    ss = [u[k - 1] / (k**rho * _tail_sum(_scalar_tail(parts, 0, rho, 1 / k))) for k in (K, 2 * K)]
+    ss = [u[k - 1] / (k**rho * _tail_sum(_formal_tail(parts, 0, rho, 1 / k))) for k in (K, 2 * K)]
     assert rel_diff(*ss) <= _K_TOL
 
 

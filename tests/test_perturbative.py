@@ -4,6 +4,7 @@ their closed-form references."""
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -39,7 +40,7 @@ from heunconn import (
     rche_spec,
     sigma1_closed,
 )
-from heunconn.connection import _a_space, _formal_tail, _root_depth, _scalar_tail, _sum_tail
+from heunconn.connection import _a_space, _d_space, _formal_tail, _root_depth, _sum_tail
 from heunconn.equations import coefficient_table
 from heunconn.perturbative import _forward_jet, _Orders, _series_log
 
@@ -160,8 +161,24 @@ class TestJetTail:
         K, eps = _root_depth(spec), 2.0**-53
         parts = _a_space(spec)
         jets, _ = _sum_tail(map(_Orders, _formal_tail(parts, 0, 0, 1 / K, 6)), eps, False, "jets")
-        direct, _ = _sum_tail(_scalar_tail(parts, lam, 0, 1 / K), eps, False, "at lam")
+        direct, _ = _sum_tail(_formal_tail(parts, lam, 0, 1 / K), eps, False, "at lam")
         assert abs(sum(c * lam**m for m, c in enumerate(jets)) - direct) <= 1e-15
+
+    @pytest.mark.parametrize("space", [_a_space, _d_space])
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
+    def test_orders_away_from_zero_coupling(self, request, family, space):
+        # Only coupling 0 lets the jets skip order 0; at lam = 0.05 it is the
+        # scalar tail bit for bit, and the orders summed at delta = 1e-3 give
+        # the scalar tail at lam + delta.
+        spec = request.getfixturevalue(f"{family.lower()}_example")
+        K, eps, lam, delta = _root_depth(spec), 2.0**-53, 0.05, 1e-3
+        parts = space(spec)
+        scalar = _formal_tail(parts, lam, 0, 1 / K)
+        for term, value in zip(_formal_tail(parts, lam, 0, 1 / K, 6), islice(scalar, 40)):
+            assert term[0] == value
+        jets, _ = _sum_tail(map(_Orders, _formal_tail(parts, lam, 0, 1 / K, 6)), eps, False, "jets")
+        direct, _ = _sum_tail(_formal_tail(parts, lam + delta, 0, 1 / K), eps, False, "at lam")
+        assert abs(sum(c * delta**m for m, c in enumerate(jets)) - direct) <= 1e-15
 
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
     def test_tail_does_not_depend_on_the_depth(self, request, family):
