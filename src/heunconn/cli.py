@@ -13,6 +13,7 @@ stderr), 2 usage error (bad flags, missing family fields, order caps).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -23,7 +24,7 @@ from typing import Any, Optional
 from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import METHODS, connection_matrix, det_residual
-from .equations import _REQUIRED, EquationSpec, che_spec, he_spec, hyp_spec, rche_spec
+from .equations import _REQUIRED, EquationSpec, validate
 from .errors import FamilyFieldError, HeunConnError, SizeError
 from .perturbative import (
     c1_closed_he,
@@ -67,31 +68,18 @@ _FAMILY_ALIASES = {
 }
 
 
+# The flag (argparse dest) of each family field of ``equations._REQUIRED``.
+_FIELD_FLAGS = {"omega": "omega", "theta_t": "thetat", "theta_inf": "thetainf",
+                "theta_star": "thetastar", "theta_inf_hyp": "thetainf"}
+
+
 def build_spec(args: argparse.Namespace) -> EquationSpec:
     family = _FAMILY_ALIASES[args.family.lower()]
     lam = args.lam if args.lam is not None else 0.0
-    if family == "HYP":
-        if lam:
-            raise FamilyFieldError("HYP has no coupling; drop --lambda")
-        return hyp_spec(args.theta0, args.theta1, theta_inf_hyp=args.thetainf)
-    if family == "RCHE":
-        return rche_spec(args.theta0, args.theta1, omega=args.omega, lam=lam)
-    if family == "CHE":
-        return che_spec(
-            args.theta0,
-            args.theta1,
-            omega=args.omega,
-            theta_star=args.thetastar,
-            lam=lam,
-        )
-    return he_spec(
-        args.theta0,
-        args.theta1,
-        omega=args.omega,
-        theta_t=args.thetat,
-        theta_inf=args.thetainf,
-        lam=lam,
-    )
+    if family == "HYP" and lam:
+        raise FamilyFieldError("HYP has no coupling; drop --lambda")
+    fields = {name: getattr(args, _FIELD_FLAGS[name]) for name in _REQUIRED[family]}
+    return validate(EquationSpec(family, args.theta0, args.theta1, lam, **fields))
 
 
 def _spec_params(spec: EquationSpec) -> dict:
@@ -389,6 +377,27 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="also write a reproducible JSON artifact (runtimes zeroed)")
 
 
+# Flags that take a number.  argparse reads only plain decimals such as "-0.3"
+# as negative numbers, and any other value that starts with "-" ("-1e-3",
+# "-inf", "-0.3+0.01i") as an option.
+_NUMBER_FLAGS = {"--theta0", "--theta1", "--lambda", "--omega", "--thetat", "--thetainf",
+                 "--thetastar", "--tol", "--max-depth", "--order", "--n"}
+
+
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each number flag and a following negative number joined
+    into one ``--flag=value`` argument, the form argparse reads as a value."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and arg.startswith("-"):
+            with contextlib.suppress(argparse.ArgumentTypeError):  # no number: an option
+                parse_complex(arg)
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 @functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -441,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -187,12 +187,13 @@ def _method_name(method: Any) -> str:
 
 
 def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
-    if spec.family in ("RCHE", "CHE") and abs(spec.lam) > _LAMBDA_GATE:
-        if not allow_large_coupling:
-            raise DomainError(
-                f"|lam| = {abs(spec.lam):.4g} exceeds the series gate {_LAMBDA_GATE}; "
-                "pass allow_large_coupling=True to override"
-            )
+    """The opt-in gate of the ``cf`` and ``recurrence`` routes: RCHE or CHE
+    ``|lam| > 0.9`` raises :class:`DomainError` unless ``allow_large_coupling``."""
+    if not allow_large_coupling and spec.family in ("RCHE", "CHE") and abs(spec.lam) > _LAMBDA_GATE:
+        raise DomainError(
+            f"|lam| = {abs(spec.lam):.4g} exceeds the series gate {_LAMBDA_GATE}; "
+            "pass allow_large_coupling=True to override"
+        )
 
 
 def _is_mp_spec(spec: EquationSpec) -> bool:
@@ -458,14 +459,12 @@ def log_a_infinity_cf(
     :class:`DomainError` at the coupling gate or on an invalid spec.
     """
     _check_tol_arg(tol)
-    return _cf_limit(validate(spec), tol, max_depth, allow_large_coupling)
+    _check_lambda_gate(validate(spec), allow_large_coupling)
+    return _cf_limit(spec, tol, max_depth)
 
 
-def _cf_limit(
-    spec: EquationSpec, tol: float, max_depth: int, allow_large_coupling: bool
-) -> tuple[Any, int, float]:
+def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, int, float]:
     """:func:`log_a_infinity_cf` of a valid spec."""
-    _check_lambda_gate(spec, allow_large_coupling)
     lam = spec.lam
     if lam == 0:
         return 0.0, 0, 0.0
@@ -521,21 +520,15 @@ def _forward_sweep(spec: EquationSpec, start: int, stop: int) -> Any:
 
 
 def _recurrence_limit(
-    spec: EquationSpec,
-    tol: float,
-    max_K: int = _MAX_DEPTH,
-    allow_large_coupling: bool = False,
+    spec: EquationSpec, tol: float, max_K: int = _MAX_DEPTH
 ) -> tuple[Any, int, float]:
     """``a_inf = a_K / S(K)`` from one forward sweep of the rescaled
     recurrence to ``a_K`` and its formal solution ``S`` (:func:`_a_space`)
-    summed to working precision, for a valid spec.  The error estimate is the
-    last terms of ``S`` (:func:`_sum_tail`) and :func:`_sweep_floor`, relative
-    to ``max(|a_inf|, 1)``: the sweep's rounding stays at the size of its
-    iterates, which start at ``a_0 = 1``."""
-    _check_lambda_gate(spec, allow_large_coupling)
+    summed to working precision, for a valid spec with ``lam != 0``.  The
+    error estimate is the last terms of ``S`` (:func:`_sum_tail`) and
+    :func:`_sweep_floor`, relative to ``max(|a_inf|, 1)``: the sweep's
+    rounding stays at the size of its iterates, which start at ``a_0 = 1``."""
     lam = spec.lam
-    if lam == 0:
-        return 1.0, 0, 0.0
     what = "recurrence limit"
     eps = _unit_roundoff(_is_mp_spec(spec))
     K = _tail_depth(spec, eps, max_K, what)
@@ -575,14 +568,9 @@ def _pref_err(spec: EquationSpec, eps: float) -> float:
 
 
 def _scalar_with_depth(
-    spec: EquationSpec,
-    method: str,
-    tol: float,
-    allow_large_coupling: bool,
-    max_depth: int = _MAX_DEPTH,
+    spec: EquationSpec, method: str, tol: float, max_depth: int = _MAX_DEPTH
 ) -> tuple[complex, float, int]:
-    """:func:`connection_scalar` of a valid spec, and the depth ``K``."""
-    method = method.lower()
+    """:func:`connection_scalar` of a valid spec past the gate, and the depth ``K``."""
     pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
     # The prefactor's own error and the final rounding of the value to binary64.
     rel_err = _pref_err(spec, _unit_roundoff(is_mp(pref))) + _EPS64
@@ -590,10 +578,10 @@ def _scalar_with_depth(
         return complex(pref), rel_err * float(abs(pref)), 0
     pref = pref * _assembly_prefactor(spec)
     if method == "cf":
-        log_a, depth, err = _cf_limit(spec, tol, max_depth, allow_large_coupling)
+        log_a, depth, err = _cf_limit(spec, tol, max_depth)
         val = pref * p_exp(log_a)
     elif method == "recurrence":
-        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth, allow_large_coupling)
+        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth)
         val = pref * a_inf
     else:
         raise DomainError(
@@ -615,11 +603,13 @@ def connection_scalar(
     """Connection scalar ``C(theta0, theta1)`` by the ``cf`` or ``recurrence``
     route (for HYP the coupling vanishes and the gamma-ratio factor is exact).
 
-    Returns ``(value, err_estimate)``.
+    Returns ``(value, err_estimate)``.  RCHE or CHE ``|lam| > 0.9`` raises
+    :class:`DomainError` unless ``allow_large_coupling``.
     """
     _check_tol_arg(tol)
     method = _method_name(method)
-    val, err, _ = _scalar_with_depth(validate(spec), method, tol, allow_large_coupling, max_depth)
+    _check_lambda_gate(validate(spec), allow_large_coupling)
+    val, err, _ = _scalar_with_depth(spec, method, tol, max_depth)
     return val, err
 
 
@@ -653,16 +643,12 @@ def _ss_scalar(
 
     Raises :class:`NonConvergence` when the sum without the floor is above
     ``tol``, as :func:`log_a_infinity_cf` judges its estimate.  The spec must
-    be valid."""
-    th1 = complex(spec.theta1)
-    if abs(2 * th1.real) >= 4.0:
-        raise DomainError(
-            f"large-order route needs |Re 2 theta1| < 4, got {2 * th1.real:.3g}"
-        )
+    be valid; any ``theta1`` is served, as the depth, the tail and the
+    precision (:func:`_ss_precision`) follow ``theta1`` itself."""
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
     K = _tail_depth(spec, _EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
-    dps, bits = _ss_precision(th1, K)
+    dps, bits = _ss_precision(complex(spec.theta1), K)
     quadratics, exact = exact_quadratics(spec, K)
     u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))
     rho = 2 * exact.theta1 - 1
@@ -694,7 +680,8 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     ``rho = 2 theta1 - 1`` and ``S`` the recurrence's formal ``1/k`` series in
     u-space (:func:`_u_space`), summed in binary64 to the unit roundoff.  No
     mpmath context is read or set: the gamma function and ``K^rho`` take an
-    explicit precision.  Requires ``|Re 2 theta1| < 4``.
+    explicit precision.  Every valid spec is served, at any ``theta1`` and
+    without the coupling gate of the ``cf`` and ``recurrence`` routes.
     """
     return _ss_scalar(validate(spec))[0]
 
@@ -761,18 +748,16 @@ def connection_matrix(
     if method == "wronskian":
         matrix = wronskian_connection(spec)
     else:
-        entries = {}
-        worst = 0.0
-        depth = 0
+        entries, worst, depth = {}, 0.0, 0
+        if method != "ss":
+            _check_lambda_gate(spec, allow_large_coupling)
         for s0, row in ((1, "+"), (-1, "-")):
             for s1, col in ((1, "+"), (-1, "-")):
                 fspec = _flip_spec(spec, s0, s1)
                 if method == "ss":
                     val, err, d = _ss_scalar(fspec, tol, max_depth)
                 else:
-                    val, err, d = _scalar_with_depth(
-                        fspec, method, tol, allow_large_coupling, max_depth
-                    )
+                    val, err, d = _scalar_with_depth(fspec, method, tol, max_depth)
                 depth = max(depth, d)
                 entries[row + col] = val
                 worst = max(worst, err)

@@ -223,9 +223,17 @@ def _log_gamma_right(z: complex) -> complex:
 
 def _log_sin_pi_upper(z: complex) -> complex:
     """Log of sin(pi*z), unwound so the log-reflection formula for log-gamma
-    stays on the principal branch; valid for Im z >= 0."""
-    w = cmath.exp(2j * math.pi * z)
-    return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(1.0 - w)
+    stays on the principal branch; valid for Im z >= 0.
+
+    ``sin(pi z) = i e^(-i pi z) (1 - e^(2 pi i z)) / 2``.  The factor ``1 -
+    e^(2 pi i f)``, ``f = z - round(Re z)``, is formed from ``expm1`` of ``-2
+    pi Im f`` and the sine of ``pi Re f``, so it keeps its relative accuracy
+    where ``z`` nears an integer (a pole of the gamma function)."""
+    f = z - round(z.real)
+    x, decay = math.pi * f.real, math.expm1(-2.0 * math.pi * f.imag)
+    one_minus_w = complex(2.0 * math.sin(x) ** 2 - decay * math.cos(2.0 * x),
+                          -(1.0 + decay) * math.sin(2.0 * x))
+    return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(one_minus_w)
 
 
 def log_gamma(z: Any) -> Any:

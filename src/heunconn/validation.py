@@ -458,7 +458,8 @@ def _check_tail_determinant(spec: EquationSpec, tol: float) -> CheckResult:
 
 
 def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> ValidationReport:
-    """Run every check applicable to the spec's family and aggregate.
+    """Run every check applicable to the spec's family and aggregate; which
+    checks run depends only on the family and ``config.include_slow``.
 
     Failures (including parameter degeneracies raised as library errors)
     become failed entries; the call itself does not raise.
@@ -480,9 +481,8 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     matrices = {
         "recurrence": lambda: connection_matrix(spec, method="recurrence", tol=mtol),
         "wronskian": lambda: _shared_wronskian(spec, mtol, basis),
+        "ss": lambda: connection_matrix(spec, method="ss", tol=mtol),
     }
-    if abs(2.0 * complex(spec.theta1).real) < 4.0:
-        matrices["ss"] = lambda: connection_matrix(spec, method="ss", tol=mtol)
     for other, matrix in matrices.items():
         tol = tols["method_agreement_" + other]
         checks.append(_check_method_agreement(other, tol, cf, matrix))

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from conftest import rel_diff
-from heunconn import cli
+from heunconn import c1_closed_he, cli, he_spec
 from heunconn.cli import main
 
 RCHE_ARGS = [
@@ -174,6 +174,16 @@ class TestExpand:
         assert env == plain
 
 
+    def test_he_closed_form_column(self, capsys):
+        code, out, _ = run_cli(capsys, ["expand", *HE_ARGS, "--order", "2", "--output", "json"])
+        assert code == 0
+        first, second = json.loads(out)["coefficients"]
+        closed = complex(*first["closed"])
+        assert closed == c1_closed_he(he_spec(0.11, 0.27, 0.33, 0.41, 0.37, 0.1))
+        assert abs(complex(*first["c"]) - closed) == first["diff"] <= 1e-12
+        assert second["closed"] is None and second["diff"] is None
+
+
 class TestWalks:
     def test_census_table(self, capsys):
         code, out, _ = run_cli(capsys, ["walks", "--n", "2"])
@@ -286,7 +296,7 @@ class TestExitCodes:
         "value, shown", [("nan", "nan"), ("1e999", "inf"), ("inf", "inf"), ("-inf", "-inf")]
     )
     def test_verify_rejects_a_non_finite_parameter(self, capsys, value, shown):
-        # "--omega=-inf": argparse reads a lone "-inf" as an option
+        # the "--omega=-inf" form (TestNegativeValues passes "-inf" alone)
         argv = ["verify", *RCHE_ARGS, "--fast"]
         at = argv.index("--omega")
         argv[at : at + 2] = [f"--omega={value}"]
@@ -315,6 +325,29 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_non_number_is_parse_error(self, capsys):
+        argv = ["connect", *RCHE_ARGS]
+        argv[argv.index("--theta0") + 1] = "abc"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "not a real or a+bi complex literal: 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "family, fields",
+        [
+            ("hyp", ["--thetainf", "0.3"]),
+            ("che", ["--omega", "0.3", "--thetastar", "0.25", "--lambda", "0.1"]),
+        ],
+    )
+    def test_connect_every_family(self, capsys, family, fields):
+        argv = ["connect", "--family", family, "--theta0", "0.1", "--theta1", "0.2", *fields]
+        code, out, _ = run_cli(capsys, [*argv, "--output", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        run = getattr(oracles, "RUN_" + family.upper())
+        ref = {k: oracles.cplx(v) for k, v in run["matrix"].items()}
+        assert max(rel_diff(complex(*doc["C"][k]), ref[k]) for k in ref) <= 1e-10
+
     def test_heun_alias(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -332,3 +365,41 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["family"] == "HE"
+
+
+class TestNegativeValues:
+    """A number flag takes a negative value that is not a plain decimal as
+    its own argument, as it does in the ``--flag=value`` form."""
+
+    def test_complex_value(self, capsys):
+        argv = ["connect", *RCHE_ARGS, "--output", "json"]
+        at = argv.index("--omega")
+        joined, apart = list(argv), list(argv)
+        joined[at : at + 2] = ["--omega=-0.3+0.01i"]
+        apart[at + 1] = "-0.3+0.01i"
+        _, want, _ = run_cli(capsys, joined)
+        code, out, _ = run_cli(capsys, apart)
+        assert code == 0 and out == want
+        assert json.loads(out)["params"]["omega"] == [-0.3, 0.01]
+
+    def test_exponent_value(self, capsys):
+        argv = ["connect", *RCHE_ARGS, "--output", "json"]
+        argv[argv.index("--lambda") + 1] = "-1e-3"
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["params"]["lambda"] == -1e-3
+
+    def test_infinite_value(self, capsys):
+        argv = ["connect", *RCHE_ARGS]
+        argv[argv.index("--lambda") + 1] = "-inf"
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("DomainError: lam = -inf is not finite")
+
+    def test_an_option_after_a_number_flag_stays_an_option(self, capsys):
+        argv = ["connect", *RCHE_ARGS]
+        at = argv.index("--omega")
+        del argv[at + 1]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "argument --omega: expected one argument" in err

@@ -88,6 +88,10 @@ class TestCompositions:
         with pytest.raises(SizeError):
             list(compositions(17))
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(DomainError):
+            list(compositions(0))
+
 
 class TestWalkType:
     def test_two_step_walks(self):
@@ -133,6 +137,14 @@ class TestMultiplicityFormula:
     def test_census_size_cap(self):
         with pytest.raises(SizeError):
             enumerate_walk_types(9)
+
+    def test_named_errors(self):
+        with pytest.raises(DomainError):
+            n_mu(())
+        with pytest.raises(SizeError):
+            n_mu((1,) * 17)
+        with pytest.raises(DomainError):
+            enumerate_walk_types(0)
 
 
 class TestTraceRoute:
@@ -197,3 +209,7 @@ class TestTraceRoute:
     def test_order_cap(self, rche_example):
         with pytest.raises(SizeError):
             trace_power(rche_example, 17)
+        with pytest.raises(SizeError):
+            log_a_series_from_traces(rche_example, 17)
+        with pytest.raises(DomainError):
+            trace_power(rche_example, 0)

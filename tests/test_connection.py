@@ -31,6 +31,7 @@ from heunconn import (
     DomainError,
     HeunConnError,
     NonConvergence,
+    PoleError,
     canonical_recurrence_step,
     che_spec,
     connection_matrix,
@@ -228,6 +229,36 @@ def _assert_fixed_point_iterates_match(spec, K=2048):
             assert abs(fixed - u_k) <= 1e-25 * abs(u_k), k
 
 
+def _large_theta1_specs(count: int, seed: int) -> list:
+    """Seeded specs of the three coupled families in turn with 4 <= |Re 2
+    theta1| <= 12, the second half with complex theta1, kept 0.02 from
+    exponent resonances and gamma poles, and |lam| <= 0.3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        family = ("RCHE", "CHE", "HE")[len(out) % 3]
+        t0 = rng.uniform(-0.45, 0.45)
+        t1 = rng.choice((1.0, -1.0)) * rng.uniform(2.0, 6.0)
+        if len(out) >= count // 2:
+            t1 = complex(t1, rng.uniform(-0.5, 0.5))
+        om = rng.uniform(0.08, 0.42)
+        lam = rng.choice((1.0, -1.0)) * rng.uniform(0.02, 0.3)
+        if min(abs(x - round(x)) for x in (2 * t0, 2 * t1.real)) < 0.02 or any(
+            abs(z - round(z.real)) < 0.02
+            for z in (0.5 + s0 * t0 + s1 * t1 + sx * om
+                      for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1))
+        ):
+            continue
+        if family == "RCHE":
+            out.append(rche_spec(t0, t1, om, lam))
+        elif family == "CHE":
+            out.append(che_spec(t0, t1, om, rng.uniform(-0.45, 0.45), lam))
+        else:
+            tt, ti = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
+            out.append(he_spec(t0, t1, tt, ti, om, lam))
+    return out
+
+
 class TestLargeOrder:
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
@@ -278,6 +309,14 @@ class TestLargeOrder:
         t0, t1 = 0.1, 0.2
         with pytest.raises(AccessoryResonance, match=r"vanishes at k = 3 \(Q = "):
             schafke_schmidt_connection(rche_spec(t0, t1, 3.5 - t0 + t1, 0.1))
+
+    def test_every_theta1_within_err_estimate(self):
+        # Nothing in the route depends on |Re 2 theta1| < 4: the depth is 64
+        # on each of these specs, and the guard bits follow theta1.
+        for spec in _large_theta1_specs(12, 24):
+            mat = connection_matrix(spec, "ss")
+            ref = solver_matrix(spec)
+            assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate, spec
 
     def test_matrix_is_fast(self, he_example):
         start = time.perf_counter()
@@ -696,6 +735,26 @@ class TestGuardsAndLimits:
         with pytest.raises(DomainError):
             connection_scalar(rche_spec(0.1, 0.2, 0.3, 0.95))
 
+    def test_ss_and_wronskian_take_no_coupling_gate(self):
+        spec = rche_spec(0.1, 0.2, 0.3, 0.95)
+        ref = solver_matrix(spec)
+        for method in ("ss", "wronskian"):
+            mat = connection_matrix(spec, method)
+            assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate, method
+
+    def test_coupling_gate_comes_before_the_entries(self):
+        # omega puts the first entry's fusion factor on a gamma pole; the
+        # gate is checked once, before that factor is formed.
+        t0, t1 = 0.1, 0.2
+        spec = rche_spec(t0, t1, 2.5 - t0 + t1, 0.95)
+        for method in ("cf", "recurrence"):
+            with pytest.raises(DomainError, match="allow_large_coupling=True"):
+                connection_matrix(spec, method)
+            with pytest.raises(DomainError, match="allow_large_coupling=True"):
+                connection_scalar(spec, method)
+            with pytest.raises(PoleError):
+                connection_matrix(spec, method, allow_large_coupling=True)
+
     def test_cf_past_an_amplitude_zero(self):
         # The amplitude crosses zero below lam = 0.95 and some eta_k leave the
         # right half-plane; the scalar needs only their product.
@@ -865,10 +924,6 @@ class TestGuardsAndLimits:
             connection_matrix(rche_example, method)
         with pytest.raises(DomainError, match="method must be a string"):
             connection_scalar(rche_example, method)
-
-    def test_ss_theta1_gate(self):
-        with pytest.raises(DomainError):
-            schafke_schmidt_connection(he_spec(0.11, 2.1, 0.33, 0.41, 0.37, 0.1))
 
     def test_tail_determinant_he(self, he_example):
         D, err = tail_determinant_limit(he_example)

@@ -13,6 +13,7 @@ from heunconn import (
     FAMILIES,
     AccessoryResonance,
     DomainError,
+    EquationSpec,
     FamilyFieldError,
     ResonantExponents,
     alpha_beta,
@@ -160,6 +161,23 @@ class TestRecurrenceData:
         spec = rche_spec(0.1, 0.2, 0.6, 0.1)
         with pytest.raises(AccessoryResonance):
             alpha_beta(spec, 1)
+
+    def test_canonical_step_named_errors(self, rche_example):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            canonical_recurrence_step(rche_example, -1, 1.0, 1.0)
+        # omega = 1/2 - theta0 + theta1 + 3 makes Q_3 vanish.
+        spec = rche_spec(0.1, 0.2, 3.6, 0.1)
+        with pytest.raises(AccessoryResonance, match="Q_3 vanishes"):
+            canonical_recurrence_step(spec, 3, 1.0, 1.0)
+
+    def test_resonant_leading_factor_of_an_unvalidated_spec(self):
+        # 2 theta0 = 3: validate refuses the spec, and k + 1 - 2 theta0
+        # vanishes at k = 2 when the recurrence is run without it.
+        spec = EquationSpec("RCHE", 1.5, 0.2, 0.1, omega=0.3)
+        with pytest.raises(ResonantExponents, match="vanishes at k = 2"):
+            canonical_recurrence_step(spec, 2, 1.0, 1.0)
+        with pytest.raises(ResonantExponents, match="vanishes at k = 2"):
+            u_lambda0_sequence(spec, 5)
 
 
 # alpha_beta(spec, k) at k in (0, 1, 2, 7, 512, 1075), frozen from the

@@ -95,6 +95,14 @@ class TestDomainsAndErrors:
             assert convergence_radius(spec, 0) == 1.0
             assert convergence_radius(spec, 1) == 1.0
 
+    def test_expansion_point_and_sign(self, rche_example):
+        with pytest.raises(DomainError, match="expansion point"):
+            frobenius_series(rche_example, 2, 1, 8)
+        with pytest.raises(DomainError, match="sign"):
+            frobenius_series(rche_example, 0, 0, 8)
+        with pytest.raises(DomainError, match="expansion point"):
+            convergence_radius(rche_example, 2)
+
     def test_radius_error(self, rche_example):
         sol = frobenius_series(rche_example, 0, +1, 50)
         with pytest.raises(RadiusError):

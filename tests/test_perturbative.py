@@ -88,6 +88,12 @@ class TestJetAlgebra:
         for n in range(1, order + 1):
             assert abs(got[n] - 1.0 / n) <= 1e-14
 
+    def test_malformed_jets(self):
+        with pytest.raises(DomainError):
+            Jet(2, (1.0,))
+        with pytest.raises(DomainError):
+            jet_variable(0)
+
     def test_order_mismatch(self):
         with pytest.raises(DomainError):
             jet_mul(jet_from_scalar(1.0, 3), jet_from_scalar(1.0, 4))

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from heunconn import extrapolate, geometric_ladder
+from heunconn import DomainError, extrapolate, geometric_ladder
 
 
 class TestGeometricLadder:
@@ -26,6 +26,12 @@ class TestGeometricLadder:
     def test_nonpositive_raises(self):
         with pytest.raises(Exception):
             geometric_ladder(0, 1)
+
+    def test_levels_and_ratio(self):
+        with pytest.raises(DomainError, match="level"):
+            geometric_ladder(8, 0)
+        with pytest.raises(DomainError, match="ratio"):
+            geometric_ladder(8, 2, ratio=1)
 
 
 class TestExtrapolate:

@@ -16,6 +16,7 @@ import heunconn.special as special
 import oracles
 from heunconn import (
     DomainError,
+    OrderError,
     PoleError,
     digamma,
     fusion_cl,
@@ -137,6 +138,27 @@ class TestPoles:
     def test_log_gamma_pole(self, z):
         with pytest.raises(PoleError):
             log_gamma(z)
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_log_gamma_near_a_pole(self, delta):
+        # 1 - e^(2 pi i z) of the reflection formula cancelled within delta of
+        # an integer: 1.2e-5 absolute error at delta = 1e-10.
+        rng = random.Random(7)
+        with mp.workdps(30):
+            for _ in range(40):
+                z = rng.randint(-4, 0) + delta * cmath.exp(1j * rng.uniform(0.05, 3.09))
+                for w in (z, z.conjugate()):
+                    assert abs(log_gamma(w) - mp.loggamma(mp.mpc(w))) <= 5e-14, w
+
+    @pytest.mark.parametrize("n", [17, -1, 1.0])
+    def test_polygamma_order_outside_the_range(self, n):
+        with pytest.raises(OrderError):
+            polygamma(n, 0.3)
+
+    @pytest.mark.parametrize("k", [-1, 2.5])
+    def test_pochhammer_index_must_be_a_nonnegative_integer(self, k):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            pochhammer(0.3, k)
 
     def test_polygamma_pole(self):
         with pytest.raises(PoleError):

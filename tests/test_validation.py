@@ -97,6 +97,11 @@ class TestLargeParameterLimit:
         with pytest.raises(FamilyFieldError):
             che_to_he_spec(rche_example, 1e4)
 
+    def test_induced_coupling_gate(self):
+        spec = che_spec(0.1, 0.2, 0.3, 0.25, 2000.0)
+        with pytest.raises(DomainError, match=r"\|lam/Lambda\| < 1"):
+            che_to_he_spec(spec, 1e3)
+
     def test_mapped_spec_parameters(self, che_example):
         Lam = 1e4
         he = che_to_he_spec(che_example, Lam)
@@ -139,6 +144,21 @@ class TestFullReport:
             "series_vs_closed_forms",
             "reflection",
         ]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            he_spec(0.11, -2.27, 0.33, 0.41, 0.37, 0.1),
+            che_spec(0.1, 3.2 + 0.1j, 0.3, 0.15, 0.1),
+        ],
+        ids=["HE", "CHE-complex"],
+    )
+    def test_ss_check_at_large_theta1(self, spec):
+        # |Re 2 theta1| >= 4: the roster is the one at a small theta1.
+        small = full_report(dataclasses.replace(spec, theta1=0.27), FAST)
+        checks = {c.name: c for c in full_report(spec, FAST).checks}
+        assert list(checks) == [c.name for c in small.checks]
+        assert checks["method_agreement_ss"].passed, checks["method_agreement_ss"].line()
 
     def test_summary_and_dict(self, hyp_example):
         rep = full_report(hyp_example, FAST)
