@@ -44,9 +44,9 @@ import mpmath as mp
 
 from .equations import (
     EquationSpec,
+    _check_resonance,
     _quadratic_parts,
     _shifted_product,
-    coefficient_table,
     validate,
 )
 from .errors import (
@@ -102,11 +102,11 @@ _EPS64 = 2.0**-53  # unit roundoff of binary64
 _TAIL_MIN_DEPTH = 64
 _ROOT_FACTOR = 8
 _MODE_MARGIN = 4.0
-# Roundings per row of a binary64 sweep and its coefficient table
-# (_sweep_floor).  Against the same forward and eta sweeps in mpmath at 40
-# digits, on 4,800 seeded specs per family, half complex, the worst was 6.7
-# per row, except where a root of Q_k lies within 0.036 of an integer: there
-# the table's rounding reached 24 on 8 specs.
+# Roundings per row of a binary64 sweep (_sweep_floor).  Against the same
+# forward and eta sweeps in mpmath at 40 digits (tools/sweep_roundings.py),
+# the worst was 1.3 per row on 200 seeded specs per family, half complex, and
+# 5.6 (HE; CHE 1.9) on 150 per family where a root of Q_k lies within 0.036
+# of an integer, from the large rows next to that root.
 _SWEEP_ROUNDINGS = 8
 # A 1/k tail is given up after this many pairs of terms without a new
 # smallest pair, or past this many terms in all.
@@ -301,11 +301,12 @@ def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[A
     cancellation at special parameters.  Raises :class:`NonConvergence`,
     listing the terms, when ``_TAIL_STALL`` pairs in a row bring no new
     smallest pair, or past ``_TAIL_MAX_ORDER`` terms."""
-    total, sizes, best, best_at = 0, [], math.inf, 0
+    total, sizes, size, best, best_at = 0, [], 0.0, math.inf, 0
     for n, term in enumerate(terms, 1):
         total = total + term
-        sizes.append(float(abs(term)))
-        pair = max(sizes[-2:])
+        last, size = size, float(abs(term))
+        sizes.append(size)
+        pair = max(last, size)
         if n >= 2 and pair < eps * (float(abs(total)) if relative else 1.0):
             return total, pair
         if pair < best:
@@ -418,19 +419,40 @@ def _u_space(quadratics: tuple) -> tuple:
     return tuple(([complex(c) for c in reversed(poly)] + [0, 0], _ZERO) for poly in quadratics)
 
 
+def _sweep_rows(spec: EquationSpec) -> tuple:
+    """Constants of the sweeps' rows ``lam alpha_k = -lam R_k / Q_k`` and ``lam
+    beta_k = lam P_k k (k - 2 theta0) / (Q_k Q_{k-1})``, with ``R`` and ``P``
+    from :func:`_quadratic_parts` and ``Q_k = (k + a - x)(k + a + x)``, ``a =
+    1/2 - theta0 + theta1``: ``(a - x, a + x, 2 theta0, lam R, lam P)``, the
+    last two as triples ``(c0, c1, c2)``."""
+    _, _, r, p = _quadratic_parts(spec)
+    a, x, lam = 0.5 - spec.theta0 + spec.theta1, spec.omega, spec.lam
+    return a - x, a + x, 2 * spec.theta0, [lam * c for c in r], [lam * c for c in p]
+
+
 def _eta_sweep(spec: EquationSpec, k_top: int, seed: Any) -> list:
     """Backward pass of ``eta_k = 1 - lam alpha_{k-1} - lam beta_k / eta_{k+1}``
     from ``eta_{k_top+1} = seed`` down to ``k = 1``; returns ``[eta_1, ...,
-    eta_k_top]``, from one coefficient table of the indices ``0 .. k_top``.
+    eta_k_top]``, each row formed in the loop (:func:`_sweep_rows`); every
+    ``eta_k`` is 1 at ``lam = 0``, HYP included.
     """
-    lam = spec.lam
-    eta = seed
-    out = [seed] * k_top
-    alphas, betas = coefficient_table(spec, 0, k_top + 1)
-    for k in range(k_top, 0, -1):
+    if spec.lam == 0:
+        return [1.0] * k_top
+    _check_resonance(spec, 0, k_top + 1)
+    am, ap, two_t0, (r0, r1, r2), (p0, p1, p2) = _sweep_rows(spec)
+    eta, out = seed, []
+    q = (k_top + am) * (k_top + ap)
+    # Float indices: without int operands CPython takes its float fast path.
+    for k in map(float, range(k_top, 0, -1)):
         if abs(eta) < 1e-14:
-            raise CFBreakdown(f"continued-fraction denominator vanished at k = {k + 1}")
-        eta = out[k - 1] = 1 - lam * alphas[k - 1] - lam * betas[k] / eta
+            raise CFBreakdown(f"continued-fraction denominator vanished at k = {int(k) + 1}")
+        j = k - 1.0
+        qm = (j + am) * (j + ap)
+        beta = (p0 + k * (p1 + k * p2)) * k * (k - two_t0) / (q * eta)
+        eta = 1.0 + (r0 + j * (r1 + j * r2) - beta) / qm
+        out.append(eta)
+        q = qm
+    out.reverse()
     return out
 
 
@@ -512,10 +534,21 @@ def _check_tol(err: float, tol: float, K: int, what: str) -> None:
 
 def _forward_sweep(spec: EquationSpec, start: int, stop: int) -> Any:
     """``a_stop`` of ``a_{k+1} = a_k - lam (alpha_k a_k + beta_k a_{k-1})`` from
-    ``a_start = 1``, ``a_{start-1} = 0``: the determinant of rows ``start .. stop-1``."""
-    a_km1, a_k = 0.0, 1.0 + 0 * spec.theta0
-    for al, be in zip(*coefficient_table(spec, start, stop)):
-        a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
+    ``a_start = 1``, ``a_{start-1} = 0``: the determinant of rows ``start ..
+    stop-1``, each formed in the loop (:func:`_sweep_rows`); 1 at ``lam = 0``."""
+    a_k = 1.0 + 0 * spec.theta0
+    if spec.lam == 0 or stop <= start:
+        return a_k
+    _check_resonance(spec, start, stop)
+    am, ap, two_t0, (r0, r1, r2), (p0, p1, p2) = _sweep_rows(spec)
+    # The first row's beta meets a_{start-1} = 0.
+    k = float(start)
+    q = (k + am) * (k + ap)
+    a_k, a_km1 = a_k + (r0 + k * (r1 + k * r2)) * a_k / q, a_k
+    for k in map(float, range(start + 1, stop)):
+        qm, q = q, (k + am) * (k + ap)
+        beta = (p0 + k * (p1 + k * p2)) * k * (k - two_t0) * a_km1 / qm
+        a_k, a_km1 = a_k + ((r0 + k * (r1 + k * r2)) * a_k - beta) / q, a_k
     return a_k
 
 
@@ -570,7 +603,8 @@ def _pref_err(spec: EquationSpec, eps: float) -> float:
 def _scalar_with_depth(
     spec: EquationSpec, method: str, tol: float, max_depth: int = _MAX_DEPTH
 ) -> tuple[complex, float, int]:
-    """:func:`connection_scalar` of a valid spec past the gate, and the depth ``K``."""
+    """:func:`connection_scalar` of a valid spec past the gate by ``method``,
+    ``"cf"`` or ``"recurrence"``, and the depth ``K``."""
     pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
     # The prefactor's own error and the final rounding of the value to binary64.
     rel_err = _pref_err(spec, _unit_roundoff(is_mp(pref))) + _EPS64
@@ -580,13 +614,9 @@ def _scalar_with_depth(
     if method == "cf":
         log_a, depth, err = _cf_limit(spec, tol, max_depth)
         val = pref * p_exp(log_a)
-    elif method == "recurrence":
+    else:
         a_inf, depth, err = _recurrence_limit(spec, tol, max_depth)
         val = pref * a_inf
-    else:
-        raise DomainError(
-            f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
-        )
     # Scaled by the larger of |value| and |pref|: near a zero of the amplitude
     # the sweep's rounding stays at the size of its O(1) iterates.
     scale = max(abs(val), abs(pref))
@@ -609,6 +639,10 @@ def connection_scalar(
     _check_tol_arg(tol)
     method = _method_name(method)
     _check_lambda_gate(validate(spec), allow_large_coupling)
+    if method not in ("cf", "recurrence"):
+        raise DomainError(
+            f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
+        )
     val, err, _ = _scalar_with_depth(spec, method, tol, max_depth)
     return val, err
 

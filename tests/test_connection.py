@@ -472,20 +472,37 @@ class TestLargeOrder:
         assert mp.mp.dps == dps
 
 
-def _count_table_rows(monkeypatch) -> list:
-    """Indices of the coefficient-table rows the connection routes request
-    from here on."""
+def _count_sweeps(monkeypatch) -> list:
+    """Names of the sweeps the connection routes run from here on."""
     import heunconn.connection as connection
 
-    rows = []
-    real = connection.coefficient_table
+    calls = []
+    for name in ("_eta_sweep", "_forward_sweep"):
+        real = getattr(connection, name)
 
-    def counting(spec, start, stop):
-        rows.extend(range(start, stop))
-        return real(spec, start, stop)
+        def counting(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(connection, "coefficient_table", counting)
-    return rows
+        monkeypatch.setattr(connection, name, counting)
+    return calls
+
+
+def _reference_etas(spec, k_top: int, seed) -> list:
+    """The eta sweep over the rows of ``coefficient_table``."""
+    alphas, betas = coefficient_table(spec, 0, k_top + 1)
+    out, eta = [seed] * k_top, seed
+    for k in range(k_top, 0, -1):
+        eta = out[k - 1] = 1 - spec.lam * alphas[k - 1] - spec.lam * betas[k] / eta
+    return out
+
+
+def _reference_forward(spec, start: int, stop: int):
+    """The forward sweep over the rows of ``coefficient_table``."""
+    a_km1, a_k = 0.0, 1.0 + 0 * spec.theta0
+    for al, be in zip(*coefficient_table(spec, start, stop)):
+        a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
+    return a_k
 
 
 class TestContinuedFraction:
@@ -506,13 +523,43 @@ class TestContinuedFraction:
         etas = _eta_sweep(rche_example, 2**16, 1.0)
         assert abs(etas[-1] - 1.0) <= 1e-6
 
-    def test_eta_sweep_reads_each_index_once(self, he_example, monkeypatch):
-        rows = _count_table_rows(monkeypatch)
-        k_top = 300
-        etas = _eta_sweep(he_example, k_top, 1.0)
-        assert rows == list(range(k_top + 1))
-        monkeypatch.undo()
-        assert etas == _eta_sweep(he_example, k_top, 1.0)
+    def test_sweeps_form_their_own_rows(self, he_example, monkeypatch):
+        import heunconn.connection as connection
+        import heunconn.equations as equations
+
+        def refuse(*args):
+            raise AssertionError("a sweep read the coefficient table")
+
+        monkeypatch.setattr(equations, "coefficient_table", refuse)
+        assert not hasattr(connection, "coefficient_table")
+        _eta_sweep(he_example, 300, 1.0)
+        _forward_sweep(he_example, 0, 300)
+        _forward_sweep(he_example, 300, 601)
+
+    @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE", "HYP", "lam0", "mpmath"])
+    def test_sweeps_match_the_coefficient_table(self, family, che_example):
+        # Both sweeps against the same sweeps over coefficient_table rows, on
+        # the seeded specs of each family, an mpmath spec, HYP and lam = 0.
+        eps = 2.0**-53
+        if family == "HYP":
+            specs = [hyp_spec(0.1, 0.2, 0.3)]
+        elif family == "lam0":
+            specs = [rche_spec(0.1, 0.2, 0.3, 0.0), he_spec(0.1, 0.2, 0.3, 0.4, 0.25, 0.0)]
+        elif family != "mpmath":
+            specs = _sweep_specs(family, 16)
+        with mp.workdps(30):
+            if family == "mpmath":
+                specs, eps = [spec_to_precision(che_example, HIGH)], 2.0**-mp.mp.prec
+            for spec in specs:
+                K = _tail_depth(spec, eps, 2**20, "sweep")
+                floor = _sweep_floor(spec, K, eps)
+                pairs = [
+                    (_forward_sweep(spec, 0, K), _reference_forward(spec, 0, K)),
+                    (_forward_sweep(spec, K, 2 * K + 1), _reference_forward(spec, K, 2 * K + 1)),
+                ]
+                pairs += zip(_eta_sweep(spec, K, 1.0), _reference_etas(spec, K, 1.0))
+                for got, ref in pairs:
+                    assert abs(got - ref) <= floor * max(abs(ref), 1.0), spec
 
     def test_vanishing_seed_is_a_breakdown(self, rche_example):
         with pytest.raises(CFBreakdown, match="denominator vanished at k = 11"):
@@ -538,7 +585,7 @@ class TestContinuedFraction:
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
     def test_resonance_raised_by_both_sweeps(self, family):
         spec = resonant_spec(family)
-        # The backward sweep checks its whole table before it starts, so it
+        # The backward sweep checks all its rows before it starts, so it
         # names the first resonant row; row by row it met k = 6 first.
         with pytest.raises(AccessoryResonance, match=r"vanishes at k = [56] \(Q = "):
             _eta_sweep(spec, 300, 1.0)
@@ -575,12 +622,14 @@ class TestContinuedFraction:
         # The forward sweep from row 0 and from row K, and the eta sweep
         # from the cf route's binary64 seed, against the same sweeps in
         # mpmath at 40 digits, relative to the O(1) iterates as the routes
-        # scale them.  Where Q_0 or Q_1 nearly
-        # cancels (within 0.036 of the gamma-argument margin), the table's
-        # rounding went past the floor on 8 of 14,400 seeded specs.
+        # scale them.  The CHE specs include some where Q_0 or Q_1 nearly
+        # cancels: formed as (a - x)(a + x), not a^2 - x^2, its rounding
+        # stays per row (tools/sweep_roundings.py).
         eps = 2.0**-53
         specs = _sweep_specs(family, 16)
-        if family == "HE":  # 5.4 roundings per row, far from the margin
+        if family == "CHE":
+            specs += _near_root_specs(family, 8)
+        if family == "HE":  # far from the margin, 5.4 per row with Q_k as a^2 - x^2
             specs.append(he_spec(
                 -0.13963452397957893, -0.31104492881472634, -0.43787434459337793,
                 -0.2059984647166381, -0.18175120914901655, -0.868808763342742,
@@ -599,28 +648,53 @@ class TestContinuedFraction:
                 assert abs(g - r) <= floor * max(abs(r), 1.0), spec
 
 
+def _draw_spec(rng: random.Random, family: str, cplx: bool):
+    """A spec of the validated domain, with complex parameters (imaginary
+    parts up to 0.2) and a complex coupling if ``cplx``, or ``None`` where a
+    gamma argument is within 0.02 of an integer."""
+    reals = [rng.uniform(-0.45, 0.45) for _ in range(4)]
+    reals.append(rng.choice((1, -1)) * rng.uniform(0.08, 0.42))
+    t0, t1, t2, t3, omega = (complex(x, rng.uniform(-0.2, 0.2)) if cplx else x for x in reals)
+    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) if cplx else rng.choice((1, -1))
+    lam = rng.uniform(0.02, 0.9) * phase
+    signs = [(s0, s1, sx) for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)]
+    args = [2 * t0, 2 * t1] + [0.5 + s0 * t0 + s1 * t1 + sx * omega for s0, s1, sx in signs]
+    if min(abs(z - round(z.real)) for z in args) < 0.02:
+        return None
+    if family == "RCHE":
+        return rche_spec(t0, t1, omega, lam)
+    if family == "CHE":
+        return che_spec(t0, t1, omega, t2, lam)
+    return he_spec(t0, t1, t2, t3, omega, lam)
+
+
 def _sweep_specs(family: str, count: int) -> list:
     """Seeded specs of the validated domain, every other one with complex
     parameters (imaginary parts up to 0.2) and a complex coupling."""
     rng = random.Random(11)
     specs = []
     while len(specs) < count:
-        cplx = len(specs) % 2 == 1
-        reals = [rng.uniform(-0.45, 0.45) for _ in range(4)]
-        reals.append(rng.choice((1, -1)) * rng.uniform(0.08, 0.42))
-        t0, t1, t2, t3, omega = (complex(x, rng.uniform(-0.2, 0.2)) if cplx else x for x in reals)
-        phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) if cplx else rng.choice((1, -1))
-        lam = rng.uniform(0.02, 0.9) * phase
-        signs = [(s0, s1, sx) for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)]
-        args = [2 * t0, 2 * t1] + [0.5 + s0 * t0 + s1 * t1 + sx * omega for s0, s1, sx in signs]
-        if min(abs(z - round(z.real)) for z in args) < 0.02:
-            continue
-        if family == "RCHE":
-            specs.append(rche_spec(t0, t1, omega, lam))
-        elif family == "CHE":
-            specs.append(che_spec(t0, t1, omega, t2, lam))
-        else:
-            specs.append(he_spec(t0, t1, t2, t3, omega, lam))
+        spec = _draw_spec(rng, family, len(specs) % 2 == 1)
+        if spec:
+            specs.append(spec)
+    return specs
+
+
+def _near_root_specs(family: str, count: int) -> list:
+    """Seeded specs of the validated domain where a root ``k = -(a +- x)`` of
+    ``Q_k``, ``a = 1/2 - theta0 + theta1``, lies within 0.02 to 0.036 of an
+    integer ``k >= 0``, so that ``Q_k`` cancels there; every other draw has
+    complex parameters."""
+    rng, specs, draws = random.Random(3), [], 0
+    while len(specs) < count:
+        spec = _draw_spec(rng, family, draws % 2 == 1)
+        draws += 1
+        if spec:
+            a = 0.5 - spec.theta0 + spec.theta1
+            near = [abs(z - round(z.real)) for z in (a - spec.omega, a + spec.omega)
+                    if round(z.real) <= 0]
+            if near and 0.02 <= min(near) <= 0.036:
+                specs.append(spec)
     return specs
 
 
@@ -641,10 +715,8 @@ def _eta_tail(spec, K: int) -> complex:
 
 def _a_limit(spec, K: int) -> complex:
     """The recurrence route's a_K / S(K)."""
-    a_km1, a_k = 0.0, 1.0
-    for al, be in zip(*coefficient_table(spec, 0, K)):
-        a_k, a_km1 = a_k - spec.lam * (al * a_k + be * a_km1), a_k
-    return a_k / _tail_sum(_formal_tail(_a_space(spec), spec.lam, 0, 1 / K))
+    tail = _tail_sum(_formal_tail(_a_space(spec), spec.lam, 0, 1 / K))
+    return _reference_forward(spec, 0, K) / tail
 
 
 # Dropping one coefficient of the recurrence from the tail moved these
@@ -855,10 +927,10 @@ class TestGuardsAndLimits:
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_tiny_depth_gives_up_before_sweeping(self, rche_example, method, monkeypatch):
         # The example needs K = 64.
-        rows = _count_table_rows(monkeypatch)
+        sweeps = _count_sweeps(monkeypatch)
         with pytest.raises(NonConvergence, match="above max_depth = 32"):
             connection_scalar(rche_example, method=method, max_depth=32)
-        assert rows == []
+        assert sweeps == []
 
     @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
     def test_unreachable_tolerance_stalls_fast(self, rche_example, method):
@@ -906,6 +978,16 @@ class TestGuardsAndLimits:
     def test_scalar_route_names_its_methods(self, rche_example, method):
         with pytest.raises(DomainError, match="supports methods 'cf' and 'recurrence'"):
             connection_scalar(rche_example, method)
+
+    @pytest.mark.parametrize("method", ["ss", "bogus"])
+    @pytest.mark.parametrize(
+        "spec", [hyp_spec(0.1, 0.2, 0.3), rche_spec(0.1, 0.2, 0.3, 0.0)], ids=["HYP", "lam0"]
+    )
+    def test_scalar_route_names_its_methods_without_coupling(self, spec, method):
+        # Where the coupling vanishes the value is the gamma ratio alone,
+        # which must not hide a method the route does not have.
+        with pytest.raises(DomainError, match="supports methods 'cf' and 'recurrence'"):
+            connection_scalar(spec, method)
 
     def test_unknown_method_is_a_domain_error(self, rche_example):
         with pytest.raises(DomainError, match="method must be one of"):
