@@ -11,7 +11,8 @@ on which their up-steps occur gives
 where ``mu`` runs over compositions of ``n`` (the walk types) and ``N_mu``
 counts walks of each type.  The series coefficients then follow from
 ``ln a_inf = -sum_n Tr A^{2n} lam^n / (2n)`` for the purely two-term
-(RCHE-like) case.
+(RCHE-like) case.  The walk sums run to a depth ``K``; the rest comes from
+the formal ``1/k`` tail of the tail determinants (:mod:`heunconn.tails`).
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .connection import (
-    _d_space, _formal_tail, _inverse_depth, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff,
-)
 from .equations import EquationSpec, coefficient_table, validate
 from .errors import DomainError, FamilyFieldError, SizeError
-from .perturbative import _Orders, _series_log
+from .tails import d_space, root_depth, series_log, summed_tail
 
 __all__ = [
     "compositions",
@@ -136,7 +134,7 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     """``Tr A^{2n}`` for the two-term transition matrix built from the
     family's ``beta_k``, via the walk-type expansion: the weighted ``beta``
     products of every walk type summed directly for ``k <= K``
-    (:func:`connection._root_depth`), plus the rest ``T_n(K)``.  The direct
+    (:func:`tails.root_depth`), plus the rest ``T_n(K)``.  The direct
     sums take a whole column of ``k`` at a time: each type's products over
     all ``k``, multiplied in the order of the per-``k`` product, added type
     by type into one column, which is then summed over ``k``.
@@ -145,9 +143,10 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
     tail determinant has ``ln D_{K+1} = -sum_n lam^n T_n(K) / (2n)`` (``D_inf =
     1`` as ``alpha = 0``).  So ``T_n(K) = -2n [lam^n] ln S_d(K+1)``, with
     ``S_d`` the ``cf`` route's formal ``1/k`` series of the tail determinants
-    (:func:`connection._d_space`) as λ-jets to order ``n``, summed to working
-    precision.  Only families with ``alpha == 0`` (RCHE) expose the two-term
-    structure; others raise :class:`FamilyFieldError`.
+    (:func:`tails.summed_tail` of :func:`tails.d_space`) as λ-jets to order
+    ``n``, summed to working precision.  Only families with ``alpha == 0``
+    (RCHE) expose the two-term structure; others raise
+    :class:`FamilyFieldError`.
     """
     _check_two_term(spec)
     if not isinstance(n, int) or n < 1:
@@ -168,12 +167,10 @@ def _check_two_term(spec: EquationSpec) -> None:
 def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
     """:func:`trace_power` of a valid RCHE spec at each of ``orders``, all
     ``<= N``, from one coefficient table and one tail to order ``N``."""
-    K = _root_depth(spec)
+    K = root_depth(spec)
     _, betas = coefficient_table(spec, 1, K + N)
-    eps = _unit_roundoff(_is_mp_spec(spec))
-    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), N))
-    s_d, _ = _sum_tail(tail, eps, False, "walk-trace tail")
-    log_s = _series_log(s_d)
+    s_d, _ = summed_tail(spec, d_space, K + 1, "walk-trace tail", N, relative=False)
+    log_s = series_log(s_d)
     columns = [betas[off : off + K] for off in range(N)]  # beta_{k+off}, k = 1 .. K
     out = []
     for n in orders:

@@ -22,33 +22,25 @@ routes are implemented:
   ``C_{e e'} = -W(psi0_e, psi1_{-e'}) / (2 e' theta1)``.
 
 The first three produce the scalar ``C(theta0, theta1)``; matrix entries come
-from sign-flipped parameter sets.  One kernel, :func:`_formal_tail`, gives
-their formal series from each route's own recurrence, so they share no tail
-coefficient.  All four agree within stated tolerances and mutually certify
-each other.
+from sign-flipped parameter sets.  Their depths and formal series come from
+:mod:`heunconn.tails`, one kernel run on each route's own recurrence, so
+they share no tail coefficient.  All four agree within stated tolerances
+and mutually certify each other.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, count, islice, repeat, tee
-from operator import add, mul, truediv
-from typing import Any, Iterator
+from itertools import accumulate, islice, repeat, tee
+from operator import mul
+from typing import Any
 
 import mpmath as mp
 
-from .equations import (
-    EquationSpec,
-    _check_resonance,
-    _quadratic_parts,
-    _shifted_product,
-    validate,
-)
+from .equations import EquationSpec, _check_resonance, _quadratic_parts, validate
 from .errors import (
     CFBreakdown,
     DetCheckFailed,
@@ -68,6 +60,10 @@ from .precision import (
     p_power,
 )
 from .special import log_gamma
+from .tails import (
+    EPS64, a_space, d_space, formal_tail, inverse_depth, is_mp_spec, log_second_mode, sum_tail,
+    summed_tail, tail_depth, u_space, unit_roundoff,
+)
 
 __all__ = [
     "ConnectionMatrix",
@@ -95,27 +91,12 @@ _PROBE_REACH = max(abs(_PROBE), abs(1.0 - _PROBE))  # of the route's local basis
 # triples, against 5.7e-14 from the complex kernel); complex parameters still
 # take the kernel, so the floor stays.
 _PREF_ERR = 1e-13
-_EPS64 = 2.0**-53  # unit roundoff of binary64
-# Depth rule of the cf, recurrence and ss sweeps (see _tail_depth): at least
-# _TAIL_MIN_DEPTH, _ROOT_FACTOR times above the roots of the denominators, and
-# deep enough that the second solution is e^-_MODE_MARGIN below the roundoff.
-_TAIL_MIN_DEPTH = 64
-_ROOT_FACTOR = 8
-_MODE_MARGIN = 4.0
 # Roundings per row of a binary64 sweep (_sweep_floor).  Against the same
 # forward and eta sweeps in mpmath at 40 digits (tools/sweep_roundings.py),
 # the worst was 1.3 per row on 200 seeded specs per family, half complex, and
 # 5.6 (HE; CHE 1.9) on 150 per family where a root of Q_k lies within 0.036
 # of an integer, from the large rows next to that root.
 _SWEEP_ROUNDINGS = 8
-# A 1/k tail is given up after this many pairs of terms without a new
-# smallest pair, or past this many terms in all.
-_TAIL_STALL = 8
-_TAIL_MAX_ORDER = 200
-# 1/i! and (-1)^i/i! from i = 2, for the shifts (1 +- 1/k)^rho S(k +- 1) at rho != 0
-_INV_FACT = list(accumulate(range(1, _TAIL_MAX_ORDER + 2), truediv, initial=1.0))[2:]
-_ALT_INV_FACT = [-f if i % 2 else f for i, f in enumerate(_INV_FACT)]
-_ZERO = (0,) * 5  # a vanishing polynomial part of _formal_tail
 
 
 @dataclass(frozen=True)
@@ -196,229 +177,6 @@ def _check_lambda_gate(spec: EquationSpec, allow_large_coupling: bool) -> None:
         )
 
 
-def _is_mp_spec(spec: EquationSpec) -> bool:
-    return any(map(is_mp, vars(spec).values()))
-
-
-def _unit_roundoff(mpmath_numbers: bool) -> float:
-    """Unit roundoff: that of the current mpmath precision for mpmath
-    numbers, else binary64's ``2^-53``."""
-    return 2.0**-mp.mp.prec if mpmath_numbers else _EPS64
-
-
-def _log_second_mode(spec: EquationSpec, K: int) -> float:
-    """ln of a bound on the recurrence's second solution from depth ``K`` on,
-    relative to the first.  Its characteristic roots are 1 and
-    ``lam beta^(0)``: ``beta^(0) = 1`` for HE, so the second solution decays
-    like ``|lam|^k k^p``, with ``p = -2 Re(theta_t + theta1)`` the difference
-    of the two solutions' power laws (counted when positive); for RCHE and
-    CHE ``beta_k`` falls like ``1/k`` or faster, so it decays like ``|lam|^k /
-    k!``.  The bound sums these sizes over ``k >= K``."""
-    lam_abs = abs(spec.lam)
-    if lam_abs == 0:
-        return -math.inf
-    if spec.family == "HE":
-        power = max(0.0, -2 * complex(spec.theta_t + spec.theta1).real)
-        ratio = lam_abs * math.exp(power / K)  # bounds the ratio of two sizes
-        log_scale = power * math.log(K)
-    else:
-        ratio = lam_abs / (K + 1)
-        log_scale = -math.lgamma(K + 1)
-    if ratio >= 1.0:
-        return math.inf
-    return K * math.log(lam_abs) - math.log1p(-ratio) + log_scale
-
-
-def _root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
-    """The smallest depth ``K >= _TAIL_MIN_DEPTH`` that is ``_ROOT_FACTOR``
-    times above ``reach`` and every root of ``Q_k`` and ``Q_{k-1}``: the ``1/k``
-    expansions of the coefficients converge fast there, and every index where
-    the accessory-resonance gate can fire is below it."""
-    a = complex(0.5 - spec.theta0 + spec.theta1)
-    x = complex(_third_parameter(spec))
-    reach = max(reach, *(abs(s - a + e * x) for s in (0, 1) for e in (1, -1)))
-    return max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
-
-
-def _tail_depth(
-    spec: EquationSpec, eps: float, max_depth: int, what: str, reach: float = 0.0
-) -> int:
-    """Sweep depth ``K`` of the ``cf``, ``recurrence`` and ``ss`` routes, from
-    the spec alone: the smallest ``K >= _TAIL_MIN_DEPTH`` that is
-
-    * at least :func:`_root_depth` of ``reach``, for HE also ``_ROOT_FACTOR``
-      times above ``1 / |1 - lam|``;
-    * deep enough that the second solution (:func:`_log_second_mode`) is below
-      ``eps e^-_MODE_MARGIN``: for HE the ``1/k`` series grow like
-      ``n! n^p / (K ln(1/|lam|))^n`` at large order ``n``, and their smallest
-      term, about ``sqrt(2 pi K ln(1/|lam|)) |lam|^K K^p``, must fall below
-      ``eps``.
-
-    The bound is unimodal in ``K``, so once it is above the target it falls
-    below it only once: a gallop and a bisection find that ``K``.  Raises
-    :class:`NonConvergence` when ``K`` would exceed ``max_depth``.
-    """
-    if spec.family == "HE":
-        reach = max(reach, 1.0 / abs(1 - complex(spec.lam)))
-    K = _root_depth(spec, reach)
-    target = math.log(eps) - _MODE_MARGIN
-    lam_abs = abs(spec.lam)
-    if spec.family == "HE" and lam_abs > 0:
-        K = max(K, math.ceil((target + math.log1p(-lam_abs)) / math.log(lam_abs)))
-
-    def reached(k: int) -> bool:
-        return k > max_depth or _log_second_mode(spec, k) <= target
-
-    if not reached(K):
-        step = 1
-        while not reached(K + step):
-            K, step = K + step, 2 * step
-        K += 1 + bisect.bisect_left(range(K + 1, K + step), True, key=reached)
-    if K > max_depth:
-        raise NonConvergence(f"{what} needs depth K = {K}, above max_depth = {max_depth}")
-    return K
-
-
-def _inverse_depth(spec: EquationSpec, K: int) -> Any:
-    """``1/K`` in the spec's real number type: a binary64 ``1/K`` would hold an
-    mpmath spec's ``1/K`` series near binary64's relative accuracy."""
-    return 1 / (K + 0 * spec.theta0).real
-
-
-@functools.cache  # at most _TAIL_MAX_ORDER rows
-def _binomial_rows(n: int) -> tuple[tuple, tuple]:
-    """Row ``n`` of Pascal's triangle, ``C(n, i)``, and the same with signs
-    ``(-1)^(n-i)``, as Python ints (exact under mpmath)."""
-    row = tuple(math.comb(n, i) for i in range(n + 1))
-    return row, tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row))
-
-
-def _sum_tail(terms: Iterator, eps: float, relative: bool, what: str) -> tuple[Any, float]:
-    """Sum an asymptotic series until two terms in a row are below ``eps``
-    (times the magnitude of the sum when ``relative``); returns ``(sum, larger
-    of those two sizes)``, which bounds the omitted terms of a decreasing
-    series.  Terms are judged in pairs because one small term can be a
-    cancellation at special parameters.  Raises :class:`NonConvergence`,
-    listing the terms, when ``_TAIL_STALL`` pairs in a row bring no new
-    smallest pair, or past ``_TAIL_MAX_ORDER`` terms."""
-    total, sizes, size, best, best_at = 0, [], 0.0, math.inf, 0
-    for n, term in enumerate(terms, 1):
-        total = total + term
-        last, size = size, float(abs(term))
-        sizes.append(size)
-        pair = max(last, size)
-        if n >= 2 and pair < eps * (float(abs(total)) if relative else 1.0):
-            return total, pair
-        if pair < best:
-            best, best_at = pair, n
-        if n - best_at >= _TAIL_STALL or n >= _TAIL_MAX_ORDER:
-            raise NonConvergence(
-                f"{what}: the 1/k tail stopped decreasing before {eps:.1e}; terms "
-                + ", ".join(f"{s:.1e}" for s in sizes)
-            )
-    raise AssertionError("endless series ended")  # pragma: no cover
-
-
-def _formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Iterator:
-    """Terms ``e_n K^-n`` (``inv_k = 1/K``) of the formal solution ``y_k ~ k^rho
-    S(k)``, ``S(k) = sum_n e_n k^-n``, ``e_0 = 1``, of ``L(k) y_{k+1} - A(k)
-    y_k + B(k) y_{k-1} = 0`` at the coupling ``lam + delta``, each as the list
-    of its orders ``0 .. N`` in ``delta``, or at ``N = 0`` as the bare value at
-    ``lam``.  ``parts`` holds ``(free, linear)`` of ``L``, ``A``, ``B``, each
-    ``free + (lam + delta) linear``, as 5 coefficients in ``w = 1/k`` of
-    ``k^-d`` times it, ``d <= 4``.
-
-    Divided by ``k^(rho+d)`` the recurrence reads ``L(w) P_+(w) S(k+1) -
-    A(w) S(k) + B(w) P_-(w) S(k-1) = 0``, ``P_+- = (1 +- w)^rho``.  With the
-    root 1 (``L_0 - A_0 + B_0 = 0``) and its power law (``rho (L_0 - B_0) +
-    L_1 - A_1 + B_1 = 0``) at every coupling, order ``w^(n+1)`` fixes ``e_n``
-    with divisor ``n (L_0 - B_0)``.  One loop over ``n`` steps every order;
-    each passes up what its ``e_n`` adds to the next order's residual (the
-    carry) through the ``linear`` parts and the ``delta`` part of the divisor.
-
-    The shifts enter as ``p_m = [w^m] P_+ S(k+1) = sum_j C(rho-j, m-j) e_j``
-    and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
-    binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
-    rest has fixed length.  At ``rho = 0`` the sums run on the rows of
-    :func:`_binomial_rows`, else in binary64 (finite to order 170) on ``C(rho-j,
-    i) = v h_j / i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
-
-    Where ``rho = 0`` and ``L - A + B`` vanishes at ``lam`` (coupling 0 in
-    :func:`_a_space` and :func:`_d_space`), the jets' order 0 is ``S = 1``
-    exactly and is not computed: its carry is the ``linear`` part of
-    ``L_{n+1} - A_{n+1} + B_{n+1}`` for ``n <= 3``, and nothing after."""
-    (L, (s0, s1, s2, s3, s4)), (A, (_, _, t2, t3, t4)), (B, (u0, u1, u2, u3, u4)) = parts
-    l0, l1, l2, l3, l4 = map(add, L, map(mul, repeat(lam), (s0, s1, s2, s3, s4)))
-    a2, a3, a4 = map(add, A[2:], map(mul, repeat(lam), (t2, t3, t4)))
-    b0, b1, b2, b3, b4 = map(add, B, map(mul, repeat(lam), (u0, u1, u2, u3, u4)))
-    # per order: e, p, q of n-1, n-2, n-3, the binomial sums, and e_1 .. (h_j e_j from j = 0)
-    states = [(1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, [1] if rho else [])]
-    carries, known = repeat(0), 0  # known: 1 where order 0 is S = 1
-    if N:
-        # coefficients of an order's state tuple in the next order's residual
-        slope_row = [s0, u0, s1, u1, s2, -t2, u2, s3, -t3, u3, s4, -t4, u4]
-        if not rho and l2 - a2 + b2 == l3 - a3 + b3 == l4 - a4 + b4 == 0:
-            states, known = [], 1
-            carries = chain([s2 - t2 + u2, s3 - t3 + u3, s4 - t4 + u4], carries)
-        states += [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, [0] if rho else []) for _ in range(N)]
-    divisor, h, v, scale = l0 - b0, 1, rho or 1, 1
-    yield [1] + [0] * N if N else 1
-    for n, carry in zip(count(1), carries):
-        back = rho - n + 1
-        if rho:
-            v *= rho - n
-            h /= back
-            q_row, p_row = _ALT_INV_FACT[n - 1 :: -1], _INV_FACT[n - 1 :: -1]
-        else:
-            q_row, p_row = _binomial_rows(n)
-        step = n * divisor
-        for m, (e1, p1, q1, e2, p2, q2, e3, p3, q3, p_sum, q_sum, seq) in enumerate(states, known):
-            shift = back * e1
-            p_n, q_n = p_sum + shift, q_sum - shift  # without e_n
-            p_sum, q_sum = sum(map(mul, p_row, seq)), sum(map(mul, q_row, seq))
-            if rho:
-                p_sum, q_sum = v * p_sum, v * q_sum
-            residual = (
-                l0 * p_sum + b0 * q_sum + l1 * p_n + b1 * q_n
-                + l2 * p1 - a2 * e1 + b2 * q1
-                + l3 * p2 - a3 * e2 + b3 * q2
-                + l4 * p3 - a4 * e3 + b4 * q3
-            )
-            e = (residual + carry) / step
-            if m < N:  # the last order passes no carry
-                state = p_sum, q_sum, p_n, q_n, p1, e1, q1, p2, e2, q2, p3, e3, q3
-                carry = sum(map(mul, slope_row, state)) - n * (s0 - u0) * e
-            seq.append(e * h)
-            states[m - known] = e, p_n + e, q_n + e, e1, p1, q1, e2, p2, q2, p_sum, q_sum, seq
-        scale *= inv_k
-        yield [0] * known + [x[0] * scale for x in states] if N else e * scale
-
-
-def _a_space(spec: EquationSpec) -> tuple:
-    """:func:`_formal_tail` ``parts`` of ``a_{k+1} = a_k - lam (alpha_k a_k +
-    beta_k a_{k-1})`` times ``Q_k Q_{k-1}``: ``L = Q_k Q_{k-1}``, ``A = L +
-    lam R_k Q_{k-1}``, ``B = lam P_k lead_{k-1}`` (:func:`_quadratic_parts`)."""
-    lead, q, r, p = _quadratic_parts(spec)
-    qq, beta = _shifted_product(q, 0, q, -1), _shifted_product(p, 0, lead, -1)
-    return (qq, _ZERO), (qq, _shifted_product(r, 0, q, -1)), (_ZERO, beta)
-
-
-def _d_space(spec: EquationSpec) -> tuple:
-    """:func:`_formal_tail` ``parts`` of the tail determinants, ``D_k = (1 - lam
-    alpha_{k-1}) D_{k+1} - lam beta_k D_{k+2}``, in ``j = k + 1`` times
-    ``Q_{j-1} Q_{j-2}``: ``L = lam P_{j-1} lead_{j-2}``, ``A = Q_{j-1} Q_{j-2}
-    + lam R_{j-2} Q_{j-1}``, ``B = Q_{j-1} Q_{j-2}``."""
-    lead, q, r, p = _quadratic_parts(spec)
-    qq, beta = _shifted_product(q, -1, q, -2), _shifted_product(p, -1, lead, -2)
-    return (_ZERO, beta), (qq, _shifted_product(r, -2, q, -1)), (qq, _ZERO)
-
-
-def _u_space(quadratics: tuple) -> tuple:
-    """:func:`_formal_tail` ``parts``, taken at coupling 0, of ``lead_k u_{k+1}
-    = A_k u_k - B_k u_{k-1}`` in binary64 from :func:`exact_quadratics`."""
-    return tuple(([complex(c) for c in reversed(poly)] + [0, 0], _ZERO) for poly in quadratics)
-
-
 def _sweep_rows(spec: EquationSpec) -> tuple:
     """Constants of the sweeps' rows ``lam alpha_k = -lam R_k / Q_k`` and ``lam
     beta_k = lam P_k k (k - 2 theta0) / (Q_k Q_{k-1})``, with ``R`` and ``P``
@@ -470,10 +228,10 @@ def log_a_infinity_cf(
 
     ``prod_{k>K} eta_k = S(K+1)``, ``eta_k = D_k / D_{k+1}`` with ``D_k`` the
     tail determinants and ``S`` their formal ``1/k`` series
-    (:func:`_d_space`), summed without its leading 1 to working precision.
+    (:func:`d_space`), summed without its leading 1 to working precision.
     The same series seeds one backward sweep for ``eta_1 .. eta_K`` with
-    ``eta_{K+1} = S(K+1) / S(K+2)``.  ``K`` comes from :func:`_tail_depth`.
-    The error estimate is the last terms of ``S(K+1)`` (:func:`_sum_tail`)
+    ``eta_{K+1} = S(K+1) / S(K+2)``.  ``K`` comes from :func:`tail_depth`.
+    The error estimate is the last terms of ``S(K+1)`` (:func:`sum_tail`)
     and :func:`_sweep_floor`, which charges the seed's error, the last terms
     of both sums, as a rounding of the top row.
     Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
@@ -491,15 +249,15 @@ def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, int,
     if lam == 0:
         return 0.0, 0, 0.0
     what = "continued-fraction sum"
-    mp_spec = _is_mp_spec(spec)
-    eps = _unit_roundoff(mp_spec)
-    K = _tail_depth(spec, eps, max_depth, what)
+    mp_spec = is_mp_spec(spec)
+    eps = unit_roundoff(mp_spec)
+    K = tail_depth(spec, eps, max_depth, what)
     # The terms of S(K+1) - 1, and times ((K+1)/(K+2))^n those of S(K+2) - 1
-    terms = islice(_formal_tail(_d_space(spec), lam, 0, _inverse_depth(spec, K + 1)), 1, None)
+    terms = islice(formal_tail(d_space(spec), lam, 0, inverse_depth(spec, K + 1)), 1, None)
     terms, shifted = tee(terms)
-    ratio = (K + 1) * _inverse_depth(spec, K + 2)
-    rest, omitted = _sum_tail(terms, eps, False, what)
-    rest2, omitted2 = _sum_tail(map(mul, shifted, accumulate(repeat(ratio), mul)), eps, False, what)
+    ratio = (K + 1) * inverse_depth(spec, K + 2)
+    rest, omitted = sum_tail(terms, eps, False, what)
+    rest2, omitted2 = sum_tail(map(mul, shifted, accumulate(repeat(ratio), mul)), eps, False, what)
     rel, rel2 = omitted / float(abs(1 + rest)), omitted2 / float(abs(1 + rest2))
     log = mp.log if mp_spec else cmath.log
     total = sum(map(log, _eta_sweep(spec, K, (1 + rest) / (1 + rest2))))
@@ -513,7 +271,7 @@ def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, int,
 
 def _sweep_floor(spec: EquationSpec, K: int, eps: float, seed_err: float = 0.0) -> float:
     """Relative error a sweep to depth ``K`` leaves besides its tail: the
-    second solution (:func:`_log_second_mode`) and ``_SWEEP_ROUNDINGS``
+    second solution (:func:`log_second_mode`) and ``_SWEEP_ROUNDINGS``
     roundings per row, plus ``seed_err``, the relative error of the cf
     sweep's seed, which enters its top row as a rounding does.  Each row
     passes on about ``lam beta_k`` of an error ``d``: at most about
@@ -522,7 +280,7 @@ def _sweep_floor(spec: EquationSpec, K: int, eps: float, seed_err: float = 0.0) 
     rounding = _SWEEP_ROUNDINGS * K * eps + seed_err
     if spec.family == "HE":
         rounding /= abs(1 - complex(spec.lam))
-    return math.exp(_log_second_mode(spec, K)) + rounding
+    return math.exp(log_second_mode(spec, K)) + rounding
 
 
 def _check_tol(err: float, tol: float, K: int, what: str) -> None:
@@ -556,17 +314,15 @@ def _recurrence_limit(
     spec: EquationSpec, tol: float, max_K: int = _MAX_DEPTH
 ) -> tuple[Any, int, float]:
     """``a_inf = a_K / S(K)`` from one forward sweep of the rescaled
-    recurrence to ``a_K`` and its formal solution ``S`` (:func:`_a_space`)
+    recurrence to ``a_K`` and its formal solution ``S`` (:func:`a_space`)
     summed to working precision, for a valid spec with ``lam != 0``.  The
-    error estimate is the last terms of ``S`` (:func:`_sum_tail`) and
+    error estimate is the last terms of ``S`` (:func:`sum_tail`) and
     :func:`_sweep_floor`, relative to ``max(|a_inf|, 1)``: the sweep's
     rounding stays at the size of its iterates, which start at ``a_0 = 1``."""
-    lam = spec.lam
     what = "recurrence limit"
-    eps = _unit_roundoff(_is_mp_spec(spec))
-    K = _tail_depth(spec, eps, max_K, what)
-    terms = _formal_tail(_a_space(spec), lam, 0, _inverse_depth(spec, K))
-    total, omitted = _sum_tail(terms, eps, True, what)
+    eps = unit_roundoff(is_mp_spec(spec))
+    K = tail_depth(spec, eps, max_K, what)
+    total, omitted = summed_tail(spec, a_space, K, what)
     a_inf = _forward_sweep(spec, 0, K) / total
     rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
     err = max(float(abs(a_inf)), 1.0) * rel
@@ -594,7 +350,7 @@ def _pref_err(spec: EquationSpec, eps: float) -> float:
     magnified near a pole of the gamma function (1 where ``Re z >= 1/2``)."""
     t0, t1, x = spec.theta0, spec.theta1, _third_parameter(spec)
     a = 0.5 + t1 - t0
-    ulps = _PREF_ERR / _EPS64
+    ulps = _PREF_ERR / EPS64
     for z in (1 - 2 * t0, 2 * t1, a + x, a - x):
         ulps += abs(z) / abs(z - round(z.real)) if z.real < 0.5 else 1.0
     return float(eps * ulps)
@@ -607,7 +363,7 @@ def _scalar_with_depth(
     ``"cf"`` or ``"recurrence"``, and the depth ``K``."""
     pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
     # The prefactor's own error and the final rounding of the value to binary64.
-    rel_err = _pref_err(spec, _unit_roundoff(is_mp(pref))) + _EPS64
+    rel_err = _pref_err(spec, unit_roundoff(is_mp(pref))) + EPS64
     if spec.family == "HYP" or spec.lam == 0:
         return complex(pref), rel_err * float(abs(pref)), 0
     pref = pref * _assembly_prefactor(spec)
@@ -667,11 +423,11 @@ def _ss_scalar(
 
     The estimate is ``|value|`` times the sum of:
 
-    * the omitted tail terms (:func:`_sum_tail`);
-    * the second solution (:func:`_log_second_mode`);
+    * the omitted tail terms (:func:`sum_tail`);
+    * the second solution (:func:`log_second_mode`);
     * the fixed-point rounding, ``K`` units of the working ``dps``;
     * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor
-      ``n (1 - B_2)`` of :func:`_formal_tail` magnifies the rounding of each
+      ``n (1 - B_2)`` of :func:`formal_tail` magnifies the rounding of each
       residual;
     * a ``1e-15`` floor for the assembly's roundings.
 
@@ -681,20 +437,20 @@ def _ss_scalar(
     precision (:func:`_ss_precision`) follow ``theta1`` itself."""
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
-    K = _tail_depth(spec, _EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
+    K = tail_depth(spec, EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
     dps, bits = _ss_precision(complex(spec.theta1), K)
     quadratics, exact = exact_quadratics(spec, K)
     u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))
     rho = 2 * exact.theta1 - 1
-    terms = _formal_tail(_u_space(quadratics), 0, complex(rho), 1.0 / K)
-    total, omitted = _sum_tail(terms, _EPS64, True, what)
+    terms = formal_tail(u_space(quadratics), 0, complex(rho), 1.0 / K)
+    total, omitted = sum_tail(terms, EPS64, True, what)
     val = amplitude(exact, rho, u_K, bits, K) / total
     b2 = complex(quadratics[2][2])
     rel = (
         omitted / abs(total)
-        + math.exp(_log_second_mode(spec, K))
+        + math.exp(log_second_mode(spec, K))
         + K * 10.0**-dps
-        + 2 * _EPS64 / abs(1 - b2)
+        + 2 * EPS64 / abs(1 - b2)
     )
     _check_tol(rel, tol, K, what)
     return val, abs(val) * (rel + 1e-15), K
@@ -705,14 +461,14 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     coefficients: ``C = pref * Gamma(2 theta1) * lim_k k^(1-2 theta1) u_k``.
 
     The forward recurrence for ``u_k`` runs once to a depth ``K`` chosen from
-    the spec (:func:`_tail_depth` at binary64, with the root ``2 theta0 - 1``
+    the spec (:func:`tail_depth` at binary64, with the root ``2 theta0 - 1``
     of ``lead_k`` in the reach) in fixed-point Gaussian integers at the
     working precision plus guard bits (the iterates fall like
     ``k^(-1-2 |Re theta1|)``), from recurrence coefficients formed exactly
     from the parameters' binary mantissas and exponents
     (:mod:`heunconn.fixedpoint`).  The limit is ``u_K / (K^rho S(K))`` with
     ``rho = 2 theta1 - 1`` and ``S`` the recurrence's formal ``1/k`` series in
-    u-space (:func:`_u_space`), summed in binary64 to the unit roundoff.  No
+    u-space (:func:`u_space`), summed in binary64 to the unit roundoff.  No
     mpmath context is read or set: the gamma function and ``K^rho`` take an
     explicit precision.  Every valid spec is served, at any ``theta1`` and
     without the coupling gate of the ``cf`` and ``recurrence`` routes.
@@ -803,7 +559,7 @@ def connection_matrix(
             err_estimate=worst,
         )
     # ss runs in mpmath at every spec; the other routes in the spec's numbers.
-    precision = HIGH if method == "ss" or _is_mp_spec(spec) else DOUBLE
+    precision = HIGH if method == "ss" or is_mp_spec(spec) else DOUBLE
     return _det_gate(replace(matrix, precision=precision), tol)
 
 
@@ -874,22 +630,21 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
 
 
 def tail_determinant_limit(spec: EquationSpec) -> tuple[Any, float]:
-    """Limit ``D_inf`` of the tail determinants (:func:`_d_space`) of the
+    """Limit ``D_inf`` of the tail determinants (:func:`d_space`) of the
     semi-infinite tridiagonal system: ``1/(1 - lam)`` for HE, else 1.
 
     ``D_inf = P / (S_a(2N+1) S_d(N+1))``: ``P`` is the determinant of the rows
-    ``N .. 2N`` (:func:`_forward_sweep`), ``N`` is :func:`_tail_depth`, and the
-    formal tails of :func:`_a_space` and :func:`_d_space` remove the rows below
+    ``N .. 2N`` (:func:`_forward_sweep`), ``N`` is :func:`tail_depth`, and the
+    formal tails of :func:`a_space` and :func:`d_space` remove the rows below
     ``2N`` and above ``N``.  The estimate is ``|D_inf|`` times their omitted
     terms and :func:`_sweep_floor`.  ``D_inf`` has the spec's number type.
     """
     validate(spec)
     what = "tail determinant limit"
-    eps = _unit_roundoff(_is_mp_spec(spec))
-    N = _tail_depth(spec, eps, _MAX_DEPTH, what)
+    eps = unit_roundoff(is_mp_spec(spec))
+    N = tail_depth(spec, eps, _MAX_DEPTH, what)
     limit, rel = _forward_sweep(spec, N, 2 * N + 1), _sweep_floor(spec, N, eps)
-    for space, k in ((_a_space, 2 * N + 1), (_d_space, N + 1)):
-        terms = _formal_tail(space(spec), spec.lam, 0, _inverse_depth(spec, k))
-        total, omitted = _sum_tail(terms, eps, True, what)
+    for space, k in ((a_space, 2 * N + 1), (d_space, N + 1)):
+        total, omitted = summed_tail(spec, space, k, what)
         limit, rel = limit / total, rel + omitted / float(abs(total))
     return limit, float(abs(limit)) * rel

@@ -10,11 +10,12 @@ coupling.  Its order-``n`` coefficient obeys
 so one sweep to depth ``K`` costs ``O(N K)`` additions and no division.  The
 limit follows from the formal solution ``a_k ~ a_inf S(k)``, ``S(k) = sum_j
 d_j k^-j``, with the ``d_j`` computed as λ-jets by the ``recurrence`` route's
-own tail kernel (``connection._formal_tail``): ``ln a_inf = ln a_K - ln
-S(K)``.  At a fixed order in ``lam`` the recurrence has no second solution
-(that one is of order ``lam^k``), so ``K`` only has to be ``_ROOT_FACTOR``
-times above the roots of the denominators, and at least 64.  For HE the
-``-ln(1 - lam)`` part of ``ln a_inf`` is in the jets already.
+own tail kernel (:func:`tails.summed_tail` of :func:`tails.a_space`): ``ln
+a_inf = ln a_K - ln S(K)``.  At a fixed order in ``lam`` the recurrence has
+no second solution (that one is of order ``lam^k``), so ``K`` is only
+:func:`tails.root_depth`: 8 times above the roots of the denominators, and
+at least 64.  For HE the ``-ln(1 - lam)`` part of ``ln a_inf`` is in the
+jets already.
 
 The :class:`Jet` type and the ``jet_*`` functions are a small public toolkit of
 truncated-series arithmetic; the expansion above does not use them.
@@ -28,12 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import add, sub
+from operator import sub
 from typing import Any, Sequence
 
-from .connection import (
-    _a_space, _formal_tail, _inverse_depth, _is_mp_spec, _root_depth, _sum_tail, _unit_roundoff,
-)
 from .equations import EquationSpec, coefficient_table, validate
 from .errors import (
     DomainError,
@@ -43,6 +41,7 @@ from .errors import (
     SizeError,
 )
 from .special import polygamma
+from .tails import a_space, root_depth, series_log, summed_tail
 
 __all__ = [
     "Jet",
@@ -147,7 +146,7 @@ def jet_log(f: Jet) -> Jet:
         raise DomainError(
             f"jet_log requires a unit constant term, got {f.coeffs[0]!r}"
         )
-    return Jet(f.order, tuple(_series_log(f.coeffs)))
+    return Jet(f.order, tuple(series_log(f.coeffs)))
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -168,20 +167,6 @@ def jet_exp(a: Jet) -> Jet:
     return Jet(n, tuple(out))
 
 
-class _Orders(tuple):
-    """The coefficients of one term of a λ-jet series, as :func:`_sum_tail`
-    adds and sizes them: elementwise, and by the largest magnitude."""
-
-    def __add__(self, other):
-        return _Orders(map(add, self, other))
-
-    def __radd__(self, other):  # the 0 that a sum starts from
-        return self
-
-    def __abs__(self):
-        return max(map(abs, self))
-
-
 def _forward_jet(alphas: list, betas: list, N: int) -> list:
     """Orders ``0 .. N`` of ``a_K`` (``K = len(alphas)``), each a cumulative
     sum over ``k`` of the order below: ``a^(n)_{k+1} = a^(n)_k - alpha_k
@@ -195,24 +180,15 @@ def _forward_jet(alphas: list, betas: list, N: int) -> list:
     return out
 
 
-def _series_log(f: Sequence) -> list:
-    """Series logarithm of coefficients with ``f_0 = 1``:
-    ``l_m = f_m - (1/m) sum_{j<m} j l_j f_{m-j}``."""
-    out = [0.0]
-    for m in range(1, len(f)):
-        out.append(f[m] - sum(j * out[j] * f[m - j] for j in range(1, m)) / m)
-    return out
-
-
 def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     """Coefficients ``c_1 .. c_N`` of ``ln a_inf`` in powers of the coupling.
 
     The spec's own ``lam`` value is ignored: only the family structure and
     the non-coupling parameters enter.  One λ-jet sweep of the forward
-    recurrence to ``K`` (:func:`connection._root_depth`) gives ``a_K``, the
-    ``recurrence`` route's formal tail (:func:`connection._formal_tail` of
-    :func:`connection._a_space`) at coupling 0 to order ``N``, summed to
-    working precision, gives ``S(K)``, and ``ln a_inf = ln a_K - ln S(K)``.
+    recurrence to ``K`` (:func:`tails.root_depth`) gives ``a_K``, the
+    ``recurrence`` route's formal tail (:func:`tails.summed_tail` of
+    :func:`tails.a_space`) at coupling 0 to order ``N``, summed to working
+    precision, gives ``S(K)``, and ``ln a_inf = ln a_K - ln S(K)``.
     The coefficients are binary64 ``complex`` also for an mpmath spec, whose
     arithmetic they are computed in.  ``N`` above 8 raises
     :class:`SizeError`; a tail that stops decreasing raises
@@ -223,12 +199,10 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
         raise SizeError(f"series order must be an integer in [1, {_MAX_ORDER}], got {N!r}")
     if spec.family == "HYP":
         return [0j] * N
-    K = _root_depth(spec)
+    K = root_depth(spec)
     a_K = _forward_jet(*coefficient_table(spec, 0, K), N)
-    eps = _unit_roundoff(_is_mp_spec(spec))
-    tail = map(_Orders, _formal_tail(_a_space(spec), 0, 0, _inverse_depth(spec, K), N))
-    s_K, _ = _sum_tail(tail, eps, False, "coupling-series tail")
-    return [complex(x - y) for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
+    s_K, _ = summed_tail(spec, a_space, K, "coupling-series tail", N, relative=False)
+    return [complex(x - y) for x, y in zip(series_log(a_K)[1:], series_log(s_K)[1:])]
 
 
 def _psi_diff(a: Any, w: Any) -> Any:

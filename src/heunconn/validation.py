@@ -27,7 +27,7 @@ from .connection import (
     fusion_cl,
     tail_determinant_limit,
 )
-from .equations import EquationSpec, che_spec, he_spec, validate
+from .equations import EquationSpec, he_spec, validate
 from .errors import DomainError, FamilyFieldError, HeunConnError, ReflectionMismatch
 from .frobenius import (
     convergence_radius,

@@ -26,10 +26,11 @@ from heunconn import (
     trace_power,
     walk_type,
 )
-from heunconn.connection import _d_space, _formal_tail, _inverse_depth, _root_depth, _sum_tail
 from heunconn.equations import coefficient_table
-from heunconn.perturbative import _Orders, _series_log
 from heunconn.precision import HIGH, spec_to_precision
+from heunconn.tails import (
+    Orders, d_space, formal_tail, inverse_depth, root_depth, series_log, sum_tail,
+)
 
 
 def brute_force_census(n: int) -> Counter:
@@ -47,11 +48,11 @@ def per_k_traces(spec, orders, N: int) -> list:
     """``Tr A^{2n}`` at each of ``orders`` as the trace route sums it, with
     the walk sums taken one ``k`` at a time: the reference for its
     whole-column sums."""
-    K = _root_depth(spec)
+    K = root_depth(spec)
     _, betas = coefficient_table(spec, 1, K + N)
-    tail = map(_Orders, _formal_tail(_d_space(spec), 0, 0, _inverse_depth(spec, K + 1), N))
-    s_d, _ = _sum_tail(tail, 2.0**-53, False, "walk-trace tail")
-    log_s = _series_log(s_d)
+    tail = map(Orders, formal_tail(d_space(spec), 0, 0, inverse_depth(spec, K + 1), N))
+    s_d, _ = sum_tail(tail, 2.0**-53, False, "walk-trace tail")
+    log_s = series_log(s_d)
     out = []
     for n in orders:
         terms = [(mu, n_mu(mu)) for mu in compositions(n)]

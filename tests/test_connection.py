@@ -54,19 +54,13 @@ from heunconn import (
     wronskian_connection,
 )
 from heunconn.connection import (
-    _a_space,
-    _d_space,
     _det_gate,
     _eta_sweep,
     _flip_spec,
-    _formal_tail,
     _forward_sweep,
     _recurrence_limit,
     _ss_precision,
-    _sum_tail,
     _sweep_floor,
-    _tail_depth,
-    _u_space,
 )
 from heunconn.equations import EquationSpec, coefficient_table
 from heunconn.fixedpoint import (
@@ -77,6 +71,7 @@ from heunconn.fixedpoint import (
     fixed_iterates,
 )
 from heunconn.precision import DOUBLE, HIGH, p_log1p, spec_to_precision
+from heunconn.tails import a_space, d_space, formal_tail, sum_tail, tail_depth, u_space
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -337,7 +332,7 @@ class TestLargeOrder:
         ref = oracle_matrix(RUNS[family])
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
         if method == "ss":
-            assert mat.depth_or_K == 64  # _tail_depth's minimum on every example
+            assert mat.depth_or_K == 64  # tail_depth's minimum on every example
 
     # At large coupling the HE amplitude grows like 1/(1-lam) and the
     # recurrence's second root lam magnifies rounding by 1/(1-lam).  In the
@@ -551,7 +546,7 @@ class TestContinuedFraction:
             if family == "mpmath":
                 specs, eps = [spec_to_precision(che_example, HIGH)], 2.0**-mp.mp.prec
             for spec in specs:
-                K = _tail_depth(spec, eps, 2**20, "sweep")
+                K = tail_depth(spec, eps, 2**20, "sweep")
                 floor = _sweep_floor(spec, K, eps)
                 pairs = [
                     (_forward_sweep(spec, 0, K), _reference_forward(spec, 0, K)),
@@ -596,14 +591,14 @@ class TestContinuedFraction:
         # A lone cancellation (tau_2 is 7e-22 on an entry of the RCHE
         # example) must not cut the series before its 1e-6 term.
         terms = [1.0, 1e-3, 1e-25, 1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-21, 1e-24]
-        total, omitted = _sum_tail(iter(terms), 2.0**-53, True, "test")
+        total, omitted = sum_tail(iter(terms), 2.0**-53, True, "test")
         assert abs(total - sum(terms[:9])) <= 1e-15  # summed to the pair 1e-18, 1e-21
         assert omitted == 1e-18
 
     def test_growing_tail_terms_raise_and_are_listed(self):
         terms = (math.factorial(n) / 4.0**n for n in count())
         with pytest.raises(NonConvergence, match=r"stopped decreasing.*terms 1\.0e\+00, 2\.5e-01"):
-            _sum_tail(terms, 2.0**-53, True, "test")
+            sum_tail(terms, 2.0**-53, True, "test")
 
     @pytest.mark.parametrize("x", [1e-3 + 2e-4j, -3.7e-5 + 0j, 2.5e-8 - 1e-9j, 0.3 - 0.2j])
     def test_log1p_is_accurate_relative_to_x(self, x):
@@ -635,7 +630,7 @@ class TestContinuedFraction:
                 -0.2059984647166381, -0.18175120914901655, -0.868808763342742,
             ))
         for spec in specs:
-            K = _tail_depth(spec, eps, 2**20, "sweep")
+            K = tail_depth(spec, eps, 2**20, "sweep")
             seed = _d_tail(spec, K + 1) / _d_tail(spec, K + 2)
             with mp.workdps(40):
                 high = spec_to_precision(spec, HIGH)
@@ -699,12 +694,12 @@ def _near_root_specs(family: str, count: int) -> list:
 
 
 def _tail_sum(terms) -> complex:
-    return _sum_tail(terms, 2.0**-53, True, "tail")[0]
+    return sum_tail(terms, 2.0**-53, True, "tail")[0]
 
 
 def _d_tail(spec, k: int) -> complex:
     """The formal series S(k) of the tail determinants, D_k / D_inf."""
-    return _tail_sum(_formal_tail(_d_space(spec), spec.lam, 0, 1 / k))
+    return _tail_sum(formal_tail(d_space(spec), spec.lam, 0, 1 / k))
 
 
 def _eta_tail(spec, K: int) -> complex:
@@ -715,7 +710,7 @@ def _eta_tail(spec, K: int) -> complex:
 
 def _a_limit(spec, K: int) -> complex:
     """The recurrence route's a_K / S(K)."""
-    tail = _tail_sum(_formal_tail(_a_space(spec), spec.lam, 0, 1 / K))
+    tail = _tail_sum(formal_tail(a_space(spec), spec.lam, 0, 1 / K))
     return _reference_forward(spec, 0, K) / tail
 
 
@@ -726,7 +721,7 @@ _K_TOL = 1e-13
 
 def _assert_tails_do_not_depend_on_K(spec):
     eps = 2.0**-53
-    K = _tail_depth(spec, eps, 2**20, "tail")
+    K = tail_depth(spec, eps, 2**20, "tail")
     # A unit seed K rows above 2K, not the route's seed from the tail: the
     # seed's error falls like the second solution, which the depth rule puts
     # below the unit roundoff within K rows.
@@ -735,13 +730,13 @@ def _assert_tails_do_not_depend_on_K(spec):
     assert abs(summed + _eta_tail(spec, 2 * K) - _eta_tail(spec, K)) <= _K_TOL
     assert rel_diff(_a_limit(spec, K), _a_limit(spec, 2 * K)) <= _K_TOL
     # ss: u_K / (K^rho S(K)), rho = 2 theta1 - 1, from the fixed-point sweep
-    K = _tail_depth(spec, eps, 2**20, "tail", abs(2 * complex(spec.theta0) - 1))
+    K = tail_depth(spec, eps, 2**20, "tail", abs(2 * complex(spec.theta0) - 1))
     _, bits = _ss_precision(complex(spec.theta1), 2 * K)
     quadratics, _ = exact_quadratics(spec, 2 * K)
     u = [complex(*z) / 2.0**bits for z in islice(fixed_iterates(quadratics, bits), 2 * K)]
     rho = 2 * complex(spec.theta1) - 1
-    parts = _u_space(quadratics)
-    ss = [u[k - 1] / (k**rho * _tail_sum(_formal_tail(parts, 0, rho, 1 / k))) for k in (K, 2 * K)]
+    parts = u_space(quadratics)
+    ss = [u[k - 1] / (k**rho * _tail_sum(formal_tail(parts, 0, rho, 1 / k))) for k in (K, 2 * K)]
     assert rel_diff(*ss) <= _K_TOL
 
 
@@ -905,19 +900,19 @@ class TestGuardsAndLimits:
 
     def test_depth_search_bisects(self, rche_example, monkeypatch):
         # The target is met 13,233 steps above the first K here.
-        import heunconn.connection as connection
+        import heunconn.tails as tails
 
-        real, calls = connection._log_second_mode, []
+        real, calls = tails.log_second_mode, []
         monkeypatch.setattr(
-            connection, "_log_second_mode", lambda spec, K: calls.append(K) or real(spec, K)
+            tails, "log_second_mode", lambda spec, K: calls.append(K) or real(spec, K)
         )
         spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.999)
-        K = _tail_depth(spec, 2.0**-53, 2**20, "sweep")
+        K = tail_depth(spec, 2.0**-53, 2**20, "sweep")
         assert K == 60_854 and len(calls) <= 64
-        target = math.log(2.0**-53) - connection._MODE_MARGIN
+        target = math.log(2.0**-53) - tails._MODE_MARGIN
         assert real(spec, K - 1) > target >= real(spec, K)
         calls.clear()
-        assert _tail_depth(rche_example, 2.0**-53, 2**20, "sweep") == 64
+        assert tail_depth(rche_example, 2.0**-53, 2**20, "sweep") == 64
         assert len(calls) == 1  # the first K meets the target
 
     def test_nonconvergence_at_tiny_depth(self, rche_example):

@@ -40,9 +40,9 @@ from heunconn import (
     rche_spec,
     sigma1_closed,
 )
-from heunconn.connection import _a_space, _d_space, _formal_tail, _root_depth, _sum_tail
 from heunconn.equations import coefficient_table
-from heunconn.perturbative import _forward_jet, _Orders, _series_log
+from heunconn.perturbative import _forward_jet
+from heunconn.tails import Orders, a_space, d_space, formal_tail, root_depth, series_log, sum_tail
 
 
 def _jet(*coeffs: complex) -> Jet:
@@ -134,16 +134,16 @@ class TestSeriesCoefficients:
 def _log_a_jets(spec, K: int) -> list:
     """c_1 .. c_6 as ln a_K - ln S(K) at depth K."""
     a_K = _forward_jet(*coefficient_table(spec, 0, K), 6)
-    tail = map(_Orders, _formal_tail(_a_space(spec), 0, 0, 1 / K, 6))
-    s_K, _ = _sum_tail(tail, 2.0**-53, False, "jets")
-    return [x - y for x, y in zip(_series_log(a_K)[1:], _series_log(s_K)[1:])]
+    tail = map(Orders, formal_tail(a_space(spec), 0, 0, 1 / K, 6))
+    s_K, _ = sum_tail(tail, 2.0**-53, False, "jets")
+    return [x - y for x, y in zip(series_log(a_K)[1:], series_log(s_K)[1:])]
 
 
 def _assert_jets_do_not_depend_on_K(spec):
     # Dropping a coupling-linear coefficient from the tail moved the c_n of
     # the CHE and HE examples by 2e-5 or more; the sweep's roundings leave
     # 1.2e-14.
-    K = _root_depth(spec)
+    K = root_depth(spec)
     for at_K, at_2K in zip(_log_a_jets(spec, K), _log_a_jets(spec, 2 * K)):
         assert abs(at_K - at_2K) <= 1e-13 * max(1.0, abs(at_K))
 
@@ -164,26 +164,26 @@ class TestJetTail:
         # One recursion serves both callers: its orders 0..6 at coupling 0,
         # summed in powers of lam, give its order-0 sum at coupling lam.
         spec = request.getfixturevalue(f"{family.lower()}_example")
-        K, eps = _root_depth(spec), 2.0**-53
-        parts = _a_space(spec)
-        jets, _ = _sum_tail(map(_Orders, _formal_tail(parts, 0, 0, 1 / K, 6)), eps, False, "jets")
-        direct, _ = _sum_tail(_formal_tail(parts, lam, 0, 1 / K), eps, False, "at lam")
+        K, eps = root_depth(spec), 2.0**-53
+        parts = a_space(spec)
+        jets, _ = sum_tail(map(Orders, formal_tail(parts, 0, 0, 1 / K, 6)), eps, False, "jets")
+        direct, _ = sum_tail(formal_tail(parts, lam, 0, 1 / K), eps, False, "at lam")
         assert abs(sum(c * lam**m for m, c in enumerate(jets)) - direct) <= 1e-15
 
-    @pytest.mark.parametrize("space", [_a_space, _d_space])
+    @pytest.mark.parametrize("space", [a_space, d_space])
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
     def test_orders_away_from_zero_coupling(self, request, family, space):
         # Only coupling 0 lets the jets skip order 0; at lam = 0.05 it is the
         # scalar tail bit for bit, and the orders summed at delta = 1e-3 give
         # the scalar tail at lam + delta.
         spec = request.getfixturevalue(f"{family.lower()}_example")
-        K, eps, lam, delta = _root_depth(spec), 2.0**-53, 0.05, 1e-3
+        K, eps, lam, delta = root_depth(spec), 2.0**-53, 0.05, 1e-3
         parts = space(spec)
-        scalar = _formal_tail(parts, lam, 0, 1 / K)
-        for term, value in zip(_formal_tail(parts, lam, 0, 1 / K, 6), islice(scalar, 40)):
+        scalar = formal_tail(parts, lam, 0, 1 / K)
+        for term, value in zip(formal_tail(parts, lam, 0, 1 / K, 6), islice(scalar, 40)):
             assert term[0] == value
-        jets, _ = _sum_tail(map(_Orders, _formal_tail(parts, lam, 0, 1 / K, 6)), eps, False, "jets")
-        direct, _ = _sum_tail(_formal_tail(parts, lam + delta, 0, 1 / K), eps, False, "at lam")
+        jets, _ = sum_tail(map(Orders, formal_tail(parts, lam, 0, 1 / K, 6)), eps, False, "jets")
+        direct, _ = sum_tail(formal_tail(parts, lam + delta, 0, 1 / K), eps, False, "at lam")
         assert abs(sum(c * delta**m for m, c in enumerate(jets)) - direct) <= 1e-15
 
     @pytest.mark.parametrize("family", ["RCHE", "CHE", "HE"])
@@ -199,7 +199,7 @@ class TestJetTail:
     def test_wide_spec_takes_a_deeper_sweep(self):
         d = oracles.WIDE_CHE
         spec = che_spec(*(float(d[k]) for k in ("theta0", "theta1", "omega", "theta_star")), 0.0)
-        assert _root_depth(spec) > 64
+        assert root_depth(spec) > 64
         want = [oracles.cplx(t) for t in oracles.C_SERIES_WIDE]
         for g, w in zip(c_coefficients(spec, len(want)), want):
             assert abs(g - w) <= 1e-11 * max(1.0, abs(w))

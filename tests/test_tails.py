@@ -1,0 +1,110 @@
+"""The formal 1/k tail: its one home, its entry point, its stopping rule, and
+the tool that reads it."""
+
+from __future__ import annotations
+
+import ast
+import subprocess
+import sys
+from itertools import count
+from pathlib import Path
+
+import mpmath as mp
+import pytest
+
+from heunconn import NonConvergence
+from heunconn.precision import HIGH, is_mp, spec_to_precision
+from heunconn.tails import _TAIL_MAX_ORDER, a_space, root_depth, sum_tail, summed_tail
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "heunconn"
+
+# What decides how the rest of a recurrence beyond depth K is formed and summed.
+MOVED = {
+    "formal_tail", "_binomial_rows", "_INV_FACT", "_ALT_INV_FACT", "_ZERO",
+    "a_space", "d_space", "u_space", "sum_tail", "_TAIL_STALL", "_TAIL_MAX_ORDER",
+    "log_second_mode", "root_depth", "tail_depth", "inverse_depth", "_TAIL_MIN_DEPTH",
+    "_ROOT_FACTOR", "_MODE_MARGIN", "unit_roundoff", "is_mp_spec", "Orders", "series_log",
+    "summed_tail", "EPS64",
+}
+# The names they had before they moved, without the module's API.
+FORMER = {"_" + name for name in MOVED if not name.startswith("_")}
+
+
+def _top_level_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _imports_from(tree: ast.Module, module: str) -> list:
+    """Names a module imports from the sibling ``module``."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in ((module, 1), (f"heunconn.{module}", 0))
+        for alias in node.names
+    ]
+
+
+class TestOneHome:
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def test_only_tails_defines_the_tail_machinery(self):
+        for name, tree in self.trees.items():
+            defined = _top_level_names(tree)
+            if name == "tails.py":
+                assert MOVED <= defined
+            else:
+                assert not defined & (MOVED | FORMER), name
+
+    @pytest.mark.parametrize("module", ["perturbative.py", "combinatorics.py"])
+    def test_the_series_modules_import_nothing_from_connection(self, module):
+        assert _imports_from(self.trees[module], "connection") == []
+
+    def test_combinatorics_imports_nothing_private_from_perturbative(self):
+        imported = _imports_from(self.trees["combinatorics.py"], "perturbative")
+        assert [name for name in imported if name.startswith("_")] == []
+
+
+class TestStoppingRule:
+    def test_slowly_decreasing_terms_stop_at_the_length_cap(self):
+        # 0.9^n sets a new smallest pair at every term, so the stall rule never
+        # fires; the sum would meet 2^-53 only near n = 330.
+        taken = []
+        terms = (taken.append(n) or 0.9**n for n in count())
+        with pytest.raises(NonConvergence, match=r"terms 1\.0e\+00, 9\.0e-01, 8\.1e-01") as err:
+            sum_tail(terms, 2.0**-53, True, "test")
+        assert len(taken) == _TAIL_MAX_ORDER
+        assert len(str(err.value).split("terms ")[1].split(", ")) == _TAIL_MAX_ORDER
+
+
+class TestSummedTail:
+    def test_mpmath_spec_is_summed_in_its_own_numbers(self, che_example):
+        K = root_depth(che_example)
+        double, _ = summed_tail(che_example, a_space, K, "tail")
+        with mp.workdps(30):
+            spec = spec_to_precision(che_example, HIGH)
+            total, omitted = summed_tail(spec, a_space, K, "tail")
+            assert is_mp(total)
+            assert omitted < 2.0**-mp.mp.prec * abs(total)
+        assert abs(total - double) <= 1e-15
+
+
+def test_sweep_roundings_tool_runs():
+    # The tool imports the tail machinery and the sweeps by name.
+    script = ROOT / "tools" / "sweep_roundings.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--count", "2", "--near", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(" per row (" in line for line in lines)

@@ -42,16 +42,9 @@ import mpmath as mp
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from heunconn import che_spec, he_spec, rche_spec  # noqa: E402
-from heunconn.connection import (  # noqa: E402
-    _d_space,
-    _eta_sweep,
-    _formal_tail,
-    _forward_sweep,
-    _log_second_mode,
-    _sum_tail,
-    _tail_depth,
-)
+from heunconn.connection import _eta_sweep, _forward_sweep  # noqa: E402
 from heunconn.precision import HIGH, is_mp, spec_to_precision  # noqa: E402
+from heunconn.tails import d_space, log_second_mode, summed_tail, tail_depth  # noqa: E402
 
 EPS = 2.0**-53
 FAMILIES = ("RCHE", "CHE", "HE")
@@ -104,10 +97,7 @@ def near_root_specs(family: str, count: int) -> list:
 
 def _seed(spec, K: int) -> complex:
     """The cf route's seed ``S(K+1) / S(K+2)`` of the tail determinants."""
-    tails = [
-        _sum_tail(_formal_tail(_d_space(spec), spec.lam, 0, 1 / k), EPS, True, "seed")[0]
-        for k in (K + 1, K + 2)
-    ]
+    tails = [summed_tail(spec, d_space, k, "seed")[0] for k in (K + 1, K + 2)]
     return tails[0] / tails[1]
 
 
@@ -119,7 +109,7 @@ def _sweeps(spec, K: int, seed) -> list:
 
 def roundings(spec) -> list:
     """Roundings per row of the three sweeps of ``spec``."""
-    K = _tail_depth(spec, EPS, 2**20, "sweep")
+    K = tail_depth(spec, EPS, 2**20, "sweep")
     seed = _seed(spec, K)
     with mp.workdps(40):
         refs = _sweeps(spec_to_precision(spec, HIGH), K, seed)
@@ -128,7 +118,7 @@ def roundings(spec) -> list:
     got = _sweeps(spec, K, seed)
     got[2] = cmath.exp(got[2])
     scale = abs(1 - complex(spec.lam)) if spec.family == "HE" else 1.0
-    second = math.exp(_log_second_mode(spec, K))
+    second = math.exp(log_second_mode(spec, K))
     return [
         (abs(g - r) / max(abs(r), 1.0) - second) * scale / (K * EPS) for g, r in zip(got, refs)
     ]
