@@ -33,10 +33,10 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, tee
 from operator import mul
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 import mpmath as mp
 
@@ -97,6 +97,9 @@ _PREF_ERR = 1e-13
 # 5.6 (HE; CHE 1.9) on 150 per family where a root of Q_k lies within 0.036
 # of an integer, from the large rows next to that root.
 _SWEEP_ROUNDINGS = 8
+# Sign flips (s0, s1) of (theta0, theta1) and their matrix keys, row by row.
+_FLIPS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_KEYS = ("++", "+-", "-+", "--")
 
 
 @dataclass(frozen=True)
@@ -145,13 +148,44 @@ def fusion_cl(theta0: Any, theta1: Any, theta_inf: Any) -> Any:
     Raises :class:`PoleError` when any gamma argument is within 1e-12 of a
     pole (e.g. ``theta1 -> 0``).
     """
-    a = 0.5 + theta1 - theta0
-    return p_exp(
-        log_gamma(1 - 2 * theta0)
-        + log_gamma(2 * theta1)
-        - log_gamma(a + theta_inf)
-        - log_gamma(a - theta_inf)
-    )
+    return next(_gamma_factors(theta0, theta1, theta_inf, (1,)))[0]
+
+
+def _pole_ulps(z: Any) -> Any:
+    """Roundings of the gamma argument ``z`` in the value: ``|z| / dist(z,
+    poles)`` where ``Re z < 1/2``, else 1."""
+    return abs(z) / abs(z - round(z.real)) if z.real < 0.5 else 1.0
+
+
+def _gamma_factors(
+    theta0: Any, theta1: Any, x: Any, signs: Sequence[int] = (1, -1)
+) -> Iterator[tuple[Any, float]]:
+    """``(fusion_cl(s0 theta0, s1 theta1, x), bound)`` for the sign flips
+    ``(s0, s1)`` of ``signs``, row by row (:data:`_FLIPS`); ``bound`` is the
+    factor's relative error bound at its unit roundoff ``eps``: ``_PREF_ERR``
+    scaled from binary64, plus ``eps |z| / dist(z, poles)`` for each gamma
+    argument ``z``, the rounding of ``z`` magnified near a pole (1 where
+    ``Re z >= 1/2``).
+
+    The log-gammas of ``1 - 2 s0 theta0`` and ``2 s1 theta1`` are shared
+    along the rows and columns, so the four flips of a matrix take 12 of
+    them, not 16.  Each factor is formed as it is drawn, so an argument at a
+    gamma pole raises where that flip's ``fusion_cl`` call would, after the
+    work done on the flips before it."""
+    theta1s, cols = [s * theta1 for s in signs], []
+    for i, t0 in enumerate(s * theta0 for s in signs):
+        z0 = 1 - 2 * t0
+        lg0, u0 = log_gamma(z0), _PREF_ERR / EPS64 + _pole_ulps(z0)
+        for j, t1 in enumerate(theta1s):
+            if i == 0:  # the first row forms each column's log-gamma in flip order
+                z1 = 2 * t1
+                cols.append((log_gamma(z1), _pole_ulps(z1)))
+            lg1, u1 = cols[j]
+            a = 0.5 + t1 - t0
+            zp, zm = a + x, a - x
+            val = p_exp(lg0 + lg1 - log_gamma(zp) - log_gamma(zm))
+            ulps = u0 + u1 + _pole_ulps(zp) + _pole_ulps(zm)
+            yield val, float(unit_roundoff(is_mp(val)) * ulps)
 
 
 def _check_tol_arg(tol: Any) -> None:
@@ -343,36 +377,33 @@ def _third_parameter(spec: EquationSpec) -> Any:
     return spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
 
 
-def _pref_err(spec: EquationSpec, eps: float) -> float:
-    """Relative error bound of the prefactor at unit roundoff ``eps``:
-    ``_PREF_ERR`` scaled from binary64, plus ``eps |z| / dist(z, poles)`` for
-    each gamma argument ``z`` of :func:`fusion_cl`, the rounding of ``z``
-    magnified near a pole of the gamma function (1 where ``Re z >= 1/2``)."""
-    t0, t1, x = spec.theta0, spec.theta1, _third_parameter(spec)
-    a = 0.5 + t1 - t0
-    ulps = _PREF_ERR / EPS64
-    for z in (1 - 2 * t0, 2 * t1, a + x, a - x):
-        ulps += abs(z) / abs(z - round(z.real)) if z.real < 0.5 else 1.0
-    return float(eps * ulps)
-
-
-def _scalar_with_depth(
-    spec: EquationSpec, method: str, tol: float, max_depth: int = _MAX_DEPTH
-) -> tuple[complex, float, int]:
-    """:func:`connection_scalar` of a valid spec past the gate by ``method``,
-    ``"cf"`` or ``"recurrence"``, and the depth ``K``."""
-    pref = fusion_cl(spec.theta0, spec.theta1, _third_parameter(spec))
-    # The prefactor's own error and the final rounding of the value to binary64.
-    rel_err = _pref_err(spec, unit_roundoff(is_mp(pref))) + EPS64
-    if spec.family == "HYP" or spec.lam == 0:
-        return complex(pref), rel_err * float(abs(pref)), 0
-    pref = pref * _assembly_prefactor(spec)
+def _amplitude(
+    spec: EquationSpec, method: str, tol: float, max_depth: int
+) -> tuple[Any, int, float]:
+    """``(a_inf, K, err_estimate)`` of a valid spec with ``lam != 0`` by
+    ``method``, ``"cf"`` or ``"recurrence"``."""
     if method == "cf":
         log_a, depth, err = _cf_limit(spec, tol, max_depth)
-        val = pref * p_exp(log_a)
-    else:
-        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth)
-        val = pref * a_inf
+        return p_exp(log_a), depth, err
+    return _recurrence_limit(spec, tol, max_depth)
+
+
+def _entry(
+    factor: Any, factor_err: float, spec: EquationSpec, method: str, tol: float, max_depth: int
+) -> tuple[complex, float, int]:
+    """``(value, err_estimate, K)`` of the connection scalar of a valid spec
+    past the gate with the gamma-ratio factor ``factor`` of its parameters,
+    whose relative error bound is ``factor_err`` (:func:`_gamma_factors`):
+    ``factor`` itself at ``lam = 0`` (HYP included), where only the coupling
+    of ``spec`` is read, else ``factor`` times the family prefactor times the
+    amplitude ``a_inf`` by ``method``."""
+    # The factor's own error and the final rounding of the value to binary64.
+    rel_err = factor_err + EPS64
+    if spec.lam == 0:
+        return complex(factor), rel_err * float(abs(factor)), 0
+    pref = factor * _assembly_prefactor(spec)
+    a_inf, depth, err = _amplitude(spec, method, tol, max_depth)
+    val = pref * a_inf
     # Scaled by the larger of |value| and |pref|: near a zero of the amplitude
     # the sweep's rounding stays at the size of its O(1) iterates.
     scale = max(abs(val), abs(pref))
@@ -399,12 +430,17 @@ def connection_scalar(
         raise DomainError(
             f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
         )
-    val, err, _ = _scalar_with_depth(spec, method, tol, max_depth)
+    factor = next(_gamma_factors(spec.theta0, spec.theta1, _third_parameter(spec), (1,)))
+    val, err, _ = _entry(*factor, spec, method, tol, max_depth)
     return val, err
 
 
 def _flip_spec(spec: EquationSpec, s0: int, s1: int) -> EquationSpec:
-    return replace(spec, theta0=s0 * spec.theta0, theta1=s1 * spec.theta1)
+    # The constructor, in field order: half the time of dataclasses.replace.
+    return EquationSpec(
+        spec.family, s0 * spec.theta0, s1 * spec.theta1, spec.lam, spec.omega,
+        spec.theta_t, spec.theta_inf, spec.theta_star, spec.theta_inf_hyp,
+    )
 
 
 def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
@@ -508,6 +544,7 @@ def _wronskian_matrix(spec: EquationSpec, basis: list) -> ConnectionMatrix:
         method="wronskian",
         depth_or_K=basis[0].K,
         err_estimate=float(err),
+        precision=HIGH if is_mp_spec(spec) else DOUBLE,
     )
 
 
@@ -529,38 +566,43 @@ def connection_matrix(
     """2x2 connection matrix by any route, with the determinant identity
     ``det C = -theta0/theta1`` enforced at ``100 max(tol, err_estimate)``
     (:class:`DetCheckFailed` beyond).  The spec is validated once: a sign
-    flip keeps each ``2 theta``'s distance to the integers and ``|lam|``."""
+    flip keeps each ``2 theta``'s distance to the integers and ``|lam|``.
+
+    By ``cf`` and ``recurrence`` the entry ``C(s0 theta0, s1 theta1)`` is
+    the gamma-ratio factor ``fusion_cl(s0 theta0, s1 theta1, x)``, all four
+    from one pass of 12 log-gammas (:func:`_gamma_factors`), times, where
+    ``lam != 0``, the family prefactor and the amplitude ``a_inf`` of the
+    flipped spec; at ``lam = 0`` (HYP included) the factors are the entries
+    and no flipped spec is built.  ``ss`` and ``wronskian`` take no factor
+    from that pass."""
     validate(spec)
     _check_tol_arg(tol)
     method = _method_name(method)
     if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     if method == "wronskian":
-        matrix = wronskian_connection(spec)
+        return _det_gate(wronskian_connection(spec), tol)
+    if method == "ss":
+        results = (_ss_scalar(_flip_spec(spec, s0, s1), tol, max_depth) for s0, s1 in _FLIPS)
     else:
-        entries, worst, depth = {}, 0.0, 0
-        if method != "ss":
-            _check_lambda_gate(spec, allow_large_coupling)
-        for s0, row in ((1, "+"), (-1, "-")):
-            for s1, col in ((1, "+"), (-1, "-")):
-                fspec = _flip_spec(spec, s0, s1)
-                if method == "ss":
-                    val, err, d = _ss_scalar(fspec, tol, max_depth)
-                else:
-                    val, err, d = _scalar_with_depth(fspec, method, tol, max_depth)
-                depth = max(depth, d)
-                entries[row + col] = val
-                worst = max(worst, err)
-        matrix = ConnectionMatrix(
-            entries=entries,
-            spec=spec,
-            method=method,
-            depth_or_K=depth,
-            err_estimate=worst,
+        _check_lambda_gate(spec, allow_large_coupling)
+        factors = _gamma_factors(spec.theta0, spec.theta1, _third_parameter(spec))
+        # At lam = 0 the factors are the entries, and no flipped spec is built.
+        coupled = spec.lam != 0
+        results = (
+            _entry(factor, factor_err, _flip_spec(spec, s0, s1) if coupled else spec,
+                   method, tol, max_depth)
+            for (s0, s1), (factor, factor_err) in zip(_FLIPS, factors)
         )
+    entries, worst, depth = {}, 0.0, 0
+    for key, (val, err, d) in zip(_KEYS, results):
+        entries[key] = val
+        worst = max(worst, err)
+        depth = max(depth, d)
     # ss runs in mpmath at every spec; the other routes in the spec's numbers.
     precision = HIGH if method == "ss" or is_mp_spec(spec) else DOUBLE
-    return _det_gate(replace(matrix, precision=precision), tol)
+    matrix = ConnectionMatrix(entries, spec, method, depth, worst, precision)
+    return _det_gate(matrix, tol)
 
 
 def _det_gate(matrix: ConnectionMatrix, tol: float) -> ConnectionMatrix:

@@ -236,6 +236,16 @@ def _log_sin_pi_upper(z: complex) -> complex:
     return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(one_minus_w)
 
 
+def _log_gamma_real(x: float) -> complex:
+    """:func:`log_gamma` of a real ``x`` off the poles, the limit from the
+    upper half-plane below zero."""
+    try:
+        lg = math.lgamma(x)
+    except OverflowError:  # log Gamma(x) above the binary64 range
+        lg = math.inf
+    return complex(lg, -math.pi * math.ceil(-x) if x < 0.0 else 0.0)
+
+
 def log_gamma(z: Any) -> Any:
     """Principal-branch log-gamma (cut along the nonpositive real axis).
 
@@ -244,17 +254,17 @@ def log_gamma(z: Any) -> Any:
     argument whose log-gamma exceeds the binary64 range (about 2.5e305) gives
     ``inf``; a complex one raises :class:`DomainError`.
     """
+    if isinstance(z, float):
+        # The real line without a round-trip through complex.
+        if not math.isfinite(z) or z < 0.5 and _near_nonpositive_integer(z):
+            _check_pole(complex(z), "log_gamma")  # raises, with its messages
+        return _log_gamma_real(z)
     _check_pole(complex(z), "log_gamma")
     if is_mp(z):
         return mp.loggamma(z)
     z = complex(z)
     if z.imag == 0.0:
-        x = z.real
-        try:
-            lg = math.lgamma(x)
-        except OverflowError:  # log Gamma(x) above the binary64 range
-            lg = math.inf
-        return complex(lg, -math.pi * math.ceil(-x) if x < 0.0 else 0.0)
+        return _log_gamma_real(z.real)
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:

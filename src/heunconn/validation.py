@@ -16,15 +16,18 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
 
+import mpmath as mp
+
 from .connection import (
+    _FLIPS,
     ConnectionMatrix,
     _flip_spec,
+    _gamma_factors,
     _product_relations,
     _wronskian_of_basis,
     connection_matrix,
     det_residual,
     extract_sigma,
-    fusion_cl,
     tail_determinant_limit,
 )
 from .equations import EquationSpec, he_spec, validate
@@ -44,6 +47,7 @@ from .perturbative import (
     c_coefficients,
     sigma1_closed,
 )
+from .precision import is_mp
 
 __all__ = [
     "CheckResult",
@@ -303,21 +307,25 @@ def reflected_spec(spec: EquationSpec) -> EquationSpec:
     Swapping the regular points 0 and 1 exchanges ``theta0`` and ``theta1``
     and flips the coupling; completing the partial fractions shifts the
     spectral parameter: ``omega**2 -> omega**2 + lam`` (RCHE) or
-    ``omega**2 -> omega**2 - lam*theta_star`` (CHE).  The transform is
-    certified numerically by the caller, not trusted.
+    ``omega**2 -> omega**2 - lam*theta_star`` (CHE).  The new ``omega`` is
+    the principal root in the spec's own numbers: an mpmath root of an
+    mpmath ``omega**2``, a float root of a nonnegative float.  The transform
+    is certified numerically by the caller, not trusted.
     """
     validate(spec)
     if spec.family == "RCHE":
         om2 = spec.omega**2 + spec.lam
-        return replace(
-            spec, theta0=spec.theta1, theta1=spec.theta0, lam=-spec.lam, omega=cmath.sqrt(om2)
-        )
-    if spec.family == "CHE":
+    elif spec.family == "CHE":
         om2 = spec.omega**2 - spec.lam * spec.theta_star
-        return replace(
-            spec, theta0=spec.theta1, theta1=spec.theta0, lam=-spec.lam, omega=cmath.sqrt(om2)
-        )
-    raise FamilyFieldError(f"reflection transform covers RCHE and CHE, got {spec.family}")
+    else:
+        raise FamilyFieldError(f"reflection transform covers RCHE and CHE, got {spec.family}")
+    if is_mp(om2):
+        omega = mp.sqrt(om2)
+    elif isinstance(om2, float) and om2 >= 0.0:
+        omega = math.sqrt(om2)
+    else:
+        omega = cmath.sqrt(om2)
+    return replace(spec, theta0=spec.theta1, theta1=spec.theta0, lam=-spec.lam, omega=omega)
 
 
 def verify_reflection(
@@ -419,9 +427,8 @@ def _check_sigma_slope(spec: EquationSpec, tol: float) -> CheckResult:
     def run():
         target = sigma1_closed(spec)
         t0, t1, om = spec.theta0, spec.theta1, spec.omega
-        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        f = [fusion_cl(s0 * t0, s1 * t1, om) for s0, s1 in signs]
-        c1 = [c_coefficients(_flip_spec(spec, s0, s1), 1)[0] for s0, s1 in signs]
+        f = [factor for factor, _ in _gamma_factors(t0, t1, om)]
+        c1 = [c_coefficients(_flip_spec(spec, s0, s1), 1)[0] for s0, s1 in _FLIPS]
         r0, delta = f[1] * f[2] / (f[0] * f[3]), c1[1] + c1[2] - c1[0] - c1[3]
         cos_gap = cmath.cos(math.tau * (t0 - t1)) - cmath.cos(math.tau * (t0 + t1))
         slope = -r0 * delta * cos_gap / ((1 - r0) ** 2 * math.tau * cmath.sin(math.tau * om))

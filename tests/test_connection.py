@@ -54,13 +54,16 @@ from heunconn import (
     wronskian_connection,
 )
 from heunconn.connection import (
+    _PREF_ERR,
     _det_gate,
     _eta_sweep,
     _flip_spec,
     _forward_sweep,
+    _gamma_factors,
     _recurrence_limit,
     _ss_precision,
     _sweep_floor,
+    _third_parameter,
 )
 from heunconn.equations import EquationSpec, coefficient_table
 from heunconn.fixedpoint import (
@@ -70,8 +73,11 @@ from heunconn.fixedpoint import (
     exact_quadratics,
     fixed_iterates,
 )
-from heunconn.precision import DOUBLE, HIGH, p_log1p, spec_to_precision
-from heunconn.tails import a_space, d_space, formal_tail, sum_tail, tail_depth, u_space
+from heunconn.precision import DOUBLE, HIGH, is_mp, p_exp, p_log1p, spec_to_precision
+from heunconn.special import log_gamma
+from heunconn.tails import (
+    EPS64, a_space, d_space, formal_tail, sum_tail, tail_depth, u_space, unit_roundoff,
+)
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -109,6 +115,136 @@ class TestFusionFormula:
         with mp.workdps(30):
             high = connection_matrix(spec_to_precision(spec, HIGH))
         assert max(abs(mat[k] - high[k]) for k in high.entries) <= mat.err_estimate
+
+
+def _per_flip_factors(spec) -> list:
+    """Reference for :func:`_gamma_factors`: the factor of each sign flip,
+    row by row, as one ``fusion_cl`` call forms it from four log-gammas, and
+    its error bound, ``_PREF_ERR`` in binary64 units plus ``|z| / dist(z,
+    poles)`` for each gamma argument ``z`` with ``Re z < 1/2``."""
+    x, out = _third_parameter(spec), []
+    for s0 in (1, -1):
+        for s1 in (1, -1):
+            t0, t1 = s0 * spec.theta0, s1 * spec.theta1
+            a = 0.5 + t1 - t0
+            args = (1 - 2 * t0, 2 * t1, a + x, a - x)
+            lg = [log_gamma(z) for z in args]
+            val = p_exp(lg[0] + lg[1] - lg[2] - lg[3])
+            ulps = _PREF_ERR / EPS64
+            for z in args:
+                ulps += abs(z) / abs(z - round(z.real)) if z.real < 0.5 else 1.0
+            out.append((val, float(unit_roundoff(is_mp(val)) * ulps)))
+    return out
+
+
+def _factor_specs(seed: int) -> list:
+    """Seeded specs of the four families: real, complex and 30-digit mpmath,
+    the coupled ones also at lam = 0."""
+    rng = random.Random(seed)
+
+    def theta():
+        while True:
+            t = rng.uniform(-0.45, 0.45)
+            if abs(2 * t - round(2 * t)) >= 0.02:
+                return t
+
+    specs = []
+    for _ in range(6):
+        t0, t1, x, lam = theta(), theta(), rng.uniform(0.08, 0.42), rng.uniform(-0.3, 0.3)
+        for lam_ in (lam, 0.0):
+            specs += [
+                rche_spec(t0, t1, x, lam_),
+                che_spec(t0, t1, x, theta(), lam_),
+                he_spec(t0, t1, theta(), theta(), x, lam_),
+            ]
+        specs.append(hyp_spec(t0, t1, x))
+    specs += [
+        replace(s, theta0=s.theta0 + 0.03j, theta1=s.theta1 - 0.02j) for s in specs[:13]
+    ]
+    with mp.workdps(30):
+        specs += [spec_to_precision(s, HIGH) for s in specs[::3]]
+    return specs
+
+
+class TestGammaFactors:
+    """The four gamma-ratio factors of a matrix come from one pass."""
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_factors_equal_one_fusion_cl_per_flip(self, seed):
+        with mp.workdps(30):
+            for spec in _factor_specs(seed):
+                x = _third_parameter(spec)
+                want = _per_flip_factors(spec)
+                # repr tells signed zeros and mpmath precisions apart
+                assert repr(list(_gamma_factors(spec.theta0, spec.theta1, x))) == repr(want), spec
+                assert repr(fusion_cl(spec.theta0, spec.theta1, x)) == repr(want[0][0])
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    def test_zero_coupling_entries_are_the_factors(self, seed):
+        for spec in _factor_specs(seed):
+            if spec.lam != 0 or is_mp(spec.theta0):
+                continue
+            want = _per_flip_factors(spec)
+            for method in ("cf", "recurrence"):
+                mat = connection_matrix(spec, method)
+                assert [mat[k] for k in ("++", "+-", "-+", "--")] == [complex(v) for v, _ in want]
+                assert mat.err_estimate == max((e + EPS64) * abs(v) for v, e in want)
+                assert mat.depth_or_K == 0
+
+    # A gamma argument a - x of the flip (-, +), and of the last flip (-, -),
+    # lies on a pole.
+    POLE_SPECS = [
+        hyp_spec(0.1, 0.2, 1.8),
+        rche_spec(0.1, 0.2, 1.8, 0.1),
+        rche_spec(-0.27767687930210716, 0.0416785359397942, 3.180644584758099, 0.1),
+    ]
+
+    @pytest.mark.parametrize("spec", POLE_SPECS, ids=["hyp", "rche", "rche_last_flip"])
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_a_flip_at_a_gamma_pole_raises_as_fusion_cl_does(self, spec, method):
+        with pytest.raises(PoleError) as want:
+            _per_flip_factors(spec)
+        with pytest.raises(PoleError) as got:
+            connection_matrix(spec, method)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_an_earlier_flip_raises_first(self, method):
+        # The factors are formed flip by flip, each before its sweep: the
+        # sweep of the flip (+, +) fails the tolerance before the last flip's
+        # pole is reached.
+        with pytest.raises(NonConvergence):
+            connection_matrix(self.POLE_SPECS[2], method, tol=1e-30)
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence"])
+    def test_zero_coupling_matrix_takes_twelve_log_gammas_and_no_flipped_spec(
+        self, monkeypatch, method
+    ):
+        import heunconn
+
+        specs = [
+            hyp_spec(0.1, 0.2, 0.3),
+            rche_spec(0.1, 0.2, 0.3, 0.0),
+            he_spec(0.1, -0.2, 0.3, 0.15, 0.3, 0.0),
+        ]
+        calls, built = [], []
+        real_init = EquationSpec.__init__
+
+        def counting_log_gamma(z):
+            calls.append(z)
+            return log_gamma(z)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(heunconn.connection, "log_gamma", counting_log_gamma)
+        monkeypatch.setattr(EquationSpec, "__init__", counting_init)
+        for spec in specs:
+            calls.clear()
+            connection_matrix(spec, method)
+            assert len(calls) == 12, spec
+        assert built == []
 
 
 class TestMatrixRoutes:
@@ -201,6 +337,12 @@ class TestMatrixRoutes:
         assert connection_matrix(spec_to_precision(rche_example, HIGH), method).precision == HIGH
         want = HIGH if method == "ss" else DOUBLE
         assert connection_matrix(rche_example, method).precision == want
+
+    def test_wronskian_connection_names_the_arithmetic(self, rche_example):
+        # The matrix gets its precision when it is built, also outside
+        # connection_matrix.
+        assert wronskian_connection(spec_to_precision(rche_example, HIGH)).precision == HIGH
+        assert wronskian_connection(rche_example).precision == DOUBLE
 
 
 COMPLEX_SPECS = [

@@ -320,6 +320,29 @@ class TestRealLine:
         assert log_gamma(3e305) == complex(math.inf, 0.0)
         assert log_gamma(math.ldexp(1.0, 1023)) == complex(math.inf, 0.0)
 
+    def test_float_argument_equals_its_complex(self):
+        # A float skips the round-trip through complex; the value is the same
+        # to the bit, over the range, between the poles and past the range.
+        rng = random.Random(41)
+        xs = [rng.uniform(-20.0, 200.0) for _ in range(2000)]
+        xs += [-n + rng.uniform(0.0, 1.0) for n in range(1, 21) for _ in range(25)]
+        xs += [-2.0 + 2e-12, -1e-12 - 1e-13, 0.5, 1.0, 2.0, 3e305, 1e308, math.ldexp(1.0, 1023)]
+        for x in xs:
+            got = log_gamma(x)
+            assert repr(got) == repr(log_gamma(complex(x))), x
+        assert log_gamma(1e308) == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, -3.0, 5e-13, -2.0 + 9e-13, -20.0 - 5e-13, math.nan, math.inf, -math.inf]
+    )
+    def test_float_argument_raises_as_its_complex(self, x):
+        errors = []
+        for z in (x, complex(x)):
+            with pytest.raises((PoleError, DomainError)) as got:
+                log_gamma(z)
+            errors.append((type(got.value), str(got.value)))
+        assert errors[0] == errors[1]
+
     def test_fusion_cl_on_real_triples(self):
         with mp.workdps(30):
             for t0, t1, x in _fusion_triples(18, 3000):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 import random
 
+import mpmath as mp
 import pytest
 
 from heunconn import (
@@ -22,6 +25,7 @@ from heunconn import (
     verify_connection_identity,
     verify_reflection,
 )
+from heunconn.precision import HIGH, spec_to_precision
 from heunconn.validation import che_to_he_spec, reflected_spec
 
 FAST = CheckConfig(include_slow=False)
@@ -78,6 +82,28 @@ class TestReflection:
     def test_strict_mode_raises_at_impossible_tolerance(self, rche_example):
         with pytest.raises(ReflectionMismatch):
             verify_reflection(rche_example, tol=1e-18, strict=True)
+
+    def test_reflected_omega_keeps_the_spec_numbers(self):
+        # omega**2 = 0.34: a float root of a float spec, an mpmath root of an
+        # mpmath spec at the working precision.
+        spec = rche_spec(0.1, 0.2, 0.3, 0.25)
+        ref = reflected_spec(spec)
+        assert type(ref.omega) is float and ref.omega == math.sqrt(0.3**2 + 0.25)
+        with mp.workdps(30):
+            high = spec_to_precision(spec, HIGH)
+            ref = reflected_spec(high)
+            assert isinstance(ref.omega, mp.mpf)
+            assert ref.omega == mp.sqrt(high.omega**2 + high.lam)
+            che = spec_to_precision(che_spec(0.1, 0.2, 0.3 + 0.02j, 0.15, 0.25), HIGH)
+            ref = reflected_spec(che)
+            assert isinstance(ref.omega, mp.mpc)
+            assert ref.omega == mp.sqrt(che.omega**2 - che.lam * che.theta_star)
+
+    def test_negative_omega_squared_takes_the_complex_root(self):
+        ref = reflected_spec(rche_spec(0.1, 0.2, 0.3, -0.25))
+        assert ref.omega == cmath.sqrt(0.3**2 - 0.25)
+        assert ref.omega.imag > 0
+        assert verify_reflection(rche_spec(0.1, 0.2, 0.3, -0.25)).passed
 
     def test_unsupported_family(self, he_example):
         with pytest.raises(FamilyFieldError):
