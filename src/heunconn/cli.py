@@ -26,12 +26,7 @@ from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import METHODS, connection_matrix, det_residual
 from .equations import _REQUIRED, EquationSpec, validate
 from .errors import FamilyFieldError, HeunConnError, SizeError
-from .perturbative import (
-    c1_closed_he,
-    c1_closed_rche,
-    c2_closed_rche,
-    c_coefficients,
-)
+from .perturbative import CLOSED_FORMS, c_coefficients
 from .precision import default_precision, spec_to_precision
 from .validation import CheckConfig, full_report
 
@@ -270,23 +265,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _closed_form_reference(spec: EquationSpec, n: int):
-    if spec.family == "RCHE" and n == 1:
-        return c1_closed_rche(spec)
-    if spec.family == "RCHE" and n == 2:
-        return c2_closed_rche(spec)
-    if spec.family == "HE" and n == 1:
-        return c1_closed_he(spec)
-    return None
-
-
 def cmd_expand(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     table = []
     rows = [["n", "re", "im", "closed_re", "closed_im", "abs_diff"]]
     lines = [f"series coefficients of ln a_inf  family={spec.family}  N={args.order}"]
+    forms = CLOSED_FORMS.get(spec.family, ())
     for n, c in enumerate(c_coefficients(spec, args.order), start=1):
-        ref = _closed_form_reference(spec, n)
+        ref = forms[n - 1](spec) if n <= len(forms) else None
         diff = None if ref is None else abs(c - ref)
         table.append({"n": n, "c": c, "closed": ref, "diff": diff})
         rows.append([n, c.real, c.imag, None if ref is None else ref.real,

@@ -88,8 +88,9 @@ _PROBE = 0.5  # matching point of the wronskian route
 _PROBE_REACH = max(abs(_PROBE), abs(1.0 - _PROBE))  # of the route's local basis
 # Relative error of the binary64 fusion_cl factor away from gamma poles.  Real
 # parameters take the real-line log-gamma (at most 3.4e-15 on 3000 seeded
-# triples, against 5.7e-14 from the complex kernel); complex parameters still
-# take the kernel, so the floor stays.
+# triples), complex ones the rational kernel in log form (at most 5.5e-15 on
+# 3000 seeded triples with |Im| <= 0.2).  One floor serves both until each
+# path has its own (ROADMAP item 15).
 _PREF_ERR = 1e-13
 # Roundings per row of a binary64 sweep (_sweep_floor).  Against the same
 # forward and eta sweeps in mpmath at 40 digits (tools/sweep_roundings.py),
@@ -111,8 +112,7 @@ class ConnectionMatrix:
     settled on; ``err_estimate`` is an a-posteriori bound on the entrywise
     error for ``cf``, ``recurrence`` and ``ss``, and for ``wronskian`` the
     self-Wronskian defect of the local basis, which measures its truncation
-    but is no bound (on 1 of 60 scan-pool specs the error exceeds it 1.5-fold);
-    ``precision`` is the arithmetic backend that produced it.
+    but is no bound (on 1 of 60 scan-pool specs the error exceeds it 1.5-fold).
     """
 
     entries: dict
@@ -120,7 +120,13 @@ class ConnectionMatrix:
     method: str
     depth_or_K: int
     err_estimate: float
-    precision: str = DOUBLE
+
+    @property
+    def precision(self) -> str:
+        """The arithmetic that produced the matrix: ``"high"`` for ``ss``,
+        which runs in mpmath at every spec, and for an mpmath spec, else
+        ``"double"``."""
+        return HIGH if self.method == "ss" or is_mp_spec(self.spec) else DOUBLE
 
     def __getitem__(self, key: str) -> complex:
         return self.entries[key]
@@ -544,7 +550,6 @@ def _wronskian_matrix(spec: EquationSpec, basis: list) -> ConnectionMatrix:
         method="wronskian",
         depth_or_K=basis[0].K,
         err_estimate=float(err),
-        precision=HIGH if is_mp_spec(spec) else DOUBLE,
     )
 
 
@@ -599,10 +604,7 @@ def connection_matrix(
         entries[key] = val
         worst = max(worst, err)
         depth = max(depth, d)
-    # ss runs in mpmath at every spec; the other routes in the spec's numbers.
-    precision = HIGH if method == "ss" or is_mp_spec(spec) else DOUBLE
-    matrix = ConnectionMatrix(entries, spec, method, depth, worst, precision)
-    return _det_gate(matrix, tol)
+    return _det_gate(ConnectionMatrix(entries, spec, method, depth, worst), tol)
 
 
 def _det_gate(matrix: ConnectionMatrix, tol: float) -> ConnectionMatrix:

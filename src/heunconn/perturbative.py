@@ -22,7 +22,8 @@ truncated-series arithmetic; the expansion above does not use them.
 
 Closed forms for the leading coefficients (``c_1, c_2`` for RCHE, ``c_1`` for
 HE through the composite-exponent slope ``sigma_1``) are implemented from
-digamma/trigamma expressions and serve as independent references.
+digamma/trigamma expressions and serve as independent references; the
+family-to-forms roster is :data:`CLOSED_FORMS`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "jet_log",
     "jet_exp",
     "c_coefficients",
+    "CLOSED_FORMS",
     "c1_closed_rche",
     "c2_closed_rche",
     "sigma1_closed",
@@ -303,3 +305,7 @@ def c1_closed_he(spec: EquationSpec) -> complex:
     _require_family(spec, "HE", "c1 closed form")
     val = 0.5 - spec.theta_t + f1_closed_he(spec)
     return complex(val)
+
+
+# The closed forms of c_1, c_2, ... by family, in order; other families have none.
+CLOSED_FORMS = {"RCHE": (c1_closed_rche, c2_closed_rche), "HE": (c1_closed_he,)}

@@ -40,13 +40,7 @@ from .frobenius import (
     ode_residual,
     potential,
 )
-from .perturbative import (
-    c1_closed_he,
-    c1_closed_rche,
-    c2_closed_rche,
-    c_coefficients,
-    sigma1_closed,
-)
+from .perturbative import CLOSED_FORMS, c_coefficients, sigma1_closed
 from .precision import is_mp
 
 __all__ = [
@@ -440,16 +434,11 @@ def _check_sigma_slope(spec: EquationSpec, tol: float) -> CheckResult:
 
 def _check_series_closed(spec: EquationSpec, tol: float) -> CheckResult:
     def run():
-        if spec.family == "RCHE":
-            cs = c_coefficients(spec, 2)
-            refs = (c1_closed_rche(spec), c2_closed_rche(spec))
-        else:
-            cs = c_coefficients(spec, 1)
-            refs = (c1_closed_he(spec),)
-        worst = max(
-            abs(got - ref) / max(1.0, abs(ref)) for got, ref in zip(cs, refs)
-        )
-        return worst, f"{len(refs)} closed-form coefficient(s)"
+        forms = CLOSED_FORMS[spec.family]
+        cs = c_coefficients(spec, len(forms))
+        refs = (form(spec) for form in forms)
+        worst = max(abs(got - ref) / max(1.0, abs(ref)) for got, ref in zip(cs, refs))
+        return worst, f"{len(forms)} closed-form coefficient(s)"
 
     return _timed("series_vs_closed_forms", tol, run)
 
@@ -496,7 +485,7 @@ def full_report(spec: EquationSpec, config: Optional[CheckConfig] = None) -> Val
     checks.append(_check_monodromy(spec, tols["monodromy_products"], cf))
     if spec.family == "HE" and config.include_slow:
         checks.append(_check_sigma_slope(spec, tols["sigma_slope_vs_closed"]))
-    if spec.family in ("RCHE", "HE"):
+    if spec.family in CLOSED_FORMS:
         checks.append(_check_series_closed(spec, tols["series_vs_closed_forms"]))
     if spec.family == "CHE" and config.include_slow:
         tol = tols["che_as_he_limit"]

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Derive the rational gamma kernel of ``heunconn.special`` and measure it.
 
-The kernel has the shifted form
+Both ``special.gamma`` and the complex ``special.log_gamma`` use this kernel:
+``gamma`` as written below, ``log_gamma`` in log form, ``1/2 ln 2 pi + (x +
+1/2) Log t - t + Log A(x)``.  The kernel has the shifted form
 
     Gamma(z) = sqrt(2*pi) * t**(x + 1/2) * exp(-t) * A(x),
     x = z - 1,  t = x + g + 1/2,
@@ -17,8 +19,9 @@ positive, so Horner's rule in binary64 has no cancellation.
 Run:  python3 tools/derive_lanczos.py
 
 It prints ``_SHIFT``, ``_NUM`` and ``_DEN`` as ``special.py`` holds them,
-and the worst relative error of the binary64 kernel against mpmath at 40
-digits on a grid of 0.5 <= Re z <= 50, |Im z| <= 50.
+and the worst relative error of the binary64 gamma kernel against mpmath at
+40 digits on a grid of 0.5 <= Re z <= 50, |Im z| <= 50 (3.7e-14; off the
+grid, 3,000 seeded points of the same box reach 6.4e-14).
 """
 
 from __future__ import annotations
