@@ -277,7 +277,12 @@ def sigma1_closed(spec: EquationSpec) -> complex:
     validate(spec)
     om = spec.omega
     _require_away(om, (0.0, 0.5, -0.5), "sigma1 closed form")
-    t0, t1 = spec.theta0, spec.theta1
+    return _sigma1(spec)
+
+
+def _sigma1(spec: EquationSpec) -> complex:
+    """:func:`sigma1_closed` of a spec that passed its checks."""
+    om, t0, t1 = spec.omega, spec.theta0, spec.theta1
     tt, ti = spec.theta_t, spec.theta_inf
     q = 0.25 - om * om
     val = (q + t0 * t0 - t1 * t1) * (q + ti * ti - tt * tt) / (4 * om * q)
@@ -293,7 +298,7 @@ def f1_closed_he(spec: EquationSpec) -> complex:
     tt, ti = spec.theta_t, spec.theta_inf
     _require_away(om, (0.0, 0.5, -0.5), "f1 closed form")
     q = 0.25 - om * om
-    s1 = sigma1_closed(spec)
+    s1 = _sigma1(spec)  # the same checks, passed above
     a = 0.5 + t1 - t0
     val = -s1 * _psi_diff(a, om) - (t0 + t1) * (q + ti * ti - tt * tt) / (2 * q)
     return complex(val)

@@ -22,7 +22,9 @@ The binary64 backend implements:
 * ``polygamma`` — orders ``0 <= n <= 16`` by upward recurrence to ``Re w >=
   18 + n`` and the asymptotic series with even-index Bernoulli coefficients,
   for ``Re z >= -2^20``.
-* ``pochhammer`` — rising factorial as a direct product.
+* ``pochhammer`` — rising factorial as a direct product, ``0j`` at once where
+  a factor is exactly zero, and a :class:`DomainError` at the factor where
+  the product leaves the binary64 range.
 
 The complex polygamma tails stop at the first power outside the binary64
 range (:func:`_finite_terms`); a complex value outside it raises
@@ -31,10 +33,14 @@ range (:func:`_finite_terms`); a complex value outside it raises
 A binary64 argument whose imaginary part is zero (a float, an int, or a
 complex with imaginary part ``0.0`` or ``-0.0``) takes a real-line path:
 ``log_gamma`` is ``math.lgamma(x)`` with imaginary part ``-pi ceil(-x)`` for
-``x < 0`` (the same upper-half-plane branch), and ``polygamma`` runs the
-shift-plus-asymptotic algorithm above in float arithmetic.  Measured against
-mpmath at 30 to 40 digits on ``[-2, 3]``, 0.02 from the poles (Python 3.11,
-x86-64):
+``x < 0`` (the same upper-half-plane branch), and ``polygamma`` is
+:func:`_polygamma_real`, the shift-plus-asymptotic algorithm above in float
+arithmetic, the same operations in the same order.  A float reaches either
+without conversion to ``complex``; the complex polygamma shifts serve only
+``Im z != 0``.  A real ``polygamma`` call takes about 2.4 us at order 0 and
+3.4 us at order 1 on ``(0, 2)``, against 4.5 and 4.9 us through ``complex``.
+Measured against mpmath at 30 to 40 digits on ``[-2, 3]``, 0.02 from the
+poles (Python 3.11, x86-64):
 
 * real line, 20,000 points: ``log_gamma`` 2.0e-15 absolute error,
   ``polygamma`` orders 0-3 at most 4.2e-15 times ``max(1, |value|)`` (order 2
@@ -48,7 +54,9 @@ x86-64):
 Each function follows the type of its argument, like the helpers of
 :mod:`heunconn.precision`: an mpmath scalar (``mpf``/``mpc``) is evaluated by
 mpmath at the current working precision, anything else by the binary64
-kernels above.  Both raise the same :class:`PoleError` near a pole.
+kernels above.  Both raise the same :class:`PoleError` near a pole.  An
+argument that is not a number, or an int past the binary64 range, raises
+:class:`DomainError` naming the function (:func:`_binary64`).
 """
 
 from __future__ import annotations
@@ -130,6 +138,13 @@ _PG_TAIL = tuple(
     for n in range(_MAX_POLYGAMMA_ORDER + 1)
 )
 
+# The constant (-1)^n n! of polygamma's upward shifts, psi^(n)(w) =
+# psi^(n)(w + 1) - (-1)^n n! / w^(n+1).
+_PG_SHIFT = tuple(
+    (1.0 if n % 2 == 0 else -1.0) * float(math.factorial(n))
+    for n in range(_MAX_POLYGAMMA_ORDER + 1)
+)
+
 _POLE_TOL = 1e-12
 _MAX_SHIFT = 2**20  # upward shifts of polygamma; past 2^53 a shift does not move z
 
@@ -146,11 +161,30 @@ def _near_nonpositive_integer(z: complex) -> bool:
     return n <= 0 and abs(z - n) < _POLE_TOL
 
 
+def _binary64(z: Any, name: str) -> complex:
+    """``complex(z)``; a non-number, or a number past the binary64 range such
+    as ``10**400``, raises :class:`DomainError` naming the function."""
+    try:
+        return complex(z)
+    except OverflowError:
+        raise DomainError(
+            f"{name} argument of type {type(z).__name__} is outside the binary64 range"
+        ) from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} argument {z!r} is not a number") from None
+
+
 def _check_pole(z: complex, name: str) -> None:
     if not cmath.isfinite(z):
         raise DomainError(f"{name} argument {z!r} is not finite")
     if _near_nonpositive_integer(z):
         raise PoleError(f"{name} argument {z!r} is within {_POLE_TOL} of a pole")
+
+
+def _check_real_pole(x: float, name: str) -> None:
+    """:func:`_check_pole` of a float, without conversion to complex where it passes."""
+    if not math.isfinite(x) or x < 0.5 and _near_nonpositive_integer(x):
+        _check_pole(complex(x), name)  # raises, with its messages
 
 
 def _sin_pi(z: complex) -> complex:
@@ -190,10 +224,11 @@ def _log_gamma_core(z: complex) -> complex:
 def gamma(z: Any) -> Any:
     """Gamma function; raises :class:`PoleError` within 1e-12 of a pole, and
     :class:`DomainError` where the binary64 kernel leaves its range."""
-    _check_pole(complex(z), "gamma")
+    zc = _binary64(z, "gamma")
+    _check_pole(zc, "gamma")
     if is_mp(z):
         return mp.gamma(z)
-    z = complex(z)
+    z = zc
     try:
         val = _gamma_core(z) if z.real >= 0.5 else math.pi / (_sin_pi(z) * _gamma_core(1.0 - z))
         if cmath.isfinite(val):
@@ -248,13 +283,13 @@ def log_gamma(z: Any) -> Any:
     """
     if isinstance(z, float):
         # The real line without a round-trip through complex.
-        if not math.isfinite(z) or z < 0.5 and _near_nonpositive_integer(z):
-            _check_pole(complex(z), "log_gamma")  # raises, with its messages
+        _check_real_pole(z, "log_gamma")
         return _log_gamma_real(z)
-    _check_pole(complex(z), "log_gamma")
+    zc = _binary64(z, "log_gamma")
+    _check_pole(zc, "log_gamma")
     if is_mp(z):
         return mp.loggamma(z)
-    z = complex(z)
+    z = zc
     if z.imag == 0.0:
         return _log_gamma_real(z.real)
     if z.imag < 0.0:
@@ -298,8 +333,35 @@ def _polygamma_asymptotic(n: int, w: Any) -> Any:
     return sign * s
 
 
+def _polygamma_real(n: int, x: float) -> complex:
+    """:func:`polygamma` of a finite real ``x`` off the poles: the upward
+    shifts to ``18 + n`` and the asymptotic series in float arithmetic."""
+    threshold = 18.0 + n
+    if threshold - x > _MAX_SHIFT:
+        raise DomainError(
+            f"polygamma({n}, {complex(x)!r}) would take more than {_MAX_SHIFT} shifts"
+        )
+    w, acc = x, 0.0
+    if n == 0:
+        while w < threshold:
+            acc += 1.0 / w
+            w += 1.0
+    else:
+        c = _PG_SHIFT[n]
+        while w < threshold:
+            acc += c / w ** (n + 1)
+            w += 1.0
+    val = complex(_polygamma_asymptotic(n, w) - acc)
+    if cmath.isfinite(val):
+        return val
+    raise DomainError(f"polygamma({n}, {complex(x)!r}) is outside the binary64 range")
+
+
 def polygamma(n: int, z: Any) -> Any:
     """n-th derivative of log-gamma, orders 0..16.
+
+    A float, an int, or a complex with imaginary part ``0.0`` or ``-0.0`` is
+    evaluated by :func:`_polygamma_real`.
 
     Raises :class:`OrderError` outside the supported order range,
     :class:`PoleError` within 1e-12 of a nonpositive integer, and
@@ -310,25 +372,28 @@ def polygamma(n: int, z: Any) -> Any:
         raise OrderError(
             f"polygamma order must be an integer in [0, {_MAX_POLYGAMMA_ORDER}], got {n!r}"
         )
-    _check_pole(complex(z), "polygamma")
+    if isinstance(z, float):
+        _check_real_pole(z, "polygamma")
+        return _polygamma_real(n, z)
+    zc = _binary64(z, "polygamma")
+    _check_pole(zc, "polygamma")
     if is_mp(z):
         return mp.polygamma(n, z)
-    z = complex(z)
+    z = zc
+    if z.imag == 0.0:
+        return _polygamma_real(n, z.real)
     if z.imag < 0.0:
         return polygamma(n, z.conjugate()).conjugate()
-    # On the real line the same algorithm runs in float arithmetic.
-    w = z.real if z.imag == 0.0 else z
     threshold = 18.0 + n
-    if threshold - w.real > _MAX_SHIFT:
+    if threshold - z.real > _MAX_SHIFT:
         raise DomainError(f"polygamma({n}, {z!r}) would take more than {_MAX_SHIFT} shifts")
-    shift_sign = 1.0 if n % 2 == 0 else -1.0
-    fact_n = float(math.factorial(n))
-    acc = 0.0
+    c = _PG_SHIFT[n]
+    w, acc = z, 0.0
     try:
         while w.real < threshold:
-            acc += shift_sign * fact_n / w ** (n + 1)
+            acc += c / w ** (n + 1)
             w += 1.0
-        val = complex(_polygamma_asymptotic(n, w) - acc)
+        val = _polygamma_asymptotic(n, w) - acc
         if cmath.isfinite(val):
             return val
     except OverflowError:  # the power of a complex shift
@@ -342,12 +407,26 @@ def digamma(z: Any) -> Any:
 
 
 def pochhammer(x: Any, k: int) -> Any:
-    """Rising factorial ``x (x+1) ... (x+k-1)``; ``k = 0`` gives 1."""
+    """Rising factorial ``x (x+1) ... (x+k-1)``; ``k = 0`` gives 1.
+
+    A binary64 product with a factor that is exactly zero is ``0j`` at once;
+    a non-finite argument, or a product that leaves the binary64 range,
+    raises :class:`DomainError` at the factor where it does."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"pochhammer index must be a nonnegative integer, got {k!r}")
-    xv = x if is_mp(x) else complex(x)
-    one = xv * 0 + 1
-    out = one
+    if is_mp(x):
+        out = x * 0 + 1
+        for j in range(k):
+            out = out * (x + j)
+        return out
+    xv = _binary64(x, "pochhammer")
+    if not cmath.isfinite(xv):
+        raise DomainError(f"pochhammer argument {xv!r} is not finite")
+    if xv.imag == 0.0 and xv.real.is_integer() and -k < xv.real <= 0.0:
+        return 0j  # the factor x + j is zero at j = -x
+    out = 1 + 0j
     for j in range(k):
         out = out * (xv + j)
+        if not cmath.isfinite(out):
+            raise DomainError(f"pochhammer({xv!r}, {k}) is outside the binary64 range")
     return out

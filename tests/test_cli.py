@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,19 @@ def test_parser_is_built_once_and_on_first_use(capsys):
     parser = cli.build_parser()
     assert run_cli(capsys, BASE_ARGV["walks"])[0] == 0
     assert cli.build_parser() is parser
+
+
+def test_import_stays_pure_python():
+    # numpy alone would push the import time and peak RSS past the benchmark's bounds.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, heunconn, heunconn.cli; "
+        "print(sorted({'numpy', 'scipy'} & {m.partition('.')[0] for m in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"
 
 
 class TestExitCodes:

@@ -235,6 +235,42 @@ class TestOutOfRange:
         with pytest.raises(DomainError, match="outside the binary64 range"):
             polygamma(16, 0.7 + 1e20j)
 
+    @pytest.mark.parametrize("x, k", [(2.0, 400), (1 + 1j, 200), (-200.5, 400)])
+    def test_pochhammer_past_the_binary64_range(self, x, k):
+        with pytest.raises(DomainError, match="outside the binary64 range"):
+            pochhammer(x, k)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)])
+    def test_pochhammer_non_finite_argument(self, x):
+        with pytest.raises(DomainError, match="is not finite"):
+            pochhammer(x, 3)
+
+    @pytest.mark.parametrize("x, k", [(-3.0, 10**7), (-400.0, 1000), (0, 1), (-2 - 0j, 3)])
+    def test_pochhammer_stops_at_a_zero_factor(self, x, k):
+        # A zero factor past 170 others would follow an overflowed product.
+        start = time.perf_counter()
+        assert pochhammer(x, k) == 0
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [("a", "is not a number"), (None, "is not a number"), (10**400, "outside the binary64 range")],
+        ids=["str", "None", "big_int"],
+    )
+    @pytest.mark.parametrize(
+        "name, f",
+        [
+            ("gamma", gamma),
+            ("log_gamma", log_gamma),
+            ("polygamma", lambda z: polygamma(1, z)),
+            ("pochhammer", lambda z: pochhammer(z, 3)),
+        ],
+        ids=["gamma", "log_gamma", "polygamma", "pochhammer"],
+    )
+    def test_non_number_argument(self, name, f, z, message):
+        with pytest.raises(DomainError, match=f"^{name} argument .*{message}"):
+            f(z)
+
 
 def _real_points(seed: int, count: int) -> list[float]:
     """Seeded ``x`` in [-2, 3], at least 0.02 from the poles of gamma."""
@@ -341,6 +377,46 @@ class TestRealLine:
         for z in (x, complex(x)):
             with pytest.raises((PoleError, DomainError)) as got:
                 log_gamma(z)
+            errors.append((type(got.value), str(got.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 16])
+    def test_polygamma_float_argument_equals_its_complex(self, n):
+        # Every real argument takes the real-line function, a float without
+        # conversion to complex; the value is the same to the bit.
+        rng = random.Random(43)
+        xs = [rng.uniform(-20.0, 200.0) for _ in range(500)]
+        xs += [-k + rng.uniform(0.01, 0.99) for k in range(1, 21) for _ in range(5)]
+        xs += [float(k) for k in range(1, 40)] + [-2.0 + 2e-12, 1e200, 1e300]
+        for x in xs:
+            got = repr(polygamma(n, x))
+            assert got == repr(polygamma(n, complex(x, 0.0))), x
+            assert got == repr(polygamma(n, complex(x, -0.0))), x
+            if x.is_integer():
+                assert got == repr(polygamma(n, int(x))), x
+
+    def test_polygamma_real_arguments_take_the_real_line(self, monkeypatch):
+        seen = []
+
+        def real(n, x):
+            seen.append(x)
+            return 0j
+
+        monkeypatch.setattr(special, "_polygamma_real", real)
+        for z in (0.3, 2, complex(0.3, 0.0), complex(0.3, -0.0)):
+            polygamma(1, z)
+        assert seen == [0.3, 2.0, 0.3, 0.3]
+        assert all(type(x) is float for x in seen)
+        assert polygamma(1, complex(0.3, 1e-300)) != 0j
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -3.0, -2.0 + 9e-13, math.nan, math.inf, -math.inf, -(2.0**50) + 0.5]
+    )
+    def test_polygamma_float_argument_raises_as_its_complex(self, x):
+        errors = []
+        for z in (x, complex(x)):
+            with pytest.raises((PoleError, DomainError)) as got:
+                polygamma(2, z)
             errors.append((type(got.value), str(got.value)))
         assert errors[0] == errors[1]
 
