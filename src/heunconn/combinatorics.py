@@ -17,6 +17,7 @@ the formal ``1/k`` tail of the tail determinants (:mod:`heunconn.tails`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -164,9 +165,18 @@ def _check_two_term(spec: EquationSpec) -> None:
         )
 
 
+@functools.cache  # at most _MAX_N orders
+def _walk_weights(n: int) -> tuple:
+    """Each walk type ``mu`` of order ``n`` with ``float(n_mu(mu))``."""
+    return tuple((mu, float(n_mu(mu))) for mu in compositions(n))
+
+
 def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
     """:func:`trace_power` of a valid RCHE spec at each of ``orders``, all
-    ``<= N``, from one coefficient table and one tail to order ``N``."""
+    ``<= N``, from one coefficient table and one tail to order ``N``.  The
+    walk sums start from the float weights of :func:`_walk_weights` and run
+    in ``beta``'s own arithmetic, so real ``beta`` stay real and complex ones
+    promote each weight as ``(w + 0j) * beta`` would."""
     K = root_depth(spec)
     _, betas = coefficient_table(spec, 1, K + N)
     s_d, _ = summed_tail(spec, d_space, K + 1, "walk-trace tail", N, relative=False)
@@ -174,9 +184,9 @@ def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
     columns = [betas[off : off + K] for off in range(N)]  # beta_{k+off}, k = 1 .. K
     out = []
     for n in orders:
-        total = [0.0 + 0.0j] * K  # weighted beta products of all walk types at each k
-        for mu in compositions(n):
-            prods = itertools.repeat(float(n_mu(mu)) + 0.0j)
+        total = [0.0] * K  # weighted beta products of all walk types at each k
+        for mu, weight in _walk_weights(n):
+            prods = itertools.repeat(weight)
             for column, power in zip(columns, mu):
                 for _ in range(power):
                     prods = map(mul, prods, column)

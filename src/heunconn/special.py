@@ -410,11 +410,13 @@ def pochhammer(x: Any, k: int) -> Any:
     """Rising factorial ``x (x+1) ... (x+k-1)``; ``k = 0`` gives 1.
 
     A binary64 product with a factor that is exactly zero is ``0j`` at once;
-    a non-finite argument, or a product that leaves the binary64 range,
-    raises :class:`DomainError` at the factor where it does."""
+    a non-finite argument (binary64 or mpmath), or a product that leaves the
+    binary64 range, raises :class:`DomainError` at the factor where it does."""
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"pochhammer index must be a nonnegative integer, got {k!r}")
     if is_mp(x):
+        if not mp.isfinite(x):
+            raise DomainError(f"pochhammer argument {x!r} is not finite")
         out = x * 0 + 1
         for j in range(k):
             out = out * (x + j)

@@ -138,10 +138,13 @@ def inverse_depth(spec: EquationSpec, K: int) -> Any:
     return 1 / (K + 0 * spec.theta0).real
 
 
-@functools.cache  # at most _TAIL_MAX_ORDER rows
-def _binomial_rows(n: int) -> tuple[tuple, tuple]:
+@functools.cache  # at most _TAIL_MAX_ORDER rows of each kind
+def _binomial_rows(n: int, exact: bool) -> tuple[tuple, tuple]:
     """Row ``n`` of Pascal's triangle, ``C(n, i)``, and the same with signs
-    ``(-1)^(n-i)``, as Python ints (exact under mpmath)."""
+    ``(-1)^(n-i)``: as Python ints when ``exact`` (mpmath), else as the
+    binary64 floats that an int times a float or complex rounds them to."""
+    if not exact:
+        return tuple(tuple(map(float, row)) for row in _binomial_rows(n, True))
     row = tuple(math.comb(n, i) for i in range(n + 1))
     return row, tuple(c if (n - i) % 2 == 0 else -c for i, c in enumerate(row))
 
@@ -187,14 +190,17 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
     L_1 - A_1 + B_1 = 0``) at every coupling, order ``w^(n+1)`` fixes ``e_n``
     with divisor ``n (L_0 - B_0)``.  One loop over ``n`` steps every order;
     each passes up what its ``e_n`` adds to the next order's residual (the
-    carry) through the ``linear`` parts and the ``delta`` part of the divisor.
+    carry): the residual's sum on the ``linear`` parts, less the ``delta``
+    part of the divisor, ``n (s_0 - u_0)``, times ``e_n``.
 
     The shifts enter as ``p_m = [w^m] P_+ S(k+1) = sum_j C(rho-j, m-j) e_j``
     and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
     binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
     rest has fixed length.  At ``rho = 0`` the sums run on the rows of
-    :func:`_binomial_rows`, else in binary64 (finite to order 170) on ``C(rho-j,
-    i) = v h_j / i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
+    :func:`_binomial_rows`, as floats where ``inv_k`` is one (the products
+    are those of the int rows) and as ints otherwise, else in binary64
+    (finite to order 170) on ``C(rho-j, i) = v h_j / i!``, ``v = rho (rho-1)
+    .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
 
     Where ``rho = 0`` and ``L - A + B`` vanishes at ``lam`` (coupling 0 in
     :func:`a_space` and :func:`d_space`), the jets' order 0 is ``S = 1``
@@ -208,13 +214,12 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
     states = [(1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, [1] if rho else [])]
     carries, known = repeat(0), 0  # known: 1 where order 0 is S = 1
     if N:
-        # coefficients of an order's state tuple in the next order's residual
-        slope_row = [s0, u0, s1, u1, s2, -t2, u2, s3, -t3, u3, s4, -t4, u4]
         if not rho and l2 - a2 + b2 == l3 - a3 + b3 == l4 - a4 + b4 == 0:
             states, known = [], 1
             carries = chain([s2 - t2 + u2, s3 - t3 + u3, s4 - t4 + u4], carries)
         states += [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, [0] if rho else []) for _ in range(N)]
     divisor, h, v, scale = l0 - b0, 1, rho or 1, 1
+    exact = not isinstance(inv_k, float)
     yield [1] + [0] * N if N else 1
     for n, carry in zip(count(1), carries):
         back = rho - n + 1
@@ -223,8 +228,8 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
             h /= back
             q_row, p_row = _ALT_INV_FACT[n - 1 :: -1], _INV_FACT[n - 1 :: -1]
         else:
-            q_row, p_row = _binomial_rows(n)
-        step = n * divisor
+            q_row, p_row = _binomial_rows(n, exact)
+        step, slope = n * divisor, n * (s0 - u0)
         for m, (e1, p1, q1, e2, p2, q2, e3, p3, q3, p_sum, q_sum, seq) in enumerate(states, known):
             shift = back * e1
             p_n, q_n = p_sum + shift, q_sum - shift  # without e_n
@@ -239,8 +244,12 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
             )
             e = (residual + carry) / step
             if m < N:  # the last order passes no carry
-                state = p_sum, q_sum, p_n, q_n, p1, e1, q1, p2, e2, q2, p3, e3, q3
-                carry = sum(map(mul, slope_row, state)) - n * (s0 - u0) * e
+                carry = (
+                    s0 * p_sum + u0 * q_sum + s1 * p_n + u1 * q_n
+                    + s2 * p1 - t2 * e1 + u2 * q1
+                    + s3 * p2 - t3 * e2 + u3 * q2
+                    + s4 * p3 - t4 * e3 + u4 * q3
+                ) - slope * e
             seq.append(e * h)
             states[m - known] = e, p_n + e, q_n + e, e1, p1, q1, e2, p2, q2, p_sum, q_sum, seq
         scale *= inv_k

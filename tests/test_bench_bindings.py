@@ -12,6 +12,8 @@ from __future__ import annotations
 import importlib
 import math
 import numbers
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,8 @@ import pytest
 
 import heunconn as hc
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -85,3 +88,21 @@ def test_traced_ops_give_finite_metrics(tracing, request):
     for name, metric in metrics.items():
         value = metric["value"]
         assert isinstance(value, numbers.Real) and math.isfinite(value), (name, value)
+
+
+def test_output_digest_tool_runs():
+    # The tool reads the workloads by name; a digest is the same in two processes.
+    script = ROOT / "tools" / "output_digest.py"
+
+    def digests(*args):
+        run = subprocess.run(
+            [sys.executable, str(script), "--seed", "3", *args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.splitlines()
+
+    lines = digests()
+    assert [line.split()[0] for line in lines] == ["scan", "verify", "expand", "closed"]
+    assert all(re.fullmatch(r"\w+ [1-9]\d* [0-9a-f]{64}", line) for line in lines)
+    assert digests("--workload", "expand") == [lines[2]]

@@ -26,6 +26,7 @@ from heunconn import (
     trace_power,
     walk_type,
 )
+from heunconn.combinatorics import _MAX_N, _walk_weights
 from heunconn.equations import coefficient_table
 from heunconn.precision import HIGH, spec_to_precision
 from heunconn.tails import (
@@ -139,6 +140,13 @@ class TestMultiplicityFormula:
         with pytest.raises(SizeError):
             enumerate_walk_types(9)
 
+    def test_walk_weights_are_the_walk_counts(self):
+        # The trace route's cached weights: every composition, in order, with its n_mu.
+        for n in range(1, _MAX_N + 1):
+            weights = _walk_weights(n)
+            assert [mu for mu, _ in weights] == list(compositions(n))
+            assert all(type(w) is float and w == n_mu(mu) for mu, w in weights)
+
     def test_named_errors(self):
         with pytest.raises(DomainError):
             n_mu(())
@@ -178,16 +186,21 @@ class TestTraceRoute:
                 assert abs(c - t) <= 1e-9 * max(1.0, abs(c)), spec
 
     def test_column_sums_match_the_per_k_walk_sums(self):
-        # 16 seeded specs, the second eight with a complex omega, one per N.
+        # 16 seeded specs, the second eight with a complex omega, one per N, and
+        # one real spec in complex numbers; repr also tells signed zeros apart.
         rng = random.Random(23)
+        specs = []
         for i in range(16):
             t0, t1 = rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)
             r = rng.uniform(0.05, 2.0)
             omega = cmath.rect(r, rng.uniform(-3.1, 3.1)) if i >= 8 else r
-            spec, N = rche_spec(t0, t1, omega, 0.1), 1 + i % 8
+            specs.append(rche_spec(t0, t1, omega, 0.1))
+        specs.append(spec_to_precision(specs[0], "double"))
+        for i, spec in enumerate(specs):
+            N = 1 + i % 8
             want = [-t / (2 * n) for n, t in enumerate(per_k_traces(spec, range(1, N + 1), N), 1)]
-            assert log_a_series_from_traces(spec, N) == want
-            assert trace_power(spec, N) == per_k_traces(spec, [N], N)[0]
+            assert repr(log_a_series_from_traces(spec, N)) == repr(want)
+            assert repr(trace_power(spec, N)) == repr(per_k_traces(spec, [N], N)[0])
 
     def test_trace_sign_convention(self, rche_example):
         # c_n = -Tr A^{2n} / (2n) term by term.

@@ -240,7 +240,13 @@ class TestOutOfRange:
         with pytest.raises(DomainError, match="outside the binary64 range"):
             pochhammer(x, k)
 
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, complex(0.5, math.inf)])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            math.nan, math.inf, -math.inf, complex(0.5, math.inf),
+            mp.mpf("inf"), mp.mpf("-inf"), mp.mpf("nan"), mp.mpc("inf", 0), mp.mpc(0.5, "nan"),
+        ],
+    )
     def test_pochhammer_non_finite_argument(self, x):
         with pytest.raises(DomainError, match="is not finite"):
             pochhammer(x, 3)

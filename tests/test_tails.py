@@ -4,9 +4,10 @@ the tool that reads it."""
 from __future__ import annotations
 
 import ast
+import random
 import subprocess
 import sys
-from itertools import count
+from itertools import count, islice
 from pathlib import Path
 
 import mpmath as mp
@@ -14,7 +15,11 @@ import pytest
 
 from heunconn import NonConvergence
 from heunconn.precision import HIGH, is_mp, spec_to_precision
-from heunconn.tails import _TAIL_MAX_ORDER, a_space, root_depth, sum_tail, summed_tail
+from heunconn import che_spec, he_spec, rche_spec, tails
+from heunconn.tails import (
+    _TAIL_MAX_ORDER, a_space, d_space, formal_tail, inverse_depth, root_depth, sum_tail,
+    summed_tail,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "heunconn"
@@ -95,6 +100,65 @@ class TestSummedTail:
             assert is_mp(total)
             assert omitted < 2.0**-mp.mp.prec * abs(total)
         assert abs(total - double) <= 1e-15
+
+
+def _seeded_specs(seed: int) -> list:
+    """One real and one complex spec of each coupled family."""
+    rng = random.Random(seed)
+    specs = []
+    for cplx in (False, True):
+        def x(lo, hi):
+            v = rng.uniform(lo, hi)
+            return complex(v, rng.uniform(-0.2, 0.2)) if cplx else v
+
+        t0, t1, om, lam = x(-0.45, 0.45), x(-0.45, 0.45), x(0.1, 1.5), x(-0.3, 0.3)
+        specs += [
+            rche_spec(t0, t1, om, lam),
+            che_spec(t0, t1, om, x(-0.45, 0.45), lam),
+            he_spec(t0, t1, x(-0.45, 0.45), x(-0.45, 0.45), om, lam),
+        ]
+    return specs
+
+
+class TestBinomialRows:
+    rows = staticmethod(tails._binomial_rows)  # the module's, before any monkeypatch
+
+    def test_float_rows_are_the_int_rows_in_binary64(self):
+        for n in range(_TAIL_MAX_ORDER + 1):
+            for ints, floats in zip(self.rows(n, True), self.rows(n, False)):
+                assert len(floats) == n + 1
+                assert all(type(f) is float and f == float(i) for i, f in zip(ints, floats))
+
+    @pytest.mark.parametrize("space", [a_space, d_space])
+    def test_float_rows_give_the_int_rows_terms(self, space, monkeypatch):
+        # Past n = 57 some C(n, i) round in binary64, as an int times a float does.
+        def terms(spec, N):
+            inv_k = inverse_depth(spec, root_depth(spec))
+            lam = spec.lam if N == 0 else 0
+            return repr(list(islice(formal_tail(space(spec), lam, 0, inv_k, N), 80)))
+
+        specs = _seeded_specs(17)
+        default = [terms(spec, N) for spec in specs for N in (0, 3, 6)]
+        monkeypatch.setattr(tails, "_binomial_rows", lambda n, exact: self.rows(n, True))
+        assert [terms(spec, N) for spec in specs for N in (0, 3, 6)] == default
+
+    def test_mpmath_spec_takes_the_int_rows(self, che_example, monkeypatch):
+        taken = []
+
+        def spy(n, exact):
+            taken.append(exact)
+            return self.rows(n, exact)
+
+        monkeypatch.setattr(tails, "_binomial_rows", spy)
+        K = root_depth(che_example)
+        summed_tail(che_example, a_space, K, "tail", 3)
+        assert taken and not any(taken)
+        taken.clear()
+        with mp.workdps(30):
+            spec = spec_to_precision(che_example, HIGH)
+            for N in (0, 3):
+                summed_tail(spec, a_space, K, "tail", N)
+        assert taken and all(taken)
 
 
 def test_sweep_roundings_tool_runs():
