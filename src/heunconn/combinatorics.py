@@ -191,7 +191,8 @@ def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
                 for _ in range(power):
                     prods = map(mul, prods, column)
             total = list(map(add, total, prods))
-        out.append(complex(sum(total) - 2 * n * log_s[n]))
+        # a complex sum as per k: from Python 3.12 a float sum is compensated
+        out.append(complex(sum(total, 0j) - 2 * n * log_s[n]))
     return out
 
 

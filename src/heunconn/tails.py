@@ -190,17 +190,18 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
     L_1 - A_1 + B_1 = 0``) at every coupling, order ``w^(n+1)`` fixes ``e_n``
     with divisor ``n (L_0 - B_0)``.  One loop over ``n`` steps every order;
     each passes up what its ``e_n`` adds to the next order's residual (the
-    carry): the residual's sum on the ``linear`` parts, less the ``delta``
-    part of the divisor, ``n (s_0 - u_0)``, times ``e_n``.
+    carry): one ``sum`` of the residual's products on the ``linear`` parts
+    (for floats compensated from Python 3.12, as ``sum`` is), less the
+    ``delta`` part of the divisor, ``n (s_0 - u_0)``, times ``e_n``.
 
     The shifts enter as ``p_m = [w^m] P_+ S(k+1) = sum_j C(rho-j, m-j) e_j``
     and ``q_m``, the same with ``(-1)^(m-j)``.  Order ``n + 1`` takes one
     binomial sum each for ``p_{n+1}`` and ``q_{n+1}`` without ``e_n``; the
     rest has fixed length.  At ``rho = 0`` the sums run on the rows of
-    :func:`_binomial_rows`, as floats where ``inv_k`` is one (the products
-    are those of the int rows) and as ints otherwise, else in binary64
-    (finite to order 170) on ``C(rho-j, i) = v h_j / i!``, ``v = rho (rho-1)
-    .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
+    :func:`_binomial_rows`, as ints where a coefficient at the coupling is an
+    mpmath number and as floats otherwise (the products are those of the int
+    rows), else in binary64 (finite to order 170) on ``C(rho-j, i) = v h_j /
+    i!``, ``v = rho (rho-1) .. (rho-n)``, ``1/h_j = rho .. (rho-j+1)``.
 
     Where ``rho = 0`` and ``L - A + B`` vanishes at ``lam`` (coupling 0 in
     :func:`a_space` and :func:`d_space`), the jets' order 0 is ``S = 1``
@@ -219,7 +220,8 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
             carries = chain([s2 - t2 + u2, s3 - t3 + u3, s4 - t4 + u4], carries)
         states += [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, [0] if rho else []) for _ in range(N)]
     divisor, h, v, scale = l0 - b0, 1, rho or 1, 1
-    exact = not isinstance(inv_k, float)
+    nt2, nt3, nt4 = -t2, -t3, -t4  # the carry's coefficients of e_{n-1}, e_{n-2}, e_{n-3}
+    exact = is_mp(sum((l0, l1, l2, l3, l4, a2, a3, a4, b0, b1, b2, b3, b4)))  # any mpmath
     yield [1] + [0] * N if N else 1
     for n, carry in zip(count(1), carries):
         back = rho - n + 1
@@ -244,12 +246,12 @@ def formal_tail(parts: tuple, lam: Any, rho: Any, inv_k: Any, N: int = 0) -> Ite
             )
             e = (residual + carry) / step
             if m < N:  # the last order passes no carry
-                carry = (
-                    s0 * p_sum + u0 * q_sum + s1 * p_n + u1 * q_n
-                    + s2 * p1 - t2 * e1 + u2 * q1
-                    + s3 * p2 - t3 * e2 + u3 * q2
-                    + s4 * p3 - t4 * e3 + u4 * q3
-                ) - slope * e
+                carry = sum((
+                    s0 * p_sum, u0 * q_sum, s1 * p_n, u1 * q_n,
+                    s2 * p1, nt2 * e1, u2 * q1,
+                    s3 * p2, nt3 * e2, u3 * q2,
+                    s4 * p3, nt4 * e3, u4 * q3,
+                )) - slope * e
             seq.append(e * h)
             states[m - known] = e, p_n + e, q_n + e, e1, p1, q1, e2, p2, q2, p_sum, q_sum, seq
         scale *= inv_k

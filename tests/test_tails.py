@@ -158,6 +158,9 @@ class TestBinomialRows:
             spec = spec_to_precision(che_example, HIGH)
             for N in (0, 3):
                 summed_tail(spec, a_space, K, "tail", N)
+            assert taken and all(taken)
+            taken.clear()
+            list(islice(formal_tail(a_space(spec), 0, 0, 1 / K, 3), 80))  # a float 1/K
         assert taken and all(taken)
 
 
