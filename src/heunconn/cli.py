@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Any, Optional
 
 from . import __version__
@@ -28,7 +29,7 @@ from .equations import _REQUIRED, EquationSpec, validate
 from .errors import FamilyFieldError, HeunConnError, SizeError
 from .perturbative import CLOSED_FORMS, c_coefficients
 from .precision import default_precision, spec_to_precision
-from .validation import CheckConfig, full_report
+from .validation import CheckConfig, CheckResult, full_report
 
 SCHEMA = "heun-connect/1"
 
@@ -259,8 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": report.passed,
         "checks": report.as_dict()["checks"],
     }
-    rows = [["name", "passed", "residual", "tol", "runtime", "detail"]]
-    rows += [[c.name, c.passed, c.residual, c.tol, c.runtime, c.detail] for c in report.checks]
+    rows = [[f.name for f in fields(CheckResult)]] + [list(c.values()) for c in payload["checks"]]
     _emit(args, payload, rows, [report.summary()])
     return 0 if report.passed else 1
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import gc
 import math
 import random
+import weakref
 
 import mpmath as mp
 import pytest
@@ -13,8 +15,10 @@ import pytest
 from heunconn import (
     CheckConfig,
     DomainError,
+    EquationSpec,
     FamilyFieldError,
     ReflectionMismatch,
+    ResonantExponents,
     che_spec,
     connection_matrix,
     full_report,
@@ -29,6 +33,31 @@ from heunconn.precision import HIGH, spec_to_precision
 from heunconn.validation import che_to_he_spec, reflected_spec
 
 FAST = CheckConfig(include_slow=False)
+EXAMPLES = ["hyp_example", "rche_example", "che_example", "he_example"]
+_ALWAYS = [
+    "connection_identity",
+    "determinant",
+    "method_agreement_recurrence",
+    "method_agreement_wronskian",
+    "method_agreement_ss",
+    "monodromy_products",
+]
+# The checks of a fast and of a slow report, by family.
+ROSTERS = {
+    "HYP": (_ALWAYS, _ALWAYS),
+    "RCHE": (
+        _ALWAYS + ["series_vs_closed_forms", "reflection"],
+        _ALWAYS + ["series_vs_closed_forms", "reflection", "tail_determinant"],
+    ),
+    "CHE": (
+        _ALWAYS + ["reflection"],
+        _ALWAYS + ["che_as_he_limit", "reflection", "tail_determinant"],
+    ),
+    "HE": (
+        _ALWAYS + ["series_vs_closed_forms"],
+        _ALWAYS + ["sigma_slope_vs_closed", "series_vs_closed_forms", "tail_determinant"],
+    ),
+}
 
 
 class TestConnectionIdentity:
@@ -55,7 +84,7 @@ class TestConnectionIdentity:
     def test_points_outside_radius_fail_cleanly(self, rche_example):
         r = verify_connection_identity(rche_example, z_list=(0.5, 1.5))
         assert not r.passed
-        assert "DomainError" in r.detail
+        assert r.detail == "DomainError: probe point 1.5 is not in (0, 1)"
 
 
 class TestReflection:
@@ -171,6 +200,96 @@ class TestFullReport:
             "reflection",
         ]
 
+    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "slow"])
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    def test_check_roster_of_each_family(self, request, fixture, slow):
+        spec = request.getfixturevalue(fixture)
+        rep = full_report(spec, CheckConfig(include_slow=slow))
+        assert [c.name for c in rep.checks] == ROSTERS[spec.family][slow]
+
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    def test_verify_helpers_match_the_report(self, request, fixture):
+        # Each helper gives its report check's residual, detail and tol; a
+        # spec of a family the check does not cover gives a failed result.
+        spec = request.getfixturevalue(fixture)
+        checks = {c.name: c for c in full_report(spec).checks}
+        helpers = {
+            "connection_identity": verify_connection_identity,
+            "reflection": verify_reflection,
+            "che_as_he_limit": verify_che_as_he_limit,
+        }
+        for name, helper in helpers.items():
+            got = helper(spec)
+            assert got.name == name
+            if name in checks:
+                want = checks[name]
+                assert (got.residual, got.detail, got.tol) == (
+                    want.residual,
+                    want.detail,
+                    want.tol,
+                )
+            else:
+                assert not got.passed and got.detail.startswith("FamilyFieldError: ")
+
+    def test_invalid_spec_raises_in_every_entry(self):
+        spec = EquationSpec("RCHE", 0.5, 0.2, 0.1, omega=0.3)  # 2 theta0 = 1
+        entries = [
+            full_report,
+            verify_connection_identity,
+            verify_reflection,
+            verify_che_as_he_limit,
+        ]
+        for entry in entries:
+            with pytest.raises(ResonantExponents):
+                entry(spec)
+
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    def test_report_matrices_are_freed_without_the_cyclic_collector(
+        self, request, fixture, monkeypatch
+    ):
+        # A reference cycle through the report's shared state would keep its
+        # matrices alive until the next cyclic collection.
+        import heunconn.validation as validation
+
+        spec = request.getfixturevalue(fixture)
+        refs = []
+        real = validation.connection_matrix
+
+        def recording(*args, **kwargs):
+            mat = real(*args, **kwargs)
+            refs.append(weakref.ref(mat))
+            return mat
+
+        monkeypatch.setattr(validation, "connection_matrix", recording)
+        gc.collect()
+        gc.disable()
+        try:
+            full_report(spec, FAST)
+            alive = sum(ref() is not None for ref in refs)
+        finally:
+            gc.enable()
+        assert len(refs) >= 3 and alive == 0
+
+    def test_a_report_whose_cf_matrix_raises_leaves_no_cyclic_garbage(
+        self, rche_example, monkeypatch
+    ):
+        # The shared getter keeps the error that every check re-raises; its
+        # traceback's frames must not tie it into a cycle with the state.
+        import heunconn.validation as validation
+
+        monkeypatch.setattr(validation, "_MATRIX_TOL", 1e-16)
+        full_report(rche_example, FAST)
+        gc.collect()
+        gc.disable()
+        try:
+            rep = full_report(rche_example, FAST)
+            assert rep.checks[0].detail.startswith("NonConvergence: ")
+            del rep
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -236,7 +355,10 @@ class TestFullReport:
         # 0.7 lies outside it, the wronskian route's 0.5 inside.
         spec = he_spec(0.11, -0.27, -0.33, 0.41, 0.37, 0.6)
         checks = {c.name: c for c in full_report(spec, FAST).checks}
-        assert "DomainError" in checks["connection_identity"].detail
+        assert checks["connection_identity"].detail == (
+            "DomainError: probe point 0.3 lies outside the convergence radius "
+            "0.666667 of the series at 1"
+        )
         cf, wr = connection_matrix(spec), connection_matrix(spec, "wronskian")
         got = checks["method_agreement_wronskian"]
         assert got.passed
