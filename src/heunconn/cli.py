@@ -24,7 +24,7 @@ from typing import Any, Optional
 
 from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
-from .connection import METHODS, connection_matrix, det_residual
+from .connection import _KEYS, METHODS, connection_matrix, det_residual
 from .equations import _REQUIRED, EquationSpec, validate
 from .errors import FamilyFieldError, HeunConnError, SizeError
 from .perturbative import CLOSED_FORMS, c_coefficients
@@ -32,8 +32,6 @@ from .precision import default_precision, spec_to_precision
 from .validation import CheckConfig, CheckResult, full_report
 
 SCHEMA = "heun-connect/1"
-
-_ENTRY_KEYS = ("++", "+-", "-+", "--")
 
 # Flags echoed under "config", where the subcommand takes them.
 _ECHO = ("method", "tol", "max_depth", "precision", "output")
@@ -212,7 +210,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
         allow_large_coupling=args.allow_large_coupling,
         max_depth=args.max_depth,
     )
-    entries = {k: complex(mat[k]) for k in _ENTRY_KEYS}
+    entries = {k: complex(mat[k]) for k in _KEYS}
     det, resid = complex(mat.det()), float(det_residual(mat))
     payload = {
         "schema": SCHEMA,

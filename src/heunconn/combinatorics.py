@@ -179,7 +179,7 @@ def _traces(spec: EquationSpec, orders: list, N: int) -> list[complex]:
     promote each weight as ``(w + 0j) * beta`` would."""
     K = root_depth(spec)
     _, betas = coefficient_table(spec, 1, K + N)
-    s_d, _ = summed_tail(spec, d_space, K + 1, "walk-trace tail", N, relative=False)
+    s_d, _ = summed_tail(spec, d_space, K + 1, "walk-trace tail", N)
     log_s = series_log(s_d)
     columns = [betas[off : off + K] for off in range(N)]  # beta_{k+off}, k = 1 .. K
     out = []

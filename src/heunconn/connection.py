@@ -383,17 +383,6 @@ def _third_parameter(spec: EquationSpec) -> Any:
     return spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
 
 
-def _amplitude(
-    spec: EquationSpec, method: str, tol: float, max_depth: int
-) -> tuple[Any, int, float]:
-    """``(a_inf, K, err_estimate)`` of a valid spec with ``lam != 0`` by
-    ``method``, ``"cf"`` or ``"recurrence"``."""
-    if method == "cf":
-        log_a, depth, err = _cf_limit(spec, tol, max_depth)
-        return p_exp(log_a), depth, err
-    return _recurrence_limit(spec, tol, max_depth)
-
-
 def _entry(
     factor: Any, factor_err: float, spec: EquationSpec, method: str, tol: float, max_depth: int
 ) -> tuple[complex, float, int]:
@@ -402,13 +391,17 @@ def _entry(
     whose relative error bound is ``factor_err`` (:func:`_gamma_factors`):
     ``factor`` itself at ``lam = 0`` (HYP included), where only the coupling
     of ``spec`` is read, else ``factor`` times the family prefactor times the
-    amplitude ``a_inf`` by ``method``."""
+    amplitude ``a_inf`` by ``method``, ``"cf"`` or ``"recurrence"``."""
     # The factor's own error and the final rounding of the value to binary64.
     rel_err = factor_err + EPS64
     if spec.lam == 0:
         return complex(factor), rel_err * float(abs(factor)), 0
     pref = factor * _assembly_prefactor(spec)
-    a_inf, depth, err = _amplitude(spec, method, tol, max_depth)
+    if method == "cf":
+        log_a, depth, err = _cf_limit(spec, tol, max_depth)
+        a_inf = p_exp(log_a)
+    else:
+        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth)
     val = pref * a_inf
     # Scaled by the larger of |value| and |pref|: near a zero of the amplitude
     # the sweep's rounding stays at the size of its O(1) iterates.
@@ -630,7 +623,7 @@ def _product_relations(
     ``C_+- C_-+``, and the scale ``max(|C_++ C_--|, |C_+- C_-+|)``."""
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
-    a, b, c, d = (matrix[k] for k in ("++", "+-", "-+", "--"))
+    a, b, c, d = (matrix[k] for k in _KEYS)
     two_pi = 2.0 * math.pi
     denom = cmath.sin(two_pi * t0) * cmath.sin(two_pi * t1)
     cos, pi = cmath.cos, math.pi
@@ -653,7 +646,7 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     _check_tol_arg(tol)
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
-    a, b, c, d = (matrix[k] for k in ("++", "+-", "-+", "--"))
+    a, b, c, d = (matrix[k] for k in _KEYS)
     det = a * d - b * c
     two_pi = 2.0 * math.pi
     cos_diff = cmath.cos(two_pi * (t0 - t1))

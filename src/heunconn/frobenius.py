@@ -86,40 +86,21 @@ def _family_polys(spec: EquationSpec) -> tuple[list, list]:
     zm1 = [-1.0, 1.0]
     z2 = _pmul(z, z)
     zm12 = _pmul(zm1, zm1)
+    zzm1 = _pmul(z, zm1)
+    z2zm12 = _pmul(z2, zm12)
     a0 = 0.25 - t0 * t0
     a1 = 0.25 - t1 * t1
-    if spec.family == "HYP":
-        ti = spec.theta_inf_hyp
-        ch = t0 * t0 + t1 * t1 - ti * ti - 0.25
-        d = _pmul(z2, zm12)
-        q = _padd(
-            _padd(_pscale(zm12, a0), _pscale(z2, a1)),
-            _pscale(_pmul(z, zm1), ch),
-        )
-        return d, q
-    if spec.family == "RCHE":
-        om, lam = spec.omega, spec.lam
-        c0 = t0 * t0 + t1 * t1 - om * om - 0.25
-        d = _pmul(z2, zm12)
-        # U(z) = c0 - lam z enters over z(z-1)
-        u = [c0, -lam]
-        q = _padd(
-            _padd(_pscale(zm12, a0), _pscale(z2, a1)),
-            _pmul(u, _pmul(z, zm1)),
-        )
-        return d, q
-    if spec.family == "CHE":
-        om, lam, ts = spec.omega, spec.lam, spec.theta_star
-        c0 = t0 * t0 + t1 * t1 - om * om - 0.25
-        d = _pmul(z2, zm12)
-        q = _padd(
-            _padd(_pscale(zm12, a0), _pscale(z2, a1)),
-            _pscale(_pmul(z, zm1), c0),
-        )
-        q = _padd(q, _pscale(d, -lam * lam / 4.0))
-        q = _padd(q, _pscale(_pmul(z, zm12), -lam * ts))
-        return d, q
-    # HE
+    if spec.family != "HE":
+        x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+        c0 = t0 * t0 + t1 * t1 - x * x - 0.25
+        # U(z) = c0 (- lam z for RCHE) enters over z(z-1)
+        u = [c0, -spec.lam] if spec.family == "RCHE" else [c0]
+        q = _padd(_padd(_pscale(zm12, a0), _pscale(z2, a1)), _pmul(u, zzm1))
+        if spec.family == "CHE":
+            lam = spec.lam
+            q = _padd(q, _pscale(z2zm12, -lam * lam / 4.0))
+            q = _padd(q, _pscale(_pmul(z, zm12), -lam * spec.theta_star))
+        return z2zm12, q
     om, lam = spec.omega, spec.lam
     tt, ti = spec.theta_t, spec.theta_inf
     t = 1.0 / lam
@@ -128,12 +109,11 @@ def _family_polys(spec: EquationSpec) -> tuple[list, list]:
     at = 0.25 - tt * tt
     c1 = t0 * t0 + t1 * t1 + tt * tt - ti * ti - 0.5
     c2 = (t - 1.0) * (om * om + tt * tt - ti * ti - 0.25)
-    d = _pmul(_pmul(z2, zm12), zmt2)
     q = _padd(_pscale(_pmul(zm12, zmt2), a0), _pscale(_pmul(z2, zmt2), a1))
-    q = _padd(q, _pscale(_pmul(z2, zm12), at))
-    q = _padd(q, _pscale(_pmul(_pmul(z, zm1), zmt2), c1))
-    q = _padd(q, _pscale(_pmul(_pmul(z, zm1), zmt), c2))
-    return d, q
+    q = _padd(q, _pscale(z2zm12, at))
+    q = _padd(q, _pscale(_pmul(zzm1, zmt2), c1))
+    q = _padd(q, _pscale(_pmul(zzm1, zmt), c2))
+    return _pmul(z2zm12, zmt2), q
 
 
 def potential(spec: EquationSpec, z: Any) -> Any:

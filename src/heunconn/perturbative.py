@@ -203,7 +203,7 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
         return [0j] * N
     K = root_depth(spec)
     a_K = _forward_jet(*coefficient_table(spec, 0, K), N)
-    s_K, _ = summed_tail(spec, a_space, K, "coupling-series tail", N, relative=False)
+    s_K, _ = summed_tail(spec, a_space, K, "coupling-series tail", N)
     return [complex(x - y) for x, y in zip(series_log(a_K)[1:], series_log(s_K)[1:])]
 
 

@@ -308,16 +308,18 @@ def series_log(f: Sequence) -> list:
 
 
 def summed_tail(
-    spec: EquationSpec, space: Callable, k: int, what: str, N: int = 0, relative: bool = True
+    spec: EquationSpec, space: Callable, k: int, what: str, N: int = 0
 ) -> tuple[Any, float]:
     """:func:`sum_tail` of the formal series ``S(k)`` of ``space(spec)``
     (:func:`a_space` or :func:`d_space`), with ``1/k`` in the spec's number
     type (:func:`inverse_depth`), to the spec's unit roundoff: at ``N = 0``
     the value at the spec's coupling, else its orders ``0 .. N`` in the
-    coupling at 0, as :class:`Orders`.  Returns ``(sum, omitted)``."""
+    coupling at 0, as :class:`Orders`.  The stop rule follows ``N``: relative
+    to the size of the sum at ``N = 0``, absolute for the orders.  Returns
+    ``(sum, omitted)``."""
     inv_k = inverse_depth(spec, k)
     if N:
         terms = map(Orders, formal_tail(space(spec), 0, 0, inv_k, N))
     else:
         terms = formal_tail(space(spec), spec.lam, 0, inv_k)
-    return sum_tail(terms, unit_roundoff(is_mp_spec(spec)), relative, what)
+    return sum_tail(terms, unit_roundoff(is_mp_spec(spec)), not N, what)

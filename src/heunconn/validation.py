@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -21,6 +22,7 @@ import mpmath as mp
 
 from .connection import (
     _FLIPS,
+    _KEYS,
     ConnectionMatrix,
     _flip_spec,
     _gamma_factors,
@@ -150,6 +152,9 @@ class _ReportState:
 
     def __init__(self, spec, tols, matrix_tol, z_list=_Z_LIST, K=None, matrix=None):
         validate(spec)
+        z_list = tuple(z_list)
+        if not z_list or not all(isinstance(z, numbers.Real) for z in z_list):
+            raise DomainError(f"probe points must be a nonempty list of reals, got {z_list!r}")
         self.spec, self.tols, self.matrix_tol, self.z_list = spec, tols, matrix_tol, z_list
         if matrix is None:
             self.cf = _once(lambda: connection_matrix(spec, method="cf", tol=matrix_tol))
@@ -227,7 +232,7 @@ def _agreement(route: str, s: _ReportState) -> tuple:
     """Entrywise agreement of the ``route`` matrix with the ``cf`` matrix."""
     base = s.cf()
     alt = s.matrix(route)
-    worst = max(abs(base[k] - alt[k]) / abs(base[k]) for k in ("++", "+-", "-+", "--"))
+    worst = max(abs(base[k] - alt[k]) / abs(base[k]) for k in _KEYS)
     return worst, "entrywise vs cf"
 
 
@@ -268,7 +273,7 @@ def _che_as_he_limit(s: _ReportState, Lambda: float = _LAMBDA) -> tuple:
     he_sp = che_to_he_spec(s.spec, Lambda)
     he_mat = connection_matrix(he_sp, method="wronskian", tol=s.matrix_tol)
     worst = 0.0
-    for key in ("++", "+-", "-+", "--"):
+    for key in _KEYS:
         worst = max(worst, abs(che_mat[key] - he_mat[key]) / abs(che_mat[key]))
     return worst, f"Lambda={Lambda:g}, HE route=wronskian"
 
@@ -287,9 +292,9 @@ def _reflection(s: _ReportState) -> tuple:
         ode_res = max(ode_res, abs(ode_residual(refl, sol, z0)))
     mat = s.cf()
     mat_r = connection_matrix(refl, method="cf", tol=s.matrix_tol)
-    a, b, c, d = (mat[k] for k in ("++", "+-", "-+", "--"))
+    a, b, c, d = (mat[k] for k in _KEYS)
     det = a * d - b * c
-    inv = {"++": d / det, "+-": -b / det, "-+": -c / det, "--": a / det}
+    inv = dict(zip(_KEYS, (d / det, -b / det, -c / det, a / det)))
     mat_res = max(abs(mat_r[k] - inv[k]) / abs(inv[k]) for k in inv)
     worst = max(pot_res, ode_res, mat_res)
     return worst, f"potential {pot_res:.1e}, ode {ode_res:.1e}, matrix-vs-inverse {mat_res:.1e}"
@@ -338,6 +343,9 @@ def verify_connection_identity(
     continued-fraction route.  ``K=None`` truncates the series as
     :func:`local_basis` does for the farthest probe point (as
     :func:`full_report` does); an integer ``K`` truncates every series there.
+    An empty ``z_list`` or a point that is not a real number raises
+    :class:`DomainError`; a real point outside ``(0, 1)`` or outside a
+    convergence radius gives a failed result.
     """
     state = _ReportState(spec, {"connection_identity": tol}, _MATRIX_TOL, z_list, K, matrix)
     return state.run("connection_identity", _identity)

@@ -13,7 +13,9 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from heunconn import NonConvergence
+from heunconn import (
+    NonConvergence, c_coefficients, connection_matrix, log_a_series_from_traces,
+)
 from heunconn.precision import HIGH, is_mp, spec_to_precision
 from heunconn import che_spec, he_spec, rche_spec, tails
 from heunconn.tails import (
@@ -100,6 +102,25 @@ class TestSummedTail:
             assert is_mp(total)
             assert omitted < 2.0**-mp.mp.prec * abs(total)
         assert abs(total - double) <= 1e-15
+
+
+    def test_stop_rule_follows_the_order(self, rche_example, monkeypatch):
+        # Relative at the coupling's value (N = 0), absolute for the orders (N > 0).
+        seen = []
+
+        def spy(terms, eps, relative, what):
+            seen.append(relative)
+            return sum_tail(terms, eps, relative, what)
+
+        monkeypatch.setattr(tails, "sum_tail", spy)
+        for run, want in [
+            (lambda: connection_matrix(rche_example, method="recurrence"), True),
+            (lambda: c_coefficients(rche_example, 3), False),
+            (lambda: log_a_series_from_traces(rche_example, 3), False),
+        ]:
+            seen.clear()
+            run()
+            assert seen and all(relative is want for relative in seen)
 
 
 def _seeded_specs(seed: int) -> list:

@@ -86,6 +86,19 @@ class TestConnectionIdentity:
         assert not r.passed
         assert r.detail == "DomainError: probe point 1.5 is not in (0, 1)"
 
+    @pytest.mark.parametrize("K", [None, 64])
+    @pytest.mark.parametrize("z_list", [(), (0.3 + 0.1j,), ("a",), (0.5, 0.3j)])
+    def test_probe_list_of_no_reals_raises(self, z_list, K):
+        spec = rche_spec(0.1, 0.2, 0.3, 0.25)
+        with pytest.raises(DomainError, match="nonempty list of reals"):
+            verify_connection_identity(spec, z_list=z_list, K=K)
+
+    @pytest.mark.parametrize("K", [None, 64])
+    def test_nan_probe_point_fails_cleanly(self, rche_example, K):
+        r = verify_connection_identity(rche_example, z_list=(0.5, math.nan), K=K)
+        assert not r.passed
+        assert r.detail == "DomainError: probe point nan is not in (0, 1)"
+
 
 class TestReflection:
     def test_rche_parameter_map(self, rche_example):
