@@ -25,10 +25,10 @@ from typing import Any, Optional
 from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import _KEYS, METHODS, connection_matrix, det_residual
-from .equations import _REQUIRED, EquationSpec, validate
+from .equations import _REQUIRED, FAMILIES, EquationSpec, validate
 from .errors import FamilyFieldError, HeunConnError, SizeError
 from .perturbative import CLOSED_FORMS, c_coefficients
-from .precision import default_precision, spec_to_precision
+from .precision import DOUBLE, HIGH, default_precision, spec_to_precision
 from .validation import CheckConfig, CheckResult, full_report
 
 SCHEMA = "heun-connect/1"
@@ -53,13 +53,7 @@ def parse_complex(text: str):
     return val.real if val.imag == 0.0 else val
 
 
-_FAMILY_ALIASES = {
-    "hyp": "HYP",
-    "rche": "RCHE",
-    "che": "CHE",
-    "he": "HE",
-    "heun": "HE",
-}
+_FAMILY_ALIASES = {**{name.lower(): name for name in FAMILIES}, "heun": "HE"}
 
 
 # The flag (argparse dest) of each family field of ``equations._REQUIRED``.
@@ -83,6 +77,12 @@ def _spec_params(spec: EquationSpec) -> dict:
     for name in _REQUIRED[spec.family]:
         out["theta_inf" if name == "theta_inf_hyp" else name] = getattr(spec, name)
     return out
+
+
+def _header(command: str, spec: EquationSpec) -> dict:
+    """The first keys of a ``command`` payload on ``spec``."""
+    return {"schema": SCHEMA, "command": command, "family": spec.family,
+            "params": _spec_params(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,7 @@ def cmd_connect(args: argparse.Namespace) -> int:
     entries = {k: complex(mat[k]) for k in _KEYS}
     det, resid = complex(mat.det()), float(det_residual(mat))
     payload = {
-        "schema": SCHEMA,
-        "command": "connect",
-        "family": spec.family,
-        "params": _spec_params(spec),
+        **_header("connect", spec),
         "method": mat.method,
         "precision": args.precision,
         "depth": mat.depth_or_K,
@@ -251,10 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     report = full_report(spec, CheckConfig(tol=args.tol, include_slow=not args.fast))
     payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "family": spec.family,
-        "params": _spec_params(spec),
+        **_header("verify", spec),
         "passed": report.passed,
         "checks": report.as_dict()["checks"],
     }
@@ -280,10 +274,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
             line += f"   closed {_fmt_c(ref)}   |diff| {diff:.3e}"
         lines.append(line)
     payload = {
-        "schema": SCHEMA,
-        "command": "expand",
-        "family": spec.family,
-        "params": _spec_params(spec),
+        **_header("expand", spec),
         "N": args.order,
         "coefficients": table,
     }
@@ -293,6 +284,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_walks(args: argparse.Namespace) -> int:
     n = args.n
+    if n < 1:
+        raise SizeError(f"--n must be at least 1, got {n}")
     formula = {mu: n_mu(mu) for mu in compositions(n)}
     census = enumerate_walk_types(n) if n <= 8 else None
     total = sum(formula.values())
@@ -397,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--method", choices=METHODS, default="cf",
                    help="route (default cf)")
-    p.add_argument("--precision", choices=("double", "high"), default=None,
+    p.add_argument("--precision", choices=(DOUBLE, HIGH), default=None,
                    help="working precision; default from HEUN_PRECISION or double")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="largest error estimate the cf/recurrence routes accept (default 1e-10)")
@@ -441,12 +434,9 @@ def main(argv: Optional[list] = None) -> int:
         if hasattr(args, "precision"):
             args.precision = args.precision or default_precision()
         return args.func(args)
-    except (SizeError, FamilyFieldError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except HeunConnError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (SizeError, FamilyFieldError)) else 1
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from typing import Any, Iterator, Sequence
 
 import mpmath as mp
 
-from .equations import EquationSpec, _check_resonance, _quadratic_parts, validate
+from .equations import EquationSpec, _check_resonance, _quadratic_parts, _third_parameter, validate
 from .errors import (
     CFBreakdown,
     DetCheckFailed,
@@ -377,10 +377,6 @@ def _assembly_prefactor(spec: EquationSpec) -> Any:
     if spec.family == "HE":
         return p_power(1 - spec.lam, 0.5 - spec.theta_t)
     return 1.0
-
-
-def _third_parameter(spec: EquationSpec) -> Any:
-    return spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
 
 
 def _entry(

@@ -25,7 +25,7 @@ run in mpmath arithmetic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from .errors import (
@@ -65,7 +65,6 @@ _REQUIRED = {
     "CHE": ("omega", "theta_star"),
     "HE": ("omega", "theta_t", "theta_inf"),
 }
-_OPTIONAL_NAMES = ("omega", "theta_t", "theta_inf", "theta_star", "theta_inf_hyp")
 
 
 @dataclass(frozen=True)
@@ -86,6 +85,9 @@ class EquationSpec:
     theta_inf: Optional[Any] = None
     theta_star: Optional[Any] = None
     theta_inf_hyp: Optional[Any] = None
+
+
+_OPTIONAL_NAMES = tuple(f.name for f in fields(EquationSpec) if f.default is None)
 
 
 def hyp_spec(theta0: Any, theta1: Any, theta_inf_hyp: Any) -> EquationSpec:
@@ -189,11 +191,16 @@ def validate(spec: EquationSpec) -> EquationSpec:
     return spec
 
 
+def _third_parameter(spec: EquationSpec) -> Any:
+    """The third exponent parameter ``x``: ``theta_inf_hyp`` for HYP, else ``omega``."""
+    return spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+
+
 def _q_pair(spec: EquationSpec, k: Any) -> tuple[Any, Any]:
     """Denominators Q_k = (k + 1/2 - theta0 + theta1)^2 - x^2 and the shifted
-    Q'_k = (k - 1/2 - theta0 + theta1)^2 - x^2, with x = omega (theta_inf_hyp
-    for HYP)."""
-    x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+    Q'_k = (k - 1/2 - theta0 + theta1)^2 - x^2, with x the third exponent
+    parameter."""
+    x = _third_parameter(spec)
     base = k - spec.theta0 + spec.theta1
     q = (base + 0.5) ** 2 - x * x
     qp = (base - 0.5) ** 2 - x * x
@@ -318,8 +325,7 @@ def _quadratic_parts(spec: EquationSpec) -> tuple[tuple, tuple, tuple, tuple]:
     """The coupling-free parts ``(lead, Q, R, P)`` of the recurrence
     ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}``, with ``A_k = Q_k + lam R_k``
     and ``B_k = lam P_k``, each as ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2``."""
-    t0, t1 = spec.theta0, spec.theta1
-    x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+    t0, t1, x = spec.theta0, spec.theta1, _third_parameter(spec)
     a = 0.5 - t0 + t1
     lead = (1 - 2 * t0, 2 - 2 * t0, 1)
     q = (a * a - x * x, 2 * a, 1)

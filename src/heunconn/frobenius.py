@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import count, islice
 from typing import Any, Iterator, Optional
 
-from .equations import EquationSpec, validate
+from .equations import EquationSpec, _third_parameter, validate
 from .errors import DomainError, RadiusError, ResonantExponents, TailError
 from .precision import p_power
 
@@ -91,7 +91,7 @@ def _family_polys(spec: EquationSpec) -> tuple[list, list]:
     a0 = 0.25 - t0 * t0
     a1 = 0.25 - t1 * t1
     if spec.family != "HE":
-        x = spec.theta_inf_hyp if spec.family == "HYP" else spec.omega
+        x = _third_parameter(spec)
         c0 = t0 * t0 + t1 * t1 - x * x - 0.25
         # U(z) = c0 (- lam z for RCHE) enters over z(z-1)
         u = [c0, -spec.lam] if spec.family == "RCHE" else [c0]
@@ -122,25 +122,16 @@ def potential(spec: EquationSpec, z: Any) -> Any:
     t0, t1 = spec.theta0, spec.theta1
     a0 = 0.25 - t0 * t0
     a1 = 0.25 - t1 * t1
-    if spec.family == "HYP":
-        ti = spec.theta_inf_hyp
-        ch = t0 * t0 + t1 * t1 - ti * ti - 0.25
-        return a0 / (z * z) + a1 / ((z - 1) * (z - 1)) + ch / (z * (z - 1))
-    if spec.family == "RCHE":
-        om, lam = spec.omega, spec.lam
-        c0 = t0 * t0 + t1 * t1 - om * om - 0.25
-        return a0 / (z * z) + a1 / ((z - 1) * (z - 1)) + (c0 - lam * z) / (z * (z - 1))
-    if spec.family == "CHE":
-        om, lam, ts = spec.omega, spec.lam, spec.theta_star
-        c0 = t0 * t0 + t1 * t1 - om * om - 0.25
-        return (
-            a0 / (z * z)
-            + a1 / ((z - 1) * (z - 1))
-            + c0 / (z * (z - 1))
-            - lam * lam / 4.0
-            - lam * ts / z
-        )
-    om, lam = spec.omega, spec.lam
+    lam = spec.lam
+    if spec.family != "HE":
+        x = _third_parameter(spec)
+        c0 = t0 * t0 + t1 * t1 - x * x - 0.25
+        u = c0 - lam * z if spec.family == "RCHE" else c0
+        val = a0 / (z * z) + a1 / ((z - 1) * (z - 1)) + u / (z * (z - 1))
+        if spec.family == "CHE":
+            return val - lam * lam / 4.0 - lam * spec.theta_star / z
+        return val
+    om = spec.omega
     tt, ti = spec.theta_t, spec.theta_inf
     t = 1.0 / lam
     at = 0.25 - tt * tt

@@ -217,20 +217,23 @@ def _require_family(spec: EquationSpec, family: str, what: str) -> None:
         raise FamilyFieldError(f"{what} applies to family {family}, got {spec.family}")
 
 
-def _require_away(value: Any, bad: Sequence[float], what: str) -> None:
-    for b in bad:
-        if abs(value - b) < _RESONANCE_TOL:
+def _closed_form_spec(spec: EquationSpec, family: str, what: str, poles: Sequence) -> None:
+    """The gate of a closed form, in this order: :class:`FamilyFieldError` for
+    another family, the spec's own validation error, and
+    :class:`ParameterResonance` for ``omega`` within 1e-10 of a pole."""
+    _require_family(spec, family, what)
+    om = validate(spec).omega
+    for b in poles:
+        if abs(om - b) < _RESONANCE_TOL:
             raise ParameterResonance(
-                f"{what} has a vanishing denominator at omega = {b}; omega = {value!r}"
+                f"{what} has a vanishing denominator at omega = {b}; omega = {om!r}"
             )
 
 
 def c1_closed_rche(spec: EquationSpec) -> complex:
     """Digamma closed form of the first series coefficient (RCHE)."""
-    _require_family(spec, "RCHE", "c1 closed form")
-    validate(spec)
+    _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5, 1.0, -1.0))
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
-    _require_away(om, (0.0, 0.5, -0.5, 1.0, -1.0), "c1 closed form")
     a = 0.5 - t0 + t1
     m = 0.25 - t0 * t0 + t1 * t1 - om * om
     q = 0.25 - om * om
@@ -240,10 +243,8 @@ def c1_closed_rche(spec: EquationSpec) -> complex:
 
 def c2_closed_rche(spec: EquationSpec) -> complex:
     """Digamma/trigamma closed form of the second series coefficient (RCHE)."""
-    _require_family(spec, "RCHE", "c2 closed form")
-    validate(spec)
+    _closed_form_spec(spec, "RCHE", "c2 closed form", (0.0, 0.5, -0.5, 1.0, -1.0))
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
-    _require_away(om, (0.0, 0.5, -0.5, 1.0, -1.0), "c2 closed form")
     a = 0.5 - t0 + t1
     om2 = om * om
     q = 0.25 - om2
@@ -273,10 +274,7 @@ def c2_closed_rche(spec: EquationSpec) -> complex:
 def sigma1_closed(spec: EquationSpec) -> complex:
     """Leading coupling-slope of the composite-monodromy exponent (HE):
     ``sigma = omega + sigma_1 lam + O(lam^2)``."""
-    _require_family(spec, "HE", "sigma1 closed form")
-    validate(spec)
-    om = spec.omega
-    _require_away(om, (0.0, 0.5, -0.5), "sigma1 closed form")
+    _closed_form_spec(spec, "HE", "sigma1 closed form", (0.0, 0.5, -0.5))
     return _sigma1(spec)
 
 
@@ -292,11 +290,9 @@ def _sigma1(spec: EquationSpec) -> complex:
 def f1_closed_he(spec: EquationSpec) -> complex:
     """Digamma closed form of the first coefficient of ``ln(F(lam)/F(0))``
     for the gamma-ratio factor with shifted exponent (HE)."""
-    _require_family(spec, "HE", "f1 closed form")
-    validate(spec)
+    _closed_form_spec(spec, "HE", "f1 closed form", (0.0, 0.5, -0.5))
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
     tt, ti = spec.theta_t, spec.theta_inf
-    _require_away(om, (0.0, 0.5, -0.5), "f1 closed form")
     q = 0.25 - om * om
     s1 = _sigma1(spec)  # the same checks, passed above
     a = 0.5 + t1 - t0

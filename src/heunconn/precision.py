@@ -70,8 +70,11 @@ def spec_to_precision(spec: Any, precision: str) -> Any:
     String fields are preserved; ``None`` fields stay ``None``; every numeric
     field becomes a binary64 ``complex``, or for ``"high"`` an mpmath scalar
     (``mpf`` when real).  Conversion from binary64 to mpmath is exact (the
-    double value is taken as the exact rational it represents).
+    double value is taken as the exact rational it represents).  Any other
+    ``precision`` raises :class:`DomainError`.
     """
+    if precision not in _VALID:
+        raise DomainError(f"precision must be one of {_VALID}, got {precision!r}")
     updates = {}
     for f in dataclasses.fields(spec):
         v = getattr(spec, f.name)

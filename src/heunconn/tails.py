@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import mpmath as mp
 
-from .equations import EquationSpec, _quadratic_parts, _shifted_product
+from .equations import EquationSpec, _quadratic_parts, _shifted_product, _third_parameter
 from .errors import NonConvergence
 from .precision import is_mp
 
@@ -88,7 +88,7 @@ def root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
     expansions of the coefficients converge fast there, and every index where
     the accessory-resonance gate can fire is below it."""
     a = complex(0.5 - spec.theta0 + spec.theta1)
-    x = complex(spec.theta_inf_hyp if spec.family == "HYP" else spec.omega)
+    x = complex(_third_parameter(spec))
     reach = max(reach, *(abs(s - a + e * x) for s in (0, 1) for e in (1, -1)))
     return max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
 

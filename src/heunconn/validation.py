@@ -24,6 +24,7 @@ from .connection import (
     _FLIPS,
     _KEYS,
     ConnectionMatrix,
+    _check_tol_arg,
     _flip_spec,
     _gamma_factors,
     _product_relations,
@@ -116,11 +117,16 @@ class CheckConfig:
     ``tol=None`` keeps each check's own tolerance (the measured precision
     floor of its route at double precision) and computes the connection
     matrices at ``tol=1e-10``; any other value sets every check's tolerance
-    to ``tol`` and the matrices' to ``min(1e-10, tol)``.
+    to ``tol`` and the matrices' to ``min(1e-10, tol)``.  A ``tol`` that is
+    not a real number, or is nan, raises :class:`DomainError`.
     """
 
     tol: Optional[float] = None
     include_slow: bool = True
+
+    def __post_init__(self):
+        if self.tol is not None:
+            _check_tol_arg(self.tol)
 
 
 def _once(compute: Callable[[], Any]) -> Callable[[], Any]:
@@ -151,6 +157,8 @@ class _ReportState:
     keep a report's matrices alive until the next cyclic collection."""
 
     def __init__(self, spec, tols, matrix_tol, z_list=_Z_LIST, K=None, matrix=None):
+        for tol in tols.values():
+            _check_tol_arg(tol)
         validate(spec)
         z_list = tuple(z_list)
         if not z_list or not all(isinstance(z, numbers.Real) for z in z_list):

@@ -246,6 +246,25 @@ class TestFlags:
         _, out, _ = run_cli(capsys, [*BASE_ARGV[command], "--output", "json"])
         assert set(json.loads(out)["config"]) == echoed
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("connect", ["method", "precision", "depth", "est_error", "C", "det", "det_residual"]),
+            ("verify", ["passed", "checks"]),
+            ("expand", ["N", "coefficients"]),
+        ],
+    )
+    def test_payload_key_order(self, capsys, command, keys):
+        _, out, _ = run_cli(capsys, [*BASE_ARGV[command], "--output", "json"])
+        assert list(json.loads(out)) == ["schema", "command", "family", "params", *keys, "config"]
+
+    def test_family_choices(self):
+        # The four families in lower case and the alias heun, on each subcommand.
+        subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        for command in ("connect", "verify", "expand"):
+            family = next(a for a in subs.choices[command]._actions if a.dest == "family")
+            assert family.choices == ["che", "he", "heun", "hyp", "rche"]
+
 
 def test_parser_is_built_once_and_on_first_use(capsys):
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -332,6 +351,18 @@ class TestExitCodes:
     def test_walks_size_cap(self, capsys):
         code, _, _ = run_cli(capsys, ["walks", "--n", "17"])
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_walks_n_below_one_is_a_usage_error(self, capsys, n):
+        code, out, err = run_cli(capsys, ["walks", "--n", n])
+        assert code == 2 and out == ""
+        assert err == f"SizeError: --n must be at least 1, got {n}\n"
+
+    def test_verify_rejects_a_nan_tol_as_connect_does(self, capsys):
+        _, _, want = run_cli(capsys, ["connect", *RCHE_ARGS, "--tol", "nan"])
+        code, out, err = run_cli(capsys, ["verify", *RCHE_ARGS, "--fast", "--tol", "nan"])
+        assert code == 1 and out == ""
+        assert err == want
 
     def test_unknown_family_is_parse_error(self, capsys):
         code = main(

@@ -78,6 +78,7 @@ from heunconn.special import log_gamma
 from heunconn.tails import (
     EPS64, a_space, d_space, formal_tail, sum_tail, tail_depth, u_space, unit_roundoff,
 )
+from sweep_roundings import bulk_specs, near_root_specs
 
 RUNS = {
     "HYP": oracles.RUN_HYP,
@@ -683,7 +684,7 @@ class TestContinuedFraction:
         elif family == "lam0":
             specs = [rche_spec(0.1, 0.2, 0.3, 0.0), he_spec(0.1, 0.2, 0.3, 0.4, 0.25, 0.0)]
         elif family != "mpmath":
-            specs = _sweep_specs(family, 16)
+            specs = bulk_specs(family, 16)
         with mp.workdps(30):
             if family == "mpmath":
                 specs, eps = [spec_to_precision(che_example, HIGH)], 2.0**-mp.mp.prec
@@ -763,9 +764,9 @@ class TestContinuedFraction:
         # cancels: formed as (a - x)(a + x), not a^2 - x^2, its rounding
         # stays per row (tools/sweep_roundings.py).
         eps = 2.0**-53
-        specs = _sweep_specs(family, 16)
+        specs = bulk_specs(family, 16)
         if family == "CHE":
-            specs += _near_root_specs(family, 8)
+            specs += near_root_specs(family, 8)
         if family == "HE":  # far from the margin, 5.4 per row with Q_k as a^2 - x^2
             specs.append(he_spec(
                 -0.13963452397957893, -0.31104492881472634, -0.43787434459337793,
@@ -783,56 +784,6 @@ class TestContinuedFraction:
             floor = _sweep_floor(spec, K, eps)
             for g, r in zip(got, map(complex, refs)):
                 assert abs(g - r) <= floor * max(abs(r), 1.0), spec
-
-
-def _draw_spec(rng: random.Random, family: str, cplx: bool):
-    """A spec of the validated domain, with complex parameters (imaginary
-    parts up to 0.2) and a complex coupling if ``cplx``, or ``None`` where a
-    gamma argument is within 0.02 of an integer."""
-    reals = [rng.uniform(-0.45, 0.45) for _ in range(4)]
-    reals.append(rng.choice((1, -1)) * rng.uniform(0.08, 0.42))
-    t0, t1, t2, t3, omega = (complex(x, rng.uniform(-0.2, 0.2)) if cplx else x for x in reals)
-    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi)) if cplx else rng.choice((1, -1))
-    lam = rng.uniform(0.02, 0.9) * phase
-    signs = [(s0, s1, sx) for s0 in (1, -1) for s1 in (1, -1) for sx in (1, -1)]
-    args = [2 * t0, 2 * t1] + [0.5 + s0 * t0 + s1 * t1 + sx * omega for s0, s1, sx in signs]
-    if min(abs(z - round(z.real)) for z in args) < 0.02:
-        return None
-    if family == "RCHE":
-        return rche_spec(t0, t1, omega, lam)
-    if family == "CHE":
-        return che_spec(t0, t1, omega, t2, lam)
-    return he_spec(t0, t1, t2, t3, omega, lam)
-
-
-def _sweep_specs(family: str, count: int) -> list:
-    """Seeded specs of the validated domain, every other one with complex
-    parameters (imaginary parts up to 0.2) and a complex coupling."""
-    rng = random.Random(11)
-    specs = []
-    while len(specs) < count:
-        spec = _draw_spec(rng, family, len(specs) % 2 == 1)
-        if spec:
-            specs.append(spec)
-    return specs
-
-
-def _near_root_specs(family: str, count: int) -> list:
-    """Seeded specs of the validated domain where a root ``k = -(a +- x)`` of
-    ``Q_k``, ``a = 1/2 - theta0 + theta1``, lies within 0.02 to 0.036 of an
-    integer ``k >= 0``, so that ``Q_k`` cancels there; every other draw has
-    complex parameters."""
-    rng, specs, draws = random.Random(3), [], 0
-    while len(specs) < count:
-        spec = _draw_spec(rng, family, draws % 2 == 1)
-        draws += 1
-        if spec:
-            a = 0.5 - spec.theta0 + spec.theta1
-            near = [abs(z - round(z.real)) for z in (a - spec.omega, a + spec.omega)
-                    if round(z.real) <= 0]
-            if near and 0.02 <= min(near) <= 0.036:
-                specs.append(spec)
-    return specs
 
 
 def _tail_sum(terms) -> complex:

@@ -180,6 +180,12 @@ class TestRecurrenceData:
             u_lambda0_sequence(spec, 5)
 
 
+@pytest.mark.parametrize("precision", ["quad", "", None])
+def test_spec_to_precision_rejects_an_unknown_precision(rche_example, precision):
+    with pytest.raises(DomainError, match="^precision must be one of"):
+        spec_to_precision(rche_example, precision)
+
+
 # alpha_beta(spec, k) at k in (0, 1, 2, 7, 512, 1075), frozen from the
 # per-index evaluation before the coefficient table: float.hex of each
 # binary64 part, repr at 30 digits for the mpmath spec.

@@ -10,14 +10,17 @@ from heunconn import (
     DomainError,
     RadiusError,
     TailError,
+    che_spec,
     convergence_radius,
     evaluate,
     evaluate_deriv,
     frobenius_series,
     he_spec,
+    hyp_spec,
     local_basis,
     ode_residual,
     potential,
+    rche_spec,
     wronskian,
 )
 from heunconn.frobenius import truncated_basis
@@ -119,6 +122,78 @@ class TestDomainsAndErrors:
     def test_potential_is_real_for_real_parameters(self, he_example):
         v = potential(he_example, 0.37)
         assert abs(complex(v).imag) <= 1e-14
+
+
+# potential(spec, z) at z in (0.3, 0.7, 0.45 + 0.2i), frozen from the
+# per-family partial fractions: float.hex of a float, of each part of a complex.
+# The real specs are the examples.
+GOLDEN_POTENTIAL = {
+    "HYP": (
+        "0x1.1e79e79e79e7ap+2",
+        "0x1.0d0fac687d633p+2",
+        ("0x1.1187c96c59dd0p+1", "-0x1.a4762e864bce3p-2"),
+    ),
+    "RCHE": (
+        "0x1.279e79e79e79ep+2",
+        "0x1.226501bdd2b88p+2",
+        ("0x1.2615cd2914b98p+1", "-0x1.68aa80be5ac12p-2"),
+    ),
+    "CHE": (
+        "0x1.18fb9c8695362p+2",
+        "0x1.0a9d9213a4e27p+2",
+        ("0x1.0b45b3ad2b4efp+1", "-0x1.8f59269b68d62p-2"),
+    ),
+    "HE": (
+        "0x1.2032a13f8cf1bp+2",
+        "0x1.f5a1f81976864p+1",
+        ("0x1.11286883c42c8p+1", "-0x1.ee7158b7a7600p-2"),
+    ),
+    "HYP_COMPLEX": (
+        ("0x1.23c11ed018e44p+2", "-0x1.27bab62f0b2b8p-6"),
+        ("0x1.025150f7cda8bp+2", "0x1.f973b47d1beecp-3"),
+        ("0x1.10baab76bc2eap+1", "-0x1.987f98af9b03fp-2"),
+    ),
+    "RCHE_COMPLEX": (
+        ("0x1.43c11ed018e44p+2", "0x1.ff35e4bd61c74p-4"),
+        ("0x1.4cfbfba278536p+2", "0x1.290797c9f1a65p-1"),
+        ("0x1.513242d24c10cp+1", "-0x1.1634d46fc3918p-5"),
+    ),
+    "CHE_COMPLEX": (
+        ("0x1.12ea1492a8406p+2", "-0x1.abc20c95d0addp-5"),
+        ("0x1.f424d3ac50b65p+1", "0x1.c6fbc0310a60ep-3"),
+        ("0x1.f7b6285f60818p+0", "-0x1.7861317101195p-2"),
+    ),
+    "HE_COMPLEX": (
+        ("0x1.2bad1a00d6b72p+2", "0x1.af4c4828f78eap-4"),
+        ("0x1.01369a524fb62p+2", "0x1.209240ed81badp-2"),
+        ("0x1.1a4cd83eb45a7p+1", "-0x1.8cd3073a585c5p-2"),
+    ),
+}
+
+_COMPLEX_SPECS = {
+    "HYP_COMPLEX": lambda: hyp_spec(0.13 + 0.05j, 0.27 - 0.03j, 0.41 + 0.02j),
+    "RCHE_COMPLEX": lambda: rche_spec(0.13 + 0.05j, 0.27 - 0.03j, 0.41 + 0.02j, 0.35 + 0.1j),
+    "CHE_COMPLEX": lambda: che_spec(
+        0.13 + 0.05j, 0.27 - 0.03j, 0.41 + 0.02j, 0.19 - 0.04j, 0.35 + 0.1j
+    ),
+    "HE_COMPLEX": lambda: he_spec(
+        0.11 + 0.03j, 0.27 - 0.02j, 0.33 + 0.01j, 0.41 - 0.05j, 0.37 + 0.04j, 0.3 + 0.1j
+    ),
+}
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else (v.real.hex(), v.imag.hex())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_POTENTIAL))
+def test_potential_is_frozen(request, name):
+    if name in _COMPLEX_SPECS:
+        spec = _COMPLEX_SPECS[name]()
+    else:
+        spec = request.getfixturevalue(name.lower() + "_example")
+    got = tuple(_hex(potential(spec, z)) for z in (0.3, 0.7, 0.45 + 0.2j))
+    assert got == GOLDEN_POTENTIAL[name]
 
 
 class TestLocalBasis:

@@ -14,10 +14,12 @@ from conftest import coupled_specs, rel_diff, resonant_spec
 from heunconn import (
     AccessoryResonance,
     DomainError,
+    EquationSpec,
     FamilyFieldError,
     Jet,
     JetDivByZero,
     ParameterResonance,
+    ResonantExponents,
     SizeError,
     c1_closed_he,
     c1_closed_rche,
@@ -277,6 +279,39 @@ class TestClosedForms:
         spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.5, 0.1)
         with pytest.raises(ParameterResonance):
             sigma1_closed(spec)
+
+    @pytest.mark.parametrize(
+        "form, family, name, pole_name",
+        [
+            (c1_closed_rche, "RCHE", "c1", "c1"),
+            (c2_closed_rche, "RCHE", "c2", "c2"),
+            (sigma1_closed, "HE", "sigma1", "sigma1"),
+            (f1_closed_he, "HE", "f1", "f1"),
+            (c1_closed_he, "HE", "c1", "f1"),  # its resonance is that of f_1
+        ],
+    )
+    def test_gate_order(self, form, family, name, pole_name):
+        # Each gate sees only specs that passed the ones before it: the
+        # family, then the spec's own validation, then the poles in omega.
+        # omega = 0.5 is a pole of every form, 2 theta0 = 1 a resonance.
+        fields = {"RCHE": {}, "HE": {"theta_t": 0.33, "theta_inf": 0.41}}
+        other = "HE" if family == "RCHE" else "RCHE"
+
+        def spec(fam, theta0):
+            return EquationSpec(fam, theta0, 0.27, 0.1, omega=0.5, **fields[fam])
+
+        with pytest.raises(
+            FamilyFieldError, match=f"^{name} closed form applies to family {family}, got {other}$"
+        ):
+            form(spec(other, 0.5))
+        with pytest.raises(ResonantExponents, match=r"^2\*theta0 = 1\.0 is within"):
+            form(spec(family, 0.5))
+        with pytest.raises(
+            ParameterResonance,
+            match=rf"^{pole_name} closed form has a vanishing denominator at omega = 0\.5; "
+            r"omega = 0\.5$",
+        ):
+            form(spec(family, 0.11))
 
 
 class TestSeriesVsClosedForms:

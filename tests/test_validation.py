@@ -256,6 +256,19 @@ class TestFullReport:
             with pytest.raises(ResonantExponents):
                 entry(spec)
 
+    @pytest.mark.parametrize("tol", [math.nan, "x", 1j])
+    def test_a_tol_that_is_not_a_real_number_raises(self, rche_example, che_example, tol):
+        # Before any check runs: a failed check would be a result, not an error.
+        entries = [
+            lambda: full_report(rche_example, CheckConfig(tol=tol)),
+            lambda: verify_connection_identity(rche_example, tol=tol),
+            lambda: verify_reflection(rche_example, tol=tol),
+            lambda: verify_che_as_he_limit(che_example, tol=tol),
+        ]
+        for entry in entries:
+            with pytest.raises(DomainError, match="^tol must be a real number other than nan"):
+                entry()
+
     @pytest.mark.parametrize("fixture", EXAMPLES)
     def test_report_matrices_are_freed_without_the_cyclic_collector(
         self, request, fixture, monkeypatch

@@ -16,8 +16,8 @@ Two sets per family:
 
 * ``bulk``: ``--count`` specs, every other one with complex parameters
   (imaginary parts up to 0.2) and a complex coupling, every gamma argument
-  at least 0.02 from the integers (the specs of the test suite's
-  ``_sweep_specs``, seed 11);
+  at least 0.02 from the integers (seed 11; ``tests/test_connection.py``
+  draws its sweep specs from :func:`bulk_specs` and :func:`near_root_specs`);
 * ``near-root``: ``--near`` real or complex specs of the same domain where a
   root ``k = -(a +- x)`` of ``Q_k`` at ``k >= 0`` lies within 0.02 to 0.036
   of an integer (``random.Random(3)``), where ``Q_k`` cancels.
