@@ -26,7 +26,7 @@ from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import _KEYS, METHODS, connection_matrix, det_residual
 from .equations import _REQUIRED, FAMILIES, EquationSpec, validate
-from .errors import FamilyFieldError, HeunConnError, SizeError
+from .errors import FamilyFieldError, HeunConnError, ParameterResonance, SizeError
 from .perturbative import CLOSED_FORMS, c_coefficients
 from .precision import DOUBLE, HIGH, default_precision, spec_to_precision
 from .validation import CheckConfig, CheckResult, full_report
@@ -264,7 +264,9 @@ def cmd_expand(args: argparse.Namespace) -> int:
     lines = [f"series coefficients of ln a_inf  family={spec.family}  N={args.order}"]
     forms = CLOSED_FORMS.get(spec.family, ())
     for n, c in enumerate(c_coefficients(spec, args.order), start=1):
-        ref = forms[n - 1](spec) if n <= len(forms) else None
+        ref = None
+        with contextlib.suppress(ParameterResonance):  # a form at one of its poles
+            ref = forms[n - 1](spec) if n <= len(forms) else None
         diff = None if ref is None else abs(c - ref)
         table.append({"n": n, "c": c, "closed": ref, "diff": diff})
         rows.append([n, c.real, c.imag, None if ref is None else ref.real,
@@ -393,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", choices=(DOUBLE, HIGH), default=None,
                    help="working precision; default from HEUN_PRECISION or double")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="largest error estimate the cf/recurrence routes accept (default 1e-10)")
+                   help="largest relative error estimate of cf, recurrence and ss (default 1e-10)")
     p.add_argument("--max-depth", type=int, default=2**20,
                    help="cap on the sweep depth K of the cf/recurrence/ss routes (default 2^20)")
     p.add_argument("--allow-large-coupling", action="store_true",

@@ -132,10 +132,7 @@ class ConnectionMatrix:
         return self.entries[key]
 
     def det(self) -> complex:
-        return (
-            self.entries["++"] * self.entries["--"]
-            - self.entries["+-"] * self.entries["-+"]
-        )
+        return self["++"] * self["--"] - self["+-"] * self["-+"]
 
 
 def det_residual(matrix: ConnectionMatrix) -> float:
@@ -271,23 +268,25 @@ def log_a_infinity_cf(
     (:func:`d_space`), summed without its leading 1 to working precision.
     The same series seeds one backward sweep for ``eta_1 .. eta_K`` with
     ``eta_{K+1} = S(K+1) / S(K+2)``.  ``K`` comes from :func:`tail_depth`.
-    The error estimate is the last terms of ``S(K+1)`` (:func:`sum_tail`)
-    and :func:`_sweep_floor`, which charges the seed's error, the last terms
-    of both sums, as a rounding of the top row.
+    The error estimate, the relative error of ``a_inf`` that ``tol`` bounds,
+    is the last terms of ``S(K+1)`` (:func:`sum_tail`) and
+    :func:`_sweep_floor`, which charges the seed's error, the last terms of
+    both sums, as a rounding of the top row.
     Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
     ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
     :class:`DomainError` at the coupling gate or on an invalid spec.
     """
     _check_tol_arg(tol)
     _check_lambda_gate(validate(spec), allow_large_coupling)
-    return _cf_limit(spec, tol, max_depth)
+    val, rel, K = _cf_limit(spec, tol, max_depth)
+    return val, K, rel
 
 
-def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, int, float]:
-    """:func:`log_a_infinity_cf` of a valid spec."""
+def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, float, int]:
+    """``(value, rel, K)`` of :func:`log_a_infinity_cf` of a valid spec."""
     lam = spec.lam
     if lam == 0:
-        return 0.0, 0, 0.0
+        return 0.0, 0.0, 0
     what = "continued-fraction sum"
     mp_spec = is_mp_spec(spec)
     eps = unit_roundoff(mp_spec)
@@ -306,7 +305,7 @@ def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, int,
     val = total + p_log1p(rest)
     if spec.family == "HE":
         val = val - p_log(1 - lam)
-    return val, K, err
+    return val, err, K
 
 
 def _sweep_floor(spec: EquationSpec, K: int, eps: float, seed_err: float = 0.0) -> float:
@@ -352,22 +351,21 @@ def _forward_sweep(spec: EquationSpec, start: int, stop: int) -> Any:
 
 def _recurrence_limit(
     spec: EquationSpec, tol: float, max_K: int = _MAX_DEPTH
-) -> tuple[Any, int, float]:
-    """``a_inf = a_K / S(K)`` from one forward sweep of the rescaled
-    recurrence to ``a_K`` and its formal solution ``S`` (:func:`a_space`)
-    summed to working precision, for a valid spec with ``lam != 0``.  The
-    error estimate is the last terms of ``S`` (:func:`sum_tail`) and
-    :func:`_sweep_floor`, relative to ``max(|a_inf|, 1)``: the sweep's
-    rounding stays at the size of its iterates, which start at ``a_0 = 1``."""
+) -> tuple[Any, float, int]:
+    """``(a_inf, rel, K)``: ``a_inf = a_K / S(K)`` from one forward sweep of
+    the rescaled recurrence to ``a_K`` and its formal solution ``S``
+    (:func:`a_space`) summed to working precision, for a valid spec with
+    ``lam != 0``.  ``rel``, the relative error estimate that ``tol`` bounds,
+    is the last terms of ``S`` (:func:`sum_tail`) and :func:`_sweep_floor`;
+    :func:`_entry` floors it at the sweep's O(1) iterates."""
     what = "recurrence limit"
     eps = unit_roundoff(is_mp_spec(spec))
     K = tail_depth(spec, eps, max_K, what)
     total, omitted = summed_tail(spec, a_space, K, what)
     a_inf = _forward_sweep(spec, 0, K) / total
     rel = omitted / float(abs(total)) + _sweep_floor(spec, K, eps)
-    err = max(float(abs(a_inf)), 1.0) * rel
-    _check_tol(err, tol, K, what)
-    return a_inf, K, err
+    _check_tol(rel, tol, K, what)
+    return a_inf, rel, K
 
 
 def _assembly_prefactor(spec: EquationSpec) -> Any:
@@ -394,15 +392,16 @@ def _entry(
         return complex(factor), rel_err * float(abs(factor)), 0
     pref = factor * _assembly_prefactor(spec)
     if method == "cf":
-        log_a, depth, err = _cf_limit(spec, tol, max_depth)
+        log_a, rel, depth = _cf_limit(spec, tol, max_depth)
         a_inf = p_exp(log_a)
     else:
-        a_inf, depth, err = _recurrence_limit(spec, tol, max_depth)
+        a_inf, rel, depth = _recurrence_limit(spec, tol, max_depth)
     val = pref * a_inf
-    # Scaled by the larger of |value| and |pref|: near a zero of the amplitude
-    # the sweep's rounding stays at the size of its O(1) iterates.
+    # The route's relative estimate, scaled once by the larger of |value| and
+    # |pref|: near a zero of the amplitude the sweep's rounding stays at the
+    # size of its O(1) iterates.
     scale = max(abs(val), abs(pref))
-    return complex(val), float(scale) * (float(err) + rel_err), depth
+    return complex(val), float(scale) * (float(rel) + rel_err), depth
 
 
 def connection_scalar(
@@ -415,7 +414,8 @@ def connection_scalar(
     """Connection scalar ``C(theta0, theta1)`` by the ``cf`` or ``recurrence``
     route (for HYP the coupling vanishes and the gamma-ratio factor is exact).
 
-    Returns ``(value, err_estimate)``.  RCHE or CHE ``|lam| > 0.9`` raises
+    Returns ``(value, err_estimate)``; ``tol`` bounds the relative error
+    estimate of ``a_inf``.  RCHE or CHE ``|lam| > 0.9`` raises
     :class:`DomainError` unless ``allow_large_coupling``.
     """
     _check_tol_arg(tol)
@@ -450,20 +450,18 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
 def _ss_scalar(
     spec: EquationSpec, tol: float = math.inf, max_depth: int = _MAX_DEPTH
 ) -> tuple[complex, float, int]:
-    """``(value, err_estimate, K)`` of :func:`schafke_schmidt_connection`.
-
-    The estimate is ``|value|`` times the sum of:
+    """``(value, rel, K)`` of :func:`schafke_schmidt_connection`, ``rel``
+    the relative error estimate of ``value``, the sum of:
 
     * the omitted tail terms (:func:`sum_tail`);
     * the second solution (:func:`log_second_mode`);
     * the fixed-point rounding, ``K`` units of the working ``dps``;
     * the binary64 tail's rounding, ``2 eps / |1 - B_2|``: the divisor
       ``n (1 - B_2)`` of :func:`formal_tail` magnifies the rounding of each
-      residual;
-    * a ``1e-15`` floor for the assembly's roundings.
+      residual.
 
-    Raises :class:`NonConvergence` when the sum without the floor is above
-    ``tol``, as :func:`log_a_infinity_cf` judges its estimate.  The spec must
+    Raises :class:`NonConvergence` when ``rel`` is above ``tol``, as
+    :func:`log_a_infinity_cf` judges its estimate.  The spec must
     be valid; any ``theta1`` is served, as the depth, the tail and the
     precision (:func:`_ss_precision`) follow ``theta1`` itself."""
     what = "large-order amplitude"
@@ -484,7 +482,7 @@ def _ss_scalar(
         + 2 * EPS64 / abs(1 - b2)
     )
     _check_tol(rel, tol, K, what)
-    return val, abs(val) * (rel + 1e-15), K
+    return val, rel, K
 
 
 def schafke_schmidt_connection(spec: EquationSpec) -> complex:
@@ -533,13 +531,7 @@ def _wronskian_matrix(spec: EquationSpec, basis: list) -> ConnectionMatrix:
     w00 = a0p * d0m - d0p * a0m
     w11 = a1p * d1m - d1p * a1m
     err = abs(w00 - 2 * spec.theta0) + abs(w11 + 2 * spec.theta1) + 1e-14
-    return ConnectionMatrix(
-        entries=entries,
-        spec=spec,
-        method="wronskian",
-        depth_or_K=basis[0].K,
-        err_estimate=float(err),
-    )
+    return ConnectionMatrix(entries, spec, "wronskian", basis[0].K, float(err))
 
 
 def _wronskian_of_basis(spec: EquationSpec, basis: list, tol: float) -> ConnectionMatrix:
@@ -568,7 +560,8 @@ def connection_matrix(
     ``lam != 0``, the family prefactor and the amplitude ``a_inf`` of the
     flipped spec; at ``lam = 0`` (HYP included) the factors are the entries
     and no flipped spec is built.  ``ss`` and ``wronskian`` take no factor
-    from that pass."""
+    from that pass.  ``tol`` bounds each sweeping route's relative error
+    estimate of its own value (``a_inf``, or the ``ss`` entry)."""
     validate(spec)
     _check_tol_arg(tol)
     method = _method_name(method)
@@ -577,7 +570,9 @@ def connection_matrix(
     if method == "wronskian":
         return _det_gate(wronskian_connection(spec), tol)
     if method == "ss":
-        results = (_ss_scalar(_flip_spec(spec, s0, s1), tol, max_depth) for s0, s1 in _FLIPS)
+        scalars = (_ss_scalar(_flip_spec(spec, s0, s1), tol, max_depth) for s0, s1 in _FLIPS)
+        # Absolute, with a 1e-15 floor for the assembly's roundings
+        results = ((val, abs(val) * (rel + 1e-15), K) for val, rel, K in scalars)
     else:
         _check_lambda_gate(spec, allow_large_coupling)
         factors = _gamma_factors(spec.theta0, spec.theta1, _third_parameter(spec))
@@ -620,8 +615,7 @@ def _product_relations(
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
     a, b, c, d = (matrix[k] for k in _KEYS)
-    two_pi = 2.0 * math.pi
-    denom = cmath.sin(two_pi * t0) * cmath.sin(two_pi * t1)
+    denom = cmath.sin(math.tau * t0) * cmath.sin(math.tau * t1)
     cos, pi = cmath.cos, math.pi
     relations = [
         (prod, -(t0 / t1) * cos(pi * (base + sigma)) * cos(pi * (base - sigma)) / denom)
@@ -643,12 +637,11 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
     a, b, c, d = (matrix[k] for k in _KEYS)
-    det = a * d - b * c
-    two_pi = 2.0 * math.pi
-    cos_diff = cmath.cos(two_pi * (t0 - t1))
-    cos_sum = cmath.cos(two_pi * (t0 + t1))
+    det = matrix.det()
+    cos_diff = cmath.cos(math.tau * (t0 - t1))
+    cos_sum = cmath.cos(math.tau * (t0 + t1))
     cos_2pi_sigma = (b * c * cos_diff - a * d * cos_sum) / det
-    sigma = cmath.acos(cos_2pi_sigma) / two_pi
+    sigma = cmath.acos(cos_2pi_sigma) / math.tau
     if sigma.imag < 0.0:
         sigma = 1.0 - sigma
     sigma = complex(sigma.real % 1.0, sigma.imag)

@@ -214,7 +214,7 @@ def _check_resonance(spec: EquationSpec, start: int, stop: int) -> None:
     ``Q_k = (k + a - x)(k + a + x)`` with ``a = 1/2 - theta0 + theta1``, and
     ``Q'_k = Q_{k-1}``, so only the rounded roots ``k0 = round(Re(+-x - a))``
     and ``k0 + 1`` (for ``Q'``) can come that close."""
-    x = spec.omega
+    x = _third_parameter(spec)
     a = 0.5 - spec.theta0 + spec.theta1
     candidates = set()
     for root in (x - a, -x - a):
@@ -238,8 +238,9 @@ def coefficient_table(spec: EquationSpec, start: int, stop: int) -> tuple[list, 
 
     HYP has no coupling, so every entry is 0.  A denominator within 1e-12 of
     zero raises :class:`AccessoryResonance`; ``beta_0 = 0`` for every family.
-    The constants of the spec are computed once per table.
+    The spec is validated and its constants computed once per table.
     """
+    validate(spec)
     for k in (start, stop):
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
@@ -293,17 +294,15 @@ def canonical_recurrence_step(spec: EquationSpec, k: int, u_k: Any, u_km1: Any) 
     """One forward step of the three-term recurrence for the series
     coefficients ``u_k``: given ``u_k`` and ``u_{k-1}``, return ``u_{k+1}``.
 
-    The left-hand factor is ``(k+1)(k+1-2 theta0)``; its near-vanishing
-    (``2 theta0`` within 1e-10 of a positive integer) raises
-    :class:`ResonantExponents`, and a vanishing ``Q_k`` raises
+    The left-hand factor is ``(k+1)(k+1-2 theta0)``, away from zero once the
+    spec is validated (:func:`validate`); a vanishing ``Q_k`` raises
     :class:`AccessoryResonance`.  Seed with ``u_0 = 1, u_{-1} = 0`` at k = 0.
     """
+    validate(spec)
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
     t0, t1, lam = spec.theta0, spec.theta1, spec.lam
     lead = (k + 1) * (k + 1 - 2 * t0)
-    if abs(k + 1 - 2 * t0) < _HALF_INT_TOL:
-        raise ResonantExponents(f"leading factor k+1-2*theta0 vanishes at k = {k}")
     q, _ = _q_pair(spec, k)
     if spec.family == "HYP":
         return q * u_k / lead
@@ -358,17 +357,16 @@ def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:
     """Coefficients of the zero-coupling solution,
     ``u0_k = (a+x)_k (a-x)_k / (k! (1-2 theta0)_k)`` with
     ``a = 1/2 - theta0 + theta1`` and ``x`` the family's third exponent
-    parameter, built iteratively as ``u0_{k+1} = Q_k u0_k / ((k+1)(k+1-2t0))``.
+    parameter, built iteratively as ``u0_{k+1} = Q_k u0_k / ((k+1)(k+1-2t0))``
+    for a valid spec (:func:`validate`).
     """
+    t0 = validate(spec).theta0
     if not isinstance(K, int) or K < 0:
         raise DomainError(f"K must be a nonnegative integer, got {K!r}")
-    t0 = spec.theta0
     out = [1.0 + 0 * t0]
     for k in range(K):
         q, _ = _q_pair(spec, k)
         lead = (k + 1) * (k + 1 - 2 * t0)
-        if abs(k + 1 - 2 * t0) < _HALF_INT_TOL:
-            raise ResonantExponents(f"leading factor k+1-2*theta0 vanishes at k = {k}")
         out.append(q * out[-1] / lead)
     return out
 

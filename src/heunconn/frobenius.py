@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import count, islice
+from itertools import count, islice, zip_longest
 from typing import Any, Iterator, Optional
 
 from .equations import EquationSpec, _third_parameter, validate
@@ -48,13 +48,7 @@ _SERIES_TOL = 1e-15  # last retained terms of local_basis at its reach
 
 
 def _padd(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0.0
-        y = b[i] if i < len(b) else 0.0
-        out.append(x + y)
-    return out
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0.0)]
 
 
 def _pmul(a: list, b: list) -> list:
@@ -117,9 +111,10 @@ def _family_polys(spec: EquationSpec) -> tuple[list, list]:
 
 
 def potential(spec: EquationSpec, z: Any) -> Any:
-    """Normal-form potential P(z), evaluated directly from its partial
-    fractions (not via the cleared polynomials)."""
-    t0, t1 = spec.theta0, spec.theta1
+    """Normal-form potential P(z) of a valid spec (:func:`validate`),
+    evaluated directly from its partial fractions (not via the cleared
+    polynomials)."""
+    t0, t1 = validate(spec).theta0, spec.theta1
     a0 = 0.25 - t0 * t0
     a1 = 0.25 - t1 * t1
     lam = spec.lam

@@ -232,7 +232,7 @@ def _closed_form_spec(spec: EquationSpec, family: str, what: str, poles: Sequenc
 
 def c1_closed_rche(spec: EquationSpec) -> complex:
     """Digamma closed form of the first series coefficient (RCHE)."""
-    _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5, 1.0, -1.0))
+    _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5))
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
     a = 0.5 - t0 + t1
     m = 0.25 - t0 * t0 + t1 * t1 - om * om

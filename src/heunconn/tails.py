@@ -86,10 +86,13 @@ def root_depth(spec: EquationSpec, reach: float = 0.0) -> int:
     """The smallest depth ``K >= _TAIL_MIN_DEPTH`` that is ``_ROOT_FACTOR``
     times above ``reach`` and every root of ``Q_k`` and ``Q_{k-1}``: the ``1/k``
     expansions of the coefficients converge fast there, and every index where
-    the accessory-resonance gate can fire is below it."""
+    the accessory-resonance gate can fire is below it.  Raises
+    :class:`NonConvergence` when that depth overflows binary64."""
     a = complex(0.5 - spec.theta0 + spec.theta1)
     x = complex(_third_parameter(spec))
     reach = max(reach, *(abs(s - a + e * x) for s in (0, 1) for e in (1, -1)))
+    if math.isinf(_ROOT_FACTOR * reach):
+        raise NonConvergence(f"no finite depth is {_ROOT_FACTOR} times above the reach {reach:.3g}")
     return max(_TAIL_MIN_DEPTH, math.ceil(_ROOT_FACTOR * reach))
 
 

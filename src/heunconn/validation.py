@@ -11,6 +11,7 @@ parameter degeneracies surface as failed entries, never as crashes.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import numbers
 import time
@@ -35,7 +36,9 @@ from .connection import (
     tail_determinant_limit,
 )
 from .equations import FAMILIES, EquationSpec, he_spec, validate
-from .errors import DomainError, FamilyFieldError, HeunConnError, ReflectionMismatch
+from .errors import (
+    DomainError, FamilyFieldError, HeunConnError, ParameterResonance, ReflectionMismatch,
+)
 from .frobenius import (
     convergence_radius,
     evaluate,
@@ -236,12 +239,14 @@ def _determinant(s: _ReportState) -> tuple:
     return det_residual(s.cf()), "cf route"
 
 
+def _deviation(ref: Any, alt: Any) -> float:
+    """Largest entrywise deviation of ``alt`` from ``ref``, relative to ``ref``."""
+    return max(abs(ref[k] - alt[k]) / abs(ref[k]) for k in _KEYS)
+
+
 def _agreement(route: str, s: _ReportState) -> tuple:
     """Entrywise agreement of the ``route`` matrix with the ``cf`` matrix."""
-    base = s.cf()
-    alt = s.matrix(route)
-    worst = max(abs(base[k] - alt[k]) / abs(base[k]) for k in _KEYS)
-    return worst, "entrywise vs cf"
+    return _deviation(s.cf(), s.matrix(route)), "entrywise vs cf"
 
 
 def _monodromy(s: _ReportState) -> tuple:
@@ -271,19 +276,18 @@ def _sigma_slope(s: _ReportState) -> tuple:
 def _series_closed(s: _ReportState) -> tuple:
     forms = CLOSED_FORMS[s.spec.family]
     cs = c_coefficients(s.spec, len(forms))
-    refs = (form(s.spec) for form in forms)
+    refs = [forms[0](s.spec)]  # a pole of the first form fails the check
+    with contextlib.suppress(ParameterResonance):  # one of a later form ends the list
+        for form in forms[1:]:
+            refs.append(form(s.spec))
     worst = max(abs(got - ref) / max(1.0, abs(ref)) for got, ref in zip(cs, refs))
-    return worst, f"{len(forms)} closed-form coefficient(s)"
+    return worst, f"{len(refs)} closed-form coefficient(s)"
 
 
 def _che_as_he_limit(s: _ReportState, Lambda: float = _LAMBDA) -> tuple:
     che_mat = s.cf()
-    he_sp = che_to_he_spec(s.spec, Lambda)
-    he_mat = connection_matrix(he_sp, method="wronskian", tol=s.matrix_tol)
-    worst = 0.0
-    for key in _KEYS:
-        worst = max(worst, abs(che_mat[key] - he_mat[key]) / abs(che_mat[key]))
-    return worst, f"Lambda={Lambda:g}, HE route=wronskian"
+    he_mat = connection_matrix(che_to_he_spec(s.spec, Lambda), method="wronskian", tol=s.matrix_tol)
+    return _deviation(che_mat, he_mat), f"Lambda={Lambda:g}, HE route=wronskian"
 
 
 def _reflection(s: _ReportState) -> tuple:
@@ -301,9 +305,9 @@ def _reflection(s: _ReportState) -> tuple:
     mat = s.cf()
     mat_r = connection_matrix(refl, method="cf", tol=s.matrix_tol)
     a, b, c, d = (mat[k] for k in _KEYS)
-    det = a * d - b * c
+    det = mat.det()
     inv = dict(zip(_KEYS, (d / det, -b / det, -c / det, a / det)))
-    mat_res = max(abs(mat_r[k] - inv[k]) / abs(inv[k]) for k in inv)
+    mat_res = _deviation(inv, mat_r)
     worst = max(pot_res, ode_res, mat_res)
     return worst, f"potential {pot_res:.1e}, ode {ode_res:.1e}, matrix-vs-inverse {mat_res:.1e}"
 
@@ -405,15 +409,17 @@ def reflected_spec(spec: EquationSpec) -> EquationSpec:
     ``omega**2 -> omega**2 - lam*theta_star`` (CHE).  The new ``omega`` is
     the principal root in the spec's own numbers: an mpmath root of an
     mpmath ``omega**2``, a float root of a nonnegative float.  The transform
-    is certified numerically by the caller, not trusted.
+    is certified numerically by the caller, not trusted; an overflowing
+    ``omega**2`` raises :class:`DomainError`.
     """
     validate(spec)
-    if spec.family == "RCHE":
-        om2 = spec.omega**2 + spec.lam
-    elif spec.family == "CHE":
-        om2 = spec.omega**2 - spec.lam * spec.theta_star
-    else:
+    if spec.family not in ("RCHE", "CHE"):
         raise FamilyFieldError(f"reflection transform covers RCHE and CHE, got {spec.family}")
+    try:
+        om2 = spec.omega**2
+    except OverflowError:
+        raise DomainError(f"omega**2 overflows at omega = {spec.omega!r}") from None
+    om2 = om2 + spec.lam if spec.family == "RCHE" else om2 - spec.lam * spec.theta_star
     if is_mp(om2):
         omega = mp.sqrt(om2)
     elif isinstance(om2, float) and om2 >= 0.0:

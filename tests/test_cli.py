@@ -185,6 +185,20 @@ class TestExpand:
         assert second["closed"] is None and second["diff"] is None
 
 
+    def test_a_closed_form_at_its_pole_prints_null(self, capsys):
+        # omega = 1 is a pole of c2's closed form, not of c1's.
+        spec_args = ["--family", "rche", "--theta0", "0.1", "--theta1", "0.2",
+                     "--omega", "1.0", "--lambda", "0.1"]
+        argv = ["expand", *spec_args, "--order", "2", "--output", "json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        first, second = json.loads(out)["coefficients"]
+        assert first["diff"] <= 1e-15
+        assert second["closed"] is None and second["diff"] is None
+        code, out, _ = run_cli(capsys, ["verify", *spec_args, "--fast"])
+        assert code == 0, out
+
+
 class TestWalks:
     def test_census_table(self, capsys):
         code, out, _ = run_cli(capsys, ["walks", "--n", "2"])

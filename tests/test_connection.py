@@ -32,6 +32,7 @@ from heunconn import (
     HeunConnError,
     NonConvergence,
     PoleError,
+    c_coefficients,
     canonical_recurrence_step,
     che_spec,
     connection_matrix,
@@ -44,9 +45,11 @@ from heunconn import (
     evaluate,
     evaluate_deriv,
     frobenius_series,
+    full_report,
     he_spec,
     hyp_spec,
     log_a_infinity_cf,
+    log_a_series_from_traces,
     rche_spec,
     rescaled_a,
     schafke_schmidt_connection,
@@ -95,6 +98,18 @@ EXAMPLE_FIXTURES = {
 # Frozen-value agreement observed well below these bounds; the bounds leave
 # an order of magnitude of slack for platform-dependent rounding.
 METHOD_TOL = {"cf": 1e-11, "recurrence": 1e-11, "wronskian": 1e-11, "ss": 1e-12}
+# err_estimate of the examples' matrices by cf, ss and wronskian, frozen as
+# float.hex.
+GOLDEN_ESTIMATES = {
+    "HYP": {"cf": "0x1.117c2ccd6b3f5p-43", "ss": "0x1.a9eb3f6896cbfp-50",
+            "wronskian": "0x1.7249b86a12b9bp-47"},
+    "RCHE": {"cf": "0x1.aca56072647f6p-43", "ss": "0x1.783b6b3f41612p-50",
+             "wronskian": "0x1.7049b86a12b9bp-47"},
+    "CHE": {"cf": "0x1.c228b532c4b13p-43", "ss": "0x1.b8e698d891591p-50",
+            "wronskian": "0x1.7249b86a12b9bp-47"},
+    "HE": {"cf": "0x1.59b3cdae5b24ap-43", "ss": "0x1.65c3411f3a3e4p-50",
+           "wronskian": "0x1.6a49b86a12b9bp-47"},
+}
 
 
 class TestFusionFormula:
@@ -502,6 +517,27 @@ class TestLargeOrder:
         mat = connection_matrix(spec, method)
         ref = solver_matrix(spec)
         assert max(abs(mat[k] - ref[k]) for k in ref) <= mat.err_estimate
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_ESTIMATES))
+    def test_estimates_are_frozen(self, request, family):
+        spec = request.getfixturevalue(EXAMPLE_FIXTURES[family])
+        got = {m: connection_matrix(spec, m).err_estimate.hex() for m in GOLDEN_ESTIMATES[family]}
+        assert got == GOLDEN_ESTIMATES[family]
+
+    def test_recurrence_floors_its_estimate_once(self):
+        # Amplitudes above 1: the recurrence route's relative estimate is
+        # floored at its O(1) iterates once, in the entry, as cf's is.
+        spec = rche_spec(0.13, 0.27, 0.31, -3.0)
+        cf = connection_matrix(spec, "cf", allow_large_coupling=True)
+        rec = connection_matrix(spec, "recurrence", allow_large_coupling=True)
+        ref = solver_matrix(spec)
+        assert max(abs(rec[k] - ref[k]) for k in ref) <= rec.err_estimate
+        assert rec.err_estimate <= 1.01 * cf.err_estimate
+
+    @pytest.mark.parametrize("method", ["cf", "recurrence", "ss"])
+    def test_tol_bounds_each_routes_relative_estimate(self, method):
+        spec = rche_spec(0.13, 0.27, 0.31, -3.0)
+        connection_matrix(spec, method, tol=1e-13, allow_large_coupling=True)
 
     @pytest.mark.parametrize(
         "spec",
@@ -1007,6 +1043,26 @@ class TestGuardsAndLimits:
         calls.clear()
         assert tail_depth(rche_example, 2.0**-53, 2**20, "sweep") == 64
         assert len(calls) == 1  # the first K meets the target
+
+    @pytest.mark.parametrize(
+        "spec", [rche_spec(0.1, 1e308, 0.3, 0.1), rche_spec(0.1, 0.2, 1e308, 0.1)],
+        ids=["theta1", "omega"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: connection_matrix(spec, "ss"),
+            schafke_schmidt_connection,
+            lambda spec: c_coefficients(spec, 2),
+            lambda spec: log_a_series_from_traces(spec, 2),
+        ],
+        ids=["matrix-ss", "schafke_schmidt", "c_coefficients", "traces"],
+    )
+    def test_an_overflowing_depth_is_named(self, spec, call):
+        # Eight times the reach of the roots of Q_k is no binary64 number.
+        with pytest.raises(NonConvergence, match="no finite depth"):
+            call(spec)
+        assert not full_report(spec).passed
 
     def test_nonconvergence_at_tiny_depth(self, rche_example):
         with pytest.raises(NonConvergence):

@@ -27,6 +27,7 @@ from heunconn import (
     u_lambda0_sequence,
     validate,
 )
+from heunconn.frobenius import potential
 from heunconn.precision import HIGH, spec_to_precision
 
 
@@ -170,14 +171,33 @@ class TestRecurrenceData:
         with pytest.raises(AccessoryResonance, match="Q_3 vanishes"):
             canonical_recurrence_step(spec, 3, 1.0, 1.0)
 
-    def test_resonant_leading_factor_of_an_unvalidated_spec(self):
-        # 2 theta0 = 3: validate refuses the spec, and k + 1 - 2 theta0
-        # vanishes at k = 2 when the recurrence is run without it.
-        spec = EquationSpec("RCHE", 1.5, 0.2, 0.1, omega=0.3)
-        with pytest.raises(ResonantExponents, match="vanishes at k = 2"):
-            canonical_recurrence_step(spec, 2, 1.0, 1.0)
-        with pytest.raises(ResonantExponents, match="vanishes at k = 2"):
-            u_lambda0_sequence(spec, 5)
+    @pytest.mark.parametrize(
+        "spec, error, message",
+        [
+            (EquationSpec("RCHE", 0.1, 0.2, 0.1), FamilyFieldError, "requires field 'omega'"),
+            (EquationSpec("RCHE", 0.1, 0.2, 0.1, omega="x"), DomainError, "is not a number"),
+            (EquationSpec("RCHE", 0.1, 0.2, 0.1, omega=math.nan), DomainError, "is not finite"),
+            (EquationSpec("RCHE", 1.5, 0.2, 0.1, omega=0.3), ResonantExponents, "theta0 = 3.0"),
+        ],
+        ids=["no-omega", "string-omega", "nan-omega", "resonant-theta0"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: coefficient_table(spec, 0, 3),
+            lambda spec: alpha_beta(spec, 1),
+            lambda spec: canonical_recurrence_step(spec, 2, 1.0, 1.0),
+            lambda spec: u_lambda0_sequence(spec, 5),
+            lambda spec: potential(spec, 0.3),
+        ],
+        ids=["coefficient_table", "alpha_beta", "canonical_recurrence_step",
+             "u_lambda0_sequence", "potential"],
+    )
+    def test_raw_specs_are_validated(self, call, spec, error, message):
+        # Each validates its spec, as every other public function does: no
+        # bare TypeError, no nan.
+        with pytest.raises(error, match=message):
+            call(spec)
 
 
 @pytest.mark.parametrize("precision", ["quad", "", None])

@@ -266,14 +266,22 @@ class TestClosedForms:
         with pytest.raises(FamilyFieldError):
             sigma1_closed(rche_example)
 
-    @pytest.mark.parametrize("omega", [0.5, -0.5, 1.0, 0.0])
+    @pytest.mark.parametrize("omega", [0.5, -0.5, 1.0, -1.0, 0.0])
     def test_rche_resonant_omega(self, omega):
         # The trigamma/rational structure degenerates at these couplings.
-        spec = rche_spec(0.1, 0.2, 0.3, 0.1)
-        from dataclasses import replace
-
+        # c1 divides only by 4 omega q and 2 q, q = 1/4 - omega^2, so its
+        # gate leaves out omega = +-1, where c2 divides by 1 - omega^2.
+        spec = replace(rche_spec(0.1, 0.2, 0.3, 0.1), omega=omega)
         with pytest.raises(ParameterResonance):
-            c1_closed_rche(replace(spec, omega=omega))
+            c2_closed_rche(spec)
+        if abs(omega) != 1.0:
+            with pytest.raises(ParameterResonance):
+                c1_closed_rche(spec)
+
+    @pytest.mark.parametrize("omega", [1.0, -1.0])
+    def test_c1_is_defined_at_unit_omega(self, omega):
+        spec = rche_spec(0.1, 0.2, omega, 0.1)
+        assert abs(c1_closed_rche(spec) - c_coefficients(spec, 1)[0]) <= 1e-15
 
     def test_he_resonant_omega(self):
         spec = he_spec(0.11, 0.27, 0.33, 0.41, 0.5, 0.1)

@@ -340,6 +340,15 @@ class TestFullReport:
         assert d["passed"] is True
         assert len(d["checks"]) == len(rep.checks)
 
+    @pytest.mark.parametrize("omega", [1.0, -1.0])
+    def test_unit_omega_compares_the_closed_form_that_is_defined(self, omega):
+        # omega = +-1 is a pole of c2's closed form, not of c1's: the check
+        # compares c1 alone, and the report of this correct spec passes.
+        rep = full_report(rche_spec(0.1, 0.2, omega, 0.1), FAST)
+        assert rep.passed, rep.summary()
+        series = {c.name: c for c in rep.checks}["series_vs_closed_forms"]
+        assert series.detail == "1 closed-form coefficient(s)"
+
     def test_degenerate_coupling_fails_cleanly(self):
         # omega at a closed-form resonance: the report must mark the
         # affected check failed (naming the error) without crashing.
@@ -399,8 +408,8 @@ class TestFullReport:
         def off_by_1e7(spec, *args):
             # The value off by 1e-7 relative, with an estimate that says so,
             # so the matrix still passes its own determinant gate.
-            val, err, K = real(spec, *args)
-            return val * (1 + 1e-7), err + 1e-7 * abs(val), K
+            val, rel, K = real(spec, *args)
+            return val * (1 + 1e-7), rel + 1e-7, K
 
         monkeypatch.setattr(connection, "_ss_scalar", off_by_1e7)
         spec = request.getfixturevalue(fixture)
