@@ -59,7 +59,7 @@ from .precision import (
     p_log1p,
     p_power,
 )
-from .special import log_gamma
+from .special import _real_log_gamma, log_gamma
 from .tails import (
     EPS64, a_space, d_space, formal_tail, inverse_depth, is_mp_spec, log_second_mode, sum_tail,
     summed_tail, tail_depth, u_space, unit_roundoff,
@@ -149,7 +149,8 @@ def fusion_cl(theta0: Any, theta1: Any, theta_inf: Any) -> Any:
 
     evaluated in log-gamma form so moderate parameters never overflow.
     Raises :class:`PoleError` when any gamma argument is within 1e-12 of a
-    pole (e.g. ``theta1 -> 0``).
+    pole (e.g. ``theta1 -> 0``), and :class:`DomainError` when a binary64
+    value leaves the binary64 range.
     """
     return next(_gamma_factors(theta0, theta1, theta_inf, (1,)))[0]
 
@@ -174,21 +175,38 @@ def _gamma_factors(
     along the rows and columns, so the four flips of a matrix take 12 of
     them, not 16.  Each factor is formed as it is drawn, so an argument at a
     gamma pole raises where that flip's ``fusion_cl`` call would, after the
-    work done on the flips before it."""
+    work done on the flips before it.  Where ``theta0``, ``theta1`` and
+    ``x`` are floats, each factor is the sign times the exponential of a
+    float sum of real log-gammas (:func:`_real_log_gamma`), a ``complex``
+    with imaginary part 0.  A binary64 factor outside the binary64 range
+    raises :class:`DomainError`."""
+    real = isinstance(theta0, float) and isinstance(theta1, float) and isinstance(x, float)
+    high = not real and (is_mp(theta0) or is_mp(theta1) or is_mp(x))  # an mpmath factor
+    lgam, eps = (_real_log_gamma if real else log_gamma), unit_roundoff(high)
     theta1s, cols = [s * theta1 for s in signs], []
     for i, t0 in enumerate(s * theta0 for s in signs):
         z0 = 1 - 2 * t0
-        lg0, u0 = log_gamma(z0), _PREF_ERR / EPS64 + _pole_ulps(z0)
+        lg0, u0 = lgam(z0), _PREF_ERR / EPS64 + _pole_ulps(z0)
         for j, t1 in enumerate(theta1s):
             if i == 0:  # the first row forms each column's log-gamma in flip order
                 z1 = 2 * t1
-                cols.append((log_gamma(z1), _pole_ulps(z1)))
+                cols.append((lgam(z1), _pole_ulps(z1)))
             lg1, u1 = cols[j]
             a = 0.5 + t1 - t0
             zp, zm = a + x, a - x
-            val = p_exp(lg0 + lg1 - log_gamma(zp) - log_gamma(zm))
+            lgp, lgm = lgam(zp), lgam(zm)
             ulps = u0 + u1 + _pole_ulps(zp) + _pole_ulps(zm)
-            yield val, float(unit_roundoff(is_mp(val)) * ulps)
+            try:
+                if real:  # (ln |Gamma|, k): Gamma has the sign (-1)^k
+                    val = math.exp(lg0[0] + lg1[0] - lgp[0] - lgm[0])
+                    val = complex(-val if (lg0[1] + lg1[1] + lgp[1] + lgm[1]) & 1 else val)
+                else:
+                    val = p_exp(lg0 + lg1 - lgp - lgm)
+            except OverflowError:
+                val = math.inf
+            if not (high or cmath.isfinite(val)):
+                raise DomainError(f"fusion_cl({t0!r}, {t1!r}, {x!r}) is outside the binary64 range")
+            yield val, float(eps * ulps)
 
 
 def _check_tol_arg(tol: Any) -> None:

@@ -88,6 +88,13 @@ class EquationSpec:
 
 
 _OPTIONAL_NAMES = tuple(f.name for f in fields(EquationSpec) if f.default is None)
+# Per family, the optional fields that must stay None and the fields that
+# must be finite numbers, in the order validate checks them.
+_ABSENT = {
+    family: tuple(name for name in _OPTIONAL_NAMES if name not in required)
+    for family, required in _REQUIRED.items()
+}
+_NUMERIC = {family: ("theta0", "theta1", "lam", *required) for family, required in _REQUIRED.items()}
 
 
 def hyp_spec(theta0: Any, theta1: Any, theta_inf_hyp: Any) -> EquationSpec:
@@ -143,7 +150,7 @@ def he_spec(
 def _near_half_integer(theta: Any) -> bool:
     two = 2 * theta
     try:
-        n = round(complex(two).real)
+        n = round(two if isinstance(two, float) else complex(two).real)
     except (TypeError, OverflowError):
         return False
     return abs(two - n) < _HALF_INT_TOL
@@ -163,17 +170,16 @@ def validate(spec: EquationSpec) -> EquationSpec:
     """
     if spec.family not in FAMILIES:
         raise FamilyFieldError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
-    required = _REQUIRED[spec.family]
-    for name in required:
+    for name in _REQUIRED[spec.family]:
         if getattr(spec, name) is None:
             raise FamilyFieldError(f"family {spec.family} requires field {name!r}")
-    for name in _OPTIONAL_NAMES:
-        if name not in required and getattr(spec, name) is not None:
+    for name in _ABSENT[spec.family]:
+        if getattr(spec, name) is not None:
             raise FamilyFieldError(f"family {spec.family} must not set field {name!r}")
     if spec.family == "HYP":
         if spec.lam != 0:
             raise FamilyFieldError("family HYP must have lam = 0")
-    for name in ("theta0", "theta1", "lam", *required):
+    for name in _NUMERIC[spec.family]:
         value = getattr(spec, name)
         try:
             finite = cmath.isfinite(value)

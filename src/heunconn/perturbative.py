@@ -28,6 +28,7 @@ family-to-forms roster is :data:`CLOSED_FORMS`.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import sub
@@ -41,6 +42,7 @@ from .errors import (
     ParameterResonance,
     SizeError,
 )
+from .precision import is_mp
 from .special import polygamma
 from .tails import a_space, root_depth, series_log, summed_tail
 
@@ -207,9 +209,24 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     return [complex(x - y) for x, y in zip(series_log(a_K)[1:], series_log(s_K)[1:])]
 
 
+# (key, value) of the last binary64 psi(a + w) - psi(a - w): c2 after c1 on
+# one RCHE spec forms it once.  An mpmath value depends on mp.prec and is
+# never kept.
+_PSI_DIFF_MEMO: tuple = (None, None)
+
+
 def _psi_diff(a: Any, w: Any) -> Any:
-    """psi(a + w) - psi(a - w)."""
-    return polygamma(0, a + w) - polygamma(0, a - w)
+    """psi(a + w) - psi(a - w), from :data:`_PSI_DIFF_MEMO` where the last
+    binary64 call had the same ``a`` and ``w``, by value and type."""
+    global _PSI_DIFF_MEMO
+    if is_mp(a) or is_mp(w):
+        return polygamma(0, a + w) - polygamma(0, a - w)
+    key = (type(a), a, type(w), w)
+    last, val = _PSI_DIFF_MEMO
+    if key != last:
+        val = polygamma(0, a + w) - polygamma(0, a - w)
+        _PSI_DIFF_MEMO = (key, val)
+    return val
 
 
 def _require_family(spec: EquationSpec, family: str, what: str) -> None:
@@ -230,6 +247,15 @@ def _closed_form_spec(spec: EquationSpec, family: str, what: str, poles: Sequenc
             )
 
 
+def _binary64(val: Any, what: str) -> complex:
+    """``complex(val)``; a value outside the binary64 range raises
+    :class:`DomainError` naming the form ``what``."""
+    out = complex(val)
+    if cmath.isfinite(out):
+        return out
+    raise DomainError(f"{what} = {out!r} is outside the binary64 range")
+
+
 def c1_closed_rche(spec: EquationSpec) -> complex:
     """Digamma closed form of the first series coefficient (RCHE)."""
     _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5))
@@ -238,7 +264,7 @@ def c1_closed_rche(spec: EquationSpec) -> complex:
     m = 0.25 - t0 * t0 + t1 * t1 - om * om
     q = 0.25 - om * om
     val = -(m / (4 * om * q)) * _psi_diff(a, om) + (t0 + t1) / (2 * q)
-    return complex(val)
+    return _binary64(val, "c1 closed form")
 
 
 def c2_closed_rche(spec: EquationSpec) -> complex:
@@ -268,14 +294,14 @@ def c2_closed_rche(spec: EquationSpec) -> complex:
         - 3 * (t0 - t1) / (32 * q * r)
         - (25 - 52 * om2) * (t0 - t1) * (t0 + t1) ** 2 / (128 * q**3 * r)
     )
-    return complex(val)
+    return _binary64(val, "c2 closed form")
 
 
 def sigma1_closed(spec: EquationSpec) -> complex:
     """Leading coupling-slope of the composite-monodromy exponent (HE):
     ``sigma = omega + sigma_1 lam + O(lam^2)``."""
     _closed_form_spec(spec, "HE", "sigma1 closed form", (0.0, 0.5, -0.5))
-    return _sigma1(spec)
+    return _binary64(_sigma1(spec), "sigma1 closed form")
 
 
 def _sigma1(spec: EquationSpec) -> complex:
@@ -297,15 +323,14 @@ def f1_closed_he(spec: EquationSpec) -> complex:
     s1 = _sigma1(spec)  # the same checks, passed above
     a = 0.5 + t1 - t0
     val = -s1 * _psi_diff(a, om) - (t0 + t1) * (q + ti * ti - tt * tt) / (2 * q)
-    return complex(val)
+    return _binary64(val, "f1 closed form")
 
 
 def c1_closed_he(spec: EquationSpec) -> complex:
     """First series coefficient of ``ln a_inf`` for HE:
     ``c_1 = 1/2 - theta_t + f_1``."""
     _require_family(spec, "HE", "c1 closed form")
-    val = 0.5 - spec.theta_t + f1_closed_he(spec)
-    return complex(val)
+    return _binary64(0.5 - spec.theta_t + f1_closed_he(spec), "c1 closed form")
 
 
 # The closed forms of c_1, c_2, ... by family, in order; other families have none.

@@ -20,8 +20,8 @@ The binary64 backend implements:
   explicit sine-log unwinding calls the kernel.  Real ``z < 0`` is treated
   as the limit from the upper half-plane.
 * ``polygamma`` — orders ``0 <= n <= 16`` by upward recurrence to ``Re w >=
-  18 + n`` and the asymptotic series with even-index Bernoulli coefficients,
-  for ``Re z >= -2^20``.
+  18 + n`` (``10 + n`` on the real line) and the asymptotic series with
+  even-index Bernoulli coefficients, for ``Re z >= -2^20``.
 * ``pochhammer`` — rising factorial as a direct product, ``0j`` at once where
   a factor is exactly zero, and a :class:`DomainError` at the factor where
   the product leaves the binary64 range.
@@ -33,19 +33,21 @@ range (:func:`_finite_terms`); a complex value outside it raises
 A binary64 argument whose imaginary part is zero (a float, an int, or a
 complex with imaginary part ``0.0`` or ``-0.0``) takes a real-line path:
 ``log_gamma`` is ``math.lgamma(x)`` with imaginary part ``-pi ceil(-x)`` for
-``x < 0`` (the same upper-half-plane branch), and ``polygamma`` is
-:func:`_polygamma_real`, the shift-plus-asymptotic algorithm above in float
-arithmetic, the same operations in the same order.  A float reaches either
-without conversion to ``complex``; the complex polygamma shifts serve only
-``Im z != 0``.  A real ``polygamma`` call takes about 2.4 us at order 0 and
-3.4 us at order 1 on ``(0, 2)``, against 4.5 and 4.9 us through ``complex``.
-Measured against mpmath at 30 to 40 digits on ``[-2, 3]``, 0.02 from the
-poles (Python 3.11, x86-64):
+``x < 0`` (the same upper-half-plane branch; :func:`_real_log_gamma` gives
+the two parts as a float and an int), and ``polygamma`` is
+:func:`_polygamma_real`: upward shifts to ``x >= 10 + n`` and the series of
+:data:`_PG_REAL` in float arithmetic, its Bernoulli tail by Horner's rule in
+``1/w^2``.  A float reaches either without conversion to ``complex``; the
+complex polygamma shifts serve only ``Im z != 0``.  A real ``polygamma``
+call takes about 1.1 us at order 0 and 1.6 us at order 1 on ``(0, 2)``
+(1.8 and 2.6 us with the former shifts to ``18 + n``).  Measured against
+mpmath at 30 to 40 digits on ``[-2, 3]``, 0.02 from the poles (Python 3.11,
+x86-64):
 
 * real line, 20,000 points: ``log_gamma`` 2.0e-15 absolute error,
-  ``polygamma`` orders 0-3 at most 4.2e-15 times ``max(1, |value|)`` (order 2
-  next to its zeros near ``-1/2`` and ``-3/2``, where shift terms of size 16
-  cancel; orders 0, 1 and 3 at most 2.3e-15);
+  ``polygamma`` orders 0-3 at most 4.1e-15 times ``max(1, |value|)`` (order 2
+  next to its zeros near ``-1/2`` and ``-3/2``, where shift terms cancel;
+  orders 0, 1 and 3 at most 1.6e-15);
 * complex plane, ``0 < |Im z| <= 2``: ``log_gamma`` 3.8e-15 absolute error
   on 40,000 points, ``polygamma`` orders 0-3 at most 1.6e-15 times ``max(1,
   |value|)`` on 2,000; ``log_gamma`` is 7.4e-15 off where the kernel's logs
@@ -134,6 +136,19 @@ _PG_TAIL = tuple(
             * Fraction(math.factorial(2 * k + n - 1), math.factorial(2 * k))
         )
         for k in range(1, 11)
+    )
+    for n in range(_MAX_POLYGAMMA_ORDER + 1)
+)
+
+# The real path's series of polygamma order n, signs included: with y = 1/w^2,
+#   psi(w) = ln w + h/w + sum_k t_k y^k  and, for n >= 1,
+#   psi^(n)(w) = (lead + h/w + sum_k t_k y^k) / w^n,
+# a row (lead, h, t_1 .. t_10) per order: lead = (-1)^(n+1) (n-1)! (0 at
+# n = 0), h = (-1)^(n+1) n!/2 and t_k = (-1)^(n+1) _PG_TAIL[n][k-1].
+_PG_REAL = tuple(
+    tuple(
+        (-1.0) ** (n + 1) * c
+        for c in (math.factorial(n - 1) if n else 0, math.factorial(n) / 2, *_PG_TAIL[n])
     )
     for n in range(_MAX_POLYGAMMA_ORDER + 1)
 )
@@ -263,14 +278,24 @@ def _log_sin_pi_upper(z: complex) -> complex:
     return -math.log(2.0) + 0.5j * math.pi - 1j * math.pi * z + cmath.log(one_minus_w)
 
 
-def _log_gamma_real(x: float) -> complex:
-    """:func:`log_gamma` of a real ``x`` off the poles, the limit from the
-    upper half-plane below zero."""
+def _real_log_gamma(x: float) -> tuple[float, int]:
+    """:func:`log_gamma` of a float ``x`` as ``(ln |Gamma(x)|, k)``, its
+    value being ``ln |Gamma(x)| - pi k i`` (the limit from the upper
+    half-plane, ``k = ceil(-x)`` for ``x < 0``, else 0), so ``Gamma(x)`` has
+    the sign ``(-1)^k``.  It raises as :func:`log_gamma` does near a pole,
+    and ``ln |Gamma(x)|`` is ``inf`` above the binary64 range."""
+    _check_real_pole(x, "log_gamma")
     try:
         lg = math.lgamma(x)
     except OverflowError:  # log Gamma(x) above the binary64 range
         lg = math.inf
-    return complex(lg, -math.pi * math.ceil(-x) if x < 0.0 else 0.0)
+    return lg, math.ceil(-x) if x < 0.0 else 0
+
+
+def _log_gamma_real(x: float) -> complex:
+    """:func:`log_gamma` of a float ``x``, from :func:`_real_log_gamma`."""
+    lg, k = _real_log_gamma(x)
+    return complex(lg, -math.pi * k) if k else complex(lg)
 
 
 def log_gamma(z: Any) -> Any:
@@ -281,9 +306,7 @@ def log_gamma(z: Any) -> Any:
     argument whose log-gamma exceeds the binary64 range (about 2.5e305) gives
     ``inf``; a complex one raises :class:`DomainError`.
     """
-    if isinstance(z, float):
-        # The real line without a round-trip through complex.
-        _check_real_pole(z, "log_gamma")
+    if isinstance(z, float):  # the real line without a round-trip through complex
         return _log_gamma_real(z)
     zc = _binary64(z, "log_gamma")
     _check_pole(zc, "log_gamma")
@@ -306,16 +329,14 @@ def log_gamma(z: Any) -> Any:
     raise DomainError(f"log_gamma({z!r}) is outside the binary64 range")
 
 
-def _polygamma_asymptotic(n: int, w: Any) -> Any:
-    """Asymptotic polygamma series; accurate for Re w >= 18 + n.  ``w`` is a
-    float or a complex, and the result has its type; a complex tail stops at
-    the binary64 range (:func:`_finite_terms`)."""
-    complex_w = isinstance(w, complex)
+def _polygamma_asymptotic(n: int, w: complex) -> complex:
+    """Asymptotic polygamma series of a complex ``w``; accurate for Re w >=
+    18 + n.  The tail stops at the binary64 range (:func:`_finite_terms`)."""
     if n == 0:
-        s = (cmath.log if complex_w else math.log)(w) - 0.5 / w
+        s = cmath.log(w) - 0.5 / w
         w2 = w * w
         p = w2  # w^(2k)
-        for k in range(_finite_terms(p, w2) if complex_w else 10):
+        for k in range(_finite_terms(p, w2)):
             s -= _PG_TAIL[0][k] / p
             p *= w2
         return s
@@ -327,16 +348,17 @@ def _polygamma_asymptotic(n: int, w: Any) -> Any:
     s = math.factorial(n - 1) / wn + math.factorial(n) / (2.0 * wn * w)
     w2 = w * w
     p = wn * w2  # w^(2k+n)
-    for k in range(_finite_terms(p, w2) if complex_w else 10):
+    for k in range(_finite_terms(p, w2)):
         s += _PG_TAIL[n][k] / p
         p *= w2
     return sign * s
 
 
 def _polygamma_real(n: int, x: float) -> complex:
-    """:func:`polygamma` of a finite real ``x`` off the poles: the upward
-    shifts to ``18 + n`` and the asymptotic series in float arithmetic."""
-    threshold = 18.0 + n
+    """:func:`polygamma` of a finite real ``x`` off the poles, in float
+    arithmetic: the upward shifts to ``10 + n`` and the series of
+    :data:`_PG_REAL`, its tail by Horner's rule in ``1/w^2``."""
+    threshold = 10.0 + n
     if threshold - x > _MAX_SHIFT:
         raise DomainError(
             f"polygamma({n}, {complex(x)!r}) would take more than {_MAX_SHIFT} shifts"
@@ -351,9 +373,19 @@ def _polygamma_real(n: int, x: float) -> complex:
         while w < threshold:
             acc += c / w ** (n + 1)
             w += 1.0
-    val = complex(_polygamma_asymptotic(n, w) - acc)
-    if cmath.isfinite(val):
-        return val
+    lead, h, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10 = _PG_REAL[n]
+    y = 1.0 / (w * w)
+    s = lead + h / w + y * (t1 + y * (t2 + y * (t3 + y * (t4 + y * (
+        t5 + y * (t6 + y * (t7 + y * (t8 + y * (t9 + y * t10)))))))))
+    if n == 0:
+        val = math.log(w) + s - acc
+    else:
+        try:
+            val = s / w**n - acc
+        except OverflowError:  # |w|^n beyond binary64: the leading term alone
+            val = lead * (1.0 / w) ** n - acc
+    if math.isfinite(val):
+        return complex(val)
     raise DomainError(f"polygamma({n}, {complex(x)!r}) is outside the binary64 range")
 
 

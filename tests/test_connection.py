@@ -153,6 +153,15 @@ def _per_flip_factors(spec) -> list:
     return out
 
 
+def _expected_factors(spec) -> list:
+    """:func:`_per_flip_factors`, with a float triple's factors real: its
+    log-gammas are real, and the real parts are the same to the bit."""
+    want = _per_flip_factors(spec)
+    if all(isinstance(v, float) for v in (spec.theta0, spec.theta1, _third_parameter(spec))):
+        return [(complex(v.real), e) for v, e in want]
+    return want
+
+
 def _factor_specs(seed: int) -> list:
     """Seeded specs of the four families: real, complex and 30-digit mpmath,
     the coupled ones also at lam = 0."""
@@ -190,9 +199,11 @@ class TestGammaFactors:
         with mp.workdps(30):
             for spec in _factor_specs(seed):
                 x = _third_parameter(spec)
-                want = _per_flip_factors(spec)
-                # repr tells signed zeros and mpmath precisions apart
-                assert repr(list(_gamma_factors(spec.theta0, spec.theta1, x))) == repr(want), spec
+                want = _expected_factors(spec)
+                got = list(_gamma_factors(spec.theta0, spec.theta1, x))
+                # repr tells signed zeros and mpmath precisions apart, and
+                # shows a float triple's imaginary parts to be exactly 0.0
+                assert repr(got) == repr(want), spec
                 assert repr(fusion_cl(spec.theta0, spec.theta1, x)) == repr(want[0][0])
 
     @pytest.mark.parametrize("seed", [3, 29])
@@ -200,7 +211,7 @@ class TestGammaFactors:
         for spec in _factor_specs(seed):
             if spec.lam != 0 or is_mp(spec.theta0):
                 continue
-            want = _per_flip_factors(spec)
+            want = _expected_factors(spec)
             for method in ("cf", "recurrence"):
                 mat = connection_matrix(spec, method)
                 assert [mat[k] for k in ("++", "+-", "-+", "--")] == [complex(v) for v, _ in want]
@@ -232,6 +243,33 @@ class TestGammaFactors:
         with pytest.raises(NonConvergence):
             connection_matrix(self.POLE_SPECS[2], method, tol=1e-30)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fusion_cl(0.1, 1000 + 0.3j, 0.3),
+            lambda: fusion_cl(0.1, 1e5 + 0.37, 0.3),
+            lambda: connection_matrix(hyp_spec(0.1, 1e5 + 0.37, 0.3)),
+            lambda: connection_matrix(rche_spec(0.1, 1000 + 0.3j, 0.3, 0.1), "recurrence"),
+            lambda: connection_scalar(rche_spec(0.1, 1000 + 0.3j, 0.3, 0.1)),
+        ],
+        ids=["fusion_cl-complex", "fusion_cl-real", "hyp", "rche-recurrence", "rche-scalar"],
+    )
+    def test_a_ratio_past_the_binary64_range_is_named(self, call):
+        # Gamma(2 theta1) / Gamma(1/2 + theta1 - theta0 +- x)^2 grows like 4^theta1.
+        with pytest.raises(DomainError, match=r"^fusion_cl\(.*\) is outside the binary64 range$"):
+            call()
+
+    def test_a_report_on_an_overflowing_ratio_fails(self):
+        report = full_report(rche_spec(0.1, 1000 + 0.3j, 0.3, 0.1))
+        assert not report.passed
+        assert any("fusion_cl(" in check.detail for check in report.checks)
+
+    def test_real_parameters_give_a_real_sigma(self):
+        # The factors of a float triple have no rounding noise in their
+        # imaginary parts, so neither has the monodromy exponent.
+        sigma = extract_sigma(connection_matrix(hyp_spec(0.1, 0.2, 0.3)))
+        assert sigma.imag == 0.0 and abs(sigma - 0.3) <= 1e-15
+
     @pytest.mark.parametrize("method", ["cf", "recurrence"])
     def test_zero_coupling_matrix_takes_twelve_log_gammas_and_no_flipped_spec(
         self, monkeypatch, method
@@ -242,19 +280,25 @@ class TestGammaFactors:
             hyp_spec(0.1, 0.2, 0.3),
             rche_spec(0.1, 0.2, 0.3, 0.0),
             he_spec(0.1, -0.2, 0.3, 0.15, 0.3, 0.0),
+            hyp_spec(0.1 + 0.01j, 0.2, 0.3),
         ]
         calls, built = [], []
         real_init = EquationSpec.__init__
 
-        def counting_log_gamma(z):
-            calls.append(z)
-            return log_gamma(z)
+        def counting(fn):
+            def counted(z):
+                calls.append(z)
+                return fn(z)
+
+            return counted
 
         def counting_init(self, *args, **kwargs):
             built.append(args)
             real_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(heunconn.connection, "log_gamma", counting_log_gamma)
+        # Real parameters take the real-line log-gamma, complex ones log_gamma.
+        for name in ("log_gamma", "_real_log_gamma"):
+            monkeypatch.setattr(heunconn.connection, name, counting(getattr(heunconn.connection, name)))
         monkeypatch.setattr(EquationSpec, "__init__", counting_init)
         for spec in specs:
             calls.clear()

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import islice
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
@@ -43,6 +44,7 @@ from heunconn import (
     sigma1_closed,
 )
 from heunconn.equations import coefficient_table
+from heunconn.precision import HIGH, spec_to_precision
 from heunconn.perturbative import _forward_jet
 from heunconn.tails import Orders, a_space, d_space, formal_tail, root_depth, series_log, sum_tail
 
@@ -320,6 +322,75 @@ class TestClosedForms:
             r"omega = 0\.5$",
         ):
             form(spec(family, 0.11))
+
+    @pytest.mark.parametrize(
+        "form, spec",
+        [
+            (c1_closed_rche, rche_spec(0.1, 0.3 + 1e170j, 0.3, 0.1)),
+            (c2_closed_rche, rche_spec(0.1, 0.3 + 1e120j, 0.3, 0.1)),
+            (sigma1_closed, he_spec(0.1, 0.2, 0.3, 1e200, 0.3, 0.1)),
+            (f1_closed_he, he_spec(0.1, 0.2, 1e200, 0.4, 0.3, 0.1)),
+            (c1_closed_he, he_spec(0.1, 0.2, 1e200, 0.4, 0.3, 0.1)),
+        ],
+        ids=["c1_rche", "c2_rche", "sigma1", "f1", "c1_he"],
+    )
+    def test_a_value_past_the_binary64_range_is_a_domain_error(self, form, spec):
+        # Valid specs whose forms overflow to nan or inf in binary64.
+        with pytest.raises(DomainError, match="closed form = .* is outside the binary64 range"):
+            form(spec)
+
+
+class TestDigammaPairMemo:
+    """c2 reuses the psi(a + omega) - psi(a - omega) that c1 has just formed."""
+
+    @staticmethod
+    def _count_polygamma(monkeypatch) -> list:
+        import heunconn
+
+        calls, real = [], heunconn.perturbative.polygamma
+
+        def counting(n, z):
+            calls.append(n)
+            return real(n, z)
+
+        monkeypatch.setattr(heunconn.perturbative, "polygamma", counting)
+        return calls
+
+    def test_c2_after_c1_takes_two_polygammas_and_the_cold_value(self, monkeypatch):
+        import heunconn
+
+        spec = rche_spec(0.13, 0.27, 0.31, 0.1)
+        monkeypatch.setattr(heunconn.perturbative, "_PSI_DIFF_MEMO", (None, None))
+        calls = self._count_polygamma(monkeypatch)
+        cold = c2_closed_rche(spec)
+        assert calls == [0, 0, 1, 1]
+        monkeypatch.setattr(heunconn.perturbative, "_PSI_DIFF_MEMO", (None, None))
+        c1_closed_rche(spec)
+        calls.clear()
+        warm = c2_closed_rche(spec)
+        assert calls == [1, 1]
+        assert repr(warm) == repr(cold)
+        # A spec with other parameters forms its own pair.
+        calls.clear()
+        c2_closed_rche(rche_spec(0.13, 0.27, 0.32, 0.1))
+        assert calls == [0, 0, 1, 1]
+
+    def test_a_value_of_another_type_is_not_served(self, monkeypatch):
+        calls = self._count_polygamma(monkeypatch)
+        c1_closed_rche(rche_spec(0.13, 0.27, 0.31, 0.1))
+        calls.clear()
+        c1_closed_rche(rche_spec(0.13, 0.27, complex(0.31), 0.1))  # 0.31 == 0.31 + 0j
+        assert calls == [0, 0]
+
+    def test_an_mpmath_spec_is_not_served_from_the_memo(self, monkeypatch):
+        spec = spec_to_precision(rche_spec(0.13, 0.27, 0.31, 0.1), HIGH)
+        calls = self._count_polygamma(monkeypatch)
+        for dps in (15, 30):  # an mpmath value depends on the working precision
+            with mp.workdps(dps):
+                c1_closed_rche(spec)
+                calls.clear()
+                c2_closed_rche(spec)
+                assert calls == [0, 0, 1, 1]
 
 
 class TestSeriesVsClosedForms:
