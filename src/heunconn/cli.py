@@ -25,7 +25,7 @@ from typing import Any, Optional
 from . import __version__
 from .combinatorics import compositions, enumerate_walk_types, n_mu
 from .connection import _KEYS, METHODS, connection_matrix, det_residual
-from .equations import _REQUIRED, FAMILIES, EquationSpec, validate
+from .equations import _REQUIRED, FAMILIES, EquationSpec
 from .errors import FamilyFieldError, HeunConnError, ParameterResonance, SizeError
 from .perturbative import CLOSED_FORMS, c_coefficients
 from .precision import DOUBLE, HIGH, default_precision, spec_to_precision
@@ -67,7 +67,7 @@ def build_spec(args: argparse.Namespace) -> EquationSpec:
     if family == "HYP" and lam:
         raise FamilyFieldError("HYP has no coupling; drop --lambda")
     fields = {name: getattr(args, _FIELD_FLAGS[name]) for name in _REQUIRED[family]}
-    return validate(EquationSpec(family, args.theta0, args.theta1, lam, **fields))
+    return EquationSpec(family, args.theta0, args.theta1, lam, **fields)
 
 
 def _spec_params(spec: EquationSpec) -> dict:

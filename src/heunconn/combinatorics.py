@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .equations import EquationSpec, coefficient_table, validate
+from .equations import EquationSpec, coefficient_table
 from .errors import DomainError, FamilyFieldError, SizeError
 from .tails import d_space, root_depth, series_log, summed_tail
 
@@ -158,7 +158,6 @@ def trace_power(spec: EquationSpec, n: int) -> complex:
 
 
 def _check_two_term(spec: EquationSpec) -> None:
-    validate(spec)
     if spec.family != "RCHE":
         raise FamilyFieldError(
             f"trace expansion requires the two-term family RCHE, got {spec.family}"

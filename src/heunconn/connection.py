@@ -40,7 +40,7 @@ from typing import Any, Iterator, Sequence
 
 import mpmath as mp
 
-from .equations import EquationSpec, _check_resonance, _quadratic_parts, _third_parameter, validate
+from .equations import EquationSpec, _check_resonance, _quadratic_parts, _third_parameter
 from .errors import (
     CFBreakdown,
     DetCheckFailed,
@@ -292,10 +292,10 @@ def log_a_infinity_cf(
     both sums, as a rounding of the top row.
     Returns ``(value, K, err_estimate)``; raises :class:`NonConvergence` when
     ``K`` exceeds ``max_depth`` or the estimate exceeds ``tol``, and
-    :class:`DomainError` at the coupling gate or on an invalid spec.
+    :class:`DomainError` at the coupling gate.
     """
     _check_tol_arg(tol)
-    _check_lambda_gate(validate(spec), allow_large_coupling)
+    _check_lambda_gate(spec, allow_large_coupling)
     val, rel, K = _cf_limit(spec, tol, max_depth)
     return val, K, rel
 
@@ -438,7 +438,7 @@ def connection_scalar(
     """
     _check_tol_arg(tol)
     method = _method_name(method)
-    _check_lambda_gate(validate(spec), allow_large_coupling)
+    _check_lambda_gate(spec, allow_large_coupling)
     if method not in ("cf", "recurrence"):
         raise DomainError(
             f"connection_scalar supports methods 'cf' and 'recurrence', got {method!r}"
@@ -479,9 +479,9 @@ def _ss_scalar(
       residual.
 
     Raises :class:`NonConvergence` when ``rel`` is above ``tol``, as
-    :func:`log_a_infinity_cf` judges its estimate.  The spec must
-    be valid; any ``theta1`` is served, as the depth, the tail and the
-    precision (:func:`_ss_precision`) follow ``theta1`` itself."""
+    :func:`log_a_infinity_cf` judges its estimate.  Any ``theta1`` is
+    served, as the depth, the tail and the precision (:func:`_ss_precision`)
+    follow ``theta1`` itself."""
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
     K = tail_depth(spec, EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
@@ -520,7 +520,7 @@ def schafke_schmidt_connection(spec: EquationSpec) -> complex:
     explicit precision.  Every valid spec is served, at any ``theta1`` and
     without the coupling gate of the ``cf`` and ``recurrence`` routes.
     """
-    return _ss_scalar(validate(spec))[0]
+    return _ss_scalar(spec)[0]
 
 
 def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
@@ -569,8 +569,7 @@ def connection_matrix(
 ) -> ConnectionMatrix:
     """2x2 connection matrix by any route, with the determinant identity
     ``det C = -theta0/theta1`` enforced at ``100 max(tol, err_estimate)``
-    (:class:`DetCheckFailed` beyond).  The spec is validated once: a sign
-    flip keeps each ``2 theta``'s distance to the integers and ``|lam|``.
+    (:class:`DetCheckFailed` beyond).
 
     By ``cf`` and ``recurrence`` the entry ``C(s0 theta0, s1 theta1)`` is
     the gamma-ratio factor ``fusion_cl(s0 theta0, s1 theta1, x)``, all four
@@ -580,7 +579,6 @@ def connection_matrix(
     and no flipped spec is built.  ``ss`` and ``wronskian`` take no factor
     from that pass.  ``tol`` bounds each sweeping route's relative error
     estimate of its own value (``a_inf``, or the ``ss`` entry)."""
-    validate(spec)
     _check_tol_arg(tol)
     method = _method_name(method)
     if method not in METHODS:
@@ -683,7 +681,6 @@ def tail_determinant_limit(spec: EquationSpec) -> tuple[Any, float]:
     ``2N`` and above ``N``.  The estimate is ``|D_inf|`` times their omitted
     terms and :func:`_sweep_floor`.  ``D_inf`` has the spec's number type.
     """
-    validate(spec)
     what = "tail determinant limit"
     eps = unit_roundoff(is_mp_spec(spec))
     N = tail_depth(spec, eps, _MAX_DEPTH, what)

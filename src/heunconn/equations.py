@@ -73,7 +73,9 @@ class EquationSpec:
 
     ``lam`` is the coupling (0 for HYP, the reciprocal of the third regular
     singular point location for HE).  Unused parameters of a family must stay
-    ``None``.
+    ``None``.  Building a record, also by :func:`dataclasses.replace`, runs
+    :func:`validate`, so every record is valid and no library call checks it
+    again.
     """
 
     family: str
@@ -85,6 +87,9 @@ class EquationSpec:
     theta_inf: Optional[Any] = None
     theta_star: Optional[Any] = None
     theta_inf_hyp: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 _OPTIONAL_NAMES = tuple(f.name for f in fields(EquationSpec) if f.default is None)
@@ -99,52 +104,24 @@ _NUMERIC = {family: ("theta0", "theta1", "lam", *required) for family, required 
 
 def hyp_spec(theta0: Any, theta1: Any, theta_inf_hyp: Any) -> EquationSpec:
     """Hypergeometric-class spec (no coupling)."""
-    return validate(
-        EquationSpec(family="HYP", theta0=theta0, theta1=theta1, theta_inf_hyp=theta_inf_hyp)
-    )
+    return EquationSpec("HYP", theta0, theta1, theta_inf_hyp=theta_inf_hyp)
 
 
 def rche_spec(theta0: Any, theta1: Any, omega: Any, lam: Any) -> EquationSpec:
     """Reduced-confluent spec."""
-    return validate(
-        EquationSpec(family="RCHE", theta0=theta0, theta1=theta1, omega=omega, lam=lam)
-    )
+    return EquationSpec("RCHE", theta0, theta1, lam, omega)
 
 
 def che_spec(theta0: Any, theta1: Any, omega: Any, theta_star: Any, lam: Any) -> EquationSpec:
     """Confluent spec."""
-    return validate(
-        EquationSpec(
-            family="CHE",
-            theta0=theta0,
-            theta1=theta1,
-            omega=omega,
-            theta_star=theta_star,
-            lam=lam,
-        )
-    )
+    return EquationSpec("CHE", theta0, theta1, lam, omega=omega, theta_star=theta_star)
 
 
 def he_spec(
-    theta0: Any,
-    theta1: Any,
-    theta_t: Any,
-    theta_inf: Any,
-    omega: Any,
-    lam: Any,
+    theta0: Any, theta1: Any, theta_t: Any, theta_inf: Any, omega: Any, lam: Any
 ) -> EquationSpec:
     """Four-regular-point spec with third finite singularity at t = 1/lam."""
-    return validate(
-        EquationSpec(
-            family="HE",
-            theta0=theta0,
-            theta1=theta1,
-            omega=omega,
-            theta_t=theta_t,
-            theta_inf=theta_inf,
-            lam=lam,
-        )
-    )
+    return EquationSpec("HE", theta0, theta1, lam, omega, theta_t=theta_t, theta_inf=theta_inf)
 
 
 def _near_half_integer(theta: Any) -> bool:
@@ -165,8 +142,9 @@ def validate(spec: EquationSpec) -> EquationSpec:
     :class:`ResonantExponents` when ``2 theta0`` or ``2 theta1`` is within
     1e-10 of an integer (integer exponent differences at 0 or 1), and
     :class:`DomainError` when an HE coupling has ``|lam| >= 1`` (the third
-    singularity would enter the closed unit disc).  Returns the spec unchanged
-    so calls can be chained.
+    singularity would enter the closed unit disc).  Building an
+    :class:`EquationSpec` runs it; it returns the spec unchanged, so a second
+    call on a record only repeats the same checks.
     """
     if spec.family not in FAMILIES:
         raise FamilyFieldError(f"unknown family {spec.family!r}; expected one of {FAMILIES}")
@@ -244,9 +222,8 @@ def coefficient_table(spec: EquationSpec, start: int, stop: int) -> tuple[list, 
 
     HYP has no coupling, so every entry is 0.  A denominator within 1e-12 of
     zero raises :class:`AccessoryResonance`; ``beta_0 = 0`` for every family.
-    The spec is validated and its constants computed once per table.
+    The spec's constants are computed once per table.
     """
-    validate(spec)
     for k in (start, stop):
         if not isinstance(k, int) or k < 0:
             raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
@@ -300,11 +277,10 @@ def canonical_recurrence_step(spec: EquationSpec, k: int, u_k: Any, u_km1: Any) 
     """One forward step of the three-term recurrence for the series
     coefficients ``u_k``: given ``u_k`` and ``u_{k-1}``, return ``u_{k+1}``.
 
-    The left-hand factor is ``(k+1)(k+1-2 theta0)``, away from zero once the
-    spec is validated (:func:`validate`); a vanishing ``Q_k`` raises
+    The left-hand factor is ``(k+1)(k+1-2 theta0)``, away from zero on every
+    spec (:func:`validate`); a vanishing ``Q_k`` raises
     :class:`AccessoryResonance`.  Seed with ``u_0 = 1, u_{-1} = 0`` at k = 0.
     """
-    validate(spec)
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"recurrence index must be a nonnegative integer, got {k!r}")
     t0, t1, lam = spec.theta0, spec.theta1, spec.lam
@@ -363,10 +339,9 @@ def u_lambda0_sequence(spec: EquationSpec, K: int) -> list:
     """Coefficients of the zero-coupling solution,
     ``u0_k = (a+x)_k (a-x)_k / (k! (1-2 theta0)_k)`` with
     ``a = 1/2 - theta0 + theta1`` and ``x`` the family's third exponent
-    parameter, built iteratively as ``u0_{k+1} = Q_k u0_k / ((k+1)(k+1-2t0))``
-    for a valid spec (:func:`validate`).
+    parameter, built iteratively as ``u0_{k+1} = Q_k u0_k / ((k+1)(k+1-2t0))``.
     """
-    t0 = validate(spec).theta0
+    t0 = spec.theta0
     if not isinstance(K, int) or K < 0:
         raise DomainError(f"K must be a nonnegative integer, got {K!r}")
     out = [1.0 + 0 * t0]
@@ -386,7 +361,6 @@ def rescaled_a(spec: EquationSpec, K: int) -> list:
     residual above 1e-10 raises :class:`NonConvergence` (numerical
     breakdown of the ratio representation).
     """
-    validate(spec)
     if not isinstance(K, int) or K < 1:
         raise DomainError(f"K must be an integer of at least 1, got {K!r}")
     u = [1.0 + 0 * spec.theta0, canonical_recurrence_step(spec, 0, 1.0, 0.0)]

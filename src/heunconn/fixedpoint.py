@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 from typing import Any, Iterator
 
 import mpmath as mp
@@ -105,20 +105,20 @@ class Dyadic:
         return [(self.re + half) >> shift, (self.im + half) >> shift]
 
 
-def exact_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, EquationSpec]:
+def exact_quadratics(spec: EquationSpec, k_max: int) -> tuple[tuple, SimpleNamespace]:
     """Coefficients ``(c0, c1, c2)`` of ``c0 + c1 k + c2 k^2`` for ``lead_k``,
     ``A_k = Q_k + lam R_k`` and ``B_k = lam P_k`` (:func:`_quadratic_parts`)
     in the recurrence ``lead_k u_{k+1} = A_k u_k - B_k u_{k-1}`` of
-    :func:`canonical_recurrence_step`, exact, and the spec with each number
-    a :class:`Dyadic`.  First raises :class:`AccessoryResonance` where ``Q_k``
-    vanishes for a ``k < k_max``, with the coefficient table's gate (HYP has
-    none).  The spec must be valid: ``lead_k`` has a root near an integer
-    only where ``2 theta0`` is within 1e-10 of one, which :func:`validate`
-    rejects."""
+    :func:`canonical_recurrence_step`, exact, and a plain record of the
+    spec's fields with each number a :class:`Dyadic`.  First raises
+    :class:`AccessoryResonance` where ``Q_k`` vanishes for a ``k < k_max``,
+    with the coefficient table's gate (HYP has none).  ``lead_k`` has no root
+    near an integer, as every spec keeps ``2 theta0`` 1e-10 from them."""
     if spec.family != "HYP":
         _check_resonance(spec, 0, k_max)
-    numbers = {k: v for k, v in vars(spec).items() if not isinstance(v, (str, type(None)))}
-    exact = replace(spec, **{k: Dyadic.of(v) for k, v in numbers.items()})
+    exact = SimpleNamespace(**{
+        k: v if isinstance(v, (str, type(None))) else Dyadic.of(v) for k, v in vars(spec).items()
+    })
     lead, q, r, p = _quadratic_parts(exact)
     lam = exact.lam
     return (lead, tuple(qi + lam * ri for qi, ri in zip(q, r)), tuple(lam * pi for pi in p)), exact
@@ -175,7 +175,7 @@ def _real_iterates(state: list, bits: int) -> Iterator:
         br, dbr = br + dbr, dbr + ddbr
 
 
-def amplitude(exact: EquationSpec, rho: Dyadic, u_K: tuple, bits: int, K: int) -> complex:
+def amplitude(exact: SimpleNamespace, rho: Dyadic, u_K: tuple, bits: int, K: int) -> complex:
     """``Gamma(2 theta1) u_K / K^rho``, ``rho = 2 theta1 - 1``, times the
     family factor of ``connection._assembly_prefactor``, from the exact
     parameters (:class:`Dyadic`) and the fixed-point ``u_K``, rounded once to

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from itertools import count, islice, zip_longest
 from typing import Any, Iterator, Optional
 
-from .equations import EquationSpec, _third_parameter, validate
+from .equations import EquationSpec, _third_parameter
 from .errors import DomainError, RadiusError, ResonantExponents, TailError
 from .precision import p_power
 
@@ -111,10 +111,9 @@ def _family_polys(spec: EquationSpec) -> tuple[list, list]:
 
 
 def potential(spec: EquationSpec, z: Any) -> Any:
-    """Normal-form potential P(z) of a valid spec (:func:`validate`),
-    evaluated directly from its partial fractions (not via the cleared
-    polynomials)."""
-    t0, t1 = validate(spec).theta0, spec.theta1
+    """Normal-form potential P(z) of a spec, evaluated directly from its
+    partial fractions (not via the cleared polynomials)."""
+    t0, t1 = spec.theta0, spec.theta1
     a0 = 0.25 - t0 * t0
     a1 = 0.25 - t1 * t1
     lam = spec.lam
@@ -219,7 +218,6 @@ def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> Frobe
     ``n (n - 2 sign theta)`` vanishes for some ``1 <= n <= K`` (integer
     exponent difference, excluded by :func:`validate` but re-checked here).
     """
-    validate(spec)
     if point not in (0, 1):
         raise DomainError(f"expansion point must be 0 or 1, got {point!r}")
     if sign not in (1, -1):
@@ -243,7 +241,6 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
     discs of convergence, and :class:`TailError` when the tail is still too
     large at the ``K = 10^4`` cap.
     """
-    validate(spec)
     if not 0.0 < reach < 1.0:
         raise DomainError(f"reach must lie in (0, 1), got {reach!r}")
     radius = min(convergence_radius(spec, 0), convergence_radius(spec, 1))

@@ -34,7 +34,7 @@ from itertools import accumulate, chain
 from operator import sub
 from typing import Any, Sequence
 
-from .equations import EquationSpec, coefficient_table, validate
+from .equations import EquationSpec, coefficient_table
 from .errors import (
     DomainError,
     FamilyFieldError,
@@ -198,7 +198,6 @@ def c_coefficients(spec: EquationSpec, N: int) -> list[complex]:
     :class:`SizeError`; a tail that stops decreasing raises
     :class:`NonConvergence`.  For HYP all coefficients vanish.
     """
-    validate(spec)
     if not isinstance(N, int) or N < 1 or N > _MAX_ORDER:
         raise SizeError(f"series order must be an integer in [1, {_MAX_ORDER}], got {N!r}")
     if spec.family == "HYP":
@@ -235,11 +234,11 @@ def _require_family(spec: EquationSpec, family: str, what: str) -> None:
 
 
 def _closed_form_spec(spec: EquationSpec, family: str, what: str, poles: Sequence) -> None:
-    """The gate of a closed form, in this order: :class:`FamilyFieldError` for
-    another family, the spec's own validation error, and
-    :class:`ParameterResonance` for ``omega`` within 1e-10 of a pole."""
+    """The gate of a closed form: :class:`FamilyFieldError` for another
+    family, then :class:`ParameterResonance` for ``omega`` within 1e-10 of a
+    pole."""
     _require_family(spec, family, what)
-    om = validate(spec).omega
+    om = spec.omega
     for b in poles:
         if abs(om - b) < _RESONANCE_TOL:
             raise ParameterResonance(

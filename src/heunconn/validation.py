@@ -35,7 +35,7 @@ from .connection import (
     extract_sigma,
     tail_determinant_limit,
 )
-from .equations import FAMILIES, EquationSpec, he_spec, validate
+from .equations import FAMILIES, EquationSpec, he_spec
 from .errors import (
     DomainError, FamilyFieldError, HeunConnError, ParameterResonance, ReflectionMismatch,
 )
@@ -162,7 +162,6 @@ class _ReportState:
     def __init__(self, spec, tols, matrix_tol, z_list=_Z_LIST, K=None, matrix=None):
         for tol in tols.values():
             _check_tol_arg(tol)
-        validate(spec)
         z_list = tuple(z_list)
         if not z_list or not all(isinstance(z, numbers.Real) for z in z_list):
             raise DomainError(f"probe points must be a nonempty list of reals, got {z_list!r}")
@@ -369,7 +368,6 @@ def che_to_he_spec(spec: EquationSpec, Lambda: float) -> EquationSpec:
     ``lam_he = lam_che / Lambda``."""
     if spec.family != "CHE":
         raise FamilyFieldError(f"limit check starts from a CHE spec, got {spec.family}")
-    validate(spec)
     if Lambda < 1e3:
         raise DomainError(f"Lambda must be at least 1e3 for the limit regime, got {Lambda}")
     lam_he = spec.lam / Lambda
@@ -412,7 +410,6 @@ def reflected_spec(spec: EquationSpec) -> EquationSpec:
     is certified numerically by the caller, not trusted; an overflowing
     ``omega**2`` raises :class:`DomainError`.
     """
-    validate(spec)
     if spec.family not in ("RCHE", "CHE"):
         raise FamilyFieldError(f"reflection transform covers RCHE and CHE, got {spec.family}")
     try:

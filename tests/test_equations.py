@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -27,6 +28,19 @@ from heunconn import (
     u_lambda0_sequence,
     validate,
 )
+import heunconn
+from heunconn import (
+    CLOSED_FORMS,
+    CheckConfig,
+    c1_closed_he,
+    c_coefficients,
+    connection_matrix,
+    extract_sigma,
+    full_report,
+    log_a_series_from_traces,
+    sigma1_closed,
+)
+from heunconn.equations import validate as _validate
 from heunconn.frobenius import potential
 from heunconn.precision import HIGH, spec_to_precision
 
@@ -93,6 +107,71 @@ class TestConstructorsAndValidate:
             rche_spec(0.1, 0.2, math.nan, 0.1)
         with pytest.raises(DomainError, match="theta_inf_hyp = inf is not finite"):
             hyp_spec(0.1, 0.2, math.inf)
+
+
+# Each condition validate names, as (fields to set on a valid RCHE record or
+# a whole new record, error class, message); the messages are pinned whole.
+_INVALID = {
+    "unknown-family": ({"family": "XYZ"}, FamilyFieldError,
+                       "unknown family 'XYZ'; expected one of ('HYP', 'RCHE', 'CHE', 'HE')"),
+    "missing-field": ({"omega": None}, FamilyFieldError, "family RCHE requires field 'omega'"),
+    "extra-field": ({"theta_star": 0.25}, FamilyFieldError,
+                    "family RCHE must not set field 'theta_star'"),
+    "hyp-coupling": ({"family": "HYP", "omega": None, "theta_inf_hyp": 0.3},
+                     FamilyFieldError, "family HYP must have lam = 0"),
+    "non-number": ({"theta0": "0.1"}, DomainError, "theta0 = '0.1' is not a number"),
+    "nan": ({"omega": math.nan}, DomainError, "omega = nan is not finite"),
+    "inf": ({"lam": math.inf}, DomainError, "lam = inf is not finite"),
+    "resonant": ({"theta1": 0.5 + 1e-12}, ResonantExponents,
+                 "2*theta1 = 1.000000000002 is within 1e-10 of an integer"),
+    "he-coupling": ({"family": "HE", "theta_t": 0.33, "theta_inf": 0.41, "lam": -1.0},
+                    DomainError, "HE coupling must satisfy |lam| < 1, got |lam| = 1.0"),
+}
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("fields, error, message", _INVALID.values(), ids=_INVALID)
+    def test_every_condition_raises_when_a_record_is_built(self, fields, error, message):
+        base = {"family": "RCHE", "theta0": 0.1, "theta1": 0.2, "lam": 0.1, "omega": 0.3}
+        valid = EquationSpec(**base)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            EquationSpec(**{**base, **fields})
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            replace(valid, **fields)
+
+    def test_validate_is_idempotent(self, he_example):
+        assert validate(validate(he_example)) is he_example
+
+    @pytest.mark.parametrize(
+        "fixture, op",
+        [
+            ("he_example", lambda s: connection_matrix(s, "cf")),
+            ("he_example", lambda s: connection_matrix(s, "recurrence")),
+            ("he_example", lambda s: connection_matrix(s, "wronskian")),
+            ("he_example", lambda s: connection_matrix(s, "ss")),
+            ("che_example", lambda s: c_coefficients(s, 6)),
+            ("rche_example", lambda s: log_a_series_from_traces(s, 6)),
+            ("rche_example", lambda s: [form(s) for form in CLOSED_FORMS["RCHE"]]),
+            ("he_example", lambda s: (sigma1_closed(s), c1_closed_he(s))),
+            ("hyp_example", lambda s: extract_sigma(connection_matrix(s))),
+            ("rche_example", lambda s: full_report(s, CheckConfig(include_slow=False))),
+        ],
+        ids=["cf", "recurrence", "wronskian", "ss", "c_coefficients", "traces",
+             "closed-rche", "closed-he", "hyp-sigma", "full_report"],
+    )
+    def test_no_call_checks_its_spec_again(self, request, monkeypatch, fixture, op):
+        # validate wrapped wherever the package holds it; records built inside
+        # the call (the sign flips) are checked as they are built.
+        spec = request.getfixturevalue(fixture)
+        seen = []
+        counting = lambda s: seen.append(s) or _validate(s)  # noqa: E731
+        for module in (heunconn, *vars(heunconn).values()):
+            if getattr(module, "validate", None) is _validate:
+                monkeypatch.setattr(module, "validate", counting)
+        op(spec)
+        assert sum(s is spec for s in seen) == 0
+        built = replace(spec)  # the wrapper sees each record that is built
+        assert seen[-1] is built
 
 
 class TestRecurrenceData:
@@ -172,12 +251,12 @@ class TestRecurrenceData:
             canonical_recurrence_step(spec, 3, 1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "spec, error, message",
+        "fields, error, message",
         [
-            (EquationSpec("RCHE", 0.1, 0.2, 0.1), FamilyFieldError, "requires field 'omega'"),
-            (EquationSpec("RCHE", 0.1, 0.2, 0.1, omega="x"), DomainError, "is not a number"),
-            (EquationSpec("RCHE", 0.1, 0.2, 0.1, omega=math.nan), DomainError, "is not finite"),
-            (EquationSpec("RCHE", 1.5, 0.2, 0.1, omega=0.3), ResonantExponents, "theta0 = 3.0"),
+            ({"theta0": 0.1}, FamilyFieldError, "requires field 'omega'"),
+            ({"theta0": 0.1, "omega": "x"}, DomainError, "is not a number"),
+            ({"theta0": 0.1, "omega": math.nan}, DomainError, "is not finite"),
+            ({"theta0": 1.5, "omega": 0.3}, ResonantExponents, "theta0 = 3.0"),
         ],
         ids=["no-omega", "string-omega", "nan-omega", "resonant-theta0"],
     )
@@ -193,11 +272,11 @@ class TestRecurrenceData:
         ids=["coefficient_table", "alpha_beta", "canonical_recurrence_step",
              "u_lambda0_sequence", "potential"],
     )
-    def test_raw_specs_are_validated(self, call, spec, error, message):
-        # Each validates its spec, as every other public function does: no
-        # bare TypeError, no nan.
+    def test_raw_specs_are_validated(self, call, fields, error, message):
+        # An invalid record cannot be built, so no call sees one: no bare
+        # TypeError, no nan.
         with pytest.raises(error, match=message):
-            call(spec)
+            call(EquationSpec("RCHE", theta1=0.2, lam=0.1, **fields))
 
 
 @pytest.mark.parametrize("precision", ["quad", "", None])

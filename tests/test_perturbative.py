@@ -301,9 +301,9 @@ class TestClosedForms:
         ],
     )
     def test_gate_order(self, form, family, name, pole_name):
-        # Each gate sees only specs that passed the ones before it: the
-        # family, then the spec's own validation, then the poles in omega.
-        # omega = 0.5 is a pole of every form, 2 theta0 = 1 a resonance.
+        # The record refuses 2 theta0 = 1 when it is built; a form gates a
+        # valid record by its family, then by the poles in omega.  omega =
+        # 0.5 is a pole of every form.
         fields = {"RCHE": {}, "HE": {"theta_t": 0.33, "theta_inf": 0.41}}
         other = "HE" if family == "RCHE" else "RCHE"
 
@@ -313,7 +313,7 @@ class TestClosedForms:
         with pytest.raises(
             FamilyFieldError, match=f"^{name} closed form applies to family {family}, got {other}$"
         ):
-            form(spec(other, 0.5))
+            form(spec(other, 0.11))
         with pytest.raises(ResonantExponents, match=r"^2\*theta0 = 1\.0 is within"):
             form(spec(family, 0.5))
         with pytest.raises(

@@ -245,7 +245,6 @@ class TestFullReport:
                 assert not got.passed and got.detail.startswith("FamilyFieldError: ")
 
     def test_invalid_spec_raises_in_every_entry(self):
-        spec = EquationSpec("RCHE", 0.5, 0.2, 0.1, omega=0.3)  # 2 theta0 = 1
         entries = [
             full_report,
             verify_connection_identity,
@@ -254,7 +253,7 @@ class TestFullReport:
         ]
         for entry in entries:
             with pytest.raises(ResonantExponents):
-                entry(spec)
+                entry(EquationSpec("RCHE", 0.5, 0.2, 0.1, omega=0.3))  # 2 theta0 = 1
 
     @pytest.mark.parametrize("tol", [math.nan, "x", 1j])
     def test_a_tol_that_is_not_a_real_number_raises(self, rche_example, che_example, tol):
