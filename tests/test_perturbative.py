@@ -14,6 +14,7 @@ import oracles
 from conftest import coupled_specs, rel_diff, resonant_spec
 from heunconn import (
     AccessoryResonance,
+    CheckConfig,
     DomainError,
     EquationSpec,
     FamilyFieldError,
@@ -28,6 +29,7 @@ from heunconn import (
     c_coefficients,
     che_spec,
     f1_closed_he,
+    full_report,
     he_spec,
     jet_add,
     jet_div,
@@ -402,3 +404,21 @@ class TestSeriesVsClosedForms:
     def test_he(self, he_example):
         c = c_coefficients(he_example, 1)
         assert rel_diff(c[0], c1_closed_he(he_example)) <= 1e-9
+
+    @pytest.mark.parametrize("omega", [0.501, -0.501, 0.5001, -0.5001, 0.4999])
+    def test_rche_c2_near_a_half_keeps_its_digits(self, omega):
+        # Its terms cancel as omega nears +-1/2, where c_2 is finite: the
+        # binary64 form alone is 6.6e-10 (0.501) to 5.6e-7 (0.4999) off.
+        spec = rche_spec(0.13, 0.27, omega, 0.1)
+        with mp.workdps(50):
+            ref = c2_closed_rche(spec_to_precision(spec, HIGH))
+        with mp.workdps(20):
+            got = c2_closed_rche(spec)
+            assert mp.mp.dps == 20  # the caller's context, as found
+        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+        assert rel_diff(c_coefficients(spec, 2)[1], got) <= 1e-13
+
+    def test_fast_report_passes_near_omega_a_half(self):
+        for omega in (0.501, -0.501, 0.5001, -0.5001, 0.4999):
+            report = full_report(rche_spec(0.13, 0.27, omega, 0.1), CheckConfig(include_slow=False))
+            assert report.passed, report.summary()
