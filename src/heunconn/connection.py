@@ -101,6 +101,9 @@ _SWEEP_ROUNDINGS = 8
 # Sign flips (s0, s1) of (theta0, theta1) and their matrix keys, row by row.
 _FLIPS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _KEYS = ("++", "+-", "-+", "--")
+# Imaginary part of a real cos 2 pi sigma, in units of EPS64 times its terms:
+# 10x the worst of the four routes' matrices of 240 seeded real specs (1.7).
+_SIGMA_REAL_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -644,23 +647,31 @@ def extract_sigma(matrix: ConnectionMatrix, tol: float = 1e-8) -> complex:
     """Composite-monodromy exponent sigma from the connection entries.
 
     Uses ``cos 2 pi sigma = [bc cos 2pi(theta0-theta1) - ad cos 2pi(theta0+theta1)]
-    / (ad - bc)`` with ``(a,b,c,d) = (C_++, C_+-, C_-+, C_--)``, fixes the
-    branch to ``Re sigma in [0, 1)`` with ``Im sigma >= 0`` as tie-break, and
-    cross-checks both product relations (see :func:`_product_relations`); a
-    relative violation beyond ``tol`` raises :class:`MonodromyInconsistent`.
+    / (ad - bc)`` with ``(a,b,c,d) = (C_++, C_+-, C_-+, C_--)``.  Where that
+    cosine is real to within its rounding (an imaginary part of at most
+    :data:`_SIGMA_REAL_ULPS` units of its two terms) and in ``[-1, 1]``,
+    sigma is real and the representative in ``[0, 1/2]``, with imaginary part
+    ``+0.0``, is returned.  Otherwise the branch is ``Re sigma in [0, 1)``
+    with ``Im sigma >= 0`` as tie-break.  Both product relations are
+    cross-checked (see :func:`_product_relations`); a relative violation
+    beyond ``tol`` raises :class:`MonodromyInconsistent`.
     """
     _check_tol_arg(tol)
     sp = matrix.spec
     t0, t1 = complex(sp.theta0), complex(sp.theta1)
     a, b, c, d = (matrix[k] for k in _KEYS)
     det = matrix.det()
-    cos_diff = cmath.cos(math.tau * (t0 - t1))
-    cos_sum = cmath.cos(math.tau * (t0 + t1))
-    cos_2pi_sigma = (b * c * cos_diff - a * d * cos_sum) / det
-    sigma = cmath.acos(cos_2pi_sigma) / math.tau
-    if sigma.imag < 0.0:
-        sigma = 1.0 - sigma
-    sigma = complex(sigma.real % 1.0, sigma.imag)
+    diff_term = b * c * cmath.cos(math.tau * (t0 - t1))
+    sum_term = a * d * cmath.cos(math.tau * (t0 + t1))
+    cos_2pi_sigma = (diff_term - sum_term) / det
+    noise = _SIGMA_REAL_ULPS * EPS64 * (abs(diff_term) + abs(sum_term)) / abs(det)
+    if abs(cos_2pi_sigma.imag) <= noise and abs(cos_2pi_sigma.real) <= 1.0:
+        sigma = complex(math.acos(cos_2pi_sigma.real) / math.tau, 0.0)
+    else:
+        sigma = cmath.acos(cos_2pi_sigma) / math.tau
+        if sigma.imag < 0.0:
+            sigma = 1.0 - sigma
+        sigma = complex(sigma.real % 1.0, sigma.imag)
     relations, scale = _product_relations(matrix, sigma)
     for prod, rhs in relations:
         if abs(prod - rhs) > tol * scale:

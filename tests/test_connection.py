@@ -928,6 +928,24 @@ class TestSigma:
         want = oracles.cplx(oracles.SIGMA_HE[lam_key])
         assert rel_diff(sigma, want) <= 1e-11
 
+    @pytest.mark.parametrize("noise", [1e-17j, -1e-17j])
+    @pytest.mark.parametrize("fixture", ["hyp_example", "rche_example"])
+    def test_rounding_noise_leaves_a_real_sigma_unchanged(self, request, fixture, noise):
+        # A real sigma is its representative in [0, 1/2], with imaginary part
+        # +0.0, whatever the sign of the noise in the entries.
+        mat = connection_matrix(request.getfixturevalue(fixture))
+        sigma = extract_sigma(mat)
+        assert 0.0 <= sigma.real <= 0.5 and repr(sigma.imag) == "0.0"
+        noisy = replace(mat, entries={k: v + noise for k, v in mat.entries.items()})
+        assert repr(extract_sigma(noisy)) == repr(sigma)
+
+    def test_a_complex_omega_keeps_its_complex_sigma(self):
+        mat = connection_matrix(rche_spec(0.1, 0.2, 0.3 + 0.05j, 0.1))
+        sigma = extract_sigma(mat)
+        assert 0.0 <= sigma.real < 1.0 and sigma.imag > 1e-3
+        noisy = replace(mat, entries={k: v + 1e-17j for k, v in mat.entries.items()})
+        assert abs(extract_sigma(noisy) - sigma) <= 1e-15
+
 
 def _large_coupling_specs(count: int, seed: int) -> list:
     """Seeded RCHE and CHE specs with 0.4 <= |lam| <= 0.88 and HE specs with
