@@ -488,6 +488,10 @@ def _ss_scalar(
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
     K = tail_depth(spec, EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
+    # The tail's terms first grow like (|x|^2 / 2K)^n / n!, so K >= |x|^2 / 2.
+    K = max(K, math.ceil(abs(complex(_third_parameter(spec))) ** 2 / 2))
+    if K > max_depth:
+        raise NonConvergence(f"{what} needs depth K = {K}, above max_depth = {max_depth}")
     dps, bits = _ss_precision(complex(spec.theta1), K)
     quadratics, exact = exact_quadratics(spec, K)
     u_K = next(islice(fixed_iterates(quadratics, bits), K - 1, None))

@@ -57,6 +57,7 @@ from heunconn import (
     wronskian_connection,
 )
 from heunconn.connection import (
+    _KEYS,
     _PREF_ERR,
     _det_gate,
     _eta_sweep,
@@ -441,6 +442,26 @@ def _large_theta1_specs(count: int, seed: int) -> list:
 
 
 class TestLargeOrder:
+    @pytest.mark.parametrize("omega", [30.0, 60.0, 100.0])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda om: rche_spec(0.1, 0.2, om, 0.5),
+            lambda om: che_spec(0.1, 0.2, om, 0.25, 0.5),
+            lambda om: he_spec(0.11, 0.27, 0.33, 0.41, om, 0.3),
+        ],
+        ids=["RCHE", "CHE", "HE"],
+    )
+    def test_large_omega_is_served(self, make, omega):
+        # The 1/k tail first grows like (omega^2 / 2K)^n / n!: a depth of at
+        # least omega^2 / 2 keeps it summable (about 13 ms at omega = 100).
+        spec = make(omega)
+        mat = connection_matrix(spec, "ss")
+        assert mat.depth_or_K == math.ceil(omega**2 / 2)
+        with mp.workdps(50):
+            ref = connection_matrix(spec_to_precision(spec, HIGH), "cf", tol=1e-45)
+        assert max(abs(mat[k] - complex(ref[k])) for k in _KEYS) <= mat.err_estimate
+
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     @pytest.mark.parametrize("family", ["HYP", "RCHE", "CHE", "HE"])
     def test_fixed_point_iterates_match_canonical_step(self, request, family, signs):
