@@ -25,7 +25,7 @@ from itertools import count, islice, zip_longest
 from typing import Any, Iterator, Optional
 
 from .equations import EquationSpec, _third_parameter
-from .errors import DomainError, RadiusError, ResonantExponents, TailError
+from .errors import DomainError, RadiusError, TailError
 from .precision import p_power
 
 __all__ = [
@@ -179,12 +179,11 @@ def _exponent(e: list, qw: list, theta: Any, sign: int) -> Any:
     return rho
 
 
-def _coefficients(e: list, qw: list, rho: Any, point: int) -> Iterator:
+def _coefficients(e: list, qw: list, rho: Any) -> Iterator:
     """``c_0 = 1, c_1, c_2, ...`` of the local solution with exponent ``rho``;
-    ``c_n`` does not depend on how many follow.
-
-    Raises :class:`ResonantExponents` on reaching an ``n`` whose recurrence
-    denominator ``n (n + 2 rho - 1)`` vanishes."""
+    ``c_n`` does not depend on how many follow.  The denominator ``n (n + 2
+    rho - 1) = n (n - 2 sign theta)`` keeps 1e-10 from 0, as every spec keeps
+    ``2 theta`` from the integers."""
     jmax = max(len(e), len(qw)) - 1
     ej = e + [0.0] * (jmax + 1 - len(e))
     qj = qw + [0.0] * (jmax + 1 - len(qw))
@@ -193,12 +192,7 @@ def _coefficients(e: list, qw: list, rho: Any, point: int) -> Iterator:
     c = [1.0 + 0 * rho]
     yield c[0]
     for n in count(1):
-        den_factor = n + 2 * rho - 1  # = n - 2 sign theta
-        if abs(den_factor) < _INDICIAL_TOL:
-            raise ResonantExponents(
-                f"integer exponent difference at point {point}: n = {n} matches 2*theta"
-            )
-        den = e[0] * n * den_factor
+        den = e[0] * n * (n + 2 * rho - 1)
         rn = rho + n
         s = 0.0 * rho
         for j, ejj, qjj in rows:
@@ -213,10 +207,6 @@ def _coefficients(e: list, qw: list, rho: Any, point: int) -> Iterator:
 def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> FrobeniusSolution:
     """Coefficients of the normalized local solution at ``point`` (0 or 1)
     with exponent ``1/2 - sign*theta`` truncated at order ``K``.
-
-    Raises :class:`ResonantExponents` when a recurrence denominator
-    ``n (n - 2 sign theta)`` vanishes for some ``1 <= n <= K`` (integer
-    exponent difference, excluded by :func:`validate` but re-checked here).
     """
     if point not in (0, 1):
         raise DomainError(f"expansion point must be 0 or 1, got {point!r}")
@@ -226,7 +216,7 @@ def frobenius_series(spec: EquationSpec, point: int, sign: int, K: int) -> Frobe
         raise DomainError(f"K must be an integer of at least 1, got {K!r}")
     e, qw = _cleared_at(*_family_polys(spec), point)
     rho = _exponent(e, qw, spec.theta0 if point == 0 else spec.theta1, sign)
-    coeffs = tuple(islice(_coefficients(e, qw, rho, point), K + 1))
+    coeffs = tuple(islice(_coefficients(e, qw, rho), K + 1))
     return FrobeniusSolution(spec=spec, point=point, sign=sign, exponent=rho, coeffs=coeffs, K=K)
 
 
@@ -254,7 +244,7 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
         e, qw = _cleared_at(d, q, point)
         for sign in (1, -1):
             rho = _exponent(e, qw, theta, sign)
-            series.append((point, sign, rho, _coefficients(e, qw, rho, point), []))
+            series.append((point, sign, rho, _coefficients(e, qw, rho), []))
     K = _BASIS_K
     while True:
         for *_, coeffs, c in series:

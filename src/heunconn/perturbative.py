@@ -268,6 +268,15 @@ def c1_closed_rche(spec: EquationSpec) -> complex:
     return _binary64(val, "c1 closed form")
 
 
+# Outside this |1/4 - omega^2| the binary64 c2 form is within 1e-12 of 50
+# digits, relative to max(1, |c2|): the worst of 3,000 seeded specs (|theta|
+# <= 0.45, complex omega among them) is 1.5e-12 at |q| ~ 0.02, 5e-13 at
+# 0.025 and 6e-14 above 0.05.  Inside it up to 27 digits cancel (at the
+# poles' 1e-10 gate), and 60 digits keep 30 of them.
+_C2_BAND = 0.05
+_C2_BAND_DPS = 60
+
+
 def c2_closed_rche(spec: EquationSpec) -> complex:
     """Digamma/trigamma closed form of the second series coefficient (RCHE).
 
@@ -280,15 +289,6 @@ def c2_closed_rche(spec: EquationSpec) -> complex:
         return _binary64(_c2_rche(t0, t1, om), "c2 closed form")
     with mp.workdps(_C2_BAND_DPS):
         return _binary64(_c2_rche(*map(mp.mpmathify, (t0, t1, om))), "c2 closed form")
-
-
-# Outside this |1/4 - omega^2| the binary64 c2 form is within 1e-12 of 50
-# digits, relative to max(1, |c2|): the worst of 3,000 seeded specs (|theta|
-# <= 0.45, complex omega among them) is 1.5e-12 at |q| ~ 0.02, 5e-13 at
-# 0.025 and 6e-14 above 0.05.  Inside it up to 27 digits cancel (at the
-# poles' 1e-10 gate), and 60 digits keep 30 of them.
-_C2_BAND = 0.05
-_C2_BAND_DPS = 60
 
 
 def _c2_rche(t0: Any, t1: Any, om: Any) -> Any:

@@ -454,7 +454,7 @@ class TestLargeOrder:
     )
     def test_large_omega_is_served(self, make, omega):
         # The 1/k tail first grows like (omega^2 / 2K)^n / n!: a depth of at
-        # least omega^2 / 2 keeps it summable (about 13 ms at omega = 100).
+        # least omega^2 / 2 keeps it summable (about 13 ms per matrix at omega = 100).
         spec = make(omega)
         mat = connection_matrix(spec, "ss")
         assert mat.depth_or_K == math.ceil(omega**2 / 2)

@@ -164,7 +164,11 @@ class TestValidByConstruction:
         # the call (the sign flips) are checked as they are built.
         spec = request.getfixturevalue(fixture)
         seen = []
-        counting = lambda s: seen.append(s) or _validate(s)  # noqa: E731
+
+        def counting(record):
+            seen.append(record)
+            return _validate(record)
+
         for module in (heunconn, *vars(heunconn).values()):
             if getattr(module, "validate", None) is _validate:
                 monkeypatch.setattr(module, "validate", counting)
