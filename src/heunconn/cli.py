@@ -8,6 +8,9 @@ idempotent at binary64.
 
 Exit codes: 0 success, 1 computational failure (the error name goes to
 stderr), 2 usage error (bad flags, missing family fields, order caps).
+
+Parsing needs only the package core; each subcommand imports its own route
+when it runs.
 """
 
 from __future__ import annotations
@@ -18,18 +21,13 @@ import functools
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from typing import Any, Optional
 
 from . import __version__
-from .combinatorics import compositions, enumerate_walk_types, n_mu
-from .connection import _KEYS, METHODS, connection_matrix, det_residual
-from .equations import _REQUIRED, FAMILIES, EquationSpec
+from .equations import _REQUIRED, FAMILIES, METHODS, EquationSpec
 from .errors import FamilyFieldError, HeunConnError, ParameterResonance, SizeError
-from .perturbative import CLOSED_FORMS, c_coefficients
 from .precision import DOUBLE, HIGH, default_precision, spec_to_precision
-from .validation import CheckConfig, CheckResult, full_report
 
 SCHEMA = "heun-connect/1"
 
@@ -184,6 +182,8 @@ def _emit(args: argparse.Namespace, payload: dict, rows: list, lines: list) -> N
     else:
         sys.stdout.write("\n".join(lines) + "\n")
     if args.golden_out:
+        import tempfile
+
         golden = dump_json(_strip_runtimes(payload)) + "\n"
         directory = os.path.dirname(os.path.abspath(args.golden_out))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -202,6 +202,8 @@ def _emit(args: argparse.Namespace, payload: dict, rows: list, lines: list) -> N
 
 
 def cmd_connect(args: argparse.Namespace) -> int:
+    from .connection import _KEYS, connection_matrix, det_residual
+
     spec = build_spec(args)
     mat = connection_matrix(
         spec_to_precision(spec, args.precision),
@@ -245,6 +247,8 @@ def cmd_connect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .validation import CheckConfig, CheckResult, full_report
+
     spec = build_spec(args)
     report = full_report(spec, CheckConfig(tol=args.tol, include_slow=not args.fast))
     payload = {
@@ -258,6 +262,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    from .perturbative import CLOSED_FORMS, c_coefficients
+
     spec = build_spec(args)
     table = []
     rows = [["n", "re", "im", "closed_re", "closed_im", "abs_diff"]]
@@ -285,6 +291,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_walks(args: argparse.Namespace) -> int:
+    from .combinatorics import compositions, enumerate_walk_types, n_mu
+
     n = args.n
     if n < 1:
         raise SizeError(f"--n must be at least 1, got {n}")

@@ -38,9 +38,9 @@ from itertools import accumulate, islice, repeat, tee
 from operator import mul
 from typing import Any, Iterator, Sequence
 
-import mpmath as mp
-
-from .equations import EquationSpec, _check_resonance, _quadratic_parts, _third_parameter
+from .equations import (
+    METHODS, EquationSpec, _check_resonance, _quadratic_parts, _third_parameter,
+)
 from .errors import (
     CFBreakdown,
     DetCheckFailed,
@@ -48,8 +48,6 @@ from .errors import (
     MonodromyInconsistent,
     NonConvergence,
 )
-from .fixedpoint import amplitude, exact_quadratics, fixed_iterates
-from .frobenius import local_basis, truncated_basis, value_and_deriv
 from .precision import (
     DOUBLE,
     HIGH,
@@ -67,7 +65,6 @@ from .tails import (
 
 __all__ = [
     "ConnectionMatrix",
-    "METHODS",
     "fusion_cl",
     "log_a_infinity_cf",
     "connection_scalar",
@@ -78,8 +75,6 @@ __all__ = [
     "tail_determinant_limit",
     "det_residual",
 ]
-
-METHODS = ("cf", "recurrence", "ss", "wronskian")
 
 _LAMBDA_GATE = 0.9
 _MAX_DEPTH = 2**20
@@ -319,7 +314,10 @@ def _cf_limit(spec: EquationSpec, tol: float, max_depth: int) -> tuple[Any, floa
     rest, omitted = sum_tail(terms, eps, False, what)
     rest2, omitted2 = sum_tail(map(mul, shifted, accumulate(repeat(ratio), mul)), eps, False, what)
     rel, rel2 = omitted / float(abs(1 + rest)), omitted2 / float(abs(1 + rest2))
-    log = mp.log if mp_spec else cmath.log
+    if mp_spec:
+        from mpmath import log
+    else:
+        log = cmath.log
     total = sum(map(log, _eta_sweep(spec, K, (1 + rest) / (1 + rest2))))
     err = rel + _sweep_floor(spec, K, eps, rel + rel2)
     _check_tol(err, tol, K, what)
@@ -463,6 +461,8 @@ def _ss_precision(theta1: complex, K: int) -> tuple[int, int]:
     """Working ``dps`` of the ``ss`` route and the fixed-point ``bits`` of its
     iterates: ``|u_k|`` falls to about ``k^(-1-2|Re theta1|)``, so guard bits
     keep the iterates at the working precision down to ``k = K``."""
+    import mpmath as mp
+
     dps = max(30, 20 + int(4 * abs(theta1.real) * math.log10(max(K, 10))) + 10)
     guard = int((1 + 2 * abs(theta1.real)) * math.log2(max(K, 2))) + 16
     return dps, mp.libmp.dps_to_prec(dps) + guard
@@ -485,6 +485,8 @@ def _ss_scalar(
     :func:`log_a_infinity_cf` judges its estimate.  Any ``theta1`` is
     served, as the depth, the tail and the precision (:func:`_ss_precision`)
     follow ``theta1`` itself."""
+    from .fixedpoint import amplitude, exact_quadratics, fixed_iterates
+
     what = "large-order amplitude"
     # The root 2 theta0 - 1 of lead_k joins the roots of Q_k in the reach.
     K = tail_depth(spec, EPS64, max_depth, what, abs(2 * complex(spec.theta0) - 1))
@@ -539,11 +541,15 @@ def wronskian_connection(spec: EquationSpec) -> ConnectionMatrix:
 
     at ``z = 1/2``, with the truncation of :func:`local_basis` at reach 1/2.
     """
+    from .frobenius import local_basis
+
     return _wronskian_matrix(spec, local_basis(spec, _PROBE_REACH))
 
 
 def _wronskian_matrix(spec: EquationSpec, basis: list) -> ConnectionMatrix:
     """:func:`wronskian_connection` from its local basis."""
+    from .frobenius import value_and_deriv
+
     (a0p, d0p), (a0m, d0m), (a1p, d1p), (a1m, d1m) = (value_and_deriv(s, _PROBE) for s in basis)
     t1 = spec.theta1
     entries = {}
@@ -564,6 +570,8 @@ def _wronskian_of_basis(spec: EquationSpec, basis: list, tol: float) -> Connecti
     :func:`local_basis` built for a reach of at least 1/2: cut to the
     route's own truncation (:func:`truncated_basis`), it gives the same
     matrix."""
+    from .frobenius import truncated_basis
+
     return _det_gate(_wronskian_matrix(spec, truncated_basis(basis, _PROBE_REACH)), tol)
 
 

@@ -38,6 +38,7 @@ from .errors import (
 
 __all__ = [
     "FAMILIES",
+    "METHODS",
     "EquationSpec",
     "hyp_spec",
     "rche_spec",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 FAMILIES = ("HYP", "RCHE", "CHE", "HE")
+# The routes of heunconn.connection, named here so that the command line's
+# parser has them without loading the routes.
+METHODS = ("cf", "recurrence", "ss", "wronskian")
 
 _HALF_INT_TOL = 1e-10
 _RESONANCE_TOL = 1e-12

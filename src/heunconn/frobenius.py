@@ -45,6 +45,7 @@ _INDICIAL_TOL = 1e-10
 _BASIS_K = 64  # first truncation of local_basis, doubled until the tail is small
 _BASIS_K_CAP = 10000  # no doubling from here on
 _SERIES_TOL = 1e-15  # last retained terms of local_basis at its reach
+_BASIS = ((0, (1, -1)), (1, (1, -1)))  # (point, signs) of local_basis, in order
 
 
 def _padd(a: list, b: list) -> list:
@@ -231,6 +232,12 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
     discs of convergence, and :class:`TailError` when the tail is still too
     large at the ``K = 10^4`` cap.
     """
+    return _local_solutions(spec, reach, _BASIS)
+
+
+def _local_solutions(spec: EquationSpec, reach: float, members: tuple) -> list[FrobeniusSolution]:
+    """:func:`local_basis` of the solutions ``members`` names, as ``(point,
+    signs)`` pairs, truncated by its rule applied to those solutions."""
     if not 0.0 < reach < 1.0:
         raise DomainError(f"reach must lie in (0, 1), got {reach!r}")
     radius = min(convergence_radius(spec, 0), convergence_radius(spec, 1))
@@ -240,10 +247,10 @@ def local_basis(spec: EquationSpec, reach: float) -> list[FrobeniusSolution]:
         )
     d, q = _family_polys(spec)
     series = []
-    for point, theta in ((0, spec.theta0), (1, spec.theta1)):
+    for point, signs in members:
         e, qw = _cleared_at(d, q, point)
-        for sign in (1, -1):
-            rho = _exponent(e, qw, theta, sign)
+        for sign in signs:
+            rho = _exponent(e, qw, spec.theta1 if point else spec.theta0, sign)
             series.append((point, sign, rho, _coefficients(e, qw, rho), []))
     K = _BASIS_K
     while True:

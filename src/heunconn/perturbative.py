@@ -32,9 +32,7 @@ import cmath
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import sub
-from typing import Any, Sequence
-
-import mpmath as mp
+from typing import Any, Callable, Sequence
 
 from .equations import EquationSpec, coefficient_table
 from .errors import (
@@ -257,38 +255,50 @@ def _binary64(val: Any, what: str) -> complex:
     raise DomainError(f"{what} = {out!r} is outside the binary64 range")
 
 
-def c1_closed_rche(spec: EquationSpec) -> complex:
-    """Digamma closed form of the first series coefficient (RCHE)."""
-    _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5))
+# The terms of the RCHE forms cancel as omega nears +-1/2, where c_1 and c_2
+# stay finite.  Against 50 digits, relative to max(1, |c_n|), on 3,000 seeded
+# specs (|theta| <= 0.45, complex omega among them), the binary64 c_2 form is
+# within 1.5e-12 for |q| = |1/4 - omega^2| >= 0.02 and 6e-14 above 0.05, the
+# c_1 form within 3.1e-14 for |q| >= 0.01 (6.4e-8 below).  Inside the band up
+# to 27 digits cancel (at the poles' 1e-10 gate), and 60 digits keep 30 of
+# them.  Both forms also cancel as omega nears 0, which the band leaves out.
+_RCHE_BAND = 0.05
+_RCHE_BAND_DPS = 60
+
+
+def _rche_form(form: Callable, spec: EquationSpec, what: str) -> complex:
+    """``form(theta0, theta1, omega)`` of an RCHE spec, rounded once to
+    binary64: in the spec's arithmetic, or within ``|1/4 - omega^2| <
+    0.05`` (:data:`_RCHE_BAND`) in mpmath at :data:`_RCHE_BAND_DPS` digits,
+    the caller's mpmath context left as found."""
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
+    if abs(0.25 - om * om) >= _RCHE_BAND:
+        return _binary64(form(t0, t1, om), what)
+    import mpmath as mp
+    with mp.workdps(_RCHE_BAND_DPS):
+        return _binary64(form(*map(mp.mpmathify, (t0, t1, om))), what)
+
+
+def c1_closed_rche(spec: EquationSpec) -> complex:
+    """Digamma closed form of the first series coefficient (RCHE), by
+    :func:`_rche_form`."""
+    _closed_form_spec(spec, "RCHE", "c1 closed form", (0.0, 0.5, -0.5))
+    return _rche_form(_c1_rche, spec, "c1 closed form")
+
+
+def _c1_rche(t0: Any, t1: Any, om: Any) -> Any:
+    """The form of :func:`c1_closed_rche` in the arithmetic of its arguments."""
     a = 0.5 - t0 + t1
     m = 0.25 - t0 * t0 + t1 * t1 - om * om
     q = 0.25 - om * om
-    val = -(m / (4 * om * q)) * _psi_diff(a, om) + (t0 + t1) / (2 * q)
-    return _binary64(val, "c1 closed form")
-
-
-# Outside this |1/4 - omega^2| the binary64 c2 form is within 1e-12 of 50
-# digits, relative to max(1, |c2|): the worst of 3,000 seeded specs (|theta|
-# <= 0.45, complex omega among them) is 1.5e-12 at |q| ~ 0.02, 5e-13 at
-# 0.025 and 6e-14 above 0.05.  Inside it up to 27 digits cancel (at the
-# poles' 1e-10 gate), and 60 digits keep 30 of them.
-_C2_BAND = 0.05
-_C2_BAND_DPS = 60
+    return -(m / (4 * om * q)) * _psi_diff(a, om) + (t0 + t1) / (2 * q)
 
 
 def c2_closed_rche(spec: EquationSpec) -> complex:
-    """Digamma/trigamma closed form of the second series coefficient (RCHE).
-
-    Its terms cancel as ``omega`` nears ``+-1/2``, where ``c_2`` stays finite:
-    within ``|1/4 - omega^2| < 0.05`` (:data:`_C2_BAND`) the same form runs in
-    mpmath at :data:`_C2_BAND_DPS` digits and is rounded once."""
+    """Digamma/trigamma closed form of the second series coefficient (RCHE),
+    by :func:`_rche_form`."""
     _closed_form_spec(spec, "RCHE", "c2 closed form", (0.0, 0.5, -0.5, 1.0, -1.0))
-    t0, t1, om = spec.theta0, spec.theta1, spec.omega
-    if abs(0.25 - om * om) >= _C2_BAND:
-        return _binary64(_c2_rche(t0, t1, om), "c2 closed form")
-    with mp.workdps(_C2_BAND_DPS):
-        return _binary64(_c2_rche(*map(mp.mpmathify, (t0, t1, om))), "c2 closed form")
+    return _rche_form(_c2_rche, spec, "c2 closed form")
 
 
 def _c2_rche(t0: Any, t1: Any, om: Any) -> Any:

@@ -11,6 +11,9 @@ here (and the special functions) dispatch on the *type* of their argument,
 so numeric kernels are written once and run under either backend.  The
 ``HEUN_PRECISION`` environment variable (``double`` or ``high``) is only the
 command line's default for ``--precision``; the library never reads it.
+
+mpmath is imported only where an mpmath number is made or met: binary64
+work never loads it (see :func:`is_mp`).
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ import cmath
 import dataclasses
 import math
 import os
+import sys
 from typing import Any
-
-import mpmath as mp
 
 from .errors import DomainError
 
@@ -59,9 +61,24 @@ def default_precision() -> str:
     return val
 
 
+# (mpf, mpc) from the first is_mp call that finds mpmath loaded
+_MP_TYPES: tuple = ()
+
+
 def is_mp(x: Any) -> bool:
-    """True when ``x`` is an mpmath scalar (mpf or mpc)."""
-    return isinstance(x, (mp.mpf, mp.mpc))
+    """True when ``x`` is an mpmath scalar (mpf or mpc).  While mpmath is not
+    loaded no value is one, and it is not imported to say so."""
+    return isinstance(x, _MP_TYPES or _mp_types())
+
+
+def _mp_types() -> tuple:
+    """``(mpf, mpc)`` once mpmath is in ``sys.modules``, kept from then on;
+    else ``()``, of which nothing is an instance."""
+    global _MP_TYPES
+    mp = sys.modules.get("mpmath")
+    if mp is not None:
+        _MP_TYPES = (mp.mpf, mp.mpc)
+    return _MP_TYPES
 
 
 def spec_to_precision(spec: Any, precision: str) -> Any:
@@ -75,6 +92,8 @@ def spec_to_precision(spec: Any, precision: str) -> Any:
     """
     if precision not in _VALID:
         raise DomainError(f"precision must be one of {_VALID}, got {precision!r}")
+    if precision == HIGH:
+        import mpmath as mp
     updates = {}
     for f in dataclasses.fields(spec):
         v = getattr(spec, f.name)
@@ -91,6 +110,7 @@ def spec_to_precision(spec: Any, precision: str) -> Any:
 def p_log(x: Any) -> Any:
     """Principal logarithm under either backend."""
     if is_mp(x):
+        import mpmath as mp
         return mp.log(x)
     return cmath.log(x)
 
@@ -98,6 +118,7 @@ def p_log(x: Any) -> Any:
 def p_log1p(x: Any) -> Any:
     """Principal ``ln(1 + x)`` under either backend, without rounding ``1 + x``."""
     if is_mp(x):
+        import mpmath as mp
         return mp.log1p(x)
     re, im = complex(x).real, complex(x).imag  # |1 + x|^2 - 1 = re (2 + re) + im^2
     return complex(0.5 * math.log1p(re * (2 + re) + im * im), math.atan2(im, 1 + re))
@@ -106,6 +127,7 @@ def p_log1p(x: Any) -> Any:
 def p_exp(x: Any) -> Any:
     """Exponential under either backend."""
     if is_mp(x):
+        import mpmath as mp
         return mp.exp(x)
     return cmath.exp(x)
 
@@ -113,5 +135,6 @@ def p_exp(x: Any) -> Any:
 def p_power(base: Any, expo: Any) -> Any:
     """Principal power ``base**expo`` via exp(expo * log(base))."""
     if is_mp(base) or is_mp(expo):
+        import mpmath as mp
         return mp.exp(expo * mp.log(base))
     return cmath.exp(expo * cmath.log(base))

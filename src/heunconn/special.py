@@ -65,10 +65,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import Any
-
-import mpmath as mp
 
 from .errors import DomainError, OrderError, PoleError
 from .precision import is_mp
@@ -111,18 +108,10 @@ _DEN = (
     1.0,
 )
 
-# Even-index Bernoulli numbers B_2 .. B_20 (exact rationals).
+# Even-index Bernoulli numbers B_2 .. B_20, exact as (numerator, denominator).
 _BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-    Fraction(43867, 798),
-    Fraction(-174611, 330),
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330),
 )
 
 _MAX_POLYGAMMA_ORDER = 16
@@ -131,11 +120,9 @@ _MAX_POLYGAMMA_ORDER = 16
 #   B_2k * (2k + n - 1)! / (2k)!   for k = 1..10, n = 0..16.
 _PG_TAIL = tuple(
     tuple(
-        float(
-            _BERNOULLI[k - 1]
-            * Fraction(math.factorial(2 * k + n - 1), math.factorial(2 * k))
-        )
-        for k in range(1, 11)
+        # one correctly rounded int division: the float of the exact rational
+        num * math.factorial(2 * k + n - 1) / (den * math.factorial(2 * k))
+        for k, (num, den) in enumerate(_BERNOULLI, start=1)
     )
     for n in range(_MAX_POLYGAMMA_ORDER + 1)
 )
@@ -242,6 +229,7 @@ def gamma(z: Any) -> Any:
     zc = _binary64(z, "gamma")
     _check_pole(zc, "gamma")
     if is_mp(z):
+        import mpmath as mp
         return mp.gamma(z)
     z = zc
     try:
@@ -311,6 +299,7 @@ def log_gamma(z: Any) -> Any:
     zc = _binary64(z, "log_gamma")
     _check_pole(zc, "log_gamma")
     if is_mp(z):
+        import mpmath as mp
         return mp.loggamma(z)
     z = zc
     if z.imag == 0.0:
@@ -410,6 +399,7 @@ def polygamma(n: int, z: Any) -> Any:
     zc = _binary64(z, "polygamma")
     _check_pole(zc, "polygamma")
     if is_mp(z):
+        import mpmath as mp
         return mp.polygamma(n, z)
     z = zc
     if z.imag == 0.0:
@@ -447,6 +437,7 @@ def pochhammer(x: Any, k: int) -> Any:
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"pochhammer index must be a nonnegative integer, got {k!r}")
     if is_mp(x):
+        import mpmath as mp
         if not mp.isfinite(x):
             raise DomainError(f"pochhammer argument {x!r} is not finite")
         out = x * 0 + 1

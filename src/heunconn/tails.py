@@ -20,8 +20,6 @@ from itertools import accumulate, chain, count, repeat
 from operator import add, mul, truediv
 from typing import Any, Callable, Iterator, Sequence
 
-import mpmath as mp
-
 from .equations import EquationSpec, _quadratic_parts, _shifted_product, _third_parameter
 from .errors import NonConvergence
 from .precision import is_mp
@@ -56,7 +54,10 @@ def is_mp_spec(spec: EquationSpec) -> bool:
 def unit_roundoff(mpmath_numbers: bool) -> float:
     """Unit roundoff: that of the current mpmath precision for mpmath
     numbers, else binary64's ``2^-53``."""
-    return 2.0**-mp.mp.prec if mpmath_numbers else EPS64
+    if mpmath_numbers:
+        import mpmath as mp
+        return 2.0**-mp.mp.prec
+    return EPS64
 
 
 def log_second_mode(spec: EquationSpec, K: int) -> float:

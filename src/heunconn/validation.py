@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-import mpmath as mp
-
 from .connection import (
     _FLIPS,
     _KEYS,
@@ -40,6 +38,7 @@ from .errors import (
     DomainError, FamilyFieldError, HeunConnError, ParameterResonance, ReflectionMismatch,
 )
 from .frobenius import (
+    _local_solutions,
     convergence_radius,
     evaluate,
     frobenius_series,
@@ -298,7 +297,7 @@ def _reflection(s: _ReportState) -> tuple:
         b = potential(spec, 1.0 - w)
         pot_res = max(pot_res, abs(a - b) / max(1.0, abs(b)))
     ode_res = 0.0
-    sol0p, _, _, sol1m = local_basis(refl, 0.35)
+    sol0p, sol1m = _local_solutions(refl, 0.35, ((0, (1,)), (1, (-1,))))  # psi0_+, psi1_-
     for sol, z0 in ((sol0p, 0.35), (sol1m, 0.65)):
         ode_res = max(ode_res, abs(ode_residual(refl, sol, z0)))
     mat = s.cf()
@@ -418,6 +417,7 @@ def reflected_spec(spec: EquationSpec) -> EquationSpec:
         raise DomainError(f"omega**2 overflows at omega = {spec.omega!r}") from None
     om2 = om2 + spec.lam if spec.family == "RCHE" else om2 - spec.lam * spec.theta_star
     if is_mp(om2):
+        import mpmath as mp
         omega = mp.sqrt(om2)
     elif isinstance(om2, float) and om2 >= 0.0:
         omega = math.sqrt(om2)

@@ -23,7 +23,7 @@ from heunconn import (
     rche_spec,
     wronskian,
 )
-from heunconn.frobenius import truncated_basis
+from heunconn.frobenius import _local_solutions, truncated_basis
 from heunconn.precision import p_power
 
 EXAMPLES = ("hyp_example", "rche_example", "che_example", "he_example")
@@ -235,6 +235,14 @@ class TestLocalBasis:
     def test_truncated_basis_is_the_basis_of_the_smaller_reach(self, spec, reach):
         basis = truncated_basis(local_basis(spec, 0.7), reach)
         assert basis == local_basis(spec, reach)
+
+    @pytest.mark.parametrize("fixture", EXAMPLES)
+    def test_two_members_of_the_basis_are_built_alone(self, request, fixture):
+        # The reflection check reads psi0_+ and psi1_- only; where the rule
+        # picks the basis's K for them, they are the basis's own.
+        spec = request.getfixturevalue(fixture)
+        basis = local_basis(spec, 0.35)
+        assert _local_solutions(spec, 0.35, ((0, (1,)), (1, (-1,)))) == [basis[0], basis[3]]
 
     @pytest.mark.parametrize("reach", [0.0, 1.0, 1.5, 1e300])
     def test_reach_outside_the_unit_interval(self, rche_example, reach):

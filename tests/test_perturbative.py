@@ -418,7 +418,20 @@ class TestSeriesVsClosedForms:
         assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
         assert rel_diff(c_coefficients(spec, 2)[1], got) <= 1e-13
 
+    @pytest.mark.parametrize("d", [1e-6, 1e-8, 5e-10])
+    def test_rche_c1_near_a_half_keeps_its_digits(self, d):
+        # As for c_2: the binary64 form alone is 2.7e-11 (d = 1e-6) to 5.5e-8
+        # (d = 5e-10) off, relative to max(1, |c_1|).
+        spec = rche_spec(0.13, 0.27, 0.5 + d, 0.1)
+        with mp.workdps(60):
+            ref = c1_closed_rche(spec_to_precision(spec, HIGH))
+        with mp.workdps(20):
+            got = c1_closed_rche(spec)
+            assert mp.mp.dps == 20  # the caller's context, as found
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        assert rel_diff(c_coefficients(spec, 1)[0], got) <= 1e-13
+
     def test_fast_report_passes_near_omega_a_half(self):
-        for omega in (0.501, -0.501, 0.5001, -0.5001, 0.4999):
+        for omega in (0.501, -0.501, 0.5001, -0.5001, 0.4999, 0.5 + 5e-10):
             report = full_report(rche_spec(0.13, 0.27, omega, 0.1), CheckConfig(include_slow=False))
             assert report.passed, report.summary()

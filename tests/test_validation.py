@@ -364,7 +364,7 @@ class TestFullReport:
     def test_one_frobenius_basis_per_report(self, request, fixture, monkeypatch):
         # The wronskian route cuts the identity check's basis (reach 0.7) to
         # its own truncation, and its matrix stays bit for bit the route's.
-        import heunconn.connection as connection
+        import heunconn.frobenius as frobenius
         import heunconn.validation as validation
 
         spec = request.getfixturevalue(fixture)
@@ -379,7 +379,7 @@ class TestFullReport:
             return real(sp, reach)
 
         monkeypatch.setattr(validation, "local_basis", counting)
-        monkeypatch.setattr(connection, "local_basis", counting)
+        monkeypatch.setattr(frobenius, "local_basis", counting)  # the wronskian route's
         checks = {c.name: c for c in full_report(spec, FAST).checks}
         assert reaches == [0.7]
         assert checks["method_agreement_wronskian"].residual == want
