@@ -255,13 +255,15 @@ def _binary64(val: Any, what: str) -> complex:
     raise DomainError(f"{what} = {out!r} is outside the binary64 range")
 
 
-# The terms of the RCHE forms cancel as omega nears +-1/2, where c_1 and c_2
-# stay finite.  Against 50 digits, relative to max(1, |c_n|), on 3,000 seeded
-# specs (|theta| <= 0.45, complex omega among them), the binary64 c_2 form is
-# within 1.5e-12 for |q| = |1/4 - omega^2| >= 0.02 and 6e-14 above 0.05, the
-# c_1 form within 3.1e-14 for |q| >= 0.01 (6.4e-8 below).  Inside the band up
-# to 27 digits cancel (at the poles' 1e-10 gate), and 60 digits keep 30 of
-# them.  Both forms also cancel as omega nears 0, which the band leaves out.
+# The terms of the RCHE forms cancel as omega nears +-1/2 or 0, where c_1 and
+# c_2 stay finite.  Against 50 digits, relative to max(1, |c_n|), on 3,000
+# seeded specs (|theta| <= 0.45, complex omega among them), the binary64 c_2
+# form is within 1.5e-12 for |q| = |1/4 - omega^2| >= 0.02 and 6e-14 above
+# 0.05, the c_1 form within 3.1e-14 for |q| >= 0.01 (6.4e-8 below).  Near 0
+# (seed 2026) c_2 is within 3.2e-13 for |omega| >= 0.05, 1.2e-12 on [0.04,
+# 0.05) and 4.8e-8 on [0.001, 0.01), c_1 within 6.6e-15 for |omega| >= 0.05.
+# At the poles' 1e-10 gate up to 27 digits cancel near +-1/2 and 30 near 0,
+# and 60 digits keep at least 30.
 _RCHE_BAND = 0.05
 _RCHE_BAND_DPS = 60
 
@@ -269,10 +271,10 @@ _RCHE_BAND_DPS = 60
 def _rche_form(form: Callable, spec: EquationSpec, what: str) -> complex:
     """``form(theta0, theta1, omega)`` of an RCHE spec, rounded once to
     binary64: in the spec's arithmetic, or within ``|1/4 - omega^2| <
-    0.05`` (:data:`_RCHE_BAND`) in mpmath at :data:`_RCHE_BAND_DPS` digits,
-    the caller's mpmath context left as found."""
+    0.05`` or ``|omega| < 0.05`` (:data:`_RCHE_BAND`) in mpmath at
+    :data:`_RCHE_BAND_DPS` digits, the caller's mpmath context left as found."""
     t0, t1, om = spec.theta0, spec.theta1, spec.omega
-    if abs(0.25 - om * om) >= _RCHE_BAND:
+    if abs(0.25 - om * om) >= _RCHE_BAND and abs(om) >= _RCHE_BAND:
         return _binary64(form(t0, t1, om), what)
     import mpmath as mp
     with mp.workdps(_RCHE_BAND_DPS):

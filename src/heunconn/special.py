@@ -20,14 +20,15 @@ The binary64 backend implements:
   explicit sine-log unwinding calls the kernel.  Real ``z < 0`` is treated
   as the limit from the upper half-plane.
 * ``polygamma`` — orders ``0 <= n <= 16`` by upward recurrence to ``Re w >=
-  18 + n`` (``10 + n`` on the real line) and the asymptotic series with
-  even-index Bernoulli coefficients, for ``Re z >= -2^20``.
+  10 + n`` and the asymptotic series with even-index Bernoulli coefficients
+  (:func:`_polygamma_series`, one for every binary64 argument), for ``Re z
+  >= -2^20``.
 * ``pochhammer`` — rising factorial as a direct product, ``0j`` at once where
   a factor is exactly zero, and a :class:`DomainError` at the factor where
   the product leaves the binary64 range.
 
-The complex polygamma tails stop at the first power outside the binary64
-range (:func:`_finite_terms`); a complex value outside it raises
+The polygamma tail, in powers of ``1/w^2``, underflows rather than
+overflows for large ``|w|``; a value outside the binary64 range raises
 :class:`DomainError`.
 
 A binary64 argument whose imaginary part is zero (a float, an int, or a
@@ -35,23 +36,22 @@ complex with imaginary part ``0.0`` or ``-0.0``) takes a real-line path:
 ``log_gamma`` is ``math.lgamma(x)`` with imaginary part ``-pi ceil(-x)`` for
 ``x < 0`` (the same upper-half-plane branch; :func:`_real_log_gamma` gives
 the two parts as a float and an int), and ``polygamma`` is
-:func:`_polygamma_real`: upward shifts to ``x >= 10 + n`` and the series of
-:data:`_PG_REAL` in float arithmetic, its Bernoulli tail by Horner's rule in
-``1/w^2``.  A float reaches either without conversion to ``complex``; the
-complex polygamma shifts serve only ``Im z != 0``.  A real ``polygamma``
-call takes about 1.1 us at order 0 and 1.6 us at order 1 on ``(0, 2)``
-(1.8 and 2.6 us with the former shifts to ``18 + n``).  Measured against
-mpmath at 30 to 40 digits on ``[-2, 3]``, 0.02 from the poles (Python 3.11,
-x86-64):
+:func:`_polygamma_float`: upward shifts to ``x >= 10 + n`` in float
+arithmetic.  A float reaches either without conversion to ``complex``; the
+complex shifts on ``Re w`` serve only ``Im z != 0``.  A
+real ``polygamma`` call takes about 1.1 us at order 0 and 1.6 us at order 1
+on ``(0, 2)``, a complex one 4 to 8 us.  Measured against mpmath at 30 to 40
+digits on ``[-2, 3]``, 0.02 from the poles (Python 3.11, x86-64):
 
 * real line, 20,000 points: ``log_gamma`` 2.0e-15 absolute error,
   ``polygamma`` orders 0-3 at most 4.1e-15 times ``max(1, |value|)`` (order 2
   next to its zeros near ``-1/2`` and ``-3/2``, where shift terms cancel;
   orders 0, 1 and 3 at most 1.6e-15);
 * complex plane, ``0 < |Im z| <= 2``: ``log_gamma`` 3.8e-15 absolute error
-  on 40,000 points, ``polygamma`` orders 0-3 at most 1.6e-15 times ``max(1,
-  |value|)`` on 2,000; ``log_gamma`` is 7.4e-15 off where the kernel's logs
-  wind (``Re z in [0.5, 1.5]``, ``Im z in [3, 10]``).
+  on 40,000 points, ``polygamma`` orders 0-3 at most 1.1e-15 times ``max(1,
+  |value|)`` on 3,000 (1,500 and their conjugates); ``log_gamma`` is 7.4e-15
+  off where the kernel's logs wind (``Re z in [0.5, 1.5]``, ``Im z in [3,
+  10]``).
 
 Each function follows the type of its argument, like the helpers of
 :mod:`heunconn.precision`: an mpmath scalar (``mpf``/``mpc``) is evaluated by
@@ -116,26 +116,24 @@ _BERNOULLI = (
 
 _MAX_POLYGAMMA_ORDER = 16
 
-# Asymptotic tail coefficients of polygamma order n:
-#   B_2k * (2k + n - 1)! / (2k)!   for k = 1..10, n = 0..16.
-_PG_TAIL = tuple(
-    tuple(
-        # one correctly rounded int division: the float of the exact rational
-        num * math.factorial(2 * k + n - 1) / (den * math.factorial(2 * k))
-        for k, (num, den) in enumerate(_BERNOULLI, start=1)
-    )
-    for n in range(_MAX_POLYGAMMA_ORDER + 1)
-)
-
-# The real path's series of polygamma order n, signs included: with y = 1/w^2,
+# The asymptotic series of polygamma order n, signs included: with y = 1/w^2,
 #   psi(w) = ln w + h/w + sum_k t_k y^k  and, for n >= 1,
 #   psi^(n)(w) = (lead + h/w + sum_k t_k y^k) / w^n,
 # a row (lead, h, t_1 .. t_10) per order: lead = (-1)^(n+1) (n-1)! (0 at
-# n = 0), h = (-1)^(n+1) n!/2 and t_k = (-1)^(n+1) _PG_TAIL[n][k-1].
+# n = 0), h = (-1)^(n+1) n!/2 and t_k = (-1)^(n+1) B_2k (2k + n - 1)! / (2k)!,
+# the last factor one correctly rounded int division (the float of the exact
+# rational).
 _PG_REAL = tuple(
     tuple(
         (-1.0) ** (n + 1) * c
-        for c in (math.factorial(n - 1) if n else 0, math.factorial(n) / 2, *_PG_TAIL[n])
+        for c in (
+            math.factorial(n - 1) if n else 0,
+            math.factorial(n) / 2,
+            *(
+                num * math.factorial(2 * k + n - 1) / (den * math.factorial(2 * k))
+                for k, (num, den) in enumerate(_BERNOULLI, start=1)
+            ),
+        )
     )
     for n in range(_MAX_POLYGAMMA_ORDER + 1)
 )
@@ -241,16 +239,6 @@ def gamma(z: Any) -> Any:
     raise DomainError(f"gamma({z!r}) is outside the binary64 range")
 
 
-def _finite_terms(p: complex, w2: complex) -> int:
-    """How many powers ``p w2^k``, ``k < 10``, of a complex asymptotic tail are
-    finite; the terms past them are below the rounding of the sum."""
-    for k in range(10):
-        if not cmath.isfinite(p):
-            return k
-        p *= w2
-    return 10
-
-
 def _log_sin_pi_upper(z: complex) -> complex:
     """Log of sin(pi*z), unwound so the log-reflection formula for log-gamma
     stays on the principal branch; valid for Im z >= 0.
@@ -318,35 +306,27 @@ def log_gamma(z: Any) -> Any:
     raise DomainError(f"log_gamma({z!r}) is outside the binary64 range")
 
 
-def _polygamma_asymptotic(n: int, w: complex) -> complex:
-    """Asymptotic polygamma series of a complex ``w``; accurate for Re w >=
-    18 + n.  The tail stops at the binary64 range (:func:`_finite_terms`)."""
+def _polygamma_series(n: int, w: Any, log: Any) -> Any:
+    """The asymptotic series of polygamma order ``n`` at a float or complex
+    ``w`` with ``Re w >= 10 + n``, ``log`` being ``math.log`` or
+    ``cmath.log`` to match: the row :data:`_PG_REAL` by Horner's rule in
+    ``1/w^2``, a tail that cannot overflow.  Where ``|w|^n`` leaves the
+    binary64 range it is the leading term alone."""
+    lead, h, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10 = _PG_REAL[n]
+    y = 1.0 / (w * w)
+    s = lead + h / w + y * (t1 + y * (t2 + y * (t3 + y * (t4 + y * (
+        t5 + y * (t6 + y * (t7 + y * (t8 + y * (t9 + y * t10)))))))))
     if n == 0:
-        s = cmath.log(w) - 0.5 / w
-        w2 = w * w
-        p = w2  # w^(2k)
-        for k in range(_finite_terms(p, w2)):
-            s -= _PG_TAIL[0][k] / p
-            p *= w2
-        return s
-    sign = 1.0 if n % 2 == 1 else -1.0
+        return log(w) + s
     try:
-        wn = w**n
-    except OverflowError:  # |w|^n beyond binary64: the leading term alone
-        return sign * math.factorial(n - 1) * (1 / w) ** n
-    s = math.factorial(n - 1) / wn + math.factorial(n) / (2.0 * wn * w)
-    w2 = w * w
-    p = wn * w2  # w^(2k+n)
-    for k in range(_finite_terms(p, w2)):
-        s += _PG_TAIL[n][k] / p
-        p *= w2
-    return sign * s
+        return s / w**n
+    except OverflowError:
+        return lead * (1.0 / w) ** n
 
 
-def _polygamma_real(n: int, x: float) -> complex:
-    """:func:`polygamma` of a finite real ``x`` off the poles, in float
-    arithmetic: the upward shifts to ``10 + n`` and the series of
-    :data:`_PG_REAL`, its tail by Horner's rule in ``1/w^2``."""
+def _polygamma_float(n: int, x: float) -> complex:
+    """:func:`polygamma` of a finite float ``x`` off the poles, in float
+    arithmetic: upward shifts to ``10 + n`` and :func:`_polygamma_series`."""
     threshold = 10.0 + n
     if threshold - x > _MAX_SHIFT:
         raise DomainError(
@@ -362,17 +342,7 @@ def _polygamma_real(n: int, x: float) -> complex:
         while w < threshold:
             acc += c / w ** (n + 1)
             w += 1.0
-    lead, h, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10 = _PG_REAL[n]
-    y = 1.0 / (w * w)
-    s = lead + h / w + y * (t1 + y * (t2 + y * (t3 + y * (t4 + y * (
-        t5 + y * (t6 + y * (t7 + y * (t8 + y * (t9 + y * t10)))))))))
-    if n == 0:
-        val = math.log(w) + s - acc
-    else:
-        try:
-            val = s / w**n - acc
-        except OverflowError:  # |w|^n beyond binary64: the leading term alone
-            val = lead * (1.0 / w) ** n - acc
+    val = _polygamma_series(n, w, math.log) - acc
     if math.isfinite(val):
         return complex(val)
     raise DomainError(f"polygamma({n}, {complex(x)!r}) is outside the binary64 range")
@@ -382,12 +352,14 @@ def polygamma(n: int, z: Any) -> Any:
     """n-th derivative of log-gamma, orders 0..16.
 
     A float, an int, or a complex with imaginary part ``0.0`` or ``-0.0`` is
-    evaluated by :func:`_polygamma_real`.
+    evaluated by :func:`_polygamma_float`; any other binary64 argument takes
+    its own shifts on ``Re w`` to the same ``10 + n`` and the same
+    :func:`_polygamma_series`.
 
     Raises :class:`OrderError` outside the supported order range,
     :class:`PoleError` within 1e-12 of a nonpositive integer, and
     :class:`DomainError` where the argument would take more than 2^20 upward
-    shifts or a complex value leaves the binary64 range.
+    shifts or a value leaves the binary64 range.
     """
     if not isinstance(n, int) or n < 0 or n > _MAX_POLYGAMMA_ORDER:
         raise OrderError(
@@ -395,7 +367,7 @@ def polygamma(n: int, z: Any) -> Any:
         )
     if isinstance(z, float):
         _check_real_pole(z, "polygamma")
-        return _polygamma_real(n, z)
+        return _polygamma_float(n, z)
     zc = _binary64(z, "polygamma")
     _check_pole(zc, "polygamma")
     if is_mp(z):
@@ -403,10 +375,10 @@ def polygamma(n: int, z: Any) -> Any:
         return mp.polygamma(n, z)
     z = zc
     if z.imag == 0.0:
-        return _polygamma_real(n, z.real)
+        return _polygamma_float(n, z.real)
     if z.imag < 0.0:
         return polygamma(n, z.conjugate()).conjugate()
-    threshold = 18.0 + n
+    threshold = 10.0 + n
     if threshold - z.real > _MAX_SHIFT:
         raise DomainError(f"polygamma({n}, {z!r}) would take more than {_MAX_SHIFT} shifts")
     c = _PG_SHIFT[n]
@@ -415,7 +387,10 @@ def polygamma(n: int, z: Any) -> Any:
         while w.real < threshold:
             acc += c / w ** (n + 1)
             w += 1.0
-        val = _polygamma_asymptotic(n, w) - acc
+        if abs(w) > 1e150:  # w * w may leave the binary64 range: the leading term
+            val = (cmath.log(w) if n == 0 else _PG_REAL[n][0] * (1.0 / w) ** n) - acc
+        else:
+            val = _polygamma_series(n, w, cmath.log) - acc
         if cmath.isfinite(val):
             return val
     except OverflowError:  # the power of a complex shift

@@ -435,3 +435,23 @@ class TestSeriesVsClosedForms:
         for omega in (0.501, -0.501, 0.5001, -0.5001, 0.4999, 0.5 + 5e-10):
             report = full_report(rche_spec(0.13, 0.27, omega, 0.1), CheckConfig(include_slow=False))
             assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("omega", [1e-3, -1e-4, 1e-6, 1e-9, 1e-3 + 1e-3j])
+    def test_rche_forms_near_omega_zero_keep_their_digits(self, omega):
+        # Their terms cancel as omega nears 0: the binary64 c_2 form alone is
+        # 4.2e-8 off at 1e-3 and 35 at 1e-6, c_1 1.9e-10 at 1e-6.
+        spec = rche_spec(0.13, 0.27, omega, 0.1)
+        c = c_coefficients(spec, 2)
+        for n, form in enumerate((c1_closed_rche, c2_closed_rche)):
+            with mp.workdps(60):
+                ref = form(spec_to_precision(spec, HIGH))
+            with mp.workdps(20):
+                got = form(spec)
+                assert mp.mp.dps == 20  # the caller's context, as found
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert rel_diff(c[n], got) <= 1e-13
+
+    def test_fast_report_passes_near_omega_zero(self):
+        for omega in (1e-3, -1e-3, 1e-4):
+            report = full_report(rche_spec(0.13, 0.27, omega, 0.1), CheckConfig(include_slow=False))
+            assert report.passed, report.summary()

@@ -229,12 +229,18 @@ class TestOutOfRange:
             (lambda z: polygamma(1, z), lambda z: mp.polygamma(1, z), 1e200 + 1j),
             (lambda z: polygamma(2, z), lambda z: mp.polygamma(2, z), 1e15 + 1j),
             (lambda z: polygamma(16, z), lambda z: mp.polygamma(16, z), 0.7 + 1e15j),
+            (lambda z: polygamma(0, z), mp.digamma, 1e200 + 1e200j),
+            (lambda z: polygamma(1, z), lambda z: mp.polygamma(1, z), 1e200 + 1e200j),
         ],
-        ids=["log_gamma", "log_gamma_reflected", "digamma", "trigamma", "order2", "order16"],
+        ids=[
+            "log_gamma", "log_gamma_reflected", "digamma", "trigamma", "order2", "order16",
+            "digamma_past_w2", "trigamma_past_w2",
+        ],
     )
     def test_complex_tail_where_its_power_overflows(self, f, mp_f, z):
-        # The polygamma tails stop at the first power outside binary64; the
-        # log_gamma kernel takes its ratio in powers of 1/(z - 1) there.
+        # The polygamma tail in 1/w^2 underflows, and past the range of w^2
+        # the value is its leading term; the log_gamma kernel takes its ratio
+        # in powers of 1/(z - 1) there.
         with mp.workdps(30):
             want = mp_f(mp.mpc(z))
             assert abs(f(z) - want) <= 1e-15 * abs(want)
@@ -438,7 +444,7 @@ class TestRealLine:
             seen.append(x)
             return 0j
 
-        monkeypatch.setattr(special, "_polygamma_real", real)
+        monkeypatch.setattr(special, "_polygamma_float", real)
         for z in (0.3, 2, complex(0.3, 0.0), complex(0.3, -0.0)):
             polygamma(1, z)
         assert seen == [0.3, 2.0, 0.3, 0.3]
@@ -493,6 +499,20 @@ class TestComplexKernel:
         # rounding to Stirling's leading term the value is 2 pi off.
         zs = _complex_points(29, 2000, (0.5, 1.5), (3.0, 10.0))
         assert self._worst_error(zs) <= 2e-14
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize(
+        "seed, re, im",
+        [(31, (-2.0, 3.0), (0.0, 2.0)), (32, (-20.0, 40.0), (0.1, 30.0)), (33, (0.5, 1.5), (3.0, 10.0))],
+        ids=["near_poles", "wide", "winding"],
+    )
+    def test_polygamma_against_mpmath(self, n, seed, re, im):
+        zs = [z for z in _complex_points(seed, 250, re, im) if z.imag > 0.0]
+        with mp.workdps(30):
+            for z in zs:
+                for w in (z, z.conjugate()):
+                    want = mp.polygamma(n, mp.mpc(w))
+                    assert abs(mp.mpc(polygamma(n, w)) - want) <= 1.6e-15 * max(1, abs(want)), w
 
     def test_fusion_cl_on_complex_triples(self):
         # Through a shift-and-Stirling log-gamma, 6.4e-14 on 3,000 such triples.
